@@ -21,6 +21,7 @@ from .forests import (
     cane_edges,
     cane_paths_from,
     catalan,
+    count_labeled_forests,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     enumerate_plane_trees,
@@ -31,14 +32,14 @@ from .forests import (
 from .geometry import (
     FAMILIES,
     AffineForm,
+    Family,
     HRep,
     ParameterDomainError,
     Simplex,
     build_hrep,
-    cone,
     cone_q,
-    contains,
     forest_chain_hrep,
+    get_family,
     orthoscheme,
     orthoscheme_vertices,
     piece_for_plane_forest,

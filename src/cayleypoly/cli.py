@@ -16,8 +16,9 @@ Rational parameters are exact strings ("1/2", "2"); decimals are rejected.
 Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 parameter outside its domain.
+Exit codes: 0 success, 1 verification failure or broken internal
+invariant (message on stderr), 2 usage error, 3 parameter outside its
+domain.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import sys
 from fractions import Fraction
 
 from .exact import format_rational, parse_rational
-from .faces import cayley_vertices, tutte_f_vector, tutte_vertices
-from .forests import enumerate_labeled_forests, enumerate_plane_forests, enumerate_plane_trees
+from .faces import InconsistentGeometryError, cayley_vertices, tutte_f_vector, tutte_vertices
 from .geometry import (
     FAMILIES,
     ParameterDomainError,
     build_hrep,
     family_parameters,
+    get_family,
     orthoscheme_vertices,
     piece_for_plane_forest,
     simplex_for_forest,
@@ -52,6 +53,7 @@ from .verify import (
     verify_triangulation,
 )
 from .volumes import (
+    DegenerateSimplexError,
     connected_gf,
     lattice_and_partition_counts,
     volume_report,
@@ -189,9 +191,8 @@ def _cmd_hrep(args) -> int:
 
 def _cmd_simplices(args) -> int:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    trees_only = args.family in ("cayley", "tcayley")
     entries = []
-    for f in enumerate_labeled_forests(args.n + 1, trees_only=trees_only):
+    for f in get_family(args.family).labeled_cells(args.n):
         s = simplex_for_forest(f, q_eff, t_eff)
         entries.append((f.to_parent_text(), s))
     if args.format == "text":
@@ -214,10 +215,7 @@ def _cmd_simplices(args) -> int:
 
 def _cmd_pieces(args) -> int:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    if args.family in ("cayley", "tcayley"):
-        plane = enumerate_plane_trees(args.n + 1)
-    else:
-        plane = enumerate_plane_forests(args.n + 1)
+    plane = get_family(args.family).plane_cells(args.n)
     entries = [(pf.to_text(), piece_for_plane_forest(pf, q_eff, t_eff)) for pf in plane]
     if args.format == "text":
         blocks = [f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries]
@@ -285,10 +283,11 @@ def _cmd_fvector(args) -> int:
 
 def _cmd_vertices(args) -> int:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    if args.family == "tutte":
-        vs = tutte_vertices(args.n, args.q, args.t)
+    fam = get_family(args.family)
+    if fam.q is None:
+        vs = tutte_vertices(args.n, q_eff, t_eff)
         points, provenance = vs.points, vs.provenance
-    elif args.family in ("cayley", "tcayley"):
+    elif fam.connected:
         vs = cayley_vertices(args.n, t_eff)
         points, provenance = vs.points, vs.provenance
     else:
@@ -338,10 +337,10 @@ def _cmd_verify(args) -> int:
     if args.check == "all":
         reports = run_all(args.nmax, args.q, args.t, jobs=args.jobs, **kwargs)
     elif args.check == "fiber":
-        nodes = (args.n + 1) if args.n else min(args.nmax + 1, 6)
+        nodes = (args.n + 1) if args.n is not None else min(args.nmax + 1, 6)
         reports = [verify_fiber(nodes, jobs=args.jobs)]
     else:
-        n_values = [args.n] if args.n else list(range(1, args.nmax + 1))
+        n_values = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
         reports = []
         for n in n_values:
             if args.check == "triangulation":
@@ -387,6 +386,9 @@ def main(argv=None) -> int:
     except ParameterDomainError as exc:
         print(f"parameter domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (DegenerateSimplexError, InconsistentGeometryError) as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -199,6 +199,8 @@ class BivariatePolynomial:
 
     def substitute(self, q=None, t=None) -> "BivariatePolynomial":
         """Substitute rational values for q and/or t; None keeps the variable."""
+        if q is None and t is None:
+            return self
         out = BivariatePolynomial.zero()
         for (dq, dt), coeff in self._terms.items():
             c = coeff
@@ -281,76 +283,96 @@ class RationalMatrix:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integers n_i and the least common denominator s with values[i] = n_i / s."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free Gaussian elimination of integer rows, in place.
+
+    Column by column, a row with a nonzero entry is swapped up to become
+    pivot row k (its column is pivots[k]); every row below it, or with
+    reduce every other row, becomes
+    (pivot * row - row[col] * rows[k]) // previous pivot, a division that
+    is exact (Bareiss, Math. Comp. 22 (1968)).  A row whose entry is
+    already zero is only rescaled, and only when the pivot changed.  Stops
+    at full rank.  The last pivot is then sign * the determinant of the
+    pivot minor, and with reduce every pivot equals it.  The lists in
+    `rows` are replaced, never mutated.
+    """
+    pivots: list[int] = []
+    sign = 1
+    previous = 1
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        k = len(pivots)
+        if k == len(rows):
+            break
+        found = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        if found != k:
+            rows[k], rows[found] = rows[found], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[col]
+        for r in range(0 if reduce else k + 1, len(rows)):
+            if r == k:
+                continue
+            row = rows[r]
+            factor = row[col]
+            if factor:
+                rows[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
+            elif pivot != previous:
+                rows[r] = [pivot * a // previous for a in row]
+        pivots.append(col)
+        previous = pivot
+    return pivots, sign
+
+
+def _cleared_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row scaled to integers; also the product of the scales."""
+    out = []
+    product = 1
+    for row in rows:
+        numerators, scale = clear_denominators(tuple(row))
+        out.append(numerators)
+        product *= scale
+    return out, product
+
+
 def determinant(matrix) -> Fraction:
-    """Exact determinant via rational Gaussian elimination.
+    """Exact determinant by fraction-free elimination.
 
     Accepts a RationalMatrix or a plain sequence of rows.
     """
-    rows = matrix.rows if isinstance(matrix, RationalMatrix) else matrix
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
+    rows, scale = _cleared_rows(matrix.rows if isinstance(matrix, RationalMatrix) else matrix)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix of dimension >= 1")
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+    pivots, sign = eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 def matrix_rank(rows: Iterable[Iterable]) -> int:
-    """Rank of a rational matrix, by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, n_cols):
-                    m[r][c] -= factor * m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of a rational matrix, by fraction-free elimination."""
+    return len(eliminate(_cleared_rows(rows)[0])[0])
 
 
 def solve_linear_system(a_rows, b_vec) -> tuple[Fraction, ...] | None:
     """Solve A x = b exactly for square A; None when A is singular."""
     n = len(a_rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, b_vec)]
-    if any(len(row) != n + 1 for row in m):
+    rows, _ = _cleared_rows([*row, b] for row, b in zip(a_rows, b_vec))
+    if any(len(row) != n + 1 for row in rows):
         raise ValueError("system shape mismatch")
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
-            return None
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, n + 1):
-                    m[r][c] -= factor * m[col][c]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+    pivots, _ = eliminate(rows, reduce=True)
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
 
 
 # ----------------------------------------------------------------------

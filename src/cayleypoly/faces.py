@@ -9,12 +9,13 @@ computed exactly over the rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
+from .exact import clear_denominators, eliminate
 from .geometry import HRep, ParameterDomainError, Point, build_hrep
+
+FVECTOR_MAX_N = 8
 
 # ----------------------------------------------------------------------
 # Vertex sets
@@ -99,36 +100,6 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
-def _integer_points(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    scale = 1
-    for p in points:
-        for x in p:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    return [tuple(int(x * scale) for x in p) for p in points]
-
-
-def _affine_dim(int_points: list[tuple[int, ...]]) -> int:
-    """Dimension of the affine hull, by integer echelon elimination."""
-    if not int_points:
-        return -1
-    base = int_points[0]
-    echelon: list[list[int]] = []  # rows with strictly increasing pivot columns
-    width = len(base)
-    for p in int_points[1:]:
-        row = [a - b for a, b in zip(p, base)]
-        for er in echelon:
-            pivot = next(c for c in range(width) if er[c])
-            if row[pivot]:
-                factor_r, factor_e = er[pivot], row[pivot]
-                row = [x * factor_r - y * factor_e for x, y in zip(row, er)]
-        if any(row):
-            echelon.append(row)
-            echelon.sort(key=lambda r: next(c for c in range(width) if r[c]))
-        if len(echelon) == width:
-            break
-    return len(echelon)
-
-
 def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     """Vertex-index face lattice from the known vertex set and H-rep.
 
@@ -152,10 +123,13 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
             if value == 0:
                 mask |= 1 << idx
         contact_masks.append(mask)
-    int_points = _integer_points(points)
+    coordinates, _ = clear_denominators([x for p in points for x in p])
+    int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
 
     def dim_of(mask: int) -> int:
-        return _affine_dim([int_points[i] for i in range(len(points)) if mask >> i & 1])
+        """Affine dimension: the rank of the differences to one member."""
+        base, *rest = (int_points[i] for i in range(len(points)) if mask >> i & 1)
+        return len(eliminate([[a - b for a, b in zip(p, base)] for p in rest])[0])
 
     facet_masks = sorted(
         {m for m in contact_masks if m and dim_of(m) == n - 1}
@@ -187,6 +161,9 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
 
 
 def tutte_f_vector(n: int, q, t) -> tuple[int, ...]:
+    """f-vector of T_n(q, t); the face-lattice closure is exponential in n."""
+    if n > FVECTOR_MAX_N:
+        raise ParameterDomainError(f"f-vectors are desk scale: n <= {FVECTOR_MAX_N}")
     vs = tutte_vertices(n, q, t)
     hrep = build_hrep("tutte", n, q, t)
     return face_lattice(vs, hrep).f_vector
@@ -234,8 +211,6 @@ def conjecture_check(n_max: int, samples=((Fraction(1, 2), Fraction(1)),)) -> li
     At n = 2 the polytope is two-dimensional and its single top face is
     counted as the one 2-face, matching the formula's degenerate value.
     """
-    if n_max > 7:
-        raise ValueError("n_max above 7 is not supported at desk scale")
     rows = []
     for n in range(2, n_max + 1):
         for q, t in samples:

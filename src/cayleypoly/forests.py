@@ -504,11 +504,21 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     yield from rec(0, 0)
 
 
-def count_labeled_trees(n: int) -> int:
-    """n**(n-2) labeled trees on n nodes."""
-    if n == 1:
-        return 1
-    return n ** (n - 2)
+def count_labeled_forests(n: int) -> int:
+    """Number of labeled forests on n nodes: 1, 2, 7, 38, 291, 2932, ...
+
+    Splitting off the tree of node n, of size k, gives
+    f(n) = sum_k C(n-1, k-1) k^(k-2) f(n-k) with f(0) = 1 and 1 tree at k = 1.
+    """
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(
+            sum(
+                math.comb(m - 1, k - 1) * (k ** (k - 2) if k > 1 else 1) * f[m - k]
+                for k in range(1, m + 1)
+            )
+        )
+    return f[n]
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,9 @@ module that converts node pairs to bit indices goes through pair_index().
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 MAX_NODES = 12
 
@@ -86,22 +87,10 @@ class LabeledGraph:
         return adj
 
 
-def component_count(g: LabeledGraph) -> int:
-    """Number of connected components, isolated nodes included."""
-    return len(set(_union_find_roots(g)))
-
-
-def component_partition(g: LabeledGraph) -> list[frozenset[int]]:
-    """Connected components as frozensets of nodes."""
-    roots = _union_find_roots(g)
-    buckets: dict[int, set[int]] = {}
-    for v, root in zip(range(1, g.node_count + 1), roots):
-        buckets.setdefault(root, set()).add(v)
-    return [frozenset(s) for s in buckets.values()]
-
-
-def _union_find_roots(g: LabeledGraph) -> list[int]:
-    parent = list(range(g.node_count))
+def partition_pattern(n: int, edge_pairs) -> tuple[int, ...]:
+    """Component labels of the nodes {0..n-1} under the given edges, by
+    union-find; components are numbered in order of their first node."""
+    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -109,11 +98,35 @@ def _union_find_roots(g: LabeledGraph) -> list[int]:
             a = parent[a]
         return a
 
-    for i, j in g.edge_list():
-        ri, rj = find(i - 1), find(j - 1)
+    for i, j in edge_pairs:
+        ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-    return [find(v) for v in range(g.node_count)]
+    relabel: dict[int, int] = {}
+    out = []
+    for v in range(n):
+        root = find(v)
+        if root not in relabel:
+            relabel[root] = len(relabel)
+        out.append(relabel[root])
+    return tuple(out)
+
+
+def _pattern(g: LabeledGraph) -> tuple[int, ...]:
+    return partition_pattern(g.node_count, ((i - 1, j - 1) for i, j in g.edge_list()))
+
+
+def component_count(g: LabeledGraph) -> int:
+    """Number of connected components, isolated nodes included."""
+    return len(set(_pattern(g)))
+
+
+def component_partition(g: LabeledGraph) -> list[frozenset[int]]:
+    """Connected components as frozensets of nodes."""
+    buckets: dict[int, set[int]] = {}
+    for v, label in enumerate(_pattern(g), start=1):
+        buckets.setdefault(label, set()).add(v)
+    return [frozenset(s) for s in buckets.values()]
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -147,3 +160,21 @@ def enumerate_graphs(
 def count_connected_graphs(n: int) -> int:
     """Number of connected labeled graphs on n nodes, by exhaustive sweep."""
     return sum(1 for _ in enumerate_graphs(n, connected_only=True))
+
+
+def map_mask_shards(fn: Callable, args: tuple, total: int, jobs: int) -> list:
+    """[fn(*args, (lo, hi)) ...] over contiguous slices covering range(total).
+
+    The slices run in a process pool of min(jobs, usable CPUs, total)
+    workers, one slice each, and come back in order; with one worker the
+    single call fn(*args, (0, total)) runs in this process.
+    """
+    workers = min(jobs, len(os.sched_getaffinity(0)), total)
+    if workers <= 1:
+        return [fn(*args, (0, total))]
+    import multiprocessing  # here, so that importing the package stays cheap
+
+    step = -(-total // workers)
+    slices = [(*args, (lo, min(lo + step, total))) for lo in range(0, total, step)]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.starmap(fn, slices)

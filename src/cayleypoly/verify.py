@@ -20,30 +20,31 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .exact import BivariatePolynomial, format_rational, solve_linear_system
+from .exact import BivariatePolynomial, clear_denominators, format_rational, solve_linear_system
 from .forests import (
     LabeledForest,
     PlaneForest,
     cane_edges,
-    catalan,
+    count_labeled_forests,
     enumerate_labeled_forests,
     enumerate_plane_forests,
-    enumerate_plane_trees,
     nfs,
     shape,
 )
 from .geometry import (
+    FAMILIES,
     HRep,
     Point,
     build_hrep,
     family_parameters,
     forest_chain_hrep,
+    get_family,
     orthoscheme_vertices,
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
     simplex_for_forest,
 )
-from .graphs import LabeledGraph, component_count, enumerate_graphs
+from .graphs import LabeledGraph, component_count, map_mask_shards
 from .volumes import (
     closed_form_piece_volume,
     closed_form_simplex_volume,
@@ -111,24 +112,24 @@ def sample_interior_point(family: str, n: int, q: Fraction, t: Fraction, rng: Ra
     """One exact rational point strictly inside the family polytope.
 
     Coordinates are drawn left to right, each strictly between its lower
-    bound and the minimum of its currently active upper bounds.
+    bound and the minimum of its currently active upper bounds.  For the
+    Tutte system that minimum over j <= i is
+    (1+t) x_{i-1} - (t(1-q)/q) (1 - min(x_0, ..., x_{i-1})),  x_0 = 1,
+    with lower bound 1-q; at q = 1 this is the (t-)Gayley chain
+    0 <= x_i <= (1+t) x_{i-1}.  A connected family has lower bound 1 and
+    upper bound (1+t) x_{i-1}.
     """
     w = 1 + t
-    lower_one = family in ("cayley", "tcayley")
+    connected = get_family(family).connected
+    lo = Fraction(1) if connected else 1 - q
+    slack = 0 if connected or q == 1 else t * (1 - q) / q
+    lowest = prev = Fraction(1)
     x: list[Fraction] = []
-    for i in range(1, n + 1):
-        prev = x[i - 2] if i >= 2 else Fraction(1)
-        if family in ("cayley", "tcayley", "gayley", "tgayley"):
-            lo = Fraction(1) if lower_one else Fraction(0)
-            hi = w * prev
-        else:
-            lo = 1 - q
-            hi = min(
-                (q * w * prev - t * (1 - q) * (1 - (x[j - 2] if j >= 2 else Fraction(1)))) / q
-                for j in range(1, i + 1)
-            )
-        r = rng.next_unit()
-        x.append(lo + r * (hi - lo))
+    for _ in range(n):
+        hi = w * prev - slack * (1 - lowest) if slack else w * prev
+        prev = lo + rng.next_unit() * (hi - lo)
+        lowest = min(lowest, prev)
+        x.append(prev)
     return tuple(x)
 
 
@@ -161,17 +162,6 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
 # ----------------------------------------------------------------------
 
 
-def family_forests(family: str, n: int) -> list[LabeledForest]:
-    trees_only = family in ("cayley", "tcayley")
-    return list(enumerate_labeled_forests(n + 1, trees_only=trees_only))
-
-
-def family_plane_forests(family: str, n: int) -> list[PlaneForest]:
-    if family in ("cayley", "tcayley"):
-        return list(enumerate_plane_trees(n + 1))
-    return list(enumerate_plane_forests(n + 1))
-
-
 class _IntCells:
     """Integer-cleared inequality systems for fast exact sign sweeps."""
 
@@ -180,15 +170,8 @@ class _IntCells:
         for hrep in hreps:
             rows = []
             for form in hrep.inequalities:
-                denom = form.constant.denominator
-                for a in form.coefficients:
-                    denom = denom * a.denominator // math.gcd(denom, a.denominator)
-                rows.append(
-                    (
-                        int(form.constant * denom),
-                        tuple(int(a * denom) for a in form.coefficients),
-                    )
-                )
+                (b, *coeffs), _ = clear_denominators((form.constant, *form.coefficients))
+                rows.append((b, coeffs))
             self.cells.append(rows)
 
     def classify(self, numerators: tuple[int, ...], denominator: int, index: int) -> int:
@@ -204,13 +187,6 @@ class _IntCells:
             if value == 0:
                 touched = True
         return 0 if touched else 1
-
-
-def _point_to_ints(point: Point) -> tuple[tuple[int, ...], int]:
-    denom = 1
-    for x in point:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in point), denom
 
 
 def _partition_certificate(
@@ -232,7 +208,7 @@ def _partition_certificate(
     while accepted < samples and attempts_left > 0:
         attempts_left -= 1
         point = sample_interior_point(family, n, q, t, rng)
-        numerators, denominator = _point_to_ints(point)
+        numerators, denominator = clear_denominators(point)
         inside = 0
         generic = True
         for idx in range(len(hreps)):
@@ -265,10 +241,6 @@ def _partition_certificate(
 # ----------------------------------------------------------------------
 
 
-def _expected_cell_volume(family: str, n: int) -> BivariatePolynomial:
-    return family_total_polynomial(family, n)
-
-
 def verify_triangulation(
     family: str,
     n: int,
@@ -280,23 +252,16 @@ def verify_triangulation(
     """Check the simplicial decomposition of one family polytope."""
     if n > VERIFY_MAX_N:
         raise ValueError(f"full triangulation checks are desk scale: n <= {VERIFY_MAX_N}")
+    fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
-    forests = family_forests(family, n)
+    forests = list(fam.labeled_cells(n))
     simplices = [simplex_for_forest(f, q_eff, t_eff) for f in forests]
     chains = [forest_chain_hrep(f, q_eff, t_eff) for f in forests]
     checks: dict = {}
     counterexample = None
 
-    if family in ("cayley", "tcayley"):
-        expected_count = (n + 1) ** (n - 1)
-    else:
-        expected_count = sum(
-            1
-            for g in enumerate_graphs(n + 1)
-            if component_count(g) == (n + 1) - g.edge_count()
-        )
-    checks["cell_count"] = {"got": len(simplices), "expected": expected_count}
+    checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
 
     bad_vertex = None
     for f, s in zip(forests, simplices):
@@ -311,7 +276,7 @@ def verify_triangulation(
         counterexample = bad_vertex
 
     total = sum((simplex_volume_scaled(s) for s in simplices), Fraction(0))
-    expected_total = _expected_cell_volume(family, n).evaluate(q_eff, t_eff)
+    expected_total = family_total_polynomial(family, n).evaluate(q_eff, t_eff)
     checks["volume_sum"] = {
         "got": format_rational(total),
         "expected": format_rational(expected_total),
@@ -344,19 +309,19 @@ def verify_subdivision(
     """Check the coarse subdivision of one family polytope."""
     if n > VERIFY_MAX_N:
         raise ValueError(f"full subdivision checks are desk scale: n <= {VERIFY_MAX_N}")
+    fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
-    plane = family_plane_forests(family, n)
+    plane = list(fam.plane_cells(n))
     pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in plane]
     checks: dict = {}
 
-    expected_count = catalan(n) if family in ("cayley", "tcayley") else catalan(n + 1)
-    checks["cell_count"] = {"got": len(pieces), "expected": expected_count}
+    checks["cell_count"] = {"got": len(pieces), "expected": fam.cell_counts(n)[1]}
 
     closed_total = BivariatePolynomial.zero()
     for pf in plane:
         closed_total += specialize_for_family(family, closed_form_piece_volume(pf))
-    expected_total = _expected_cell_volume(family, n)
+    expected_total = family_total_polynomial(family, n)
     checks["volume_sum"] = {
         "got": closed_total.to_json_obj(),
         "expected": expected_total.to_json_obj(),
@@ -366,7 +331,7 @@ def verify_subdivision(
     # Piece facets must stay inside the polytope: check simplex vertices of
     # the refinement instead of unavailable piece V-reps.
     containment_ok = True
-    for f in family_forests(family, n):
+    for f in fam.labeled_cells(n):
         s = simplex_for_forest(f, q_eff, t_eff)
         if not all(polytope.contains(v) for v in s.vertices):
             containment_ok = False
@@ -392,9 +357,10 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     and volume sums match the closed formulas."""
     if n > VERIFY_MAX_N:
         raise ValueError(f"refinement checks are desk scale: n <= {VERIFY_MAX_N}")
+    fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
-    forests = family_forests(family, n)
-    plane = family_plane_forests(family, n)
+    forests = list(fam.labeled_cells(n))
+    plane = list(fam.plane_cells(n))
     piece_by_shape = {pf: piece_for_plane_forest(pf, q_eff, t_eff) for pf in plane}
     groups: dict[PlaneForest, list[LabeledForest]] = {pf: [] for pf in plane}
     containment_ok = True
@@ -502,8 +468,8 @@ def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> Verif
 # ----------------------------------------------------------------------
 
 
-def _fiber_shard(args) -> dict[tuple, list[tuple[int, int, int]]]:
-    node_count, lo, hi = args
+def _fiber_shard(node_count: int, shard: tuple[int, int]) -> dict[tuple, list[tuple[int, int, int]]]:
+    lo, hi = shard
     out: dict[tuple, list[tuple[int, int, int]]] = {}
     for mask in range(lo, hi):
         g = LabeledGraph(node_count, mask)
@@ -523,18 +489,10 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
     if not 1 <= node_count <= 7:
         raise ValueError("fiber sweep supported for 1..7 nodes")
     total_masks = 1 << (node_count * (node_count - 1) // 2)
-    if jobs <= 1:
-        grouped = _fiber_shard((node_count, 0, total_masks))
-    else:
-        import multiprocessing
-
-        step = -(-total_masks // jobs)
-        shards = [(node_count, lo, min(lo + step, total_masks)) for lo in range(0, total_masks, step)]
-        grouped = {}
-        with multiprocessing.Pool(jobs) as pool:
-            for part in pool.map(_fiber_shard, shards):
-                for key, items in part.items():
-                    grouped.setdefault(key, []).extend(items)
+    grouped: dict[tuple, list[tuple[int, int, int]]] = {}
+    for part in map_mask_shards(_fiber_shard, (node_count,), total_masks, jobs):
+        for key, items in part.items():
+            grouped.setdefault(key, []).extend(items)
     counterexample = None
     forests_seen = 0
     for key, members in grouped.items():
@@ -556,11 +514,7 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
         if weighted != closed_form_simplex_volume(f):
             counterexample = {"forest": f.to_parent_text(), "reason": "weighted fiber mismatch"}
             break
-    expected_forests = sum(
-        1
-        for g in enumerate_graphs(node_count)
-        if component_count(g) == node_count - g.edge_count()
-    ) if node_count <= 6 else forests_seen
+    expected_forests = count_labeled_forests(node_count)
     checks = {
         "graphs_swept": {"got": sum(len(v) for v in grouped.values()), "expected": total_masks},
         "distinct_forests": {"got": forests_seen, "expected": expected_forests},
@@ -589,8 +543,6 @@ def run_all(
 ) -> list[VerificationReport]:
     """Triangulation, subdivision, refinement, specialization and fiber
     checks for every family and every n up to nmax."""
-    from .geometry import FAMILIES
-
     reports = []
     for n in range(1, nmax + 1):
         for family in FAMILIES:

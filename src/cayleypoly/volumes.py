@@ -23,15 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import BivariatePolynomial, determinant
-from .forests import (
-    LabeledForest,
-    PlaneForest,
-    alpha,
-    enumerate_labeled_forests,
-    enumerate_plane_forests,
-    enumerate_plane_trees,
-)
-from .geometry import FAMILIES, ParameterDomainError, Simplex, family_parameters
+from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
+from .geometry import Simplex, family_parameters, get_family, simplex_for_forest
+from .graphs import map_mask_shards, partition_pattern
 
 Z_MAX_NODES = 7
 
@@ -100,30 +94,6 @@ def closed_form_piece_volume(pf: PlaneForest) -> BivariatePolynomial:
 # ----------------------------------------------------------------------
 
 
-def _partition_pattern(n: int, edge_pairs) -> tuple[int, ...]:
-    """Canonical component labels of {0..n-1} under the given edges."""
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edge_pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    relabel: dict[int, int] = {}
-    out = []
-    for v in range(n):
-        root = find(v)
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        out.append(relabel[root])
-    return tuple(out)
-
-
 def subgraph_tally(n: int, shard: Optional[tuple[int, int]] = None) -> dict[tuple[int, int], int]:
     """Counts of spanning subgraphs of K_n by (components, edges).
 
@@ -142,7 +112,7 @@ def subgraph_tally(n: int, shard: Optional[tuple[int, int]] = None) -> dict[tupl
     buckets: dict[tuple[int, ...], list[int]] = {}
     for mask in range(lo, hi):
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        pattern = _partition_pattern(m, edges)
+        pattern = partition_pattern(m, edges)
         counts = buckets.setdefault(pattern, [0] * (len(pairs) + 1))
         counts[len(edges)] += 1
     # Attach every subset of edges from node n to {1..n-1}.
@@ -158,14 +128,6 @@ def subgraph_tally(n: int, shard: Optional[tuple[int, int]] = None) -> dict[tupl
                     key = (k, e_base + star_size)
                     tally[key] = tally.get(key, 0) + count
     return tally
-
-
-def _merge_tallies(tallies) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for tally in tallies:
-        for key, count in tally.items():
-            out[key] = out.get(key, 0) + count
-    return out
 
 
 def z_bruteforce(n: int, jobs: int = 1) -> BivariatePolynomial:
@@ -184,27 +146,20 @@ def z_bruteforce_naive(n: int) -> BivariatePolynomial:
     terms: dict[tuple[int, int], Fraction] = {}
     for mask in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        k = len(set(_partition_pattern(n, edges)))
+        k = len(set(partition_pattern(n, edges)))
         key = (k - 1, len(edges))
         terms[key] = terms.get(key, Fraction(0)) + 1
     return BivariatePolynomial(terms)
 
 
 def _tally_with_jobs(n: int, jobs: int) -> dict[tuple[int, int], int]:
-    if jobs <= 1 or n <= 3:
-        return subgraph_tally(n)
-    total = 1 << math.comb(n - 1, 2)
-    step = -(-total // jobs)
-    shards = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.starmap(_tally_shard, [(n, shard) for shard in shards])
-    return _merge_tallies(parts)
-
-
-def _tally_shard(n: int, shard: tuple[int, int]) -> dict[tuple[int, int], int]:
-    return subgraph_tally(n, shard)
+    """subgraph_tally(n) summed over shards of the outer mask range."""
+    # Below four nodes the sweep is too small to be worth a process pool.
+    out: dict[tuple[int, int], int] = {}
+    for part in map_mask_shards(subgraph_tally, (n,), 1 << math.comb(n - 1, 2), jobs if n > 3 else 1):
+        for key, count in part.items():
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 def connected_gf(n: int, mode: str = "bruteforce", jobs: int = 1) -> BivariatePolynomial:
@@ -318,22 +273,16 @@ def lattice_and_partition_counts(n: int) -> tuple[int, int]:
 def family_total_polynomial(family: str, n: int, jobs: int = 1) -> BivariatePolynomial:
     """n! vol of the family polytope as a polynomial, from the graph sweep.
 
-    tutte: Z_{K_{n+1}}(q, t); tgayley: its q = 1 specialization (in t);
-    tcayley: the connected part (in t); gayley and cayley: the constants
-    obtained from those at t = 1.
+    Z_{K_{n+1}}(q, t), cut to its q^0 (connected-graph) part for a
+    connected family, at the family's fixed q and t: Z itself for tutte,
+    a polynomial in t for tgayley and tcayley, a constant for gayley and
+    cayley.
     """
-    if family not in FAMILIES:
-        raise ParameterDomainError(f"unknown family {family!r}")
+    fam = get_family(family)
     z = z_bruteforce(n + 1, jobs=jobs)
-    if family == "tutte":
-        return z
-    if family == "tgayley":
-        return z.substitute(q=1)
-    if family == "gayley":
-        return z.substitute(q=1, t=1)
-    if family == "tcayley":
-        return z.restrict_q_power(0)
-    return z.restrict_q_power(0).substitute(t=1)
+    if fam.connected:
+        z = z.restrict_q_power(0)
+    return specialize_for_family(family, z)
 
 
 @dataclass(frozen=True)
@@ -358,13 +307,9 @@ class VolumeReport:
 
 
 def specialize_for_family(family: str, poly: BivariatePolynomial) -> BivariatePolynomial:
-    if family == "cayley":
-        return poly.substitute(q=1, t=1)
-    if family == "gayley":
-        return poly.substitute(q=1, t=1)
-    if family in ("tcayley", "tgayley"):
-        return poly.substitute(q=1)
-    return poly
+    """Substitute the family's fixed parameter values into poly."""
+    fam = get_family(family)
+    return poly.substitute(q=fam.q, t=fam.t)
 
 
 def volume_report(
@@ -376,19 +321,16 @@ def volume_report(
     jobs: int = 1,
 ) -> VolumeReport:
     """Compute the family volume by simplices, pieces, and the graph sweep."""
-    trees_only = family in ("cayley", "tcayley")
+    fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     closed = BivariatePolynomial.zero()
     det_total: Optional[Fraction] = Fraction(0) if with_determinant else None
-    from .geometry import simplex_for_forest  # local import to avoid a cycle
-
-    for f in enumerate_labeled_forests(n + 1, trees_only=trees_only):
+    for f in fam.labeled_cells(n):
         closed += specialize_for_family(family, closed_form_simplex_volume(f))
         if with_determinant:
             det_total += simplex_volume_scaled(simplex_for_forest(f, q_eff, t_eff))
     pieces = BivariatePolynomial.zero()
-    plane = enumerate_plane_trees(n + 1) if trees_only else enumerate_plane_forests(n + 1)
-    for pf in plane:
+    for pf in fam.plane_cells(n):
         pieces += specialize_for_family(family, closed_form_piece_volume(pf))
     graph_sum = family_total_polynomial(family, n, jobs=jobs)
     return VolumeReport(

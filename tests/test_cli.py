@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from cayleypoly import cli
 from cayleypoly.cli import main
+from cayleypoly.faces import InconsistentGeometryError
 from cayleypoly.geometry import HRep
+from cayleypoly.volumes import DegenerateSimplexError
 
 
 def run_cli(capsys, *argv):
@@ -138,3 +141,28 @@ def test_verify_cli_all_flag(capsys):
     assert payload["passed"] is True
     kinds = {job["kind"] for job in payload["jobs"]}
     assert {"triangulation", "subdivision", "refinement", "specializations", "fiber"} <= kinds
+
+
+def test_verify_n_zero_is_an_explicit_value(capsys):
+    # n = 0 is given, not absent: the zero-dimensional polytope is outside
+    # the domain, so the job is not silently replaced by the 1..nmax sweep.
+    code = main(["verify", "--check", "triangulation", "--n", "0"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", [DegenerateSimplexError, InconsistentGeometryError])
+def test_broken_invariant_exit_code(monkeypatch, capsys, error):
+    def broken(args):
+        raise error("witness of the broken invariant")
+
+    monkeypatch.setitem(cli._COMMANDS, "zpoly", broken)
+    code = main(["zpoly", "--n", "3"])
+    assert code == 1
+    assert "witness of the broken invariant" in capsys.readouterr().err
+
+
+def test_fvector_size_cap(capsys):
+    code = main(["fvector", "--n", "9"])
+    assert code == 3
+    assert "n <= 8" in capsys.readouterr().err

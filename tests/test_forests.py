@@ -14,6 +14,7 @@ from cayleypoly import (
     cane_paths_from,
     catalan,
     component_count,
+    count_labeled_forests,
     enumerate_graphs,
     enumerate_labeled_forests,
     enumerate_plane_forests,
@@ -276,6 +277,13 @@ def test_forest_counts_against_graph_sweep():
         )
         assert by_enum == acyclic
     assert sum(1 for _ in enumerate_labeled_forests(3)) == 7
+
+
+def test_forest_count_recurrence_against_enumeration():
+    expected = [1, 2, 7, 38, 291, 2932, 36961]
+    assert [count_labeled_forests(n) for n in range(1, 8)] == expected
+    for n in range(1, 8):
+        assert sum(1 for _ in enumerate_labeled_forests(n)) == count_labeled_forests(n)
 
 
 def test_forest_enumeration_unique_and_canonical():

@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from cayleypoly import (
+    FAMILIES,
     AffineForm,
+    Family,
     HRep,
     ParameterDomainError,
     PlaneForest,
     build_hrep,
     catalan,
-    cone,
     cone_q,
     enumerate_hrep_vertices,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     forest_chain_hrep,
+    get_family,
     orthoscheme,
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
@@ -77,6 +79,26 @@ def test_family_parameters_fixed_values():
     assert family_parameters("cayley", HALF, 7) == (1, 1)
     assert family_parameters("tgayley", HALF, 3) == (1, 3)
     assert family_parameters("tutte", HALF, 3) == (HALF, 3)
+
+
+def test_family_table():
+    assert FAMILIES == ("cayley", "gayley", "tcayley", "tgayley", "tutte")
+    assert [get_family(name).connected for name in FAMILIES] == [True, False, True, False, False]
+    assert get_family("tgayley") == Family("tgayley", False, Fraction(1), None)
+    assert get_family("tutte").q is None and get_family("tutte").t is None
+    with pytest.raises(ParameterDomainError, match="unknown family"):
+        get_family("mystery")
+
+
+@pytest.mark.parametrize("name", ["cayley", "gayley", "tcayley", "tgayley", "tutte"])
+def test_family_cells_match_expected_counts(name):
+    fam = get_family(name)
+    for n in range(1, 5):
+        simplices, pieces = fam.cell_counts(n)
+        assert sum(1 for _ in fam.labeled_cells(n)) == simplices
+        assert sum(1 for _ in fam.plane_cells(n)) == pieces
+        if fam.connected:
+            assert all(f.is_tree() for f in fam.labeled_cells(n))
 
 
 # ----------------------------------------------------------------------
@@ -323,15 +345,10 @@ def _interval(lo, hi) -> HRep:
 
 
 def test_cone_over_segment():
-    triangle = cone(_interval(1, 2))
+    triangle = cone_q(_interval(1, 2), 1)
     assert set(enumerate_hrep_vertices(triangle)) == {
         (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)),
     }
-
-
-def test_cone_q_at_one_equals_cone():
-    base = _interval(1, 2)
-    assert cone_q(base, 1) == cone(base)
 
 
 def test_cone_q_apex():
@@ -347,7 +364,7 @@ def test_cone_volume_lemma_on_rectangle():
     from cayleypoly import Simplex, simplex_volume
 
     rect = product(_interval(1, 3), _interval(2, 5))  # area 6
-    pyramid = cone(rect)
+    pyramid = cone_q(rect, 1)
     verts = enumerate_hrep_vertices(pyramid)
     apex = (Fraction(0), Fraction(0), Fraction(0))
     base = [v for v in verts if v != apex]

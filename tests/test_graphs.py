@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleypoly import LabeledGraph, component_count, enumerate_graphs, nfs, pair_index
-from cayleypoly.graphs import count_connected_graphs, is_connected, pair_order
+from cayleypoly.graphs import (
+    component_partition,
+    count_connected_graphs,
+    is_connected,
+    map_mask_shards,
+    pair_order,
+    partition_pattern,
+)
 
 
 def test_pair_order_is_lexicographic():
@@ -113,3 +120,61 @@ def test_invalid_graphs_rejected():
         pair_index(2, 2, 4)
     with pytest.raises(ValueError):
         pair_index(1, 5, 4)
+
+
+def test_partition_pattern_numbers_components_by_first_node():
+    assert partition_pattern(5, [(3, 1), (4, 2)]) == (0, 1, 2, 1, 2)
+    assert partition_pattern(3, []) == (0, 1, 2)
+    g = LabeledGraph.from_text("5:1-4,2-5,4-1")
+    assert component_partition(g) == [frozenset({1, 4}), frozenset({2, 5}), frozenset({3})]
+    assert component_count(g) == 3
+
+
+def _slice(shard):
+    return shard
+
+
+class _RecordingPool:
+    """Stand-in for multiprocessing.Pool: records the worker count and runs
+    the calls in this process, so no process is started."""
+
+    created: list = []
+
+    def __init__(self, workers):
+        self.created.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, arg_lists):
+        return [fn(*args) for args in arg_lists]
+
+
+def test_shard_workers_are_capped(monkeypatch):
+    import multiprocessing
+    import os
+
+    from cayleypoly import verify_fiber, z_bruteforce
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    cpus = len(os.sched_getaffinity(0))
+    huge = 10**9
+
+    slices = map_mask_shards(_slice, (), 64, huge)
+    workers = min(cpus, 64)
+    assert _RecordingPool.created == ([workers] if workers > 1 else [])
+    assert len(slices) == workers
+    assert slices[0][0] == 0 and slices[-1][1] == 64
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+
+    _RecordingPool.created.clear()
+    assert map_mask_shards(_slice, (), 1, huge) == [(0, 1)]
+    assert _RecordingPool.created == []
+
+    assert z_bruteforce(5, jobs=huge) == z_bruteforce(5)
+    assert verify_fiber(4, jobs=huge).checks == verify_fiber(4).checks
+    assert all(w <= cpus for w in _RecordingPool.created)
