@@ -268,7 +268,7 @@ def family_parameters(family: str, q=None, t=None) -> tuple[Fraction, Fraction]:
 
 
 def build_hrep(family: str, n: int, q=None, t=None) -> HRep:
-    """H-representation of the requested family in R^n."""
+    """H-representation of the named family's polytope in R^n."""
     fam = get_family(family)
     if n < 1:
         raise ParameterDomainError("n must be >= 1")

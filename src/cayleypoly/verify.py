@@ -545,10 +545,10 @@ def run_all(
     checks for every family and every n up to nmax."""
     reports = []
     for n in range(1, nmax + 1):
-        for family in FAMILIES:
-            reports.append(verify_triangulation(family, n, q, t, samples=samples, seed=seed))
-            reports.append(verify_subdivision(family, n, q, t, samples=samples, seed=seed))
-            reports.append(verify_refinement(family, n, q, t))
+        for name in FAMILIES:
+            reports.append(verify_triangulation(name, n, q, t, samples=samples, seed=seed))
+            reports.append(verify_subdivision(name, n, q, t, samples=samples, seed=seed))
+            reports.append(verify_refinement(name, n, q, t))
         reports.append(verify_specializations(n, q, t))
         if n <= 4:
             reports.append(verify_piece_constructions(n, q, t))
