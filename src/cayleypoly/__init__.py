@@ -75,7 +75,9 @@ from .verify import (
 from .volumes import (
     DegenerateSimplexError,
     VolumeReport,
+    closed_form_piece_total,
     closed_form_piece_volume,
+    closed_form_simplex_total,
     closed_form_simplex_volume,
     connected_gf,
     family_total_polynomial,

@@ -333,6 +333,8 @@ def _cmd_cayley1857(args) -> int:
 def _cmd_verify(args) -> int:
     if getattr(args, "all", False):
         args.check = "all"
+    if args.nmax < 1:
+        raise ParameterDomainError("nmax must be >= 1")
     kwargs = {"samples": args.samples, "seed": args.seed}
     if args.check == "all":
         reports = run_all(args.nmax, args.q, args.t, jobs=args.jobs, **kwargs)

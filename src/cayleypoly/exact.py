@@ -3,9 +3,9 @@
 Everything downstream (volumes, generating functions, vertex coordinates)
 runs over arbitrary-precision rationals.  A polynomial in the two formal
 variables q and t is a dict mapping exponent pairs (deg_q, deg_t) to
-nonzero Fraction coefficients; the zero polynomial is the empty dict.
-Univariate polynomials (in t alone, or in a renamed variable such as y)
-use the same type with deg_q == 0 throughout.
+nonzero coefficients, ints or (when not integral) Fractions; the zero
+polynomial is the empty dict.  Univariate polynomials (in t alone, or in a
+renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 No floating point is used anywhere in this package.
 """
@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, int]
+Coefficient = int | Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -46,22 +47,32 @@ class BivariatePolynomial:
     """Immutable polynomial in q and t with rational coefficients.
 
     Canonical form: no zero coefficients are stored, so two polynomials are
-    equal exactly when their monomial dicts are equal.
+    equal exactly when their monomial dicts are equal.  The constructor sums
+    repeated monomials and stores a non-int value as a Fraction, or as an
+    int when integral; arithmetic does not renormalise, as 3 == Fraction(3)
+    and both hash alike.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
+    def __init__(
+        self, terms: Mapping[Monomial, Coefficient] | Iterable[tuple[Monomial, Coefficient]] = ()
+    ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coefficient] = {}
         for (dq, dt), coeff in items:
             if dq < 0 or dt < 0:
                 raise ValueError(f"negative exponent in monomial ({dq}, {dt})")
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if coeff:
                 key = (int(dq), int(dt))
-                clean[key] = clean.get(key, Fraction(0)) + coeff
-                if not clean[key]:
+                acc = clean.get(key, 0) + coeff
+                if acc:
+                    clean[key] = acc
+                else:
                     del clean[key]
         self._terms = clean
 
@@ -73,11 +84,11 @@ class BivariatePolynomial:
 
     @classmethod
     def constant(cls, c) -> "BivariatePolynomial":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, deg_q: int, deg_t: int, coeff=1) -> "BivariatePolynomial":
-        return cls({(deg_q, deg_t): Fraction(coeff)})
+        return cls({(deg_q, deg_t): coeff})
 
     @classmethod
     def var_q(cls) -> "BivariatePolynomial":
@@ -92,28 +103,22 @@ class BivariatePolynomial:
         """(1 + t)**k expanded by the binomial theorem."""
         if k < 0:
             raise ValueError("negative power")
-        return cls({(0, i): Fraction(math.comb(k, i)) for i in range(k + 1)})
+        return cls({(0, i): math.comb(k, i) for i in range(k + 1)})
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Monomials sorted lexicographically by (deg_q, deg_t)."""
         return sorted(self._terms.items())
 
-    def coefficient(self, deg_q: int, deg_t: int) -> Fraction:
-        return self._terms.get((deg_q, deg_t), Fraction(0))
+    def coefficient(self, deg_q: int, deg_t: int) -> Coefficient:
+        return self._terms.get((deg_q, deg_t), 0)
 
     def restrict_q_power(self, deg_q: int) -> "BivariatePolynomial":
         """The coefficient of q**deg_q, as a polynomial in t."""
         return BivariatePolynomial(
             {(0, dt): c for (dq, dt), c in self._terms.items() if dq == deg_q}
         )
-
-    def degree_q(self) -> int:
-        return max((dq for dq, _ in self._terms), default=0)
-
-    def degree_t(self) -> int:
-        return max((dt for _, dt in self._terms), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -124,7 +129,7 @@ class BivariatePolynomial:
         other = _coerce(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
+            acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
             else:
@@ -148,11 +153,11 @@ class BivariatePolynomial:
 
     def __mul__(self, other) -> "BivariatePolynomial":
         other = _coerce(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for (aq, at), ca in self._terms.items():
             for (bq, bt), cb in other._terms.items():
                 key = (aq + bq, at + bt)
-                acc = out.get(key, Fraction(0)) + ca * cb
+                acc = out.get(key, 0) + ca * cb
                 if acc:
                     out[key] = acc
                 else:
@@ -201,17 +206,13 @@ class BivariatePolynomial:
         """Substitute rational values for q and/or t; None keeps the variable."""
         if q is None and t is None:
             return self
-        out = BivariatePolynomial.zero()
-        for (dq, dt), coeff in self._terms.items():
-            c = coeff
-            if q is not None:
-                c *= Fraction(q) ** dq
-                dq = 0
-            if t is not None:
-                c *= Fraction(t) ** dt
-                dt = 0
-            out += BivariatePolynomial.monomial(dq, dt, c)
-        return out
+        # A kept variable keeps its exponent and contributes the factor 1.
+        q_value = 1 if q is None else Fraction(q)
+        t_value = 1 if t is None else Fraction(t)
+        return BivariatePolynomial(
+            ((dq if q is None else 0, dt if t is None else 0), c * q_value**dq * t_value**dt)
+            for (dq, dt), c in self._terms.items()
+        )
 
     def compose_t(self, replacement: "BivariatePolynomial") -> "BivariatePolynomial":
         """Substitute a polynomial for the t variable (q left untouched)."""
@@ -401,7 +402,7 @@ def tutte_from_z(z: BivariatePolynomial, nodes: int) -> BivariatePolynomial:
     for (dq, dt), coeff in z.terms():
         term = (x_minus_1**dq) * BivariatePolynomial.monomial(0, dq + dt, coeff)
         in_x_u = in_x_u + term
-    shifted: dict[Monomial, Fraction] = {}
+    shifted: dict[Monomial, Coefficient] = {}
     for (dx, du), coeff in in_x_u.terms():
         if du < shift:
             raise ValueError(

@@ -73,12 +73,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return bin(self.edges).count("1")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.edges >> pair_index(i, j, self.node_count) & 1)
-
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(1, self.node_count + 1) if u != v and self.has_edge(v, u)]
-
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.node_count + 1)}
         for i, j in self.edge_list():

@@ -34,6 +34,7 @@ from .forests import (
 from .geometry import (
     FAMILIES,
     HRep,
+    ParameterDomainError,
     Point,
     build_hrep,
     family_parameters,
@@ -46,12 +47,13 @@ from .geometry import (
 )
 from .graphs import LabeledGraph, component_count, map_mask_shards
 from .volumes import (
+    closed_form_piece_total,
     closed_form_piece_volume,
+    closed_form_simplex_total,
     closed_form_simplex_volume,
     connected_gf,
     family_total_polynomial,
     simplex_volume_scaled,
-    specialize_for_family,
     z_bruteforce,
 )
 
@@ -241,6 +243,14 @@ def _partition_certificate(
 # ----------------------------------------------------------------------
 
 
+def _check_n(n: int, checks: str, limit: int = VERIFY_MAX_N) -> None:
+    """n = 0 is outside every family's domain; above limit is beyond desk scale."""
+    if n < 1:
+        raise ParameterDomainError("n must be >= 1")
+    if n > limit:
+        raise ValueError(f"{checks} are desk scale: n <= {limit}")
+
+
 def verify_triangulation(
     family: str,
     n: int,
@@ -250,8 +260,9 @@ def verify_triangulation(
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check the simplicial decomposition of one family polytope."""
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"full triangulation checks are desk scale: n <= {VERIFY_MAX_N}")
+    _check_n(n, "full triangulation checks")
+    if samples < 1:
+        raise ParameterDomainError("samples must be >= 1")
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
@@ -307,8 +318,9 @@ def verify_subdivision(
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check the coarse subdivision of one family polytope."""
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"full subdivision checks are desk scale: n <= {VERIFY_MAX_N}")
+    _check_n(n, "full subdivision checks")
+    if samples < 1:
+        raise ParameterDomainError("samples must be >= 1")
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
@@ -318,9 +330,7 @@ def verify_subdivision(
 
     checks["cell_count"] = {"got": len(pieces), "expected": fam.cell_counts(n)[1]}
 
-    closed_total = BivariatePolynomial.zero()
-    for pf in plane:
-        closed_total += specialize_for_family(family, closed_form_piece_volume(pf))
+    closed_total = closed_form_piece_total(plane).substitute(q=fam.q, t=fam.t)
     expected_total = family_total_polynomial(family, n)
     checks["volume_sum"] = {
         "got": closed_total.to_json_obj(),
@@ -355,8 +365,7 @@ def verify_subdivision(
 def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport:
     """Each simplex sits inside the piece of its plane shape; multiplicities
     and volume sums match the closed formulas."""
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"refinement checks are desk scale: n <= {VERIFY_MAX_N}")
+    _check_n(n, "refinement checks")
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     forests = list(fam.labeled_cells(n))
@@ -384,10 +393,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
                 "got": len(members),
                 "expected": pf.labeled_forest_count(),
             }
-        simplex_sum = BivariatePolynomial.zero()
-        for f in members:
-            simplex_sum += closed_form_simplex_volume(f)
-        if simplex_sum != closed_form_piece_volume(pf):
+        if closed_form_simplex_total(members) != closed_form_piece_volume(pf):
             volume_ok = False
             counterexample = counterexample or {"shape": pf.to_text(), "mismatch": "volume"}
     checks = {
@@ -404,8 +410,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
 
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"specialization checks are desk scale: n <= {VERIFY_MAX_N}")
+    _check_n(n, "specialization checks")
     q = Fraction(q)
     t = Fraction(t)
     checks: dict = {}
@@ -429,9 +434,8 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
     connected = connected_gf(n + 1, "bruteforce")
     checks["z_q0_coefficient_is_connected_gf"] = {"ok": z.restrict_q_power(0) == connected}
 
-    tree_sum = BivariatePolynomial.zero()
-    for f in enumerate_labeled_forests(n + 1, trees_only=True):
-        tree_sum += closed_form_simplex_volume(f).substitute(q=1)
+    trees = enumerate_labeled_forests(n + 1, trees_only=True)
+    tree_sum = closed_form_simplex_total(trees).substitute(q=1)
     checks["tree_simplices_sum_to_tcayley_total"] = {"ok": tree_sum == connected}
 
     checks["gayley_total"] = {
@@ -446,8 +450,7 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
 
 def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> VerificationReport:
     """Direct piece inequalities agree with the product/cone assembly."""
-    if n > 4:
-        raise ValueError("piece construction cross-check is desk scale: n <= 4")
+    _check_n(n, "piece construction cross-checks", limit=4)
     q = Fraction(q)
     t = Fraction(t)
     mismatch = None
@@ -508,9 +511,7 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
         if got_masks != expected_masks:
             counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
             break
-        weighted = BivariatePolynomial.zero()
-        for _, k, e in members:
-            weighted += BivariatePolynomial.monomial(k - 1, e)
+        weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)
         if weighted != closed_form_simplex_volume(f):
             counterexample = {"forest": f.to_parent_text(), "reason": "weighted fiber mismatch"}
             break
@@ -543,6 +544,8 @@ def run_all(
 ) -> list[VerificationReport]:
     """Triangulation, subdivision, refinement, specialization and fiber
     checks for every family and every n up to nmax."""
+    if nmax < 1:
+        raise ParameterDomainError("nmax must be >= 1")
     reports = []
     for n in range(1, nmax + 1):
         for name in FAMILIES:

@@ -18,9 +18,10 @@ parallel.  No recursion formula enters this oracle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .exact import BivariatePolynomial, determinant
 from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
@@ -61,32 +62,43 @@ def simplex_volume_scaled(s: Simplex) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def _expand(tally: Mapping[tuple[int, int, int], int]) -> BivariatePolynomial:
+    """The sum of c q^a t^b (1+t)^k over the tally {(a, b, k): c}."""
+    return BivariatePolynomial(
+        ((a, b + i), c * math.comb(k, i)) for (a, b, k), c in tally.items() for i in range(k + 1)
+    )
+
+
+def closed_form_simplex_total(forests: Iterable[LabeledForest]) -> BivariatePolynomial:
+    """Sum of the n! vols q^(k-1) t^|E| (1+t)^alpha of the forests' simplices."""
+    return _expand(Counter((f.component_count() - 1, f.edge_count(), alpha(f)) for f in forests))
+
+
+def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePolynomial:
+    """Sum of the n! vols of the plane forests' subdivision pieces.
+
+    A piece with m components, N nodes and reduced degrees d_1, d_2, ...
+    has n! vol (its labeled forest count) times
+    q^(m-1) t^(sum d_i) (1+t)^(C(N+1-m, 2) - sum i d_i).
+    """
+    tally = Counter()
+    for pf in plane_forests:
+        reduced = pf.reduced_degree_sequence()
+        m = pf.component_count()
+        weighted_degrees = sum(i * d for i, d in enumerate(reduced, start=1))
+        exponent = math.comb(pf.node_count() + 1 - m, 2) - weighted_degrees
+        tally[m - 1, sum(reduced), exponent] += pf.labeled_forest_count()
+    return _expand(tally)
+
+
 def closed_form_simplex_volume(f: LabeledForest) -> BivariatePolynomial:
     """n! vol of the forest's simplex: q^(k-1) t^|E| (1+t)^alpha."""
-    k = f.component_count()
-    e = f.edge_count()
-    return BivariatePolynomial.monomial(k - 1, e) * BivariatePolynomial.one_plus_t_power(alpha(f))
+    return closed_form_simplex_total((f,))
 
 
 def closed_form_piece_volume(pf: PlaneForest) -> BivariatePolynomial:
-    """n! vol of the plane forest's subdivision piece.
-
-    multinomial(n; reduced degrees) / prod_{j>=2}(a_j + ... + a_m)
-    times q^(m-1) t^(sum d_i) (1+t)^(C(n+2-m, 2) - sum i d_i).
-    """
-    sizes = pf.component_sizes()
-    m = len(sizes)
-    total = sum(sizes)
-    n = total - 1
-    reduced = pf.reduced_degree_sequence()
-    prefactor = Fraction(math.factorial(n))
-    for d in reduced:
-        prefactor /= math.factorial(d)
-    for j in range(1, m):
-        prefactor /= sum(sizes[j:])
-    exponent = math.comb(total + 1 - m, 2) - sum(i * d for i, d in enumerate(reduced, start=1))
-    poly = BivariatePolynomial.monomial(m - 1, sum(reduced), prefactor)
-    return poly * BivariatePolynomial.one_plus_t_power(exponent)
+    """n! vol of the plane forest's subdivision piece."""
+    return closed_form_piece_total((pf,))
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +147,7 @@ def z_bruteforce(n: int, jobs: int = 1) -> BivariatePolynomial:
     if not 2 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 2..{Z_MAX_NODES}")
     tally = _tally_with_jobs(n, jobs)
-    return BivariatePolynomial({(k - 1, e): Fraction(c) for (k, e), c in tally.items()})
+    return BivariatePolynomial({(k - 1, e): c for (k, e), c in tally.items()})
 
 
 def z_bruteforce_naive(n: int) -> BivariatePolynomial:
@@ -143,13 +155,12 @@ def z_bruteforce_naive(n: int) -> BivariatePolynomial:
     if not 2 <= n <= 6:
         raise ValueError("naive sweep supported for 2 <= n <= 6")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    terms: dict[tuple[int, int], Fraction] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        k = len(set(partition_pattern(n, edges)))
-        key = (k - 1, len(edges))
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return BivariatePolynomial(terms)
+    subgraphs = (
+        [pairs[k] for k in range(len(pairs)) if mask >> k & 1] for mask in range(1 << len(pairs))
+    )
+    return BivariatePolynomial(
+        ((len(set(partition_pattern(n, edges))) - 1, len(edges)), 1) for edges in subgraphs
+    )
 
 
 def _tally_with_jobs(n: int, jobs: int) -> dict[tuple[int, int], int]:
@@ -175,9 +186,7 @@ def connected_gf(n: int, mode: str = "bruteforce", jobs: int = 1) -> BivariatePo
         if not 1 <= n <= Z_MAX_NODES:
             raise ValueError(f"bruteforce mode needs 1 <= n <= {Z_MAX_NODES}")
         tally = _tally_with_jobs(n, jobs)
-        return BivariatePolynomial(
-            {(0, e): Fraction(c) for (k, e), c in tally.items() if k == 1}
-        )
+        return BivariatePolynomial({(0, e): c for (k, e), c in tally.items() if k == 1})
     if mode == "recursion":
         if not 1 <= n <= 30:
             raise ValueError("recursion mode supported for 1 <= n <= 30")
@@ -225,11 +234,9 @@ def inversion_enumerator(n: int) -> BivariatePolynomial:
     """
     if not 1 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 1..{Z_MAX_NODES}")
-    terms: dict[tuple[int, int], Fraction] = {}
-    for tree in enumerate_labeled_forests(n, trees_only=True):
-        key = (0, tree_inversions(tree))
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return BivariatePolynomial(terms)
+    return BivariatePolynomial(
+        ((0, tree_inversions(tree)), 1) for tree in enumerate_labeled_forests(n, trees_only=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +289,7 @@ def family_total_polynomial(family: str, n: int, jobs: int = 1) -> BivariatePoly
     z = z_bruteforce(n + 1, jobs=jobs)
     if fam.connected:
         z = z.restrict_q_power(0)
-    return specialize_for_family(family, z)
+    return z.substitute(q=fam.q, t=fam.t)
 
 
 @dataclass(frozen=True)
@@ -306,12 +313,6 @@ class VolumeReport:
         return True
 
 
-def specialize_for_family(family: str, poly: BivariatePolynomial) -> BivariatePolynomial:
-    """Substitute the family's fixed parameter values into poly."""
-    fam = get_family(family)
-    return poly.substitute(q=fam.q, t=fam.t)
-
-
 def volume_report(
     family: str,
     n: int,
@@ -320,26 +321,23 @@ def volume_report(
     with_determinant: bool = True,
     jobs: int = 1,
 ) -> VolumeReport:
-    """Compute the family volume by simplices, pieces, and the graph sweep."""
+    """Compute the family volume by simplices, pieces, and the graph sweep.
+
+    Cells stream: the determinant pass enumerates them a second time.
+    """
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
-    closed = BivariatePolynomial.zero()
-    det_total: Optional[Fraction] = Fraction(0) if with_determinant else None
-    for f in fam.labeled_cells(n):
-        closed += specialize_for_family(family, closed_form_simplex_volume(f))
-        if with_determinant:
-            det_total += simplex_volume_scaled(simplex_for_forest(f, q_eff, t_eff))
-    pieces = BivariatePolynomial.zero()
-    for pf in fam.plane_cells(n):
-        pieces += specialize_for_family(family, closed_form_piece_volume(pf))
-    graph_sum = family_total_polynomial(family, n, jobs=jobs)
+    det_total = None
+    if with_determinant:
+        simplices = (simplex_for_forest(f, q_eff, t_eff) for f in fam.labeled_cells(n))
+        det_total = sum(map(simplex_volume_scaled, simplices), Fraction(0))
     return VolumeReport(
         family=family,
         n=n,
         q=q_eff if with_determinant else None,
         t=t_eff if with_determinant else None,
-        by_closed_form=closed,
-        by_graph_sum=graph_sum,
-        by_pieces=pieces,
+        by_closed_form=closed_form_simplex_total(fam.labeled_cells(n)).substitute(q=fam.q, t=fam.t),
+        by_graph_sum=family_total_polynomial(family, n, jobs=jobs),
+        by_pieces=closed_form_piece_total(fam.plane_cells(n)).substitute(q=fam.q, t=fam.t),
         by_determinant=det_total,
     )

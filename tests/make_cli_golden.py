@@ -52,6 +52,17 @@ def golden_argvs() -> list[list[str]]:
     argvs.append(["cayley1857", "--n", "6"])
     argvs.append(["hrep", "--family", "tutte", "--n", "2", "--q", "2", "--t", "1"])
     argvs.append(["vertices", "--family", "tutte", "--n", "2", "--q", "1", "--t", "1"])
+    # Closed-form sums at the sizes where they cover thousands of cells.
+    for family in FAMILIES:
+        argvs.append(["volume", "--family", family, "--n", "5", "--symbolic"])
+        argvs.append(["volume", "--family", family, "--n", "4", "--q", "37/101", "--t", "53/17"])
+        for q, t in DRAWS:
+            argvs.append(
+                ["verify", "--check", "refinement", "--family", family, "--n", "4", "--q", q, "--t", t]
+            )
+    argvs.append(["recursion", "--n", "20", "--mode", "recursion"])
+    argvs.append(["verify", "--check", "specializations", "--n", "4"])
+    argvs.append(["verify", "--check", "fiber", "--n", "4"])
     return argvs
 
 

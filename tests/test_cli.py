@@ -143,10 +143,31 @@ def test_verify_cli_all_flag(capsys):
     assert {"triangulation", "subdivision", "refinement", "specializations", "fiber"} <= kinds
 
 
-def test_verify_n_zero_is_an_explicit_value(capsys):
+@pytest.mark.parametrize(
+    "check", ["triangulation", "subdivision", "refinement", "specializations", "pieces"]
+)
+def test_verify_n_zero_is_an_explicit_value(capsys, check):
     # n = 0 is given, not absent: the zero-dimensional polytope is outside
     # the domain, so the job is not silently replaced by the 1..nmax sweep.
-    code = main(["verify", "--check", "triangulation", "--n", "0"])
+    code = main(["verify", "--check", check, "--n", "0"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+@pytest.mark.parametrize("check", ["triangulation", "subdivision", "all"])
+def test_verify_sampling_needs_a_sample(capsys, check, samples):
+    # No sample would leave the partition certificate with nothing checked.
+    code = main(["verify", "--check", check, "--n", "2", "--nmax", "1", "--samples", samples])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+@pytest.mark.parametrize("check", ["all", "triangulation", "refinement", "fiber"])
+def test_verify_nmax_below_one_is_a_domain_error(capsys, check, nmax):
+    # An empty 1..nmax sweep would pass with no job run.
+    code = main(["verify", "--check", check, "--nmax", nmax])
     assert code == 3
     assert capsys.readouterr().out == ""
 

@@ -158,6 +158,42 @@ def test_poly_canonical_form():
     assert P({(0, 0): 2}) == 2
 
 
+def test_integer_coefficients_stay_int():
+    three, fraction_three = P({(0, 0): 3}), P({(0, 0): Fraction(3)})
+    assert three == fraction_three
+    assert hash(three) == hash(fraction_three)
+    assert all(type(c) is int for _, c in (Z_K3 * Z_K3 + P.one_plus_t_power(5)).terms())
+    assert all(type(c) is int for _, c in Z_K3.substitute(q=1).terms())
+
+
+def test_float_coefficient_becomes_exact_fraction():
+    p = P({(1, 0): 0.5, (0, 1): 2.0})
+    assert p.coefficient(1, 0) == Fraction(1, 2)
+    assert type(p.coefficient(1, 0)) is Fraction
+    assert p.to_json_obj() == [[0, 1, "2"], [1, 0, "1/2"]]
+
+
+def test_evaluate_returns_fraction():
+    assert type(Z_K3.evaluate(1, 1)) is Fraction
+    assert type(P.zero().evaluate(2, 3)) is Fraction
+    assert Z_K3.evaluate(Fraction(1, 2), 2) == Fraction(1, 4) + 3 + 12 + 8
+
+
+optional_rational = st.one_of(st.none(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), optional_rational, optional_rational)
+def test_substitute_matches_per_term_reference(p, q, t):
+    reference = P.zero()
+    for (dq, dt), c in p.terms():
+        term = P.constant(c)
+        term *= P.var_q() ** dq if q is None else P.constant(q**dq)
+        term *= P.var_t() ** dt if t is None else P.constant(t**dt)
+        reference += term
+    assert p.substitute(q=q, t=t) == reference
+
+
 def test_restrict_and_substitute():
     assert Z_K3.restrict_q_power(0) == P({(0, 2): 3, (0, 3): 1})
     assert Z_K3.substitute(q=1, t=1) == P.constant(8)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cayleypoly import (
+    ParameterDomainError,
     build_hrep,
     enumerate_hrep_vertices,
     orthoscheme_vertices,
+    run_all,
     verify_fiber,
     verify_piece_constructions,
     verify_refinement,
@@ -142,3 +144,16 @@ def test_parallel_jobs_match_serial():
     serial = verify_fiber(4)
     assert parallel.passed and serial.passed
     assert parallel.checks == serial.checks
+
+
+def test_jobs_that_would_check_nothing_are_domain_errors():
+    # Each call below would otherwise pass with no cell, sample or job checked.
+    with pytest.raises(ParameterDomainError):
+        run_all(0)
+    with pytest.raises(ParameterDomainError):
+        verify_refinement("tutte", 0)
+    with pytest.raises(ParameterDomainError):
+        verify_piece_constructions(0)
+    for job in (verify_triangulation, verify_subdivision):
+        with pytest.raises(ParameterDomainError):
+            job("tutte", 2, HALF, 1, samples=0)

@@ -6,17 +6,22 @@ from fractions import Fraction
 import pytest
 
 from cayleypoly import (
+    FAMILIES,
     BivariatePolynomial,
     DegenerateSimplexError,
     LabeledForest,
     PlaneForest,
     Simplex,
+    alpha,
+    closed_form_piece_total,
     closed_form_piece_volume,
+    closed_form_simplex_total,
     closed_form_simplex_volume,
     connected_gf,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     family_total_polynomial,
+    get_family,
     inversion_enumerator,
     lattice_and_partition_counts,
     orthoscheme,
@@ -235,6 +240,51 @@ def test_gayley_total_power():
         for f in enumerate_labeled_forests(n + 1):
             total += closed_form_simplex_volume(f).substitute(q=1)
         assert total == P.one_plus_t_power(math.comb(n + 1, 2))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_totals_equal_per_cell_sums(family):
+    fam = get_family(family)
+    for n in range(0, 5):
+        simplex_sum = P.zero()
+        for f in fam.labeled_cells(n):
+            simplex_sum += closed_form_simplex_volume(f)
+        assert closed_form_simplex_total(fam.labeled_cells(n)) == simplex_sum
+        piece_sum = P.zero()
+        for pf in fam.plane_cells(n):
+            piece_sum += closed_form_piece_volume(pf)
+        assert closed_form_piece_total(fam.plane_cells(n)) == piece_sum
+
+
+def test_piece_total_equals_per_cell_sum_up_to_eight_nodes():
+    for nodes in range(1, 9):
+        piece_sum = P.zero()
+        for pf in enumerate_plane_forests(nodes):
+            piece_sum += closed_form_piece_volume(pf)
+        assert closed_form_piece_total(enumerate_plane_forests(nodes)) == piece_sum
+
+
+def test_closed_forms_match_their_formulas_cell_by_cell():
+    # Independent per-cell references: the simplex formula by polynomial
+    # products, and the piece prefactor worked out as the multinomial
+    # n! / prod d_i! / prod_{j >= 2} (a_j + ... + a_m).
+    for f in enumerate_labeled_forests(5):
+        expected = P.monomial(f.component_count() - 1, f.edge_count())
+        expected *= P.one_plus_t_power(alpha(f))
+        assert closed_form_simplex_volume(f) == expected
+    for nodes in range(1, 9):
+        for pf in enumerate_plane_forests(nodes):
+            sizes = pf.component_sizes()
+            reduced = pf.reduced_degree_sequence()
+            prefactor = Fraction(math.factorial(nodes - 1))
+            for d in reduced:
+                prefactor /= math.factorial(d)
+            for j in range(1, len(sizes)):
+                prefactor /= sum(sizes[j:])
+            m = len(sizes)
+            exponent = math.comb(nodes + 1 - m, 2) - sum(i * d for i, d in enumerate(reduced, 1))
+            expected = P.monomial(m - 1, sum(reduced), prefactor) * P.one_plus_t_power(exponent)
+            assert closed_form_piece_volume(pf) == expected
 
 
 def test_volume_report_tutte():
