@@ -333,8 +333,6 @@ def _cmd_cayley1857(args) -> int:
 def _cmd_verify(args) -> int:
     if getattr(args, "all", False):
         args.check = "all"
-    if args.nmax < 1:
-        raise ParameterDomainError("nmax must be >= 1")
     kwargs = {"samples": args.samples, "seed": args.seed}
     if args.check == "all":
         reports = run_all(args.nmax, args.q, args.t, jobs=args.jobs, **kwargs)
@@ -366,6 +364,22 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else EXIT_VERIFICATION_FAILURE
 
 
+# Commands whose --n is the dimension of a family polytope.
+_DIMENSION_COMMANDS = frozenset({"hrep", "simplices", "pieces", "vertices", "fvector", "verify"})
+
+
+def _check_domain(args) -> None:
+    """Range checks shared by every command that has the flag: the
+    polytope dimension --n (when given), --nmax and the worker count --jobs."""
+    n = getattr(args, "n", None)
+    if args.command in _DIMENSION_COMMANDS and n is not None and n < 1:
+        raise ParameterDomainError("n must be >= 1")
+    if getattr(args, "nmax", 1) < 1:
+        raise ParameterDomainError("nmax must be >= 1")
+    if getattr(args, "jobs", 1) < 1:
+        raise ParameterDomainError("jobs must be >= 1")
+
+
 _COMMANDS = {
     "hrep": _cmd_hrep,
     "simplices": _cmd_simplices,
@@ -384,6 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_domain(args)
         return _COMMANDS[args.command](args)
     except ParameterDomainError as exc:
         print(f"parameter domain violation: {exc}", file=sys.stderr)

@@ -28,11 +28,13 @@ inequality lists, which are kept unnormalized as generated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import format_rational, parse_rational
+from .exact import clear_denominators, format_rational, parse_rational
 from .forests import (
     LabeledForest,
     NodeCoordinate,
@@ -45,6 +47,7 @@ from .forests import (
 )
 
 Point = tuple[Fraction, ...]
+IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class ParameterDomainError(ValueError):
@@ -161,12 +164,33 @@ class HRep:
     dimension: int
     inequalities: tuple[AffineForm, ...]
 
+    @cached_property
+    def integer_rows(self) -> tuple[IntegerRow, ...]:
+        """Each inequality as coprime integers (b, ((i, a_i), ...)), the
+        nonzero a_i only, with b + sum a_i x_i a positive multiple of the
+        form: same sign everywhere, and equal for forms that are positive
+        multiples of each other.  Cleared once, on first use."""
+        rows = []
+        for form in self.inequalities:
+            if len(form.coefficients) != self.dimension:
+                raise DimensionError("form dimension mismatch")
+            ints, _ = clear_denominators((form.constant, *form.coefficients))
+            g = math.gcd(*ints) or 1
+            b, *coeffs = (c // g for c in ints)
+            rows.append((b, tuple((i, a) for i, a in enumerate(coeffs) if a)))
+        return tuple(rows)
+
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
+        """Every form >= 0 at point (> 0 when strict), in integers: with
+        point = (n_1, ..., n_d) / s, each row is evaluated as b s + sum a_i n_i."""
         if len(point) != self.dimension:
             raise DimensionError("point dimension mismatch")
-        for form in self.inequalities:
-            value = form.evaluate(point)
-            if value < 0 or (strict and value == 0):
+        numerators, scale = clear_denominators(point)
+        for b, terms in self.integer_rows:
+            value = b * scale
+            for i, a in terms:
+                value += a * numerators[i]
+            if value < 0 or (strict and not value):
                 return False
         return True
 

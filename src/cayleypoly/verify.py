@@ -9,6 +9,14 @@ sample must lie strictly inside exactly one cell.  Combined with the
 exact volume-sum identities and vertex containment this certifies the
 partitions at desk scale; no pairwise intersection LP is attempted.
 
+Membership is tested in integers.  Each H-rep clears its rows once to
+coprime integer rows (HRep.integer_rows), so a row shared by many cells,
+up to a positive factor, is one row.  The partition certificate keeps each
+distinct row of all the cells once, with the bitmask of the cells having
+it, and evaluates it once per sample; two ORs of masks (negative rows,
+zero rows) then classify the sample against every cell at once.  Vertex
+containment tests each distinct simplex vertex once.
+
 Every job is deterministic given (kind, family, n, parameters, seed).
 """
 
@@ -18,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .exact import BivariatePolynomial, clear_denominators, format_rational, solve_linear_system
 from .forests import (
@@ -34,8 +42,10 @@ from .forests import (
 from .geometry import (
     FAMILIES,
     HRep,
+    IntegerRow,
     ParameterDomainError,
     Point,
+    Simplex,
     build_hrep,
     family_parameters,
     forest_chain_hrep,
@@ -160,35 +170,8 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
 
 
 # ----------------------------------------------------------------------
-# Cells per family
+# Membership certificates over all cells
 # ----------------------------------------------------------------------
-
-
-class _IntCells:
-    """Integer-cleared inequality systems for fast exact sign sweeps."""
-
-    def __init__(self, hreps: list[HRep]):
-        self.cells = []
-        for hrep in hreps:
-            rows = []
-            for form in hrep.inequalities:
-                (b, *coeffs), _ = clear_denominators((form.constant, *form.coefficients))
-                rows.append((b, coeffs))
-            self.cells.append(rows)
-
-    def classify(self, numerators: tuple[int, ...], denominator: int, index: int) -> int:
-        """+1 strictly inside, 0 inside touching a boundary, -1 outside."""
-        touched = False
-        for b, coeffs in self.cells[index]:
-            value = b * denominator
-            for c, p in zip(coeffs, numerators):
-                if c:
-                    value += c * p
-            if value < 0:
-                return -1
-            if value == 0:
-                touched = True
-        return 0 if touched else 1
 
 
 def _partition_certificate(
@@ -200,8 +183,23 @@ def _partition_certificate(
     samples: int,
     seed: int,
 ) -> dict:
-    """Draw interior samples; each generic one must be in exactly one cell."""
-    cells = _IntCells(hreps)
+    """Draw interior samples; each generic one must be in exactly one cell.
+
+    Every distinct integer row of the cells (HRep.integer_rows: coprime,
+    so rows that are positive multiples of each other coincide) is kept
+    once, with the bitmask of the cells that have it.  A sample evaluates
+    each distinct row once; `outside` is the union of the masks of the
+    negative rows and `touched` that of the zero rows.  A cell with a zero
+    row and no negative one has the sample on its boundary, so the sample
+    is discarded when touched & ~outside is nonzero; otherwise the cells
+    containing it are those in neither mask.
+    """
+    masks: dict[IntegerRow, int] = {}
+    for bit, hrep in enumerate(hreps):
+        for row in hrep.integer_rows:
+            masks[row] = masks.get(row, 0) | 1 << bit
+    rows = list(masks.items())
+    every_cell = (1 << len(hreps)) - 1
     rng = RationalLCG(seed)
     accepted = 0
     discarded = 0
@@ -210,20 +208,21 @@ def _partition_certificate(
     while accepted < samples and attempts_left > 0:
         attempts_left -= 1
         point = sample_interior_point(family, n, q, t, rng)
-        numerators, denominator = clear_denominators(point)
-        inside = 0
-        generic = True
-        for idx in range(len(hreps)):
-            status = cells.classify(numerators, denominator, idx)
-            if status == 0:
-                generic = False
-                break
-            if status == 1:
-                inside += 1
-        if not generic:
+        numerators, scale = clear_denominators(point)
+        outside = touched = 0
+        for (b, terms), mask in rows:
+            value = b * scale
+            for i, a in terms:
+                value += a * numerators[i]
+            if value < 0:
+                outside |= mask
+            elif not value:
+                touched |= mask
+        if touched & ~outside:
             discarded += 1
             continue
         accepted += 1
+        inside = (every_cell & ~(outside | touched)).bit_count()
         if inside != 1:
             failure = {
                 "point": [format_rational(x) for x in point],
@@ -236,6 +235,12 @@ def _partition_certificate(
         "ok": failure is None and accepted == samples,
         "failure": failure,
     }
+
+
+def _vertices_outside(polytope: HRep, simplices: Iterable[Simplex]) -> set[Point]:
+    """The simplex vertices not in the polytope, each distinct vertex tested once."""
+    distinct = {v for s in simplices for v in s.vertices}
+    return {v for v in distinct if not polytope.contains(v)}
 
 
 # ----------------------------------------------------------------------
@@ -274,14 +279,11 @@ def verify_triangulation(
 
     checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
 
+    outside = _vertices_outside(polytope, simplices)
     bad_vertex = None
-    for f, s in zip(forests, simplices):
-        for v in s.vertices:
-            if not polytope.contains(v):
-                bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
-                break
-        if bad_vertex:
-            break
+    if outside:
+        f, v = next((f, v) for f, s in zip(forests, simplices) for v in s.vertices if v in outside)
+        bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
     checks["vertex_containment"] = {"ok": bad_vertex is None}
     if bad_vertex:
         counterexample = bad_vertex
@@ -340,13 +342,8 @@ def verify_subdivision(
 
     # Piece facets must stay inside the polytope: check simplex vertices of
     # the refinement instead of unavailable piece V-reps.
-    containment_ok = True
-    for f in fam.labeled_cells(n):
-        s = simplex_for_forest(f, q_eff, t_eff)
-        if not all(polytope.contains(v) for v in s.vertices):
-            containment_ok = False
-            break
-    checks["vertex_containment"] = {"ok": containment_ok}
+    simplices = (simplex_for_forest(f, q_eff, t_eff) for f in fam.labeled_cells(n))
+    checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, simplices)}
 
     checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, pieces, samples, seed)
 

@@ -63,6 +63,14 @@ def golden_argvs() -> list[list[str]]:
     argvs.append(["recursion", "--n", "20", "--mode", "recursion"])
     argvs.append(["verify", "--check", "specializations", "--n", "4"])
     argvs.append(["verify", "--check", "fiber", "--n", "4"])
+    # Partition certificates at the size where membership tests dominate.
+    for kind in ("triangulation", "subdivision"):
+        for family in FAMILIES:
+            for q, t in DRAWS:
+                argvs.append(
+                    ["verify", "--check", kind, "--family", family, "--n", "4",
+                     "--q", q, "--t", t, "--samples", "200"]
+                )
     return argvs
 
 

@@ -144,7 +144,7 @@ def test_verify_cli_all_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "check", ["triangulation", "subdivision", "refinement", "specializations", "pieces"]
+    "check", ["triangulation", "subdivision", "refinement", "specializations", "pieces", "fiber"]
 )
 def test_verify_n_zero_is_an_explicit_value(capsys, check):
     # n = 0 is given, not absent: the zero-dimensional polytope is outside
@@ -170,6 +170,35 @@ def test_verify_nmax_below_one_is_a_domain_error(capsys, check, nmax):
     code = main(["verify", "--check", check, "--nmax", nmax])
     assert code == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--family", "tutte", "--n", "3"],
+        ["zpoly", "--n", "4"],
+        ["recursion", "--n", "4"],
+        ["verify", "--check", "fiber", "--n", "3"],
+    ],
+    ids=["volume", "zpoly", "recursion", "verify"],
+)
+def test_jobs_below_one_is_a_domain_error(capsys, argv, jobs):
+    # Fewer than one worker is not a serial run: it is refused.
+    code = main([*argv, "--jobs", jobs])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("command", ["hrep", "simplices", "pieces", "vertices", "fvector"])
+def test_polytope_commands_reject_n_below_one(capsys, command, n):
+    argv = [command, "--n", n] if command == "fvector" else [command, "--family", "tutte", "--n", n]
+    code = main(argv)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("error", [DegenerateSimplexError, InconsistentGeometryError])

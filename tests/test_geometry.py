@@ -1,8 +1,11 @@
 """Polytope H-reps, triangulation simplices, pieces, cones and products."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleypoly import (
     FAMILIES,
@@ -399,6 +402,67 @@ def test_strict_membership():
     c1 = build_hrep("cayley", 1)
     assert not c1.contains((Fraction(1),), strict=True)
     assert c1.contains((Fraction(3, 2),), strict=True)
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+positive_factor = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=7)
+# Coordinates on a coarse grid, so that points often sit on a hyperplane.
+grid_coordinate = st.sampled_from(
+    [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
+)
+
+
+@st.composite
+def hrep_with_point(draw):
+    """A small H-rep with a zero row, a positive multiple of another row
+    and a row with a negative constant among its rows, and a grid point."""
+    d = draw(st.integers(1, 4))
+
+    def form(constant=small_fraction):
+        return AffineForm(draw(constant), tuple(draw(small_fraction) for _ in range(d)))
+
+    forms = [form() for _ in range(draw(st.integers(1, 4)))]
+    source, multiple = draw(st.integers(0, len(forms) - 1)), len(forms)
+    forms.append(forms[source].scaled(draw(positive_factor)))
+    forms.append(form(st.fractions(min_value=-3, max_value=Fraction(-1, 4), max_denominator=4)))
+    forms.append(AffineForm.constant_form(d, 0))
+    order = draw(st.permutations(range(len(forms))))
+    hrep = HRep(d, tuple(forms[k] for k in order))
+    point = tuple(draw(grid_coordinate) for _ in range(d))
+    return hrep, point, (order.index(source), order.index(multiple))
+
+
+def _fraction_contains(hrep, point, strict):
+    values = [f.evaluate(point) for f in hrep.inequalities]
+    return all(v > 0 for v in values) if strict else all(v >= 0 for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hrep_with_point(), st.booleans())
+def test_integer_contains_matches_fraction_reference(case, strict):
+    hrep, point, (row, multiple) = case
+    assert hrep.contains(point, strict) == _fraction_contains(hrep, point, strict)
+    # The zero row makes every strict test fail; without it strict can hold.
+    nonzero = HRep(hrep.dimension, tuple(f for f in hrep.inequalities if f.constant or any(f.coefficients)))
+    assert nonzero.contains(point, strict) == _fraction_contains(nonzero, point, strict)
+    # Positive multiples clear to one coprime row, and every row keeps its sign.
+    rows = hrep.integer_rows
+    assert rows[row] == rows[multiple]
+    for (b, terms), form in zip(rows, hrep.inequalities):
+        assert all(a for _, a in terms)
+        assert math.gcd(b, *(a for _, a in terms)) in (0, 1)
+        value = b + sum(a * point[i] for i, a in terms)
+        expected = form.evaluate(point)
+        assert (value > 0, value < 0) == (expected > 0, expected < 0)
+
+
+def test_integer_rows_are_coprime_and_keep_signs():
+    hrep = HRep(2, (
+        AffineForm(Fraction(-3, 2), (Fraction(3, 4), Fraction(0))),
+        AffineForm(Fraction(6), (Fraction(-9), Fraction(3, 5))),
+        AffineForm.constant_form(2, 0),
+    ))
+    assert hrep.integer_rows == ((-2, ((0, 1),)), (10, ((0, -15), (1, 1))), (0, ()))
 
 
 def test_hrep_text_round_trip():

@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cayleypoly import (
+    FAMILIES,
+    AffineForm,
+    HRep,
     ParameterDomainError,
     build_hrep,
     enumerate_hrep_vertices,
+    forest_chain_hrep,
+    get_family,
     orthoscheme_vertices,
+    piece_for_plane_forest,
     run_all,
     verify_fiber,
     verify_piece_constructions,
@@ -18,7 +24,9 @@ from cayleypoly import (
     verify_subdivision,
     verify_triangulation,
 )
-from cayleypoly.verify import RationalLCG, sample_interior_point
+from cayleypoly.exact import format_rational
+from cayleypoly.geometry import family_parameters
+from cayleypoly.verify import RationalLCG, _partition_certificate, sample_interior_point
 
 HALF = Fraction(1, 2)
 
@@ -134,6 +142,59 @@ def test_partition_failure_carries_witness():
     assert not result["ok"]
     assert result["failure"]["cells_containing"] == 2
     assert len(result["failure"]["point"]) == 2
+
+
+def test_partition_failure_names_an_uncovered_point():
+    # Dropping one simplex leaves its interior in no cell.
+    chains = [forest_chain_hrep(f, HALF, 1) for f in get_family("tutte").labeled_cells(2)]
+    result = _partition_certificate("tutte", 2, HALF, Fraction(1), chains[1:], 200, 7)
+    assert not result["ok"]
+    assert result["failure"]["cells_containing"] == 0
+
+
+def _reference_certificate(family, n, q, t, hreps, samples, seed):
+    """_partition_certificate cell by cell in Fraction arithmetic."""
+    rng = RationalLCG(seed)
+    accepted = discarded = 0
+    failure = None
+    attempts_left = 60 * samples
+    while accepted < samples and attempts_left > 0:
+        attempts_left -= 1
+        point = sample_interior_point(family, n, q, t, rng)
+        statuses = []
+        for hrep in hreps:
+            lowest = min(form.evaluate(point) for form in hrep.inequalities)
+            statuses.append(-1 if lowest < 0 else 0 if lowest == 0 else 1)
+        if 0 in statuses:
+            discarded += 1
+            continue
+        accepted += 1
+        if statuses.count(1) != 1:
+            failure = {"point": [format_rational(x) for x in point], "cells_containing": statuses.count(1)}
+            break
+    return {
+        "samples": accepted,
+        "discarded_non_generic": discarded,
+        "ok": failure is None and accepted == samples,
+        "failure": failure,
+    }
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
+    fam = get_family(family)
+    q_eff, t_eff = family_parameters(family, q, t)
+    simplices = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(n)]
+    pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in fam.plane_cells(n)]
+    # Faulty cell lists: one cell missing, one cell twice, and one cell with
+    # a zero row, which puts every sample inside that cell on its boundary.
+    last = simplices[-1]
+    boundary = HRep(n, last.inequalities + (AffineForm.constant_form(n, 0),))
+    for cells in (simplices, pieces, simplices[1:], pieces + pieces[:1], [*simplices[:-1], boundary]):
+        args = (family, n, q_eff, t_eff, cells, 80, 11)
+        assert _partition_certificate(*args) == _reference_certificate(*args)
 
 
 def test_parallel_jobs_match_serial():
