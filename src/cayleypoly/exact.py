@@ -36,11 +36,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "num/den", or "num" when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as "num/den", or "num" when the denominator is 1.
+
+    An int or a Fraction is rendered by its own str(), which has exactly
+    this form; other input (a bool, a string such as "3/6", a Fraction
+    subclass) goes through Fraction first."""
+    if type(value) is not int and type(value) is not Fraction:
+        value = Fraction(value)
+    return str(value)
 
 
 class BivariatePolynomial:

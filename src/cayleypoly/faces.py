@@ -3,8 +3,13 @@
 Facets are detected from the known vertex sets by a contact-rank test
 (an inequality is a facet iff the vertices it touches span an affine
 space of dimension n-1); the face lattice is the intersection closure of
-the facet contact sets.  No linear programming is involved: ranks are
-computed exactly over the rationals.
+the facet contact sets.  No linear programming is involved.  Contacts
+are found in integers: the vertices are cleared over one common
+denominator and each coprime row of `HRep.integer_rows` is evaluated on
+the numerators; only a violation is re-evaluated as a Fraction, to report
+its exact amount.  Contact sets are bitmasks over the vertex indices, and
+affine dimensions are ranks from `exact.eliminate` on integer vertex
+differences.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ from .exact import clear_denominators, eliminate
 from .geometry import HRep, ParameterDomainError, Point, build_hrep
 
 FVECTOR_MAX_N = 8
+# Largest n of a 2^n-point vertex set: 4096 points, under a second and a
+# megabyte of JSON.  At least FVECTOR_MAX_N, whose f-vector needs them.
+VERTICES_MAX_N = 12
 
 # ----------------------------------------------------------------------
 # Vertex sets
@@ -43,8 +51,14 @@ def _binary_chain_point(n: int, choose_upper: int, t: Fraction) -> list[Fraction
     return x
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > VERTICES_MAX_N:
+        raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")
+
+
 def cayley_vertices(n: int, t) -> VertexSet:
     """The 2^n vertices given by the binary choice x_i in {1, (1+t) x_{i-1}}."""
+    _check_vertex_count(n)
     t = Fraction(t)
     if t <= 0:
         raise ParameterDomainError("t must be positive")
@@ -59,6 +73,7 @@ def cayley_vertices(n: int, t) -> VertexSet:
 def tutte_vertices(n: int, q, t) -> VertexSet:
     """The 2^n vertices: binary chain points with the maximal suffix of
     coordinates equal to 1 replaced by 1-q (all-ones becomes all 1-q)."""
+    _check_vertex_count(n)
     q = Fraction(q)
     t = Fraction(t)
     if not 0 < q < 1:
@@ -100,6 +115,47 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
+def _contact_masks(points, hrep: HRep) -> tuple[list[int], list[list[int]]]:
+    """Per inequality, the bitmask of the points where it is tight; also
+    the points' numerators over their common denominator.
+
+    In integers: with the points cleared over one common denominator s to
+    (n_1, ..., n_d) / s, each coprime row of hrep.integer_rows is
+    evaluated as b s + sum a_i n_i, a positive multiple of the form's
+    value.  A violation is reported with its exact amount.
+    """
+    n = hrep.dimension
+    if any(len(p) != n for p in points):
+        raise InconsistentGeometryError("vertex dimension mismatch")
+    coordinates, scale = clear_denominators([x for p in points for x in p])
+    int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
+    masks = []
+    for k, (b, terms) in enumerate(hrep.integer_rows):
+        constant = b * scale
+        mask = 0
+        for idx, p in enumerate(int_points):
+            value = constant
+            for i, a in terms:
+                value += a * p[i]
+            if value < 0:
+                amount = hrep.inequalities[k].evaluate(points[idx])
+                raise InconsistentGeometryError(f"point {idx} violates an inequality by {amount}")
+            if not value:
+                mask |= 1 << idx
+        masks.append(mask)
+    return masks, int_points
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     """Vertex-index face lattice from the known vertex set and H-rep.
 
@@ -109,26 +165,11 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     """
     n = hrep.dimension
     points = vertices.points
-    if any(len(p) != n for p in points):
-        raise InconsistentGeometryError("vertex dimension mismatch")
-    contact_masks = []
-    for form in hrep.inequalities:
-        mask = 0
-        for idx, p in enumerate(points):
-            value = form.evaluate(p)
-            if value < 0:
-                raise InconsistentGeometryError(
-                    f"point {idx} violates an inequality by {value}"
-                )
-            if value == 0:
-                mask |= 1 << idx
-        contact_masks.append(mask)
-    coordinates, _ = clear_denominators([x for p in points for x in p])
-    int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
+    contact_masks, int_points = _contact_masks(points, hrep)
 
     def dim_of(mask: int) -> int:
         """Affine dimension: the rank of the differences to one member."""
-        base, *rest = (int_points[i] for i in range(len(points)) if mask >> i & 1)
+        base, *rest = (int_points[i] for i in _members(mask))
         return len(eliminate([[a - b for a, b in zip(p, base)] for p in rest])[0])
 
     facet_masks = sorted(
@@ -151,10 +192,10 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     faces_by_dim: dict[int, list[frozenset[int]]] = {d: [] for d in range(n)}
     for mask, dim in faces.items():
         f_vector[dim] += 1
-        faces_by_dim[dim].append(frozenset(i for i in range(len(points)) if mask >> i & 1))
+        faces_by_dim[dim].append(frozenset(_members(mask)))
     return FaceLattice(
         dimension=n,
-        facets=tuple(frozenset(i for i in range(len(points)) if m >> i & 1) for m in facet_masks),
+        facets=tuple(frozenset(_members(m)) for m in facet_masks),
         faces_by_dim={d: tuple(sorted(v, key=sorted)) for d, v in faces_by_dim.items()},
         f_vector=tuple(f_vector),
     )
@@ -241,18 +282,16 @@ def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
     Certificate: for every ordered pair (a, b) some valid inequality is
     tight at a and strictly positive at b.  If a were a convex combination
     of the rest with a positive weight on b, that inequality would be
-    tight at a yet positive on the combination.
+    tight at a yet positive on the combination.  Equivalently, the
+    contact sets through a meet in a alone.
     """
-    values = [
-        [form.evaluate(p) for p in vertices.points] for form in hrep.inequalities
-    ]
-    if any(v < 0 for row in values for v in row):
-        raise InconsistentGeometryError("a point violates the H-representation")
+    masks, _ = _contact_masks(vertices.points, hrep)
     count = len(vertices.points)
     for a in range(count):
-        for b in range(count):
-            if a == b:
-                continue
-            if not any(row[a] == 0 and row[b] > 0 for row in values):
-                return False
+        meet = (1 << count) - 1
+        for mask in masks:
+            if mask >> a & 1:
+                meet &= mask
+        if meet != 1 << a:
+            return False
     return True

@@ -474,7 +474,7 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     cycle.
     """
     if not 1 <= n <= MAX_FOREST_NODES:
-        raise ValueError(f"n must be in 1..{MAX_FOREST_NODES}")
+        raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
     pairs = pair_order(n)
     chosen: list[tuple[int, int]] = []
     parent = list(range(n + 1))
@@ -546,10 +546,14 @@ def _plane_subtree_lists(total: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def _check_plane_nodes(n: int) -> None:
+    if not 1 <= n <= MAX_PLANE_NODES:
+        raise ValueError(f"plane forests need 1..{MAX_PLANE_NODES} nodes, got {n}")
+
+
 def enumerate_plane_forests(n: int) -> Iterator[PlaneForest]:
     """Every plane forest on n nodes exactly once; there are catalan(n)."""
-    if not 1 <= n <= MAX_PLANE_NODES:
-        raise ValueError(f"n must be in 1..{MAX_PLANE_NODES}")
+    _check_plane_nodes(n)
     for first in range(1, n + 1):
         for head in _plane_trees(first):
             for rest in _plane_subtree_lists(n - first):
@@ -558,5 +562,6 @@ def enumerate_plane_forests(n: int) -> Iterator[PlaneForest]:
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneForest]:
     """Single-component plane forests on n nodes; there are catalan(n-1)."""
+    _check_plane_nodes(n)
     for tree in _plane_trees(n):
         yield PlaneForest((tree,))

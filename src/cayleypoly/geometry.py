@@ -20,6 +20,14 @@ with x_0 = 1, j the node's cane-path count and l the position of its
 component root.  Setting q = 1 recovers the one-parameter constructions,
 and additionally t = 1 the classical ones.
 
+Every cell builder (simplex_for_forest, forest_chain_hrep,
+piece_for_plane_forest) reads one shared exact value table per
+(node count, q, t), kept in a bounded cache after q and t are checked and
+turned into Fractions: 1 - q and the powers (1+t)^k, which every simplex
+vertex refers to rather than copies, and each distinct node coordinate
+form and chain row, built once and shared by every H-rep that has it (so
+is its cleared integer row).
+
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
 polytopes is by point set (membership, vertex sets), never by literal
@@ -31,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import clear_denominators, format_rational, parse_rational
@@ -129,6 +137,17 @@ class AffineForm:
                 total += a * x
         return total
 
+    @cached_property
+    def integer_row(self) -> IntegerRow:
+        """The form as coprime integers (b, ((i, a_i), ...)), the nonzero
+        a_i only, with b + sum a_i x_i a positive multiple of the form:
+        same sign everywhere, and equal for forms that are positive
+        multiples of each other.  Cleared once, on first use."""
+        ints, _ = clear_denominators((self.constant, *self.coefficients))
+        g = math.gcd(*ints) or 1
+        b, *coeffs = (c // g for c in ints)
+        return b, tuple((i, a) for i, a in enumerate(coeffs) if a)
+
     def __add__(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(
             self.constant + other.constant,
@@ -166,19 +185,11 @@ class HRep:
 
     @cached_property
     def integer_rows(self) -> tuple[IntegerRow, ...]:
-        """Each inequality as coprime integers (b, ((i, a_i), ...)), the
-        nonzero a_i only, with b + sum a_i x_i a positive multiple of the
-        form: same sign everywhere, and equal for forms that are positive
-        multiples of each other.  Cleared once, on first use."""
-        rows = []
-        for form in self.inequalities:
-            if len(form.coefficients) != self.dimension:
-                raise DimensionError("form dimension mismatch")
-            ints, _ = clear_denominators((form.constant, *form.coefficients))
-            g = math.gcd(*ints) or 1
-            b, *coeffs = (c // g for c in ints)
-            rows.append((b, tuple((i, a) for i, a in enumerate(coeffs) if a)))
-        return tuple(rows)
+        """Each inequality's `AffineForm.integer_row`, so H-reps that share
+        forms share their clearing."""
+        if any(len(form.coefficients) != self.dimension for form in self.inequalities):
+            raise DimensionError("form dimension mismatch")
+        return tuple(form.integer_row for form in self.inequalities)
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
         """Every form >= 0 at point (> 0 when strict), in integers: with
@@ -345,6 +356,84 @@ def _tutte_hrep(n: int, q: Fraction, t: Fraction) -> HRep:
 # ----------------------------------------------------------------------
 
 
+# Value tables live this many (node count, q, t) keys: one CLI call or
+# verify job uses one or two, a verify sweep a handful.
+_VALUE_TABLES = 16
+
+# A node's chain coordinate depends on its placement only, not on its
+# component's maximal label: (is_root, position, cane_exponent, root_position).
+_FormKey = tuple[bool, int, int, int]
+
+
+def _form_key(rec: NodeCoordinate) -> _FormKey:
+    return rec.is_root, rec.position, rec.cane_exponent, rec.root_position
+
+
+class _ValueTable:
+    """The exact values every cell on node_count nodes shares at (q, t):
+    1 - q, the powers (1+t)^0 .. (1+t)^(node_count+1), and the coordinate
+    form of each distinct placement and the chain row of each distinct
+    pair of placements, each built on first use."""
+
+    __slots__ = ("n", "q", "t", "one_minus_q", "powers", "_forms", "_differences")
+
+    def __init__(self, node_count: int, q: Fraction, t: Fraction):
+        self.n = node_count - 1
+        self.q = q
+        self.t = t
+        self.one_minus_q = 1 - q
+        w = 1 + t
+        powers = [Fraction(1)]
+        for _ in range(node_count + 1):
+            powers.append(powers[-1] * w)
+        self.powers = tuple(powers)
+        self._forms: dict[_FormKey, AffineForm] = {}
+        self._differences: dict[tuple[_FormKey, _FormKey], AffineForm] = {}
+
+    def form(self, key: _FormKey) -> AffineForm:
+        """The chain coordinate of a placement as an affine form on R^n."""
+        form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = self._build_form(*key)
+        return form
+
+    def difference(self, upper: _FormKey, lower: _FormKey) -> AffineForm:
+        """The chain row form(upper) - form(lower)."""
+        row = self._differences.get((upper, lower))
+        if row is None:
+            row = self._differences[upper, lower] = self.form(upper) - self.form(lower)
+        return row
+
+    def _build_form(self, is_root: bool, position: int, j: int, root_position: int) -> AffineForm:
+        n, q, t, mq = self.n, self.q, self.t, self.one_minus_q
+        if position == 0:
+            return AffineForm.constant_form(n, q * t)
+        if is_root:
+            return AffineForm.linear(n, position, t, -t * mq)
+        wj = self.powers[j]
+        coeffs = [Fraction(0)] * n
+        coeffs[position - 1] = q / wj
+        const = mq - mq / wj
+        if root_position == 0:
+            const += mq / wj - 1  # x_l = 1 collapses into the constant
+        else:
+            coeffs[root_position - 1] += mq / wj - 1
+        return AffineForm(const, tuple(coeffs))
+
+
+@lru_cache(maxsize=_VALUE_TABLES)
+def _value_table(node_count: int, q: Fraction, t: Fraction) -> _ValueTable:
+    """The shared table; q and t must already be checked Fractions, so
+    that equal parameters of different types share one entry."""
+    return _ValueTable(node_count, q, t)
+
+
+def _coordinate_form(rec: NodeCoordinate, n: int, q, t) -> AffineForm:
+    """The node's chain coordinate as an affine form on R^n, from the
+    shared table of (n, q, t)."""
+    return _value_table(n + 1, _check_q(q), _check_t(t)).form(_form_key(rec))
+
+
 def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     """The simplex attached to a labeled forest on n+1 nodes, in R^n.
 
@@ -357,50 +446,26 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
       non-root at position i:   x_i = w^(j+1) if p <= label,
                                       w^j     if label < p <= r,
                                       1-q     if p > r.
+
+    Every coordinate is one of the value table's Fractions; each column
+    is built as three runs and the vertices are its rows.
     """
-    q = _check_q(q)
-    t = _check_t(t)
-    n = f.node_count - 1
-    w = 1 + t
-    coords = f.coordinates()
-    powers = [Fraction(1)]
-    for _ in range(f.node_count + 1):
-        powers.append(powers[-1] * w)
-    one_minus_q = 1 - q
-    vertices = []
-    for p in range(1, f.node_count + 1):
-        x: list[Fraction] = [Fraction(0)] * n
-        for label, rec in coords.items():
-            if rec.position == 0:
-                continue
-            r = rec.root_label
-            if rec.is_root:
-                x[rec.position - 1] = Fraction(1) if p <= r else one_minus_q
-            elif p <= label:
-                x[rec.position - 1] = powers[rec.cane_exponent + 1]
-            elif p <= r:
-                x[rec.position - 1] = powers[rec.cane_exponent]
-            else:
-                x[rec.position - 1] = one_minus_q
-        vertices.append(tuple(x))
-    return Simplex(n, tuple(vertices))
-
-
-def _coordinate_form(rec: NodeCoordinate, n: int, q: Fraction, t: Fraction) -> AffineForm:
-    """The node's chain coordinate as an affine form on R^n."""
-    if rec.position == 0:
-        return AffineForm.constant_form(n, q * t)
-    if rec.is_root:
-        return AffineForm.linear(n, rec.position, t, -t * (1 - q))
-    wj = (1 + t) ** rec.cane_exponent
-    coeffs = [Fraction(0)] * n
-    coeffs[rec.position - 1] = q / wj
-    const = (1 - q) - (1 - q) / wj
-    if rec.root_position == 0:
-        const += (1 - q) / wj - 1  # x_l = 1 collapses into the constant
-    else:
-        coeffs[rec.root_position - 1] += (1 - q) / wj - 1
-    return AffineForm(const, tuple(coeffs))
+    table = _value_table(f.node_count, _check_q(q), _check_t(t))
+    powers, one_minus_q = table.powers, table.one_minus_q
+    nodes = f.node_count
+    columns: list[tuple[Fraction, ...]] = [()] * table.n
+    for label, rec in f.coordinates().items():
+        if rec.position == 0:
+            continue
+        r = rec.root_label
+        if rec.is_root:
+            column = (powers[0],) * r
+        else:
+            j = rec.cane_exponent
+            column = (powers[j + 1],) * label + (powers[j],) * (r - label)
+        columns[rec.position - 1] = column + (one_minus_q,) * (nodes - r)
+    vertices = tuple(zip(*columns)) if columns else ((),)
+    return Simplex(table.n, vertices)
 
 
 def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
@@ -409,15 +474,12 @@ def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
     Rows: c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
     node coordinates; c(n+1) is the constant qt.
     """
-    q = _check_q(q)
-    t = _check_t(t)
-    n = f.node_count - 1
+    table = _value_table(f.node_count, _check_q(q), _check_t(t))
     coords = f.coordinates()
-    forms = [_coordinate_form(coords[label], n, q, t) for label in range(1, f.node_count + 1)]
-    rows = [forms[0]]
-    for k in range(f.node_count - 1):
-        rows.append(forms[k + 1] - forms[k])
-    return HRep(n, tuple(rows))
+    keys = [_form_key(coords[label]) for label in range(1, f.node_count + 1)]
+    rows = [table.form(keys[0])]
+    rows.extend(table.difference(upper, lower) for lower, upper in zip(keys, keys[1:]))
+    return HRep(table.n, tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -433,26 +495,23 @@ def piece_for_plane_forest(pf: PlaneForest, q, t) -> HRep:
     for the roots w_1..w_m (left to right),  0 <= c(w_m) <= ... <= c(w_1)
     with c(w_1) = qt constant.
     """
-    q = _check_q(q)
-    t = _check_t(t)
-    n = pf.node_count() - 1
+    table = _value_table(pf.node_count(), _check_q(q), _check_t(t))
     coords, _, children, root_positions = pf.nfs_structure()
-    forms = [_coordinate_form(rec, n, q, t) for rec in coords]
+    keys = [_form_key(rec) for rec in coords]
     rows: list[AffineForm] = []
     for u in range(pf.node_count()):
         kids = children.get(u, ())
         if not kids:
             continue
-        root_form = forms[coords[u].root_position]
-        rows.append(forms[kids[0]])
+        rows.append(table.form(keys[kids[0]]))
         for a, b in zip(kids, kids[1:]):
-            rows.append(forms[b] - forms[a])
-        rows.append(root_form - forms[kids[-1]])
+            rows.append(table.difference(keys[b], keys[a]))
+        rows.append(table.difference(keys[coords[u].root_position], keys[kids[-1]]))
     if len(root_positions) > 1:
-        rows.append(forms[root_positions[-1]])
+        rows.append(table.form(keys[root_positions[-1]]))
         for a, b in zip(root_positions, root_positions[1:]):
-            rows.append(forms[a] - forms[b])
-    return HRep(n, tuple(rows))
+            rows.append(table.difference(keys[a], keys[b]))
+    return HRep(table.n, tuple(rows))
 
 
 def product(a: HRep, b: HRep) -> HRep:

@@ -71,6 +71,16 @@ def golden_argvs() -> list[list[str]]:
                     ["verify", "--check", kind, "--family", family, "--n", "4",
                      "--q", q, "--t", t, "--samples", "200"]
                 )
+    # Cells and face lattices at the sizes where shared values dominate.
+    for command, n in (("simplices", "4"), ("pieces", "5")):
+        for family in FAMILIES:
+            for q, t in DRAWS:
+                for fmt in ("json", "text"):
+                    argvs.append([command, "--family", family, "--n", n, "--q", q, "--t", t, "--format", fmt])
+    for q, t in DRAWS:
+        argvs.append(["fvector", "--n", "6", "--q", q, "--t", t])
+    # One above the vertex-set cap: exit 3 before any point is built.
+    argvs.append(["vertices", "--family", "tutte", "--n", "13"])
     return argvs
 
 

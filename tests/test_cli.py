@@ -6,7 +6,7 @@ import pytest
 
 from cayleypoly import cli
 from cayleypoly.cli import main
-from cayleypoly.faces import InconsistentGeometryError
+from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
 from cayleypoly.geometry import HRep
 from cayleypoly.volumes import DegenerateSimplexError
 
@@ -216,3 +216,36 @@ def test_fvector_size_cap(capsys):
     code = main(["fvector", "--n", "9"])
     assert code == 3
     assert "n <= 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["tutte", "cayley", "tcayley"])
+def test_vertices_size_cap(capsys, family):
+    # One above the cap: the check fires before any of the 2^n points is built.
+    n = VERTICES_MAX_N + 1
+    code = main(["vertices", "--family", family, "--n", str(n)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n <= {VERTICES_MAX_N}" in captured.err
+    # fvector --n FVECTOR_MAX_N needs the vertex set of that size.
+    assert VERTICES_MAX_N >= FVECTOR_MAX_N >= 8
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simplices", "--family", "tutte", "--n", "8"], "labeled forests need 1..8 nodes, got 9"),
+        (["simplices", "--family", "cayley", "--n", "8"], "labeled forests need 1..8 nodes, got 9"),
+        (["volume", "--family", "tutte", "--n", "8", "--symbolic"], "labeled forests need 1..8 nodes, got 9"),
+        (["pieces", "--family", "tutte", "--n", "12"], "plane forests need 1..12 nodes, got 13"),
+        (["pieces", "--family", "cayley", "--n", "12"], "plane forests need 1..12 nodes, got 13"),
+    ],
+)
+def test_forest_size_caps_count_nodes(capsys, argv, message):
+    # --n is the dimension; the forests have n+1 nodes, so the largest
+    # valid --n is one below the node bound the message names.
+    code = main(argv)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

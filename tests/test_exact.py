@@ -36,6 +36,39 @@ def test_parse_rational():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+def _reference_format(value) -> str:
+    """The rendering through Fraction(value) for every input."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+rational_input = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.fractions(max_denominator=10**12),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-50, 50), st.integers(1, 50)),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_input)
+def test_format_rational_fast_path_matches_fraction_rendering(value):
+    assert format_rational(value) == _reference_format(value)
+
+
+def test_format_rational_examples():
+    assert format_rational(True) == "1"
+    assert format_rational(False) == "0"
+    assert format_rational("3/6") == "1/2"
+    assert format_rational("-4/2") == "-2"
+    assert format_rational(Fraction(-7, 3)) == "-7/3"
+    assert format_rational(-12) == "-12"
+
+
 @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/2/3", "", "q"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):

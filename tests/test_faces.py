@@ -1,5 +1,6 @@
 """Vertex sets, face lattices, f-vectors, and the edge/2-face formulas."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from cayleypoly import (
     two_face_count_formula,
     vertices_are_extreme,
 )
-from cayleypoly.faces import InconsistentGeometryError, VertexSet
+from cayleypoly.faces import InconsistentGeometryError, VertexSet, _contact_masks
 from cayleypoly.geometry import ParameterDomainError
 
 HALF = Fraction(1, 2)
@@ -158,11 +159,63 @@ def test_chain_polytope_is_a_combinatorial_cube():
         assert (f == F_VECTORS[n]) == (n <= 2)
 
 
-def test_face_lattice_rejects_outside_point():
+@pytest.mark.parametrize(
+    "point", [(Fraction(50), Fraction(50)), (Fraction(101, 3), Fraction(7, 5)), (Fraction(1), Fraction(-2, 9))]
+)
+def test_face_lattice_rejects_outside_point(point):
     hrep = build_hrep("tutte", 2, HALF, 1)
-    bad = VertexSet(((Fraction(50), Fraction(50)),), ("bogus",))
-    with pytest.raises(InconsistentGeometryError):
+    good = tutte_vertices(2, HALF, 1).points
+    bad = VertexSet((*good, point), (*("ok",) * len(good), "bogus"))
+    # The first violated inequality, in H-rep order, by its exact amount.
+    amount = next(v for v in (form.evaluate(point) for form in hrep.inequalities) if v < 0)
+    with pytest.raises(InconsistentGeometryError, match=re.escape(f"point 4 violates an inequality by {amount}")):
         face_lattice(bad, hrep)
+    with pytest.raises(InconsistentGeometryError, match=re.escape(f"by {amount}")):
+        vertices_are_extreme(bad, hrep)
+
+
+def _fraction_contact_masks(points, hrep):
+    """Per inequality, the points where Fraction evaluation gives 0."""
+    return [
+        sum(1 << i for i, p in enumerate(points) if form.evaluate(p) == 0)
+        for form in hrep.inequalities
+    ]
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+def test_integer_contacts_match_fraction_evaluation(q, t):
+    for n in range(1, 6):
+        hrep = build_hrep("tutte", n, q, t)
+        points = tutte_vertices(n, q, t).points
+        masks, _ = _contact_masks(points, hrep)
+        assert masks == _fraction_contact_masks(points, hrep)
+        # The interior: midpoints of vertex pairs touch fewer hyperplanes.
+        mids = tuple({tuple((a + b) / 2 for a, b in zip(points[i], points[-1 - i])) for i in range(len(points))})
+        masks, _ = _contact_masks(mids, hrep)
+        assert masks == _fraction_contact_masks(mids, hrep)
+
+
+def _pairwise_extreme(points, hrep):
+    """The pairwise certificate, evaluated in Fractions."""
+    values = [[form.evaluate(p) for p in points] for form in hrep.inequalities]
+    return all(
+        any(row[a] == 0 and row[b] > 0 for row in values)
+        for a in range(len(points))
+        for b in range(len(points))
+        if a != b
+    )
+
+
+def test_extreme_points_certificate_matches_pairwise_reference():
+    q, t = Fraction(37, 101), Fraction(53, 17)
+    for n in range(1, 5):
+        hrep = build_hrep("tutte", n, q, t)
+        points = tutte_vertices(n, q, t).points
+        mid = tuple((a + b) / 2 for a, b in zip(points[0], points[-1]))
+        for candidate in (points, (*points, mid), points[: len(points) // 2], (mid,)):
+            vs = VertexSet(candidate, ("p",) * len(candidate))
+            assert vertices_are_extreme(vs, hrep) == _pairwise_extreme(candidate, hrep)
+        assert not vertices_are_extreme(VertexSet((*points, mid), ("p",) * (len(points) + 1)), hrep)
 
 
 # ----------------------------------------------------------------------

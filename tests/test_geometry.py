@@ -339,6 +339,155 @@ def test_piece_combinator_agrees_with_direct(q, t):
 
 
 # ----------------------------------------------------------------------
+# Shared value table: per-cell Fraction references
+# ----------------------------------------------------------------------
+
+DRAWS = [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))]
+
+
+def _reference_simplex(f, q, t):
+    """Vertex by vertex, every coordinate computed afresh."""
+    n = f.node_count - 1
+    w = 1 + t
+    coords = f.coordinates()
+    vertices = []
+    for p in range(1, f.node_count + 1):
+        x = [Fraction(0)] * n
+        for label, rec in coords.items():
+            if rec.position == 0:
+                continue
+            r = rec.root_label
+            if rec.is_root:
+                x[rec.position - 1] = Fraction(1) if p <= r else 1 - q
+            elif p <= label:
+                x[rec.position - 1] = w ** (rec.cane_exponent + 1)
+            elif p <= r:
+                x[rec.position - 1] = w**rec.cane_exponent
+            else:
+                x[rec.position - 1] = 1 - q
+        vertices.append(tuple(x))
+    return tuple(vertices)
+
+
+def _reference_form(rec, n, q, t):
+    """(constant, coefficients) of a node's chain coordinate."""
+    if rec.position == 0:
+        return q * t, (Fraction(0),) * n
+    coeffs = [Fraction(0)] * n
+    if rec.is_root:
+        coeffs[rec.position - 1] = t
+        return -t * (1 - q), tuple(coeffs)
+    wj = (1 + t) ** rec.cane_exponent
+    coeffs[rec.position - 1] = q / wj
+    const = (1 - q) - (1 - q) / wj
+    if rec.root_position == 0:
+        const += (1 - q) / wj - 1
+    else:
+        coeffs[rec.root_position - 1] += (1 - q) / wj - 1
+    return const, tuple(coeffs)
+
+
+def _minus(a, b):
+    return a[0] - b[0], tuple(x - y for x, y in zip(a[1], b[1]))
+
+
+def _reference_chain(f, q, t):
+    n = f.node_count - 1
+    coords = f.coordinates()
+    forms = [_reference_form(coords[label], n, q, t) for label in range(1, f.node_count + 1)]
+    return [forms[0]] + [_minus(hi, lo) for lo, hi in zip(forms, forms[1:])]
+
+
+def _reference_piece(pf, q, t):
+    n = pf.node_count() - 1
+    coords, _, children, root_positions = pf.nfs_structure()
+    forms = [_reference_form(rec, n, q, t) for rec in coords]
+    rows = []
+    for u in range(pf.node_count()):
+        kids = children.get(u, ())
+        if not kids:
+            continue
+        rows.append(forms[kids[0]])
+        rows.extend(_minus(forms[b], forms[a]) for a, b in zip(kids, kids[1:]))
+        rows.append(_minus(forms[coords[u].root_position], forms[kids[-1]]))
+    if len(root_positions) > 1:
+        rows.append(forms[root_positions[-1]])
+        rows.extend(_minus(forms[a], forms[b]) for a, b in zip(root_positions, root_positions[1:]))
+    return rows
+
+
+def _rows(hrep):
+    return [(form.constant, form.coefficients) for form in hrep.inequalities]
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("q,t", DRAWS)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cells_match_per_cell_references(name, q, t):
+    fam = get_family(name)
+    q_eff, t_eff = family_parameters(name, q, t)
+    for n in range(1, 5):
+        for f in fam.labeled_cells(n):
+            simplex = simplex_for_forest(f, q_eff, t_eff)
+            assert simplex.vertices == _reference_simplex(f, q_eff, t_eff)
+            assert _all_fractions(x for v in simplex.vertices for x in v)
+            chain = forest_chain_hrep(f, q_eff, t_eff)
+            assert chain.dimension == n
+            assert _rows(chain) == _reference_chain(f, q_eff, t_eff)
+            assert _all_fractions(x for c, a in _rows(chain) for x in (c, *a))
+        for pf in fam.plane_cells(n):
+            piece = piece_for_plane_forest(pf, q_eff, t_eff)
+            assert piece.dimension == n
+            assert _rows(piece) == _reference_piece(pf, q_eff, t_eff)
+            assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
+
+
+def test_simplex_coordinates_are_the_tables_values():
+    # At one (n, q, t) every coordinate of every simplex is one of
+    # 1, 1-q and the powers of 1+t: n + 4 objects in all, none per cell.
+    q, t = Fraction(37, 101), Fraction(53, 17)
+    simplices = [simplex_for_forest(f, q, t) for f in enumerate_labeled_forests(5)]
+    assert len({id(x) for s in simplices for v in s.vertices for x in v}) <= 4 + 4
+
+
+_BUILDERS = [
+    (simplex_for_forest, lambda: next(iter(enumerate_labeled_forests(4))),
+     lambda s: [x for v in s.vertices for x in v]),
+    (forest_chain_hrep, lambda: list(enumerate_labeled_forests(4))[20],
+     lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
+    (piece_for_plane_forest, lambda: list(enumerate_plane_forests(4))[5],
+     lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
+]
+
+
+@pytest.mark.parametrize("builder,cell,values", _BUILDERS)
+@pytest.mark.parametrize("first,second", [((1, 1), (Fraction(1), Fraction(1))), ((Fraction(1), Fraction(1)), (1, 1))])
+def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, first, second):
+    # The table is keyed after q and t are checked Fractions, so the call
+    # order cannot leak an int into a later call's values.
+    from cayleypoly.geometry import _value_table
+
+    _value_table.cache_clear()
+    a = builder(cell(), *first)
+    b = builder(cell(), *second)
+    assert a == b
+    assert values(a) == values(b)
+    assert _all_fractions(values(a)) and _all_fractions(values(b))
+
+
+def test_builders_keep_their_domain_checks():
+    f = next(iter(enumerate_labeled_forests(3)))
+    pf = next(iter(enumerate_plane_forests(3)))
+    for build, cell in ((simplex_for_forest, f), (forest_chain_hrep, f), (piece_for_plane_forest, pf)):
+        for q, t in ((0, 1), (2, 1), (HALF, 0), (HALF, -1)):
+            with pytest.raises(ParameterDomainError):
+                build(cell, q, t)
+
+
+# ----------------------------------------------------------------------
 # Cones and products
 # ----------------------------------------------------------------------
 
