@@ -9,13 +9,18 @@ sample must lie strictly inside exactly one cell.  Combined with the
 exact volume-sum identities and vertex containment this certifies the
 partitions at desk scale; no pairwise intersection LP is attempted.
 
-Membership is tested in integers.  Each H-rep clears its rows once to
-coprime integer rows (HRep.integer_rows), so a row shared by many cells,
-up to a positive factor, is one row.  The partition certificate keeps each
-distinct row of all the cells once, with the bitmask of the cells having
-it, and evaluates it once per sample; two ORs of masks (negative rows,
-zero rows) then classify the sample against every cell at once.  Vertex
-containment tests each distinct simplex vertex once.
+Sampling and membership are in integers.  The sample stream draws each
+point as integer numerators over one running positive scale
+(interior_sample_stream), and each H-rep clears its rows once to coprime
+integer rows (HRep.integer_rows), so a row shared by many cells, up to a
+positive factor, is one row.  A row's sign at a point does not depend on
+the positive scale the point is written over, so the numerators go into
+the rows as they are.  The partition certificate keeps each distinct row
+of all the cells once, with the bitmask of the cells having it, and
+evaluates it once per sample; two ORs of masks (negative rows, zero rows)
+then classify the sample against every cell at once.  A Fraction point is
+built only for a failure report.  Vertex containment tests each distinct
+simplex vertex once.
 
 Every job is deterministic given (kind, family, n, parameters, seed).
 """
@@ -26,9 +31,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .exact import BivariatePolynomial, clear_denominators, format_rational, solve_linear_system
+from .exact import BivariatePolynomial, format_rational, solve_linear_system
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -104,7 +109,11 @@ class VerificationReport:
 
 
 class RationalLCG:
-    """Deterministic rational stream in (0, 1) with bounded denominators."""
+    """Deterministic rational stream in (0, 1) with bounded denominators.
+
+    Each draw is k / denominator with 1 <= k < denominator; the stream
+    hands out the numerator k.
+    """
 
     MULTIPLIER = 6364136223846793005
     INCREMENT = 1442695040888963407
@@ -114,14 +123,16 @@ class RationalLCG:
         self.state = seed & (self.MODULUS - 1)
         self.denominator = denominator
 
-    def next_unit(self) -> Fraction:
+    def next_numerator(self) -> int:
         self.state = (self.state * self.MULTIPLIER + self.INCREMENT) % self.MODULUS
-        k = 1 + (self.state >> 16) % (self.denominator - 1)
-        return Fraction(k, self.denominator)
+        return 1 + (self.state >> 16) % (self.denominator - 1)
 
 
-def sample_interior_point(family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG) -> Point:
-    """One exact rational point strictly inside the family polytope.
+def interior_sample_stream(
+    family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG
+) -> Iterator[tuple[list[int], int]]:
+    """Endless stream of exact points strictly inside the family polytope,
+    each as integer numerators over one positive scale.
 
     Coordinates are drawn left to right, each strictly between its lower
     bound and the minimum of its currently active upper bounds.  For the
@@ -129,20 +140,36 @@ def sample_interior_point(family: str, n: int, q: Fraction, t: Fraction, rng: Ra
     (1+t) x_{i-1} - (t(1-q)/q) (1 - min(x_0, ..., x_{i-1})),  x_0 = 1,
     with lower bound 1-q; at q = 1 this is the (t-)Gayley chain
     0 <= x_i <= (1+t) x_{i-1}.  A connected family has lower bound 1 and
-    upper bound (1+t) x_{i-1}.
+    upper bound (1+t) x_{i-1}.  A draw k/m places x_i at lo + (k/m)(hi - lo).
+
+    The arithmetic is in integers.  One base denominator D turns
+    w = 1+t, lo and slack = t(1-q)/q into the integers w_d, lo_d, slack_d
+    (each times D).  With x_{i-1} = P/S and min(x_0..x_{i-1}) = M/S, the
+    draw is
+    (m lo_d S + k (w_d P - slack_d (S - M) - lo_d S)) / (m D S),
+    so each coordinate multiplies the running scale S by m D and rescales
+    the earlier numerators and M.  A point is (numerators, S); x_i is
+    Fraction(numerators[i], S).
     """
-    w = 1 + t
     connected = get_family(family).connected
+    w = 1 + t
     lo = Fraction(1) if connected else 1 - q
     slack = 0 if connected or q == 1 else t * (1 - q) / q
-    lowest = prev = Fraction(1)
-    x: list[Fraction] = []
-    for _ in range(n):
-        hi = w * prev - slack * (1 - lowest) if slack else w * prev
-        prev = lo + rng.next_unit() * (hi - lo)
-        lowest = min(lowest, prev)
-        x.append(prev)
-    return tuple(x)
+    base = math.lcm(w.denominator, lo.denominator, slack.denominator)
+    w_d, lo_d, slack_d = (int(v * base) for v in (w, lo, slack))
+    m = rng.denominator
+    step = m * base
+    while True:
+        numerators: list[int] = []
+        scale = lowest = prev = 1
+        for _ in range(n):
+            k = rng.next_numerator()
+            prev = m * lo_d * scale + k * (w_d * prev - slack_d * (scale - lowest) - lo_d * scale)
+            numerators = [v * step for v in numerators]
+            numerators.append(prev)
+            lowest = min(lowest * step, prev)
+            scale *= step
+        yield numerators, scale
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +212,8 @@ def _partition_certificate(
 ) -> dict:
     """Draw interior samples; each generic one must be in exactly one cell.
 
+    A sample is integer numerators over a positive scale, so a row b + a.x
+    is evaluated as b * scale + a.numerators, which has the row's sign.
     Every distinct integer row of the cells (HRep.integer_rows: coprime,
     so rows that are positive multiples of each other coincide) is kept
     once, with the bitmask of the cells that have it.  A sample evaluates
@@ -200,15 +229,14 @@ def _partition_certificate(
             masks[row] = masks.get(row, 0) | 1 << bit
     rows = list(masks.items())
     every_cell = (1 << len(hreps)) - 1
-    rng = RationalLCG(seed)
+    stream = interior_sample_stream(family, n, q, t, RationalLCG(seed))
     accepted = 0
     discarded = 0
     failure = None
     attempts_left = 60 * samples
     while accepted < samples and attempts_left > 0:
         attempts_left -= 1
-        point = sample_interior_point(family, n, q, t, rng)
-        numerators, scale = clear_denominators(point)
+        numerators, scale = next(stream)
         outside = touched = 0
         for (b, terms), mask in rows:
             value = b * scale
@@ -225,7 +253,7 @@ def _partition_certificate(
         inside = (every_cell & ~(outside | touched)).bit_count()
         if inside != 1:
             failure = {
-                "point": [format_rational(x) for x in point],
+                "point": [format_rational(Fraction(v, scale)) for v in numerators],
                 "cells_containing": inside,
             }
             break
@@ -487,7 +515,7 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
     edges}, in both unweighted and (component, edge)-weighted form.
     """
     if not 1 <= node_count <= 7:
-        raise ValueError("fiber sweep supported for 1..7 nodes")
+        raise ValueError(f"fiber sweep needs 1..7 nodes, got {node_count}")
     total_masks = 1 << (node_count * (node_count - 1) // 2)
     grouped: dict[tuple, list[tuple[int, int, int]]] = {}
     for part in map_mask_shards(_fiber_shard, (node_count,), total_masks, jobs):

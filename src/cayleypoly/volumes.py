@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional
 
 from .exact import BivariatePolynomial, determinant
 from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
-from .geometry import Simplex, family_parameters, get_family, simplex_for_forest
+from .geometry import ParameterDomainError, Simplex, family_parameters, get_family, simplex_for_forest
 from .graphs import map_mask_shards, partition_pattern
 
 Z_MAX_NODES = 7
@@ -323,8 +323,14 @@ def volume_report(
 ) -> VolumeReport:
     """Compute the family volume by simplices, pieces, and the graph sweep.
 
-    Cells stream: the determinant pass enumerates them a second time.
+    The graph sweep runs over K_{n+1}, so n is capped at Z_MAX_NODES - 1
+    before any cell is enumerated.  Cells stream: the determinant pass
+    enumerates them a second time.
     """
+    if n < 1:
+        raise ParameterDomainError("n must be >= 1")
+    if n >= Z_MAX_NODES:
+        raise ValueError(f"volume needs n in 1..{Z_MAX_NODES - 1} (graphs on n+1 nodes), got {n}")
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     det_total = None

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from cayleypoly import cli
+from cayleypoly import cli, volumes
 from cayleypoly.cli import main
 from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
-from cayleypoly.geometry import HRep
+from cayleypoly.geometry import Family, HRep
 from cayleypoly.volumes import DegenerateSimplexError
 
 
@@ -191,7 +191,7 @@ def test_jobs_below_one_is_a_domain_error(capsys, argv, jobs):
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
-@pytest.mark.parametrize("command", ["hrep", "simplices", "pieces", "vertices", "fvector"])
+@pytest.mark.parametrize("command", ["hrep", "simplices", "pieces", "vertices", "fvector", "volume"])
 def test_polytope_commands_reject_n_below_one(capsys, command, n):
     argv = [command, "--n", n] if command == "fvector" else [command, "--family", "tutte", "--n", n]
     code = main(argv)
@@ -236,16 +236,35 @@ def test_vertices_size_cap(capsys, family):
     [
         (["simplices", "--family", "tutte", "--n", "8"], "labeled forests need 1..8 nodes, got 9"),
         (["simplices", "--family", "cayley", "--n", "8"], "labeled forests need 1..8 nodes, got 9"),
-        (["volume", "--family", "tutte", "--n", "8", "--symbolic"], "labeled forests need 1..8 nodes, got 9"),
+        (["verify", "--check", "fiber", "--n", "7"], "fiber sweep needs 1..7 nodes, got 8"),
         (["pieces", "--family", "tutte", "--n", "12"], "plane forests need 1..12 nodes, got 13"),
         (["pieces", "--family", "cayley", "--n", "12"], "plane forests need 1..12 nodes, got 13"),
     ],
 )
 def test_forest_size_caps_count_nodes(capsys, argv, message):
-    # --n is the dimension; the forests have n+1 nodes, so the largest
-    # valid --n is one below the node bound the message names.
+    # --n is the dimension; the forests and the fiber sweep's graphs have n+1
+    # nodes, so the largest valid --n is one below the node bound the message names.
     code = main(argv)
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("symbolic", [[], ["--symbolic"]])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("family", ["tutte", "cayley"])
+def test_volume_size_cap_precedes_enumeration(monkeypatch, capsys, family, n, symbolic):
+    # The graph sweep runs over K_{n+1}, at most Z_MAX_NODES = 7 nodes; the
+    # cap must fire before any cell or graph is enumerated.
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated before the size cap")
+
+    monkeypatch.setattr(Family, "labeled_cells", enumerated)
+    monkeypatch.setattr(Family, "plane_cells", enumerated)
+    monkeypatch.setattr(volumes, "z_bruteforce", enumerated)
+    code = main(["volume", "--family", family, "--n", str(n), *symbolic])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"volume needs n in 1..6 (graphs on n+1 nodes), got {n}" in captured.err

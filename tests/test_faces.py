@@ -117,7 +117,7 @@ def test_f_vector_table_larger():
 
 
 def test_f_vector_parameter_independence():
-    for n in range(1, 7):
+    for n in range(1, 8):
         rows = {
             tutte_f_vector(n, q, t)
             for q, t in ((HALF, Fraction(1)), (THIRD, Fraction(2)), (Fraction(2, 3), Fraction(3)))
@@ -228,6 +228,9 @@ def test_count_formulas():
     assert edge_count_formula(2) == 4
     assert two_face_count_formula(5) == 117
     assert two_face_count_formula(3) == 7
+    for n in range(3, 9):
+        assert edge_count_formula(n) == F_VECTORS[n][1]
+        assert two_face_count_formula(n) == F_VECTORS[n][2]
 
 
 def test_conjecture_check_small():

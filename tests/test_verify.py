@@ -26,9 +26,36 @@ from cayleypoly import (
 )
 from cayleypoly.exact import format_rational
 from cayleypoly.geometry import family_parameters
-from cayleypoly.verify import RationalLCG, _partition_certificate, sample_interior_point
+from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_stream
 
 HALF = Fraction(1, 2)
+
+
+def sample_interior_point(family, n, q, t, rng):
+    """One exact rational point strictly inside the family polytope, drawn
+    coordinate by coordinate in Fraction arithmetic: the reference for
+    interior_sample_stream.
+
+    Coordinates are drawn left to right, each strictly between its lower
+    bound and the minimum of its currently active upper bounds.  For the
+    Tutte system that minimum over j <= i is
+    (1+t) x_{i-1} - (t(1-q)/q) (1 - min(x_0, ..., x_{i-1})),  x_0 = 1,
+    with lower bound 1-q; at q = 1 this is the (t-)Gayley chain
+    0 <= x_i <= (1+t) x_{i-1}.  A connected family has lower bound 1 and
+    upper bound (1+t) x_{i-1}.
+    """
+    w = 1 + t
+    connected = get_family(family).connected
+    lo = Fraction(1) if connected else 1 - q
+    slack = 0 if connected or q == 1 else t * (1 - q) / q
+    lowest = prev = Fraction(1)
+    x = []
+    for _ in range(n):
+        hi = w * prev - slack * (1 - lowest) if slack else w * prev
+        prev = lo + Fraction(rng.next_numerator(), rng.denominator) * (hi - lo)
+        lowest = min(lowest, prev)
+        x.append(prev)
+    return tuple(x)
 
 
 def test_triangulation_tutte_two():
@@ -118,6 +145,22 @@ def test_interior_sampler_stays_strictly_inside():
         for _ in range(50):
             p = sample_interior_point(family, 3, q_eff, Fraction(1), rng)
             assert hrep.contains(p, strict=True)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 20240605, 2**64 + 3])
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
+    q_eff, t_eff = family_parameters(family, q, t)
+    for n in range(1, 6):
+        rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
+        stream = interior_sample_stream(family, n, q_eff, t_eff, rng)
+        for _ in range(40):
+            numerators, scale = next(stream)
+            assert scale > 0 and len(numerators) == n
+            point = tuple(Fraction(v, scale) for v in numerators)
+            assert point == sample_interior_point(family, n, q_eff, t_eff, reference_rng)
+            assert rng.state == reference_rng.state
 
 
 def test_sampler_deterministic():
