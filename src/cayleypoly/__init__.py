@@ -6,7 +6,6 @@ verification of the underlying counting identities.
 
 from .exact import (
     BivariatePolynomial,
-    RationalMatrix,
     determinant,
     format_rational,
     parse_rational,

@@ -17,8 +17,8 @@ Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
 Exit codes: 0 success, 1 verification failure or broken internal
-invariant (message on stderr), 2 usage error, 3 parameter outside its
-domain.
+invariant (message on stderr), 2 usage error or an --output file that
+cannot be written, 3 parameter outside its domain.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .geometry import (
     FAMILIES,
     ParameterDomainError,
     build_hrep,
+    check_dimension,
     family_parameters,
     get_family,
     orthoscheme_vertices,
@@ -170,70 +171,54 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _cmd_hrep(args) -> int:
+# Each command returns its payload (a dict for JSON, or text) and its exit code.
+
+
+def _cmd_hrep(args) -> tuple[dict | str, int]:
     hrep = build_hrep(args.family, args.n, args.q, args.t)
     if args.format == "text":
-        _emit(args, hrep.to_text())
-    else:
-        q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-        _emit(
-            args,
-            {
-                "family": args.family,
-                "n": args.n,
-                "q": format_rational(q_eff),
-                "t": format_rational(t_eff),
-                "hrep": hrep.to_json_obj(),
-            },
-        )
-    return 0
+        return hrep.to_text(), 0
+    q_eff, t_eff = family_parameters(args.family, args.q, args.t)
+    return {
+        "family": args.family,
+        "n": args.n,
+        "q": format_rational(q_eff),
+        "t": format_rational(t_eff),
+        "hrep": hrep.to_json_obj(),
+    }, 0
 
 
-def _cmd_simplices(args) -> int:
+def _cmd_simplices(args) -> tuple[dict | str, int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     entries = []
     for f in get_family(args.family).labeled_cells(args.n):
         s = simplex_for_forest(f, q_eff, t_eff)
         entries.append((f.to_parent_text(), s))
     if args.format == "text":
-        blocks = [f"forest {name}\n{s.to_text()}" for name, s in entries]
-        _emit(args, "".join(blocks))
-    else:
-        _emit(
-            args,
-            {
-                "family": args.family,
-                "n": args.n,
-                "count": len(entries),
-                "simplices": [
-                    {"forest": name, **s.to_json_obj()} for name, s in entries
-                ],
-            },
-        )
-    return 0
+        return "".join(f"forest {name}\n{s.to_text()}" for name, s in entries), 0
+    return {
+        "family": args.family,
+        "n": args.n,
+        "count": len(entries),
+        "simplices": [{"forest": name, **s.to_json_obj()} for name, s in entries],
+    }, 0
 
 
-def _cmd_pieces(args) -> int:
+def _cmd_pieces(args) -> tuple[dict | str, int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     plane = get_family(args.family).plane_cells(args.n)
     entries = [(pf.to_text(), piece_for_plane_forest(pf, q_eff, t_eff)) for pf in plane]
     if args.format == "text":
-        blocks = [f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries]
-        _emit(args, "".join(blocks))
-    else:
-        _emit(
-            args,
-            {
-                "family": args.family,
-                "n": args.n,
-                "count": len(entries),
-                "pieces": [{"plane_forest": name, "hrep": h.to_json_obj()} for name, h in entries],
-            },
-        )
-    return 0
+        return "".join(f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries), 0
+    return {
+        "family": args.family,
+        "n": args.n,
+        "count": len(entries),
+        "pieces": [{"plane_forest": name, "hrep": h.to_json_obj()} for name, h in entries],
+    }, 0
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args) -> tuple[dict | str, int]:
     report = volume_report(
         args.family,
         args.n,
@@ -254,34 +239,27 @@ def _cmd_volume(args) -> int:
         payload["q"] = format_rational(report.q)
         payload["t"] = format_rational(report.t)
         payload["by_determinant"] = format_rational(report.by_determinant)
-    _emit(args, payload)
-    return 0 if report.agree() else EXIT_VERIFICATION_FAILURE
+    return payload, 0 if report.agree() else EXIT_VERIFICATION_FAILURE
 
 
-def _cmd_zpoly(args) -> int:
+def _cmd_zpoly(args) -> tuple[dict | str, int]:
     poly = z_bruteforce(args.n, jobs=args.jobs)
     if args.format == "text":
-        _emit(args, repr(poly) + "\n")
-    else:
-        _emit(args, {"nodes": args.n, "polynomial": poly.to_json_obj()})
-    return 0
+        return repr(poly) + "\n", 0
+    return {"nodes": args.n, "polynomial": poly.to_json_obj()}, 0
 
 
-def _cmd_fvector(args) -> int:
+def _cmd_fvector(args) -> tuple[dict | str, int]:
     f = tutte_f_vector(args.n, args.q, args.t)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "q": format_rational(args.q),
-            "t": format_rational(args.t),
-            "f": list(f),
-        },
-    )
-    return 0
+    return {
+        "n": args.n,
+        "q": format_rational(args.q),
+        "t": format_rational(args.t),
+        "f": list(f),
+    }, 0
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args) -> tuple[dict | str, int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     fam = get_family(args.family)
     if fam.q is None:
@@ -291,26 +269,22 @@ def _cmd_vertices(args) -> int:
         vs = cayley_vertices(args.n, t_eff)
         points, provenance = vs.points, vs.provenance
     else:
+        check_dimension(args.n)
         lengths = [(1 + t_eff) ** k for k in range(1, args.n + 1)]
         points = tuple(orthoscheme_vertices(lengths))
         provenance = tuple(f"prefix={k}" for k in range(args.n + 1))
     if args.format == "text":
-        _emit(args, vrep_to_text(points, args.n))
-    else:
-        _emit(
-            args,
-            {
-                "family": args.family,
-                "n": args.n,
-                "count": len(points),
-                "points": [[format_rational(x) for x in p] for p in points],
-                "provenance": list(provenance),
-            },
-        )
-    return 0
+        return vrep_to_text(points, args.n), 0
+    return {
+        "family": args.family,
+        "n": args.n,
+        "count": len(points),
+        "points": [[format_rational(x) for x in p] for p in points],
+        "provenance": list(provenance),
+    }, 0
 
 
-def _cmd_recursion(args) -> int:
+def _cmd_recursion(args) -> tuple[dict | str, int]:
     payload: dict = {"n": args.n, "mode": args.mode}
     if args.mode in ("recursion", "both"):
         payload["recursion"] = connected_gf(args.n, "recursion").to_json_obj()
@@ -318,19 +292,16 @@ def _cmd_recursion(args) -> int:
         payload["bruteforce"] = connected_gf(args.n, "bruteforce", jobs=args.jobs).to_json_obj()
     if args.mode == "both":
         payload["agree"] = payload["recursion"] == payload["bruteforce"]
-    _emit(args, payload)
-    if args.mode == "both" and not payload["agree"]:
-        return EXIT_VERIFICATION_FAILURE
-    return 0
+    return payload, 0 if payload.get("agree", True) else EXIT_VERIFICATION_FAILURE
 
 
-def _cmd_cayley1857(args) -> int:
+def _cmd_cayley1857(args) -> tuple[dict | str, int]:
     lattice, partitions = lattice_and_partition_counts(args.n)
-    _emit(args, {"n": args.n, "lattice_points": lattice, "partitions": partitions})
-    return 0 if lattice == partitions else EXIT_VERIFICATION_FAILURE
+    payload = {"n": args.n, "lattice_points": lattice, "partitions": partitions}
+    return payload, 0 if lattice == partitions else EXIT_VERIFICATION_FAILURE
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict | str, int]:
     if getattr(args, "all", False):
         args.check = "all"
     kwargs = {"samples": args.samples, "seed": args.seed}
@@ -354,14 +325,8 @@ def _cmd_verify(args) -> int:
             elif args.check == "pieces":
                 reports.append(verify_piece_constructions(n, args.q, args.t))
     all_passed = all(r.passed for r in reports)
-    _emit(
-        args,
-        {
-            "passed": all_passed,
-            "jobs": [r.to_json_obj() for r in reports],
-        },
-    )
-    return 0 if all_passed else EXIT_VERIFICATION_FAILURE
+    payload = {"passed": all_passed, "jobs": [r.to_json_obj() for r in reports]}
+    return payload, 0 if all_passed else EXIT_VERIFICATION_FAILURE
 
 
 # Commands whose --n is the dimension of a family polytope.
@@ -399,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_domain(args)
-        return _COMMANDS[args.command](args)
+        payload, code = _COMMANDS[args.command](args)
     except ParameterDomainError as exc:
         print(f"parameter domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -409,6 +374,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    try:
+        _emit(args, payload)
+    except OSError as exc:
+        print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ nonzero coefficients, ints or (when not integral) Fractions; the zero
 polynomial is the empty dict.  Univariate polynomials (in t alone, or in a
 renamed variable such as y) use the same type with deg_q == 0 throughout.
 
+Linear algebra is in integers only: `clear_denominators` writes rationals
+over one common denominator, and `eliminate` is the one fraction-free
+elimination kernel, behind `determinant` and the rank and vertex
+computations of the other modules.
+
 No floating point is used anywhere in this package.
 """
 
@@ -270,23 +275,6 @@ def _coerce(value) -> BivariatePolynomial:
 # ----------------------------------------------------------------------
 
 
-class RationalMatrix:
-    """Rectangular matrix of Fractions; determinant defined when square."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(row) != width for row in self.rows):
-                raise ValueError("ragged matrix")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
 def clear_denominators(values) -> tuple[list[int], int]:
     """Integers n_i and the least common denominator s with values[i] = n_i / s."""
     scale = math.lcm(*(x.denominator for x in values))
@@ -336,47 +324,23 @@ def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], i
     return pivots, sign
 
 
-def _cleared_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row scaled to integers; also the product of the scales."""
-    out = []
-    product = 1
-    for row in rows:
-        numerators, scale = clear_denominators(tuple(row))
-        out.append(numerators)
-        product *= scale
-    return out, product
+def determinant(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions.
 
-
-def determinant(matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination.
-
-    Accepts a RationalMatrix or a plain sequence of rows.
+    Every entry is cleared over one common denominator s, the integer
+    matrix goes through `eliminate`, and the determinant is
+    sign * last pivot / s^n.
     """
-    rows, scale = _cleared_rows(matrix.rows if isinstance(matrix, RationalMatrix) else matrix)
+    rows = [tuple(row) for row in rows]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix of dimension >= 1")
-    pivots, sign = eliminate(rows)
+    entries, scale = clear_denominators([x for row in rows for x in row])
+    ints = [entries[k : k + n] for k in range(0, n * n, n)]
+    pivots, sign = eliminate(ints)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * rows[-1][-1], scale)
-
-
-def matrix_rank(rows: Iterable[Iterable]) -> int:
-    """Rank of a rational matrix, by fraction-free elimination."""
-    return len(eliminate(_cleared_rows(rows)[0])[0])
-
-
-def solve_linear_system(a_rows, b_vec) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly for square A; None when A is singular."""
-    n = len(a_rows)
-    rows, _ = _cleared_rows([*row, b] for row, b in zip(a_rows, b_vec))
-    if any(len(row) != n + 1 for row in rows):
-        raise ValueError("system shape mismatch")
-    pivots, _ = eliminate(rows, reduce=True)
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
+    return Fraction(sign * ints[-1][-1], scale**n)
 
 
 # ----------------------------------------------------------------------

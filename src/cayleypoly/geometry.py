@@ -192,11 +192,16 @@ class HRep:
         return tuple(form.integer_row for form in self.inequalities)
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
-        """Every form >= 0 at point (> 0 when strict), in integers: with
-        point = (n_1, ..., n_d) / s, each row is evaluated as b s + sum a_i n_i."""
-        if len(point) != self.dimension:
+        """Every form >= 0 at point (> 0 when strict)."""
+        return self.contains_numerators(*clear_denominators(point), strict)
+
+    def contains_numerators(
+        self, numerators: Sequence[int], scale: int, strict: bool = False
+    ) -> bool:
+        """`contains` at the point (n_1, ..., n_d) / s, for a scale s > 0,
+        in integers: each row is evaluated as b s + sum a_i n_i."""
+        if len(numerators) != self.dimension:
             raise DimensionError("point dimension mismatch")
-        numerators, scale = clear_denominators(point)
         for b, terms in self.integer_rows:
             value = b * scale
             for i, a in terms:
@@ -302,11 +307,24 @@ def family_parameters(family: str, q=None, t=None) -> tuple[Fraction, Fraction]:
 # ----------------------------------------------------------------------
 
 
+# Largest dimension of a family polytope built whole: the tutte H-rep has
+# n(n+1)/2 + 1 rows of n coefficients, 7 MB of JSON and 100 MB of memory
+# at n = 100, growing as n^3.
+MAX_DIMENSION = 100
+
+
+def check_dimension(n: int) -> None:
+    """Reject a polytope dimension outside 1..MAX_DIMENSION."""
+    if n < 1:
+        raise ParameterDomainError("n must be >= 1")
+    if n > MAX_DIMENSION:
+        raise ParameterDomainError(f"polytopes are desk scale: n <= {MAX_DIMENSION}")
+
+
 def build_hrep(family: str, n: int, q=None, t=None) -> HRep:
     """H-representation of the named family's polytope in R^n."""
     fam = get_family(family)
-    if n < 1:
-        raise ParameterDomainError("n must be >= 1")
+    check_dimension(n)
     q_eff, t_eff = family_parameters(family, q, t)
     if fam.connected:
         return _chain_hrep_lower_one(n, t_eff)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .exact import BivariatePolynomial, format_rational, solve_linear_system
+from .exact import BivariatePolynomial, eliminate, format_rational
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -178,21 +178,35 @@ def interior_sample_stream(
 
 
 def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
-    """All vertices of a (bounded) H-rep by solving every n-subset of
-    tight inequalities; intended for small n only."""
+    """All vertices of a (bounded) H-rep, each n-subset of its rows taken
+    tight; intended for small n only.
+
+    Each coprime row of `HRep.integer_rows` is written once as
+    [a_1, ..., a_n, b].  Elimination with reduce brings a nonsingular
+    subset to D x_i + b'_i = 0 with one common pivot D; the point
+    (-b'_1, ..., -b'_n) / D, signs flipped when D < 0, is kept when the
+    H-rep contains it."""
     n = hrep.dimension
     if n == 0:
         return ((),)
+    augmented = []
+    for b, terms in hrep.integer_rows:
+        row = [0] * n + [b]
+        for i, a in terms:
+            row[i] = a
+        augmented.append(row)
+    nonsingular = list(range(n))
     found: set[Point] = set()
-    rows = hrep.inequalities
-    for subset in combinations(range(len(rows)), n):
-        a = [rows[k].coefficients for k in subset]
-        b = [-rows[k].constant for k in subset]
-        solution = solve_linear_system(a, b)
-        if solution is None:
+    for subset in combinations(augmented, n):
+        system = list(subset)
+        if eliminate(system, reduce=True)[0] != nonsingular:
             continue
-        if hrep.contains(solution):
-            found.add(solution)
+        pivot = system[-1][n - 1]
+        numerators = [-row[n] for row in system]
+        if pivot < 0:
+            pivot, numerators = -pivot, [-v for v in numerators]
+        if hrep.contains_numerators(numerators, pivot):
+            found.add(tuple(Fraction(v, pivot) for v in numerators))
     return tuple(sorted(found))
 
 

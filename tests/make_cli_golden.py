@@ -81,6 +81,8 @@ def golden_argvs() -> list[list[str]]:
         argvs.append(["fvector", "--n", "6", "--q", q, "--t", t])
     # One above the vertex-set cap: exit 3 before any point is built.
     argvs.append(["vertices", "--family", "tutte", "--n", "13"])
+    # One above the polytope dimension cap: exit 3 before any row is built.
+    argvs.append(["hrep", "--family", "tutte", "--n", "101"])
     return argvs
 
 

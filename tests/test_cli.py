@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from cayleypoly import cli, volumes
+from cayleypoly import cli, geometry, volumes
 from cayleypoly.cli import main
 from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
-from cayleypoly.geometry import Family, HRep
+from cayleypoly.geometry import MAX_DIMENSION, Family, HRep, build_hrep
 from cayleypoly.volumes import DegenerateSimplexError
 
 
@@ -94,6 +94,16 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["nodes"] == 3
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code = main(["zpoly", "--n", "3", "--output", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_domain_violation_exit_code(capsys):
@@ -229,6 +239,36 @@ def test_vertices_size_cap(capsys, family):
     assert f"n <= {VERTICES_MAX_N}" in captured.err
     # fvector --n FVECTOR_MAX_N needs the vertex set of that size.
     assert VERTICES_MAX_N >= FVECTOR_MAX_N >= 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hrep", "--family", "tutte", "--n"],
+        ["hrep", "--family", "cayley", "--n"],
+        ["vertices", "--family", "gayley", "--n"],
+        ["vertices", "--family", "tgayley", "--n"],
+    ],
+)
+def test_dimension_cap(monkeypatch, capsys, argv):
+    # One above the cap exits 3 before any row or point is built; at the
+    # cap the polytope is built.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the size cap")
+
+    monkeypatch.setattr(cli, "orthoscheme_vertices", built)
+    monkeypatch.setattr(geometry, "family_parameters", built)
+    code = main([*argv, str(MAX_DIMENSION + 1)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n <= {MAX_DIMENSION}" in captured.err
+    monkeypatch.undo()
+    if argv[0] == "vertices":
+        code, out = run_cli(capsys, *argv, str(MAX_DIMENSION))
+        assert code == 0 and json.loads(out)["count"] == MAX_DIMENSION + 1
+    else:
+        assert len(build_hrep(argv[2], MAX_DIMENSION).inequalities) > MAX_DIMENSION
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exact arithmetic core: polynomials, determinants, Tutte conversion."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,12 @@ from hypothesis import strategies as st
 
 from cayleypoly import (
     BivariatePolynomial,
-    RationalMatrix,
     determinant,
     format_rational,
     parse_rational,
     tutte_from_z,
     z_from_tutte,
 )
-from cayleypoly.exact import matrix_rank, solve_linear_system
 
 P = BivariatePolynomial
 
@@ -104,13 +103,6 @@ def test_determinant_requires_square():
         determinant([])
 
 
-def test_rational_matrix_shape():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert m.shape == (2, 2)
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]])
-
-
 small_fraction = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )
@@ -141,11 +133,31 @@ def test_determinant_upper_triangular(entries):
     assert determinant(m) == a * d * f
 
 
-def test_matrix_rank_and_solver():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert solve_linear_system([[2, 0], [0, 4]], [2, 8]) == (Fraction(1), Fraction(2))
-    assert solve_linear_system([[1, 1], [2, 2]], [1, 2]) is None
+# Large primes, one denominator per row, so that the common denominator
+# of a matrix is their product and no two rows share a factor.
+ROW_PRIMES = (1_000_003, 998_244_353, 2_147_483_647)
+
+
+def _leibniz(m):
+    """Sum over permutations of sign * product: the determinant by definition."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_determinant_matches_leibniz_over_large_prime_denominators(numerators):
+    rows = [[Fraction(a, p) for a in row] for row, p in zip(numerators, ROW_PRIMES)]
+    assert determinant(rows) == _leibniz(rows)
+    # A third row that is the sum of the first two: singular, so zero.
+    dependent = [rows[0], rows[1], [a + b for a, b in zip(rows[0], rows[1])]]
+    assert determinant(dependent) == _leibniz(dependent) == 0
 
 
 # ----------------------------------------------------------------------

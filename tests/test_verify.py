@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,8 +15,10 @@ from cayleypoly import (
     enumerate_hrep_vertices,
     forest_chain_hrep,
     get_family,
+    enumerate_plane_forests,
     orthoscheme_vertices,
     piece_for_plane_forest,
+    piece_for_plane_forest_via_cones,
     run_all,
     verify_fiber,
     verify_piece_constructions,
@@ -169,10 +172,81 @@ def test_sampler_deterministic():
     assert a == b
 
 
+def solve_linear_system(a_rows, b_vec):
+    """Solve A x = b for square A by Gauss-Jordan elimination in Fraction
+    arithmetic; None when A is singular."""
+    n = len(a_rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, b_vec)]
+    for col in range(n):
+        found = next((r for r in range(col, n) if m[r][col]), None)
+        if found is None:
+            return None
+        m[col], m[found] = m[found], m[col]
+        top = [x / m[col][col] for x in m[col]]
+        m[col] = top
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], top)]
+    return tuple(row[n] for row in m)
+
+
+def reference_hrep_vertices(hrep):
+    """enumerate_hrep_vertices in Fraction arithmetic: each n-subset of
+    forms taken tight is solved, and a solution is kept when every form is
+    >= 0 at it."""
+    found = set()
+    for subset in combinations(hrep.inequalities, hrep.dimension):
+        x = solve_linear_system([f.coefficients for f in subset], [-f.constant for f in subset])
+        if x is not None and all(f.evaluate(x) >= 0 for f in hrep.inequalities):
+            found.add(x)
+    return tuple(sorted(found))
+
+
 def test_hrep_vertex_oracle_on_orthoscheme():
     hrep = build_hrep("gayley", 3)
     expected = tuple(sorted(orthoscheme_vertices([2, 4, 8])))
     assert enumerate_hrep_vertices(hrep) == expected
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+def test_vertex_oracle_matches_fraction_solver(q, t):
+    checked = 0
+    for n in (1, 2, 3):
+        for family in FAMILIES:
+            hrep = build_hrep(family, n, q, t)
+            assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
+            checked += 1
+        for pf in enumerate_plane_forests(n + 1):
+            for piece in (piece_for_plane_forest(pf, q, t), piece_for_plane_forest_via_cones(pf, q, t)):
+                vertices = enumerate_hrep_vertices(piece)
+                assert vertices == reference_hrep_vertices(piece)
+                # A full-dimensional piece has more than n vertices; this
+                # keeps two empty vertex sets from comparing equal.
+                assert len(vertices) > n
+                checked += 1
+    assert checked == 57
+
+
+def test_vertex_oracle_skips_singular_subsets():
+    # The square [0, 2]^2 with its corner (2, 2) cut by x + y <= 3, given
+    # with a duplicate row, a positive multiple of a row and a redundant
+    # parallel row: every subset of those rows is singular.
+    x_lower = AffineForm.linear(2, 1)
+    forms = (
+        x_lower,
+        x_lower,
+        x_lower.scaled(3),
+        AffineForm.linear(2, 1, -1, 2),
+        AffineForm.linear(2, 1, -1, 3),
+        AffineForm.linear(2, 2),
+        AffineForm.linear(2, 2, -1, 2),
+        AffineForm(Fraction(3), (Fraction(-1), Fraction(-1))),
+    )
+    hrep = HRep(2, forms)
+    vertices = enumerate_hrep_vertices(hrep)
+    assert vertices == reference_hrep_vertices(hrep)
+    assert vertices == tuple(sorted((Fraction(a), Fraction(b)) for a, b in ((0, 0), (2, 0), (0, 2), (2, 1), (1, 2))))
 
 
 def test_partition_failure_carries_witness():
