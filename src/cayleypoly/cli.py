@@ -45,6 +45,7 @@ from .geometry import (
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    check_run,
     run_all,
     verify_fiber,
     verify_piece_constructions,
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, family=True)
 
     p = sub.add_parser("volume", help="n!-scaled volume, three ways")
-    _add_common(p, family=True)
+    _add_common(p, family=True, fmt=False)
     p.add_argument("--symbolic", action="store_true", help="skip the determinant pass")
     p.add_argument("--jobs", type=int, default=1)
 
@@ -312,6 +313,7 @@ def _cmd_verify(args) -> tuple[dict | str, int]:
         reports = [verify_fiber(nodes, jobs=args.jobs)]
     else:
         n_values = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
+        check_run((args.check,), n_values, args.samples)
         reports = []
         for n in n_values:
             if args.check == "triangulation":

@@ -12,11 +12,19 @@ Conventions used throughout:
   and on exhaustion backtracks to the last visited node that has not yet
   been active.  Positions are counted across the whole forest, so the
   global maximum sits at position 0.
+* The nodes visited but not yet active always form a stack: the active
+  node pushes its children right to left, so the leftmost child is on top
+  and becomes active next, and when a node has no children the top of
+  the stack is exactly the last visited node that has not been active.
+  One loop over that stack (`_nfs_walk`) serves graphs, labeled forests
+  and plane forests.
 * A cane path starts at a node, climbs at least one step toward the root,
   and ends with a single step down to a child lying strictly to the right
   of (for labeled forests: labeled higher than) the branch it came up on.
   The number of cane paths starting at a node is the exponent attached to
-  that node's coordinate in the simplex constructions.
+  that node's coordinate in the simplex constructions.  Splitting a path
+  at its first step up gives the recursion: a node's exponent is its
+  number of right siblings plus its parent's exponent, and a root's is 0.
 * Degree sequences of plane forests are read in depth-first order, which
   differs from NFS order; both traversals are implemented separately.
 """
@@ -24,10 +32,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from itertools import filterfalse
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import LabeledGraph, pair_order
 
@@ -40,50 +48,58 @@ def catalan(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Shared NFS machinery over ordered rooted forests
+# The neighbors-first search walk
 # ----------------------------------------------------------------------
 
 
-def _nfs_component_order(root, children) -> list:
-    """NFS visit order within one component of an ordered rooted tree.
+# Children of each label, left to right.
+_Children = dict[int, tuple[int, ...]]
 
-    `children[v]` lists v's children left to right; the traversal visits
-    them right to left, recurses into the leftmost, and backtracks to the
-    last visited node that has not been active.
+
+def _nfs_walk(roots: Iterable, kids_of: Callable[[object], Sequence]) -> list[tuple]:
+    """NFS over an ordered rooted forest: one entry (node, parent_position,
+    cane_exponent, root_position) per node in visit order, so that an
+    entry's index is the node's position; parent_position is None at a
+    root.
+
+    `kids_of(node)` lists the node's children left to right; it is called
+    once per node, when the node becomes active, and `roots` is read one
+    component at a time, so both may depend on what was visited before.
     """
-    order = [root]
-    been_active = set()
-    active = root
-    while True:
-        been_active.add(active)
-        kids = children.get(active, ())
-        if kids:
-            order.extend(reversed(kids))
-            active = kids[0]
-        else:
-            for node in reversed(order):
-                if node not in been_active:
-                    active = node
-                    break
-            else:
-                return order
+    walk: list[tuple] = []
+    for root in roots:
+        top = len(walk)
+        walk.append((root, None, 0, top))
+        stack = [top]
+        while stack:
+            active = stack.pop()
+            node, _, exponent, _ = walk[active]
+            for right, kid in enumerate(reversed(kids_of(node))):
+                stack.append(len(walk))
+                walk.append((kid, active, exponent + right, top))
+    return walk
 
 
-def _cane_paths(node, parent, children) -> int:
-    """Number of cane paths starting at `node` (ordered-children rule)."""
-    total = 0
-    prev = node
-    anc = parent.get(node)
-    while anc is not None:
-        kids = children.get(anc, ())
-        total += len(kids) - kids.index(prev) - 1
-        prev = anc
-        anc = parent.get(anc)
-    return total
+def _graph_walk(node_count: int, adj: dict[int, list[int]]) -> tuple[list[tuple], _Children]:
+    """The NFS walk of a graph on {1..node_count}, and the children of
+    each label: each component starts at the largest unvisited label, and
+    a node's children are its neighbours still unvisited when it becomes
+    active.  Each adjacency list must be sorted."""
+    seen: set[int] = set()
+    visited = seen.__contains__
+    children: _Children = {}
+
+    def fresh_neighbours(v: int) -> tuple[int, ...]:
+        seen.add(v)
+        kids = children[v] = tuple(filterfalse(visited, adj[v]))
+        seen.update(kids)
+        return kids
+
+    walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
+    return walk, children
 
 
-@dataclass(frozen=True)
-class NodeCoordinate:
+class NodeCoordinate(NamedTuple):
     """Placement data of one forest node inside the simplex chain.
 
     position is the NFS position i (0-based, forest-wide); cane_exponent
@@ -107,63 +123,61 @@ class NodeCoordinate:
 class LabeledForest:
     """Acyclic graph on {1..n}, canonically rooted and NFS-ordered."""
 
-    __slots__ = ("node_count", "parent", "children", "component_order", "order", "_position")
+    __slots__ = ("node_count", "parent", "children", "component_order", "order", "_walk")
 
     def __init__(self, node_count: int, parent: dict[int, int]):
-        self.node_count = node_count
-        self.parent = dict(parent)
-        nodes = range(1, node_count + 1)
-        kids: dict[int, list[int]] = {v: [] for v in nodes}
-        for v, p in self.parent.items():
+        kids: dict[int, list[int]] = {v: [] for v in range(1, node_count + 1)}
+        for v, p in parent.items():
             if not (1 <= v <= node_count and 1 <= p <= node_count) or v == p:
                 raise ValueError(f"bad parent entry {v} -> {p}")
             kids[p].append(v)
-        self.children = {v: tuple(sorted(kids[v])) for v in nodes}
-        roots = [v for v in nodes if v not in self.parent]
-        for v in nodes:
-            # Walk upward; a cycle would exceed node_count steps.
-            u, steps = v, 0
-            while u in self.parent:
-                u = self.parent[u]
-                steps += 1
-                if steps > node_count:
-                    raise ValueError("parent map contains a cycle")
-            if u < v:
-                raise ValueError(f"component root {u} is not its maximal label")
-        self.component_order = tuple(sorted(roots, reverse=True))
-        order: list[int] = []
-        for root in self.component_order:
-            order.extend(_nfs_component_order(root, self.children))
-        self.order = tuple(order)
-        self._position = {v: i for i, v in enumerate(order)}
+        children = {v: tuple(sorted(siblings)) for v, siblings in kids.items()}
+        roots = [v for v in range(node_count, 0, -1) if v not in parent]
+        walk = _nfs_walk(roots, children.__getitem__)
+        # Nodes whose upward path runs into a cycle are never reached.
+        root_of = {node: walk[top][0] for node, _, _, top in walk}
+        for v in range(1, node_count + 1):
+            if v not in root_of:
+                raise ValueError("parent map contains a cycle")
+            if root_of[v] < v:
+                raise ValueError(f"component root {root_of[v]} is not its maximal label")
+        self._adopt(node_count, walk, children)
+
+    def _adopt(self, node_count: int, walk: list[tuple], children: _Children) -> None:
+        """Take every field from a finished walk of a canonical forest and
+        the children lists, left to right, it walked."""
+        self.node_count = node_count
+        self._walk = walk
+        self.order = tuple(node for node, _, _, _ in walk)
+        self.component_order = tuple(node for node, up, _, _ in walk if up is None)
+        self.parent = {node: walk[up][0] for node, up, _, _ in walk if up is not None}
+        self.children = children
+
+    @classmethod
+    def _from_walk(cls, node_count: int, walk: list[tuple], children: _Children) -> "LabeledForest":
+        forest = cls.__new__(cls)
+        forest._adopt(node_count, walk, children)
+        return forest
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "LabeledForest":
+        """The forest with these edges; on a forest graph the NFS forest
+        is the graph itself, rooted at each component's maximal label."""
         adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
         count = 0
         for i, j in edge_pairs:
             adj[i].append(j)
             adj[j].append(i)
             count += 1
-        parent: dict[int, int] = {}
-        seen: set[int] = set()
-        for start in range(n, 0, -1):
-            if start in seen:
-                continue
-            seen.add(start)
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        parent[u] = v
-                        stack.append(u)
-        if len(parent) != count:
+        for neighbours in adj.values():
+            neighbours.sort()
+        # A cycle, a loop or a repeated pair leaves fewer forest edges.
+        forest = cls._from_walk(n, *_graph_walk(n, adj))
+        if forest.edge_count() != count:
             raise ValueError("edge set contains a cycle")
-        return cls(n, parent)
+        return forest
 
     @classmethod
     def from_parent_text(cls, text: str) -> "LabeledForest":
@@ -192,7 +206,7 @@ class LabeledForest:
     # -- basic data -------------------------------------------------------
 
     def position(self, v: int) -> int:
-        return self._position[v]
+        return self.order.index(v)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted((min(v, p), max(v, p)) for v, p in self.parent.items())
@@ -203,68 +217,34 @@ class LabeledForest:
     def component_count(self) -> int:
         return len(self.component_order)
 
-    def component_root(self, v: int) -> int:
-        while v in self.parent:
-            v = self.parent[v]
-        return v
-
     def is_tree(self) -> bool:
         return self.component_count() == 1
 
     def coordinates(self) -> dict[int, NodeCoordinate]:
         """NodeCoordinate for every label, keyed by label."""
-        out: dict[int, NodeCoordinate] = {}
-        for v in range(1, self.node_count + 1):
-            root = self.component_root(v)
-            if v == root:
-                out[v] = NodeCoordinate(True, self._position[v], 0, self._position[v], root)
-            else:
-                j = _cane_paths(v, self.parent, self.children)
-                out[v] = NodeCoordinate(False, self._position[v], j, self._position[root], root)
-        return out
+        walk = self._walk
+        return {
+            node: NodeCoordinate(up is None, i, j, top, walk[top][0])
+            for i, (node, up, j, top) in enumerate(walk)
+        }
 
 
 def nfs(g: LabeledGraph) -> LabeledForest:
     """The neighbors-first search forest of a labeled graph."""
-    n = g.node_count
-    adj = g.adjacency()
-    visited: set[int] = set()
-    parent: dict[int, int] = {}
-    while len(visited) < n:
-        root = max(v for v in range(1, n + 1) if v not in visited)
-        visited.add(root)
-        comp_order = [root]
-        been_active: set[int] = set()
-        active = root
-        while True:
-            been_active.add(active)
-            fresh = sorted((u for u in adj[active] if u not in visited), reverse=True)
-            if fresh:
-                for u in fresh:
-                    visited.add(u)
-                    parent[u] = active
-                    comp_order.append(u)
-                active = fresh[-1]
-            else:
-                for node in reversed(comp_order):
-                    if node not in been_active:
-                        active = node
-                        break
-                else:
-                    break
-    return LabeledForest(n, parent)
+    # adjacency() lists each node's neighbours in pair order, so sorted.
+    return LabeledForest._from_walk(g.node_count, *_graph_walk(g.node_count, g.adjacency()))
 
 
 def cane_paths_from(f: LabeledForest, v: int) -> int:
     """Number of cane paths starting at node v."""
     if not 1 <= v <= f.node_count:
         raise ValueError(f"node {v} not in forest")
-    return _cane_paths(v, f.parent, f.children)
+    return f._walk[f.position(v)][2]
 
 
 def alpha(f: LabeledForest) -> int:
     """Total number of cane paths in the forest."""
-    return sum(_cane_paths(v, f.parent, f.children) for v in range(1, f.node_count + 1))
+    return sum(j for _, _, j, _ in f._walk)
 
 
 def cane_edges(f: LabeledForest) -> set[tuple[int, int]]:
@@ -379,8 +359,7 @@ class PlaneForest:
 
     def alpha(self) -> int:
         """Total number of cane paths, counted on the plane structure."""
-        _, parent, children, _ = self.nfs_structure()
-        return sum(_cane_paths(v, parent, children) for v in range(self.node_count()))
+        return sum(j for _, _, j, _ in _nfs_walk(self.trees, _subtrees))
 
     def labeled_forest_count(self) -> int:
         """Number of labeled forests whose shape is this plane forest."""
@@ -401,45 +380,23 @@ class PlaneForest:
         Nodes are identified with their NFS positions 0..n-1; children
         lists are in plane left-to-right order.
         """
-        ids = _PlaneIds(self.trees)
-        order: list[int] = []
-        for root in ids.roots:
-            order.extend(_nfs_component_order(root, ids.children))
-        pos_of = {node: i for i, node in enumerate(order)}
-        parent = {pos_of[v]: pos_of[p] for v, p in ids.parent.items()}
-        children = {pos_of[v]: tuple(pos_of[c] for c in kids) for v, kids in ids.children.items()}
-        root_positions = [pos_of[r] for r in ids.roots]
-        coords: list[NodeCoordinate] = []
-        for position in range(len(order)):
-            root_pos = position
-            while root_pos in parent:
-                root_pos = parent[root_pos]
-            if position == root_pos:
-                coords.append(NodeCoordinate(True, position, 0, position))
-            else:
-                j = _cane_paths(position, parent, children)
-                coords.append(NodeCoordinate(False, position, j, root_pos))
+        walk = _nfs_walk(self.trees, _subtrees)
+        coords = [NodeCoordinate(up is None, i, j, top) for i, (_, up, j, top) in enumerate(walk)]
+        parent = {i: up for i, (_, up, _, _) in enumerate(walk) if up is not None}
+        kids: list[list[int]] = [[] for _ in walk]
+        # Children are visited right to left, so the walk read backwards
+        # lists each node's children left to right.
+        for i in reversed(range(len(walk))):
+            if walk[i][1] is not None:
+                kids[walk[i][1]].append(i)
+        children = {i: tuple(siblings) for i, siblings in enumerate(kids)}
+        root_positions = [i for i, (_, up, _, _) in enumerate(walk) if up is None]
         return coords, parent, children, root_positions
 
 
-class _PlaneIds:
-    """Assign integer ids (depth-first) to the nodes of nested-tuple trees."""
-
-    def __init__(self, trees):
-        self.parent: dict[int, int] = {}
-        self.children: dict[int, tuple[int, ...]] = {}
-        self.roots: list[int] = []
-        self._next = 0
-        for tree in trees:
-            self.roots.append(self._walk(tree, None))
-
-    def _walk(self, node, parent_id) -> int:
-        my_id = self._next
-        self._next += 1
-        if parent_id is not None:
-            self.parent[my_id] = parent_id
-        self.children[my_id] = tuple(self._walk(child, my_id) for child in node)
-        return my_id
+def _subtrees(node: tuple) -> tuple:
+    """A plane-forest node is the tuple of its subtrees, left to right."""
+    return node
 
 
 def _tree_size(tree: tuple) -> int:

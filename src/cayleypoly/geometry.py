@@ -440,16 +440,18 @@ class _ValueTable:
 
 
 @lru_cache(maxsize=_VALUE_TABLES)
-def _value_table(node_count: int, q: Fraction, t: Fraction) -> _ValueTable:
-    """The shared table; q and t must already be checked Fractions, so
-    that equal parameters of different types share one entry."""
-    return _ValueTable(node_count, q, t)
+def _value_table(node_count: int, q, t) -> _ValueTable:
+    """The shared table of (node_count, q, t).  q and t are checked here,
+    on a cache miss only, so a bad value raises and is never cached.
+    lru_cache compares keys with ==, and hash(1) == hash(Fraction(1)), so
+    equal parameters of different types share one entry."""
+    return _ValueTable(node_count, _check_q(q), _check_t(t))
 
 
 def _coordinate_form(rec: NodeCoordinate, n: int, q, t) -> AffineForm:
     """The node's chain coordinate as an affine form on R^n, from the
     shared table of (n, q, t)."""
-    return _value_table(n + 1, _check_q(q), _check_t(t)).form(_form_key(rec))
+    return _value_table(n + 1, q, t).form(_form_key(rec))
 
 
 def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
@@ -468,7 +470,7 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     Every coordinate is one of the value table's Fractions; each column
     is built as three runs and the vertices are its rows.
     """
-    table = _value_table(f.node_count, _check_q(q), _check_t(t))
+    table = _value_table(f.node_count, q, t)
     powers, one_minus_q = table.powers, table.one_minus_q
     nodes = f.node_count
     columns: list[tuple[Fraction, ...]] = [()] * table.n
@@ -492,7 +494,7 @@ def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
     Rows: c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
     node coordinates; c(n+1) is the constant qt.
     """
-    table = _value_table(f.node_count, _check_q(q), _check_t(t))
+    table = _value_table(f.node_count, q, t)
     coords = f.coordinates()
     keys = [_form_key(coords[label]) for label in range(1, f.node_count + 1)]
     rows = [table.form(keys[0])]
@@ -513,7 +515,7 @@ def piece_for_plane_forest(pf: PlaneForest, q, t) -> HRep:
     for the roots w_1..w_m (left to right),  0 <= c(w_m) <= ... <= c(w_1)
     with c(w_1) = qt constant.
     """
-    table = _value_table(pf.node_count(), _check_q(q), _check_t(t))
+    table = _value_table(pf.node_count(), q, t)
     coords, _, children, root_positions = pf.nfs_structure()
     keys = [_form_key(rec) for rec in coords]
     rows: list[AffineForm] = []

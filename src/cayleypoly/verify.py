@@ -31,16 +31,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import BivariatePolynomial, eliminate, format_rational
 from .forests import (
     LabeledForest,
     PlaneForest,
-    cane_edges,
     count_labeled_forests,
     enumerate_labeled_forests,
     enumerate_plane_forests,
+    fiber_of,
     nfs,
     shape,
 )
@@ -290,12 +290,36 @@ def _vertices_outside(polytope: HRep, simplices: Iterable[Simplex]) -> set[Point
 # ----------------------------------------------------------------------
 
 
-def _check_n(n: int, checks: str, limit: int = VERIFY_MAX_N) -> None:
-    """n = 0 is outside every family's domain; above limit is beyond desk scale."""
+# The size cap of each job, keyed by its `verify --check` name: what the
+# message calls the job's checks, and the largest n at desk scale.
+_SIZE_CAPS = {
+    "triangulation": ("full triangulation checks", VERIFY_MAX_N),
+    "subdivision": ("full subdivision checks", VERIFY_MAX_N),
+    "refinement": ("refinement checks", VERIFY_MAX_N),
+    "specializations": ("specialization checks", VERIFY_MAX_N),
+    "pieces": ("piece construction cross-checks", 4),
+}
+
+
+def _check_job(check: str, n: int, samples: int = 1) -> None:
+    """What a job checks before any work: n = 0 is outside every family's
+    domain, above the cap is beyond desk scale, and a sampling job needs
+    at least one sample."""
+    checks, limit = _SIZE_CAPS[check]
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
     if n > limit:
         raise ValueError(f"{checks} are desk scale: n <= {limit}")
+    if check in ("triangulation", "subdivision") and samples < 1:
+        raise ParameterDomainError("samples must be >= 1")
+
+
+def check_run(checks: Sequence[str], n_values: Iterable[int], samples: int = DEFAULT_SAMPLES) -> None:
+    """The checks of every job of a run, in the order the jobs run, so
+    that a run reaching past a cap fails before its first job."""
+    for n in n_values:
+        for check in checks:
+            _check_job(check, n, samples)
 
 
 def verify_triangulation(
@@ -307,9 +331,7 @@ def verify_triangulation(
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check the simplicial decomposition of one family polytope."""
-    _check_n(n, "full triangulation checks")
-    if samples < 1:
-        raise ParameterDomainError("samples must be >= 1")
+    _check_job("triangulation", n, samples)
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
@@ -362,9 +384,7 @@ def verify_subdivision(
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check the coarse subdivision of one family polytope."""
-    _check_n(n, "full subdivision checks")
-    if samples < 1:
-        raise ParameterDomainError("samples must be >= 1")
+    _check_job("subdivision", n, samples)
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
@@ -404,7 +424,7 @@ def verify_subdivision(
 def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport:
     """Each simplex sits inside the piece of its plane shape; multiplicities
     and volume sums match the closed formulas."""
-    _check_n(n, "refinement checks")
+    _check_job("refinement", n)
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
     forests = list(fam.labeled_cells(n))
@@ -449,7 +469,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
 
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
-    _check_n(n, "specialization checks")
+    _check_job("specializations", n)
     q = Fraction(q)
     t = Fraction(t)
     checks: dict = {}
@@ -489,7 +509,7 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
 
 def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> VerificationReport:
     """Direct piece inequalities agree with the product/cone assembly."""
-    _check_n(n, "piece construction cross-checks", limit=4)
+    _check_job("pieces", n)
     q = Fraction(q)
     t = Fraction(t)
     mismatch = None
@@ -540,14 +560,8 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
     for key, members in grouped.items():
         f = LabeledForest(node_count, {v: p for v, p in enumerate(key, start=1) if p})
         forests_seen += 1
-        canes = sorted(cane_edges(f))
-        expected_masks = set()
-        base = f.edge_list()
-        for sub in range(1 << len(canes)):
-            extra = [canes[k] for k in range(len(canes)) if sub >> k & 1]
-            expected_masks.add(LabeledGraph.from_edges(node_count, base + extra).edges)
         got_masks = {mask for mask, _, _ in members}
-        if got_masks != expected_masks:
+        if got_masks != {g.edges for g in fiber_of(f)}:
             counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
             break
         weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)
@@ -585,6 +599,8 @@ def run_all(
     checks for every family and every n up to nmax."""
     if nmax < 1:
         raise ParameterDomainError("nmax must be >= 1")
+    per_n = ("triangulation", "subdivision", "refinement", "specializations")
+    check_run(per_n, range(1, nmax + 1), samples)
     reports = []
     for n in range(1, nmax + 1):
         for name in FAMILIES:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cayleypoly import cli, geometry, volumes
+from cayleypoly import cli, geometry, verify, volumes
 from cayleypoly.cli import main
 from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
 from cayleypoly.geometry import MAX_DIMENSION, Family, HRep, build_hrep
@@ -114,6 +114,13 @@ def test_domain_violation_exit_code(capsys):
 def test_decimal_rational_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["hrep", "--family", "tutte", "--n", "2", "--q", "0.5", "--t", "1"])
+    assert info.value.code == 2
+
+
+def test_volume_has_no_format_flag():
+    # volume always prints JSON; a --format flag it ignored is gone.
+    with pytest.raises(SystemExit) as info:
+        main(["volume", "--family", "tutte", "--n", "2", "--format", "text"])
     assert info.value.code == 2
 
 
@@ -308,3 +315,41 @@ def test_volume_size_cap_precedes_enumeration(monkeypatch, capsys, family, n, sy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"volume needs n in 1..6 (graphs on n+1 nodes), got {n}" in captured.err
+
+
+_VERIFY_JOBS = (
+    "verify_triangulation",
+    "verify_subdivision",
+    "verify_refinement",
+    "verify_specializations",
+    "verify_piece_constructions",
+    "verify_fiber",
+)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--all", "--nmax", "6"], "full triangulation checks are desk scale: n <= 5"),
+        (["--check", "triangulation", "--family", "tutte", "--nmax", "6", "--samples", "50"],
+         "full triangulation checks are desk scale: n <= 5"),
+        (["--check", "subdivision", "--nmax", "6"], "full subdivision checks are desk scale: n <= 5"),
+        (["--check", "refinement", "--nmax", "6"], "refinement checks are desk scale: n <= 5"),
+        (["--check", "specializations", "--nmax", "6"], "specialization checks are desk scale: n <= 5"),
+        (["--check", "pieces", "--nmax", "5"], "piece construction cross-checks are desk scale: n <= 4"),
+    ],
+)
+def test_verify_size_caps_precede_every_job(monkeypatch, capsys, argv, message):
+    # A run over n = 1..nmax must fail on its cap before the first job,
+    # not after the jobs below the cap have run.
+    def ran(*args, **kwargs):
+        raise AssertionError("a job ran before the size cap")
+
+    for name in _VERIFY_JOBS:
+        monkeypatch.setattr(verify, name, ran)
+        monkeypatch.setattr(cli, name, ran)
+    code = main(["verify", *argv])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

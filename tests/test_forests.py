@@ -348,12 +348,20 @@ def test_parent_text_round_trip(worked_forest12):
 
 
 def test_invalid_forests_rejected():
-    with pytest.raises(ValueError):
-        LabeledForest(3, {1: 2, 2: 1})  # cycle
-    with pytest.raises(ValueError):
-        LabeledForest(3, {3: 2})  # root 2 below node 3
-    with pytest.raises(ValueError):
-        LabeledForest.from_edges(3, [(1, 2), (2, 3), (1, 3)])  # cycle
+    with pytest.raises(ValueError, match="^parent map contains a cycle$"):
+        LabeledForest(3, {1: 2, 2: 1})
+    with pytest.raises(ValueError, match="^parent map contains a cycle$"):
+        LabeledForest(4, {1: 2, 2: 1, 3: 4})  # the cycle beside a valid tree
+    with pytest.raises(ValueError, match="^parent map contains a cycle$"):
+        LabeledForest(3, {3: 1, 1: 2, 2: 1})  # a tail hanging off the cycle
+    with pytest.raises(ValueError, match="^component root 2 is not its maximal label$"):
+        LabeledForest(3, {3: 2})
+    with pytest.raises(ValueError, match="^bad parent entry 2 -> 2$"):
+        LabeledForest(3, {2: 2})
+    with pytest.raises(ValueError, match="^edge set contains a cycle$"):
+        LabeledForest.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ValueError, match="^edge set contains a cycle$"):
+        LabeledForest.from_edges(3, [(1, 2), (1, 2)])  # a doubled edge
     with pytest.raises(ValueError):
         list(enumerate_labeled_forests(9))
 
@@ -365,3 +373,208 @@ def test_invalid_plane_forests_rejected():
         PlaneForest(())
     with pytest.raises(ValueError):
         list(enumerate_plane_forests(0))
+
+
+# ----------------------------------------------------------------------
+# Reference traversals: one walk per structure, written out separately
+# ----------------------------------------------------------------------
+# These are the traversals the package used before NFS became a single
+# stack walk, kept verbatim except that they return plain data rather
+# than forests, so that they stay independent of the code under test.
+
+
+def _ref_nfs_component_order(root, children) -> list:
+    """NFS visit order within one component of an ordered rooted tree."""
+    order = [root]
+    been_active = set()
+    active = root
+    while True:
+        been_active.add(active)
+        kids = children.get(active, ())
+        if kids:
+            order.extend(reversed(kids))
+            active = kids[0]
+        else:
+            for node in reversed(order):
+                if node not in been_active:
+                    active = node
+                    break
+            else:
+                return order
+
+
+def _ref_cane_paths(node, parent, children) -> int:
+    """Number of cane paths starting at `node` (ordered-children rule)."""
+    total = 0
+    prev = node
+    anc = parent.get(node)
+    while anc is not None:
+        kids = children.get(anc, ())
+        total += len(kids) - kids.index(prev) - 1
+        prev = anc
+        anc = parent.get(anc)
+    return total
+
+
+def _ref_nfs(g: LabeledGraph) -> tuple[dict, list]:
+    """(parent map, visit order) of the backtracking graph search."""
+    n = g.node_count
+    adj = g.adjacency()
+    visited: set[int] = set()
+    parent: dict[int, int] = {}
+    order: list[int] = []
+    while len(visited) < n:
+        root = max(v for v in range(1, n + 1) if v not in visited)
+        visited.add(root)
+        comp_order = [root]
+        been_active: set[int] = set()
+        active = root
+        while True:
+            been_active.add(active)
+            fresh = sorted((u for u in adj[active] if u not in visited), reverse=True)
+            if fresh:
+                for u in fresh:
+                    visited.add(u)
+                    parent[u] = active
+                    comp_order.append(u)
+                active = fresh[-1]
+            else:
+                for node in reversed(comp_order):
+                    if node not in been_active:
+                        active = node
+                        break
+                else:
+                    break
+        order.extend(comp_order)
+    return parent, order
+
+
+def _ref_forest_parent(n: int, edge_pairs) -> dict:
+    """Parent map of an acyclic edge set, rooted at maximal labels."""
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for i, j in edge_pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent: dict[int, int] = {}
+    seen: set[int] = set()
+    for start in range(n, 0, -1):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    parent[u] = v
+                    stack.append(u)
+    return parent
+
+
+def _ref_labeled(n: int, parent: dict) -> tuple[list, dict]:
+    """(NFS order, coordinates by label) of a canonical parent map."""
+    kids: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for v, p in parent.items():
+        kids[p].append(v)
+    children = {v: tuple(sorted(kids[v])) for v in kids}
+    order: list[int] = []
+    for root in sorted((v for v in kids if v not in parent), reverse=True):
+        order.extend(_ref_nfs_component_order(root, children))
+    position = {v: i for i, v in enumerate(order)}
+    coords = {}
+    for v in range(1, n + 1):
+        root = v
+        while root in parent:
+            root = parent[root]
+        j = 0 if v == root else _ref_cane_paths(v, parent, children)
+        coords[v] = (v == root, position[v], j, position[root], root)
+    return order, coords
+
+
+class _RefPlaneIds:
+    """Assign integer ids (depth-first) to the nodes of nested-tuple trees."""
+
+    def __init__(self, trees):
+        self.parent: dict[int, int] = {}
+        self.children: dict[int, tuple[int, ...]] = {}
+        self.roots: list[int] = []
+        self._next = 0
+        for tree in trees:
+            self.roots.append(self._walk(tree, None))
+
+    def _walk(self, node, parent_id) -> int:
+        my_id = self._next
+        self._next += 1
+        if parent_id is not None:
+            self.parent[my_id] = parent_id
+        self.children[my_id] = tuple(self._walk(child, my_id) for child in node)
+        return my_id
+
+
+def _ref_nfs_structure(pf: PlaneForest):
+    """(coords, parent, children, root_positions) over NFS positions."""
+    ids = _RefPlaneIds(pf.trees)
+    order: list[int] = []
+    for root in ids.roots:
+        order.extend(_ref_nfs_component_order(root, ids.children))
+    pos_of = {node: i for i, node in enumerate(order)}
+    parent = {pos_of[v]: pos_of[p] for v, p in ids.parent.items()}
+    children = {pos_of[v]: tuple(pos_of[c] for c in kids) for v, kids in ids.children.items()}
+    root_positions = [pos_of[r] for r in ids.roots]
+    coords = []
+    for position in range(len(order)):
+        root_pos = position
+        while root_pos in parent:
+            root_pos = parent[root_pos]
+        if position == root_pos:
+            coords.append((True, position, 0, position, None))
+        else:
+            j = _ref_cane_paths(position, parent, children)
+            coords.append((False, position, j, root_pos, None))
+    return coords, parent, children, root_positions
+
+
+def _reference_graphs():
+    for n in range(1, 6):
+        yield from enumerate_graphs(n)
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(7, 10)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < density]
+        yield LabeledGraph.from_edges(n, edges)
+
+
+def test_nfs_matches_backtracking_reference():
+    for g in _reference_graphs():
+        parent, order = _ref_nfs(g)
+        f = nfs(g)
+        assert f.parent == parent, g.to_text()
+        assert list(f.order) == order, g.to_text()
+
+
+def test_labeled_forests_match_reference():
+    for n in range(1, 7):
+        for f in enumerate_labeled_forests(n):
+            assert f.parent == _ref_forest_parent(n, f.edge_list())
+            order, coords = _ref_labeled(n, f.parent)
+            assert list(f.order) == order
+            assert {v: tuple(rec) for v, rec in f.coordinates().items()} == coords
+            assert [f.position(v) for v in order] == list(range(n))
+            assert alpha(f) == sum(rec[2] for rec in coords.values())
+            for v in range(1, n + 1):
+                assert cane_paths_from(f, v) == coords[v][2]
+            assert LabeledForest(n, f.parent).order == f.order
+
+
+def test_plane_forests_match_reference():
+    for n in range(1, 9):
+        for pf in enumerate_plane_forests(n):
+            coords, parent, children, root_positions = pf.nfs_structure()
+            ref_coords, ref_parent, ref_children, ref_roots = _ref_nfs_structure(pf)
+            assert [tuple(rec) for rec in coords] == ref_coords
+            assert parent == ref_parent
+            assert children == ref_children
+            assert root_positions == ref_roots
+            assert pf.alpha() == sum(rec[2] for rec in ref_coords)

@@ -466,8 +466,8 @@ _BUILDERS = [
 @pytest.mark.parametrize("builder,cell,values", _BUILDERS)
 @pytest.mark.parametrize("first,second", [((1, 1), (Fraction(1), Fraction(1))), ((Fraction(1), Fraction(1)), (1, 1))])
 def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, first, second):
-    # The table is keyed after q and t are checked Fractions, so the call
-    # order cannot leak an int into a later call's values.
+    # The table stores q and t as checked Fractions, so the call order
+    # cannot leak an int into a later call's values.
     from cayleypoly.geometry import _value_table
 
     _value_table.cache_clear()
@@ -485,6 +485,21 @@ def test_builders_keep_their_domain_checks():
         for q, t in ((0, 1), (2, 1), (HALF, 0), (HALF, -1)):
             with pytest.raises(ParameterDomainError):
                 build(cell, q, t)
+
+
+def test_bad_parameters_raise_after_the_table_is_warm():
+    # q and t are checked on a table miss only; a bad value always misses,
+    # raises and is never cached.
+    from cayleypoly.geometry import _value_table
+
+    f = next(iter(enumerate_labeled_forests(3)))
+    _value_table.cache_clear()
+    simplex_for_forest(f, HALF, 1)
+    for q, t in ((2, 1), (0, 1), (HALF, 0), (HALF, -1)):
+        with pytest.raises(ParameterDomainError):
+            simplex_for_forest(f, q, t)
+    assert _value_table.cache_info().currsize == 1
+    assert _value_table(3, 1, 1) is _value_table(3, Fraction(1), Fraction(1))
 
 
 # ----------------------------------------------------------------------
