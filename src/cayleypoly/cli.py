@@ -12,7 +12,8 @@ Usage:
     cayleypoly cayley1857 --n 3
     cayleypoly verify --check all --nmax 3
 
-Rational parameters are exact strings ("1/2", "2"); decimals are rejected.
+Rational parameters are exact strings ("1/2", "2"); decimals and zero
+denominators are rejected (exit 2).
 Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
@@ -364,6 +365,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.n is not None and (args.all or args.check == "all"):
+        parser.error("--n does not combine with --check all (the default); the sweep runs n = 1..--nmax")
     try:
         _check_domain(args)
         payload, code = _COMMANDS[args.command](args)

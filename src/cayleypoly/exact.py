@@ -9,8 +9,8 @@ renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 Linear algebra is in integers only: `clear_denominators` writes rationals
 over one common denominator, and `eliminate` is the one fraction-free
-elimination kernel, behind `determinant` and the rank and vertex
-computations of the other modules.
+elimination kernel, behind `determinant` and the vertex oracle of
+`verify`.
 
 No floating point is used anywhere in this package.
 """
@@ -32,11 +32,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse an exact rational of the form "num" or "num/den".
 
     Decimal notation is rejected on purpose: all command-line and file
-    inputs stay exact.
+    inputs stay exact.  A zero denominator is a ValueError too.
     """
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational: {text!r} (use e.g. '1/2')")
+    if not int(text.partition("/")[2] or 1):
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(text)
 
 

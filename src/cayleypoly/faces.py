@@ -1,15 +1,17 @@
 """Closed-form vertex sets, vertex-facet incidence, and f-vectors.
 
-Facets are detected from the known vertex sets by a contact-rank test
-(an inequality is a facet iff the vertices it touches span an affine
-space of dimension n-1); the face lattice is the intersection closure of
-the facet contact sets.  No linear programming is involved.  Contacts
-are found in integers: the vertices are cleared over one common
-denominator and each coprime row of `HRep.integer_rows` is evaluated on
-the numerators; only a violation is re-evaluated as a Fraction, to report
-its exact amount.  Contact sets are bitmasks over the vertex indices, and
-affine dimensions are ranks from `exact.eliminate` on integer vertex
-differences.
+The face lattice comes from vertex-facet incidences alone, with no linear
+algebra (Kaibel & Pfetsch, CGTA 23 (2002)).  For a full-dimensional
+polytope P with a complete H-rep, two facts suffice: the facets of P are
+the inclusion-maximal nonempty proper contact sets of its rows, and the
+facets of a d-face G are the inclusion-maximal meets G & F with the
+facets F of P, other than G and the empty set (Ziegler, Lectures on
+Polytopes, 2.2).  So each level of faces comes from the one above, and
+the level is the dimension.  Contacts are found in integers: the vertices
+are cleared over one common denominator and each coprime row of
+`HRep.integer_rows` is evaluated on the numerators; only a violation is
+re-evaluated as a Fraction, to report its exact amount.  Contact sets are
+bitmasks over the vertex indices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import clear_denominators, eliminate
+from .exact import clear_denominators
 from .geometry import HRep, ParameterDomainError, Point, build_hrep
 
 FVECTOR_MAX_N = 8
@@ -115,9 +117,8 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
-def _contact_masks(points, hrep: HRep) -> tuple[list[int], list[list[int]]]:
-    """Per inequality, the bitmask of the points where it is tight; also
-    the points' numerators over their common denominator.
+def _contact_masks(points, hrep: HRep) -> list[int]:
+    """Per inequality, the bitmask of the points where it is tight.
 
     In integers: with the points cleared over one common denominator s to
     (n_1, ..., n_d) / s, each coprime row of hrep.integer_rows is
@@ -143,7 +144,7 @@ def _contact_masks(points, hrep: HRep) -> tuple[list[int], list[list[int]]]:
             if not value:
                 mask |= 1 << idx
         masks.append(mask)
-    return masks, int_points
+    return masks
 
 
 def _members(mask: int) -> list[int]:
@@ -156,48 +157,42 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+def _maximal(masks: set[int]) -> list[int]:
+    """The inclusion-maximal masks, largest first."""
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & k != mask for k in kept):
+            kept.append(mask)
+    return kept
+
+
 def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     """Vertex-index face lattice from the known vertex set and H-rep.
 
-    Every point must satisfy every inequality; facets are the contact
-    sets of affine dimension n-1, faces their intersection closure,
-    graded by affine dimension.  The f-vector lists (f_0, ..., f_{n-1}).
+    The points must be the vertices of a full-dimensional polytope, every
+    point must satisfy every inequality, and every facet must have a row
+    (redundant rows are allowed).  Faces are graded top-down from the
+    facets, as in the module docstring.  The f-vector lists
+    (f_0, ..., f_{n-1}).
     """
     n = hrep.dimension
-    points = vertices.points
-    contact_masks, int_points = _contact_masks(points, hrep)
-
-    def dim_of(mask: int) -> int:
-        """Affine dimension: the rank of the differences to one member."""
-        base, *rest = (int_points[i] for i in _members(mask))
-        return len(eliminate([[a - b for a, b in zip(p, base)] for p in rest])[0])
-
-    facet_masks = sorted(
-        {m for m in contact_masks if m and dim_of(m) == n - 1}
-    )
-    faces: dict[int, int] = {}
-    frontier = list(facet_masks)
-    for mask in frontier:
-        faces[mask] = dim_of(mask)
-    while frontier:
-        new: list[int] = []
-        for mask in frontier:
-            for facet in facet_masks:
-                meet = mask & facet
-                if meet and meet not in faces:
-                    faces[meet] = dim_of(meet)
-                    new.append(meet)
-        frontier = new
-    f_vector = [0] * n
-    faces_by_dim: dict[int, list[frozenset[int]]] = {d: [] for d in range(n)}
-    for mask, dim in faces.items():
-        f_vector[dim] += 1
-        faces_by_dim[dim].append(frozenset(_members(mask)))
+    full = (1 << len(vertices.points)) - 1
+    contacts = {m for m in _contact_masks(vertices.points, hrep) if m and m != full}
+    facet_masks = sorted(_maximal(contacts))
+    levels = {n - 1: facet_masks}
+    for d in range(n - 1, 0, -1):
+        below: set[int] = set()
+        for face in levels[d]:
+            below.update(_maximal({face & f for f in facet_masks} - {face, 0}))
+        levels[d - 1] = below
+    faces_by_dim = {
+        d: tuple(sorted((frozenset(_members(m)) for m in levels[d]), key=sorted)) for d in range(n)
+    }
     return FaceLattice(
         dimension=n,
         facets=tuple(frozenset(_members(m)) for m in facet_masks),
-        faces_by_dim={d: tuple(sorted(v, key=sorted)) for d, v in faces_by_dim.items()},
-        f_vector=tuple(f_vector),
+        faces_by_dim=faces_by_dim,
+        f_vector=tuple(len(faces_by_dim[d]) for d in range(n)),
     )
 
 
@@ -285,7 +280,7 @@ def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
     tight at a yet positive on the combination.  Equivalently, the
     contact sets through a meet in a alone.
     """
-    masks, _ = _contact_masks(vertices.points, hrep)
+    masks = _contact_masks(vertices.points, hrep)
     count = len(vertices.points)
     for a in range(count):
         meet = (1 << count) - 1

@@ -480,27 +480,20 @@ def count_labeled_forests(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _plane_trees(size: int) -> tuple[tuple, ...]:
-    if size == 1:
-        return ((),)
-    out = []
-    for first in range(1, size):
-        for head in _plane_trees(first):
-            for rest in _plane_subtree_lists(size - 1 - first):
-                out.append((head,) + rest)
-    return tuple(out)
+    """The plane trees on `size` nodes.  A plane tree is the tuple of its
+    root's subtrees, so these are the plane forests on size - 1 nodes."""
+    return tuple(_plane_forests(size - 1))
 
 
-@lru_cache(maxsize=None)
-def _plane_subtree_lists(total: int) -> tuple[tuple, ...]:
-    """Ordered lists of plane trees with sizes summing to `total`."""
+def _plane_forests(total: int) -> Iterator[tuple]:
+    """Ordered lists of plane trees with sizes summing to `total`, lazily,
+    the first tree's size varying slowest."""
     if total == 0:
-        return ((),)
-    out = []
+        yield ()
     for first in range(1, total + 1):
         for head in _plane_trees(first):
-            for rest in _plane_subtree_lists(total - first):
-                out.append((head,) + rest)
-    return tuple(out)
+            for rest in _plane_trees(total - first + 1):
+                yield (head,) + rest
 
 
 def _check_plane_nodes(n: int) -> None:
@@ -511,10 +504,8 @@ def _check_plane_nodes(n: int) -> None:
 def enumerate_plane_forests(n: int) -> Iterator[PlaneForest]:
     """Every plane forest on n nodes exactly once; there are catalan(n)."""
     _check_plane_nodes(n)
-    for first in range(1, n + 1):
-        for head in _plane_trees(first):
-            for rest in _plane_subtree_lists(n - first):
-                yield PlaneForest((head,) + rest)
+    for forest in _plane_forests(n):
+        yield PlaneForest(forest)
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneForest]:

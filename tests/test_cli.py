@@ -112,9 +112,16 @@ def test_domain_violation_exit_code(capsys):
 
 
 def test_decimal_rational_rejected(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["hrep", "--family", "tutte", "--n", "2", "--q", "0.5", "--t", "1"])
-    assert info.value.code == 2
+    for argv in (
+        ["hrep", "--family", "tutte", "--n", "2", "--q", "0.5", "--t", "1"],
+        ["hrep", "--family", "tutte", "--n", "2", "--q", "1/0"],
+        ["hrep", "--family", "tutte", "--n", "2", "--t", "3/0"],
+        ["fvector", "--n", "3", "--q", "0/0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_volume_has_no_format_flag():
@@ -160,6 +167,22 @@ def test_verify_cli_all_flag(capsys):
     assert {"triangulation", "subdivision", "refinement", "specializations", "fiber"} <= kinds
 
 
+@pytest.mark.parametrize("argv", [["--all"], ["--check", "all"], []])
+def test_verify_all_rejects_n(monkeypatch, capsys, argv):
+    # The sweep runs n = 1..--nmax; an --n beside it (even one above the
+    # size cap) is a usage error, not silently ignored.
+    def ran(*args, **kwargs):
+        raise AssertionError("run_all ran")
+
+    monkeypatch.setattr(cli, "run_all", ran)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *argv, "--n", "9", "--nmax", "1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n does not combine with --check all" in captured.err
+
+
 @pytest.mark.parametrize(
     "check", ["triangulation", "subdivision", "refinement", "specializations", "pieces", "fiber"]
 )
@@ -175,7 +198,9 @@ def test_verify_n_zero_is_an_explicit_value(capsys, check):
 @pytest.mark.parametrize("check", ["triangulation", "subdivision", "all"])
 def test_verify_sampling_needs_a_sample(capsys, check, samples):
     # No sample would leave the partition certificate with nothing checked.
-    code = main(["verify", "--check", check, "--n", "2", "--nmax", "1", "--samples", samples])
+    # The "all" sweep takes --nmax only (an --n beside it is a usage error).
+    n_flag = [] if check == "all" else ["--n", "2"]
+    code = main(["verify", "--check", check, *n_flag, "--nmax", "1", "--samples", samples])
     assert code == 3
     assert capsys.readouterr().out == ""
 

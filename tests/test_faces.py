@@ -16,8 +16,9 @@ from cayleypoly import (
     two_face_count_formula,
     vertices_are_extreme,
 )
-from cayleypoly.faces import InconsistentGeometryError, VertexSet, _contact_masks
-from cayleypoly.geometry import ParameterDomainError
+from cayleypoly.exact import clear_denominators, eliminate
+from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks, _members
+from cayleypoly.geometry import AffineForm, HRep, ParameterDomainError
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -159,6 +160,83 @@ def test_chain_polytope_is_a_combinatorial_cube():
         assert (f == F_VECTORS[n]) == (n <= 2)
 
 
+def _rank_face_lattice(vertices, hrep):
+    """The rank-graded lattice: facets are the contact sets of affine
+    dimension n-1, faces their intersection closure, each face ranked by
+    `eliminate` on its integer vertex differences."""
+    n = hrep.dimension
+    points = vertices.points
+    contact_masks = _contact_masks(points, hrep)
+    coordinates, _ = clear_denominators([x for p in points for x in p])
+    int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
+
+    def dim_of(mask: int) -> int:
+        """Affine dimension: the rank of the differences to one member."""
+        base, *rest = (int_points[i] for i in _members(mask))
+        return len(eliminate([[a - b for a, b in zip(p, base)] for p in rest])[0])
+
+    facet_masks = sorted(
+        {m for m in contact_masks if m and dim_of(m) == n - 1}
+    )
+    faces: dict[int, int] = {}
+    frontier = list(facet_masks)
+    for mask in frontier:
+        faces[mask] = dim_of(mask)
+    while frontier:
+        new: list[int] = []
+        for mask in frontier:
+            for facet in facet_masks:
+                meet = mask & facet
+                if meet and meet not in faces:
+                    faces[meet] = dim_of(meet)
+                    new.append(meet)
+        frontier = new
+    f_vector = [0] * n
+    faces_by_dim: dict[int, list[frozenset[int]]] = {d: [] for d in range(n)}
+    for mask, dim in faces.items():
+        f_vector[dim] += 1
+        faces_by_dim[dim].append(frozenset(_members(mask)))
+    return FaceLattice(
+        dimension=n,
+        facets=tuple(frozenset(_members(m)) for m in facet_masks),
+        faces_by_dim={d: tuple(sorted(v, key=sorted)) for d, v in faces_by_dim.items()},
+        f_vector=tuple(f_vector),
+    )
+
+
+@pytest.mark.parametrize(
+    "q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)), (THIRD, Fraction(2))]
+)
+def test_face_lattice_matches_rank_reference(q, t):
+    for n in range(1, 8):
+        vs = tutte_vertices(n, q, t)
+        hrep = build_hrep("tutte", n, q, t)
+        assert face_lattice(vs, hrep) == _rank_face_lattice(vs, hrep)
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(53, 17)])
+def test_cube_face_lattice_matches_rank_reference(t):
+    for n in range(1, 6):
+        vs = cayley_vertices(n, t)
+        hrep = build_hrep("tcayley", n, t=t)
+        assert face_lattice(vs, hrep) == _rank_face_lattice(vs, hrep)
+
+
+def test_face_lattice_ignores_redundant_rows():
+    # Every tutte row is facet-defining; the sum of two rows is valid but
+    # touches only their common face, and the zero form touches every
+    # vertex.  Neither may be taken for a facet.
+    q, t = Fraction(37, 101), Fraction(53, 17)
+    for n in range(2, 6):
+        vs = tutte_vertices(n, q, t)
+        hrep = build_hrep("tutte", n, q, t)
+        rows = hrep.inequalities
+        padded = HRep(n, (*rows, rows[0] + rows[-1], rows[1] + rows[2], AffineForm.constant_form(n, 0)))
+        lattice = face_lattice(vs, hrep)
+        assert len(lattice.facets) == len(rows)
+        assert face_lattice(vs, padded) == lattice == _rank_face_lattice(vs, padded)
+
+
 @pytest.mark.parametrize(
     "point", [(Fraction(50), Fraction(50)), (Fraction(101, 3), Fraction(7, 5)), (Fraction(1), Fraction(-2, 9))]
 )
@@ -187,11 +265,11 @@ def test_integer_contacts_match_fraction_evaluation(q, t):
     for n in range(1, 6):
         hrep = build_hrep("tutte", n, q, t)
         points = tutte_vertices(n, q, t).points
-        masks, _ = _contact_masks(points, hrep)
+        masks = _contact_masks(points, hrep)
         assert masks == _fraction_contact_masks(points, hrep)
         # The interior: midpoints of vertex pairs touch fewer hyperplanes.
         mids = tuple({tuple((a + b) / 2 for a, b in zip(points[i], points[-1 - i])) for i in range(len(points))})
-        masks, _ = _contact_masks(mids, hrep)
+        masks = _contact_masks(mids, hrep)
         assert masks == _fraction_contact_masks(mids, hrep)
 
 

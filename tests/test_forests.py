@@ -23,6 +23,7 @@ from cayleypoly import (
     nfs,
     shape,
 )
+from cayleypoly import forests
 from cayleypoly.graphs import component_partition
 
 
@@ -314,6 +315,20 @@ def test_plane_forest_counts():
     assert sum(1 for _ in enumerate_plane_trees(4)) == catalan(3)
     for n in range(1, 8):
         assert sum(1 for _ in enumerate_plane_forests(n)) == catalan(n)
+
+
+def test_plane_trees_are_forests_one_node_down():
+    # A plane tree is the tuple of its root's subtrees, in enumeration order.
+    for size in range(2, 10):
+        assert forests._plane_trees(size) == tuple(pf.trees for pf in enumerate_plane_forests(size - 1))
+
+
+def test_plane_forest_enumeration_is_lazy():
+    # The forests on n nodes are read off the trees on at most n nodes;
+    # the catalan(n) trees on n + 1 nodes are never built.
+    forests._plane_trees.cache_clear()
+    assert sum(1 for _ in enumerate_plane_forests(9)) == catalan(9)
+    assert forests._plane_trees.cache_info().currsize == 9
 
 
 def test_plane_forest_round_trip():
