@@ -99,6 +99,10 @@ def _add_common(parser, family=False, q_t=True, fmt=True):
     parser.add_argument("--output", default=None)
 
 
+# Kept so that existing command lines still parse; the sweep takes milliseconds.
+_SWEEP_JOBS_HELP = "accepted for symmetry with verify; the subgraph sweep runs in one process"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="n!-scaled volume, three ways")
     _add_common(p, family=True, fmt=False)
     p.add_argument("--symbolic", action="store_true", help="skip the determinant pass")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
     p = sub.add_parser("zpoly", help="spanning-subgraph sum of the complete graph")
     p.add_argument("--n", type=int, required=True, help="number of nodes of K_n")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
     p = sub.add_parser("fvector", help="f-vector of the two-parameter polytope")
     _add_common(p, fmt=False)
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("recursion", "bruteforce", "both"), default="both")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
     p = sub.add_parser("cayley1857", help="integer-point and partition counts")
     p.add_argument("--n", type=int, required=True)
@@ -227,7 +231,6 @@ def _cmd_volume(args) -> tuple[dict | str, int]:
         args.q,
         args.t,
         with_determinant=not args.symbolic,
-        jobs=args.jobs,
     )
     payload = {
         "family": args.family,
@@ -245,7 +248,7 @@ def _cmd_volume(args) -> tuple[dict | str, int]:
 
 
 def _cmd_zpoly(args) -> tuple[dict | str, int]:
-    poly = z_bruteforce(args.n, jobs=args.jobs)
+    poly = z_bruteforce(args.n)
     if args.format == "text":
         return repr(poly) + "\n", 0
     return {"nodes": args.n, "polynomial": poly.to_json_obj()}, 0
@@ -291,7 +294,7 @@ def _cmd_recursion(args) -> tuple[dict | str, int]:
     if args.mode in ("recursion", "both"):
         payload["recursion"] = connected_gf(args.n, "recursion").to_json_obj()
     if args.mode in ("bruteforce", "both"):
-        payload["bruteforce"] = connected_gf(args.n, "bruteforce", jobs=args.jobs).to_json_obj()
+        payload["bruteforce"] = connected_gf(args.n, "bruteforce").to_json_obj()
     if args.mode == "both":
         payload["agree"] = payload["recursion"] == payload["bruteforce"]
     return payload, 0 if payload.get("agree", True) else EXIT_VERIFICATION_FAILURE

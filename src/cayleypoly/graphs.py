@@ -20,6 +20,10 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+# pair_order(n) for every node count a LabeledGraph can have, built once.
+_PAIRS = tuple(tuple(pair_order(n)) for n in range(MAX_NODES + 1))
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Bit position of the pair {i, j} in the canonical order."""
     if i > j:
@@ -68,7 +72,7 @@ class LabeledGraph:
         return f"{self.node_count}:{body}"
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [pair for k, pair in enumerate(pair_order(self.node_count)) if self.edges >> k & 1]
+        return [pair for k, pair in enumerate(_PAIRS[self.node_count]) if self.edges >> k & 1]
 
     def edge_count(self) -> int:
         return bin(self.edges).count("1")

@@ -60,7 +60,7 @@ from .geometry import (
     piece_for_plane_forest_via_cones,
     simplex_for_forest,
 )
-from .graphs import LabeledGraph, component_count, map_mask_shards
+from .graphs import LabeledGraph, map_mask_shards
 from .volumes import (
     closed_form_piece_total,
     closed_form_piece_volume,
@@ -537,7 +537,7 @@ def _fiber_shard(node_count: int, shard: tuple[int, int]) -> dict[tuple, list[tu
         g = LabeledGraph(node_count, mask)
         f = nfs(g)
         key = tuple(f.parent.get(v, 0) for v in range(1, node_count + 1))
-        out.setdefault(key, []).append((mask, component_count(g), g.edge_count()))
+        out.setdefault(key, []).append((mask, f.component_count(), g.edge_count()))
     return out
 
 

@@ -7,12 +7,15 @@ The spanning-subgraph sum
 
     Z_{K_n}(q, t) = sum over subgraphs H of K_n of q^(k(H)-1) t^(e(H))
 
-is computed by an exhaustive sweep of all 2^C(n,2) subgraphs.  The sweep
-enumerates the subgraph of K_{n-1} induced on {1..n-1} (connectivity via
-union-find, bucketed by the partition pattern of the node set) and then
-attaches every subset of edges at node n, so each subgraph of K_n is
-counted exactly once; shards of the outer enumeration can run in
-parallel.  No recursion formula enters this oracle.
+is computed by a node-by-node transfer over all 2^C(n,2) subgraphs.  A
+subgraph of K_n is the sequence of its stars: node m joins some subset of
+the nodes 0..m-1.  The sweep keeps a table from the partition pattern of
+the nodes seen so far (components numbered by first node) to subgraph
+counts by edge number, attaches the next node with every star subset
+(merging the components it touches), and reduces the last node to
+(components, edges).  Each subgraph is counted exactly once, from
+B_m 2^m (pattern, star) pairs at node m (B_m the Bell number) in place of
+one union-find per subgraph.  No recursion formula enters this oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Mapping, Optional
 from .exact import BivariatePolynomial, determinant
 from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
 from .geometry import ParameterDomainError, Simplex, family_parameters, get_family, simplex_for_forest
-from .graphs import map_mask_shards, partition_pattern
+from .graphs import partition_pattern
 
 Z_MAX_NODES = 7
 
@@ -106,47 +109,52 @@ def closed_form_piece_volume(pf: PlaneForest) -> BivariatePolynomial:
 # ----------------------------------------------------------------------
 
 
-def subgraph_tally(n: int, shard: Optional[tuple[int, int]] = None) -> dict[tuple[int, int], int]:
-    """Counts of spanning subgraphs of K_n by (components, edges).
+def _stars(pattern: tuple[int, ...]) -> Counter:
+    """Number of stars by (bitmask of the components touched, star size),
+    over every subset of the nodes 0..m-1 that node m can join
+    (m = len(pattern))."""
+    touched, sizes = [0], [0]
+    for label in pattern:
+        touched += [mask | 1 << label for mask in touched]
+        sizes += [size + 1 for size in sizes]
+    return Counter(zip(touched, sizes))
 
-    `shard`, when given, restricts the outer sweep over the edge masks of
-    K_{n-1} to the half-open range [lo, hi); summing the tallies of a
-    partition of the full range reproduces the total (used by --jobs).
-    """
+
+def subgraph_tally(n: int) -> dict[tuple[int, int], int]:
+    """Counts of spanning subgraphs of K_n by (components, edges)."""
     if not 1 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 1..{Z_MAX_NODES}")
-    if n == 1:
-        return {(1, 0): 1} if shard is None or shard[0] == 0 else {}
-    m = n - 1
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    lo, hi = shard if shard is not None else (0, 1 << len(pairs))
-    # Bucket the K_{n-1} masks by partition pattern and edge count.
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for mask in range(lo, hi):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        pattern = partition_pattern(m, edges)
-        counts = buckets.setdefault(pattern, [0] * (len(pairs) + 1))
-        counts[len(edges)] += 1
-    # Attach every subset of edges from node n to {1..n-1}.
+    # {partition pattern of the nodes 0..m-1: subgraph counts by edge number}
+    table: dict[tuple[int, ...], list[int]] = {(): [1]}
+    for m in range(n - 1):
+        grown: dict[tuple[int, ...], list[int]] = {}
+        for pattern, by_edges in table.items():
+            for (touched, size), ways in _stars(pattern).items():
+                # Node m (label -1) joins the touched components; relabel by first node.
+                relabel: dict[int, int] = {}
+                joined = (-1 if touched >> x & 1 else x for x in pattern)
+                merged = tuple(relabel.setdefault(x, len(relabel)) for x in (*joined, -1))
+                counts = grown.setdefault(merged, [0] * (math.comb(m + 1, 2) + 1))
+                for e, count in enumerate(by_edges):
+                    counts[e + size] += count * ways
+        table = grown
+    # Attach node n-1, keeping only the component count.
     tally: dict[tuple[int, int], int] = {}
-    for pattern, by_edges in buckets.items():
+    for pattern, by_edges in table.items():
         k_base = len(set(pattern))
-        for star in range(1 << m):
-            star_size = bin(star).count("1")
-            touched = len({pattern[v] for v in range(m) if star >> v & 1})
-            k = k_base - touched + 1
-            for e_base, count in enumerate(by_edges):
+        for (touched, size), ways in _stars(pattern).items():
+            for e, count in enumerate(by_edges):
                 if count:
-                    key = (k, e_base + star_size)
-                    tally[key] = tally.get(key, 0) + count
+                    key = (k_base - touched.bit_count() + 1, e + size)
+                    tally[key] = tally.get(key, 0) + count * ways
     return tally
 
 
-def z_bruteforce(n: int, jobs: int = 1) -> BivariatePolynomial:
-    """Z_{K_n}(q, t) by exhaustive subgraph enumeration (2 <= n <= 7)."""
+def z_bruteforce(n: int) -> BivariatePolynomial:
+    """Z_{K_n}(q, t) from the node-by-node subgraph sweep (2 <= n <= 7)."""
     if not 2 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 2..{Z_MAX_NODES}")
-    tally = _tally_with_jobs(n, jobs)
+    tally = subgraph_tally(n)
     return BivariatePolynomial({(k - 1, e): c for (k, e), c in tally.items()})
 
 
@@ -163,17 +171,7 @@ def z_bruteforce_naive(n: int) -> BivariatePolynomial:
     )
 
 
-def _tally_with_jobs(n: int, jobs: int) -> dict[tuple[int, int], int]:
-    """subgraph_tally(n) summed over shards of the outer mask range."""
-    # Below four nodes the sweep is too small to be worth a process pool.
-    out: dict[tuple[int, int], int] = {}
-    for part in map_mask_shards(subgraph_tally, (n,), 1 << math.comb(n - 1, 2), jobs if n > 3 else 1):
-        for key, count in part.items():
-            out[key] = out.get(key, 0) + count
-    return out
-
-
-def connected_gf(n: int, mode: str = "bruteforce", jobs: int = 1) -> BivariatePolynomial:
+def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     """Edge generating function of connected labeled graphs on n nodes.
 
     bruteforce: restrict the subgraph sweep to one component (n <= 7).
@@ -185,7 +183,7 @@ def connected_gf(n: int, mode: str = "bruteforce", jobs: int = 1) -> BivariatePo
     if mode == "bruteforce":
         if not 1 <= n <= Z_MAX_NODES:
             raise ValueError(f"bruteforce mode needs 1 <= n <= {Z_MAX_NODES}")
-        tally = _tally_with_jobs(n, jobs)
+        tally = subgraph_tally(n)
         return BivariatePolynomial({(0, e): c for (k, e), c in tally.items() if k == 1})
     if mode == "recursion":
         if not 1 <= n <= 30:
@@ -277,7 +275,7 @@ def lattice_and_partition_counts(n: int) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 
 
-def family_total_polynomial(family: str, n: int, jobs: int = 1) -> BivariatePolynomial:
+def family_total_polynomial(family: str, n: int) -> BivariatePolynomial:
     """n! vol of the family polytope as a polynomial, from the graph sweep.
 
     Z_{K_{n+1}}(q, t), cut to its q^0 (connected-graph) part for a
@@ -286,7 +284,7 @@ def family_total_polynomial(family: str, n: int, jobs: int = 1) -> BivariatePoly
     cayley.
     """
     fam = get_family(family)
-    z = z_bruteforce(n + 1, jobs=jobs)
+    z = z_bruteforce(n + 1)
     if fam.connected:
         z = z.restrict_q_power(0)
     return z.substitute(q=fam.q, t=fam.t)
@@ -319,7 +317,6 @@ def volume_report(
     q=None,
     t=None,
     with_determinant: bool = True,
-    jobs: int = 1,
 ) -> VolumeReport:
     """Compute the family volume by simplices, pieces, and the graph sweep.
 
@@ -343,7 +340,7 @@ def volume_report(
         q=q_eff if with_determinant else None,
         t=t_eff if with_determinant else None,
         by_closed_form=closed_form_simplex_total(fam.labeled_cells(n)).substitute(q=fam.q, t=fam.t),
-        by_graph_sum=family_total_polynomial(family, n, jobs=jobs),
+        by_graph_sum=family_total_polynomial(family, n),
         by_pieces=closed_form_piece_total(fam.plane_cells(n)).substitute(q=fam.q, t=fam.t),
         by_determinant=det_total,
     )

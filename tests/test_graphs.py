@@ -157,7 +157,7 @@ def test_shard_workers_are_capped(monkeypatch):
     import multiprocessing
     import os
 
-    from cayleypoly import verify_fiber, z_bruteforce
+    from cayleypoly import verify_fiber
 
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
@@ -175,6 +175,21 @@ def test_shard_workers_are_capped(monkeypatch):
     assert map_mask_shards(_slice, (), 1, huge) == [(0, 1)]
     assert _RecordingPool.created == []
 
-    assert z_bruteforce(5, jobs=huge) == z_bruteforce(5)
     assert verify_fiber(4, jobs=huge).checks == verify_fiber(4).checks
     assert all(w <= cpus for w in _RecordingPool.created)
+
+
+def test_subgraph_sweep_commands_start_no_pool(monkeypatch, capsys):
+    import multiprocessing
+
+    from cayleypoly.cli import main
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    for argv in (["zpoly", "--n", "7"], ["recursion", "--n", "7", "--mode", "both"]):
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    assert _RecordingPool.created == []

@@ -315,9 +315,8 @@ def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
 
 
 def test_parallel_jobs_match_serial():
-    from cayleypoly import verify_fiber, z_bruteforce
+    from cayleypoly import verify_fiber
 
-    assert z_bruteforce(5, jobs=2) == z_bruteforce(5)
     parallel = verify_fiber(4, jobs=2)
     serial = verify_fiber(4)
     assert parallel.passed and serial.passed

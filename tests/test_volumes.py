@@ -33,7 +33,8 @@ from cayleypoly import (
     volume_report,
     z_bruteforce,
 )
-from cayleypoly.volumes import z_bruteforce_naive
+from cayleypoly.graphs import partition_pattern
+from cayleypoly.volumes import subgraph_tally, z_bruteforce_naive
 
 P = BivariatePolynomial
 HALF = Fraction(1, 2)
@@ -117,6 +118,55 @@ def test_z_small_values():
 def test_z_against_naive_sweep():
     for n in range(2, 6):
         assert z_bruteforce(n) == z_bruteforce_naive(n)
+
+
+def _mask_sweep_tally(n: int) -> dict[tuple[int, int], int]:
+    """subgraph_tally by the earlier mask sweep (without its shard range),
+    kept as the reference: one union-find per edge mask of K_{n-1},
+    bucketed by partition pattern, then every star of node n attached."""
+    if n == 1:
+        return {(1, 0): 1}
+    m = n - 1
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    # Bucket the K_{n-1} masks by partition pattern and edge count.
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        pattern = partition_pattern(m, edges)
+        counts = buckets.setdefault(pattern, [0] * (len(pairs) + 1))
+        counts[len(edges)] += 1
+    # Attach every subset of edges from node n to {1..n-1}.
+    tally: dict[tuple[int, int], int] = {}
+    for pattern, by_edges in buckets.items():
+        k_base = len(set(pattern))
+        for star in range(1 << m):
+            star_size = bin(star).count("1")
+            touched = len({pattern[v] for v in range(m) if star >> v & 1})
+            k = k_base - touched + 1
+            for e_base, count in enumerate(by_edges):
+                if count:
+                    key = (k, e_base + star_size)
+                    tally[key] = tally.get(key, 0) + count
+    return tally
+
+
+def test_subgraph_tally_matches_mask_sweep():
+    for n in range(1, 8):
+        assert subgraph_tally(n) == _mask_sweep_tally(n)
+
+
+def test_z_matches_exponential_formula():
+    # Z_n = sum_k C(n-1, k-1) F_k(t) q^[n>k] Z_{n-k}: node 1 lies in a
+    # connected component of k nodes (Stanley, EC2 5.1).
+    z = [P.constant(1)]
+    for n in range(1, 8):
+        z_n = P.zero()
+        for k in range(1, n + 1):
+            component = connected_gf(k, "recursion") * P.monomial(int(n > k), 0)
+            z_n += component * z[n - k] * math.comb(n - 1, k - 1)
+        z.append(z_n)
+    for n in range(2, 8):
+        assert z_bruteforce(n) == z[n]
 
 
 def test_z_domain():
