@@ -103,48 +103,33 @@ def _add_common(parser, family=False, q_t=True, fmt=True):
 _SWEEP_JOBS_HELP = "accepted for symmetry with verify; the subgraph sweep runs in one process"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hrep", help="H-representation of a family polytope")
-    _add_common(p, family=True)
-
-    p = sub.add_parser("simplices", help="triangulation simplices (V-reps)")
-    _add_common(p, family=True)
-
-    p = sub.add_parser("pieces", help="subdivision pieces (H-reps)")
-    _add_common(p, family=True)
-
-    p = sub.add_parser("volume", help="n!-scaled volume, three ways")
+def _add_volume(p):
     _add_common(p, family=True, fmt=False)
     p.add_argument("--symbolic", action="store_true", help="skip the determinant pass")
     p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
-    p = sub.add_parser("zpoly", help="spanning-subgraph sum of the complete graph")
+
+def _add_zpoly(p):
     p.add_argument("--n", type=int, required=True, help="number of nodes of K_n")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None)
     p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
-    p = sub.add_parser("fvector", help="f-vector of the two-parameter polytope")
-    _add_common(p, fmt=False)
 
-    p = sub.add_parser("vertices", help="closed-form vertex set of a family polytope")
-    _add_common(p, family=True)
-
-    p = sub.add_parser("recursion", help="connected-graph edge generating function")
+def _add_recursion(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("recursion", "bruteforce", "both"), default="both")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None)
     p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
 
-    p = sub.add_parser("cayley1857", help="integer-point and partition counts")
+
+def _add_cayley1857(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("verify", help="run verification jobs; exit 0 iff all pass")
+
+def _add_verify(p):
     p.add_argument(
         "--check",
         choices=(
@@ -169,6 +154,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default=None)
 
+
+def _add_family_polytope(p):
+    _add_common(p, family=True)
+
+
+def _add_fvector(p):
+    _add_common(p, fmt=False)
+
+
+# Each command's help line and the function that adds its arguments, in
+# the order the help lists them.
+_SUBPARSERS = {
+    "hrep": ("H-representation of a family polytope", _add_family_polytope),
+    "simplices": ("triangulation simplices (V-reps)", _add_family_polytope),
+    "pieces": ("subdivision pieces (H-reps)", _add_family_polytope),
+    "volume": ("n!-scaled volume, three ways", _add_volume),
+    "zpoly": ("spanning-subgraph sum of the complete graph", _add_zpoly),
+    "fvector": ("f-vector of the two-parameter polytope", _add_fvector),
+    "vertices": ("closed-form vertex set of a family polytope", _add_family_polytope),
+    "recursion": ("connected-graph edge generating function", _add_recursion),
+    "cayley1857": ("integer-point and partition counts", _add_cayley1857),
+    "verify": ("run verification jobs; exit 0 iff all pass", _add_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand, or with only the
+    named one.  A parser for one command writes the same usage lines,
+    help and errors for that command's argv: the subcommand list in its
+    usage is pinned to the full list."""
+    parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_SUBPARSERS)
+    else:
+        every = "{" + ",".join(_SUBPARSERS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+        names = [command]
+    for name in names:
+        help_line, add_arguments = _SUBPARSERS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -366,7 +392,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked command's parser is built; any other argv (help,
+    # no command, an unknown one, "--") gets the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBPARSERS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.n is not None and (args.all or args.check == "all"):
         parser.error("--n does not combine with --check all (the default); the sweep runs n = 1..--nmax")

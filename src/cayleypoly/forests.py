@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import LabeledGraph, pair_order
+from .graphs import LabeledGraph, pair_index, pair_order
 
 MAX_FOREST_NODES = 8
 MAX_PLANE_NODES = 12
@@ -262,15 +262,21 @@ def cane_edges(f: LabeledForest) -> set[tuple[int, int]]:
     return out
 
 
+def fiber_masks(f: LabeledForest) -> list[int]:
+    """The edge masks of all graphs whose NFS forest is f: the forest's
+    mask OR'ed with every subset sum of its cane-edge bits.  Subset k
+    holds the sorted cane edges whose bits are set in k."""
+    n = f.node_count
+    masks = [LabeledGraph.from_edges(n, f.edge_list()).edges]
+    for i, j in sorted(cane_edges(f)):
+        bit = 1 << pair_index(i, j, n)
+        masks += [mask | bit for mask in masks]
+    return masks
+
+
 def fiber_of(f: LabeledForest) -> list[LabeledGraph]:
     """All graphs whose NFS forest is f: the forest plus any cane edges."""
-    base = f.edge_list()
-    optional = sorted(cane_edges(f))
-    graphs = []
-    for mask in range(1 << len(optional)):
-        extra = [e for k, e in enumerate(optional) if mask >> k & 1]
-        graphs.append(LabeledGraph.from_edges(f.node_count, base + extra))
-    return graphs
+    return [LabeledGraph(f.node_count, mask) for mask in fiber_masks(f)]
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,11 @@ piece_for_plane_forest) reads one shared exact value table per
 turned into Fractions: 1 - q and the powers (1+t)^k, which every simplex
 vertex refers to rather than copies, and each distinct node coordinate
 form and chain row, built once and shared by every H-rep that has it (so
-is its cleared integer row).
+is its cleared integer row).  The table also holds 1 - q and the powers
+cleared to integer numerators over one common scale s; one column
+builder writes a simplex from either value set, and a VertexTable interns
+the integer vertices of many simplices, each distinct vertex once, so a
+simplex is a tuple of indices into it.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -389,11 +393,15 @@ def _form_key(rec: NodeCoordinate) -> _FormKey:
 
 class _ValueTable:
     """The exact values every cell on node_count nodes shares at (q, t):
-    1 - q, the powers (1+t)^0 .. (1+t)^(node_count+1), and the coordinate
-    form of each distinct placement and the chain row of each distinct
-    pair of placements, each built on first use."""
+    1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1), as Fractions and
+    as integer numerators over their one common denominator `scale`, and
+    the coordinate form of each distinct placement and the chain row of
+    each distinct pair of placements, each built on first use."""
 
-    __slots__ = ("n", "q", "t", "one_minus_q", "powers", "_forms", "_differences")
+    __slots__ = (
+        "n", "q", "t", "one_minus_q", "powers", "scale", "int_one_minus_q", "int_powers",
+        "_forms", "_differences",
+    )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
         self.n = node_count - 1
@@ -405,6 +413,9 @@ class _ValueTable:
         for _ in range(node_count + 1):
             powers.append(powers[-1] * w)
         self.powers = tuple(powers)
+        cleared, self.scale = clear_denominators((*powers, self.one_minus_q))
+        self.int_one_minus_q = cleared.pop()
+        self.int_powers = tuple(cleared)
         self._forms: dict[_FormKey, AffineForm] = {}
         self._differences: dict[tuple[_FormKey, _FormKey], AffineForm] = {}
 
@@ -454,6 +465,26 @@ def _coordinate_form(rec: NodeCoordinate, n: int, q, t) -> AffineForm:
     return _value_table(n + 1, q, t).form(_form_key(rec))
 
 
+def _simplex_columns(f: LabeledForest, powers: Sequence, one_minus_q) -> list[tuple]:
+    """The coordinate columns of the forest's simplex, each as three runs
+    of the given values: powers[k] stands for (1+t)^k and one_minus_q for
+    1-q, as the value table's Fractions or as its numerators over one
+    scale.  The vertices are the rows."""
+    nodes = f.node_count
+    columns: list[tuple] = [()] * (nodes - 1)
+    for label, rec in f.coordinates().items():
+        if rec.position == 0:
+            continue
+        r = rec.root_label
+        if rec.is_root:
+            column = (powers[0],) * r
+        else:
+            j = rec.cane_exponent
+            column = (powers[j + 1],) * label + (powers[j],) * (r - label)
+        columns[rec.position - 1] = column + (one_minus_q,) * (nodes - r)
+    return columns
+
+
 def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     """The simplex attached to a labeled forest on n+1 nodes, in R^n.
 
@@ -471,21 +502,50 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     is built as three runs and the vertices are its rows.
     """
     table = _value_table(f.node_count, q, t)
-    powers, one_minus_q = table.powers, table.one_minus_q
-    nodes = f.node_count
-    columns: list[tuple[Fraction, ...]] = [()] * table.n
-    for label, rec in f.coordinates().items():
-        if rec.position == 0:
-            continue
-        r = rec.root_label
-        if rec.is_root:
-            column = (powers[0],) * r
-        else:
-            j = rec.cane_exponent
-            column = (powers[j + 1],) * label + (powers[j],) * (r - label)
-        columns[rec.position - 1] = column + (one_minus_q,) * (nodes - r)
-    vertices = tuple(zip(*columns)) if columns else ((),)
-    return Simplex(table.n, vertices)
+    columns = _simplex_columns(f, table.powers, table.one_minus_q)
+    return Simplex(table.n, tuple(zip(*columns)) if columns else ((),))
+
+
+class VertexTable:
+    """The simplex vertices of labeled forests on node_count nodes at
+    (q, t), in integers.
+
+    Every coordinate is a value of the value table, so every vertex is
+    integer numerators over the table's one common denominator `scale`.
+    `numerators(f)` gives the vertices of simplex_for_forest(f, q, t) so;
+    `add(f)` also interns them into `vertices`, each distinct vertex once
+    in order of first appearance, and gives the simplex as the indices of
+    its vertices, in vertex order.
+    """
+
+    __slots__ = ("scale", "vertices", "_values", "_index")
+
+    def __init__(self, node_count: int, q, t):
+        self._values = _value_table(node_count, q, t)
+        self.scale = self._values.scale
+        self.vertices: list[tuple[int, ...]] = []
+        self._index: dict[tuple[int, ...], int] = {}
+
+    def numerators(self, f: LabeledForest) -> tuple[tuple[int, ...], ...]:
+        values = self._values
+        if f.node_count != values.n + 1:
+            raise DimensionError("forest/table node count mismatch")
+        columns = _simplex_columns(f, values.int_powers, values.int_one_minus_q)
+        return tuple(zip(*columns)) if columns else ((),)
+
+    def add(self, f: LabeledForest) -> tuple[int, ...]:
+        index, vertices = self._index, self.vertices
+        simplex = []
+        for v in self.numerators(f):
+            k = index.setdefault(v, len(vertices))
+            if k == len(vertices):
+                vertices.append(v)
+            simplex.append(k)
+        return tuple(simplex)
+
+    def point(self, k: int) -> Point:
+        """Vertex k as Fractions."""
+        return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
 
 def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:

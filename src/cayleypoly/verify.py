@@ -19,8 +19,16 @@ the rows as they are.  The partition certificate keeps each distinct row
 of all the cells once, with the bitmask of the cells having it, and
 evaluates it once per sample; two ORs of masks (negative rows, zero rows)
 then classify the sample against every cell at once.  A Fraction point is
-built only for a failure report.  Vertex containment tests each distinct
-simplex vertex once.
+built only for a failure report.
+
+Simplices are in integers too.  A geometry.VertexTable holds the distinct
+simplex vertices of a job as integer numerators over the value table's
+one scale s, and each simplex is the tuple of its vertex indices.  The
+volume sum is the sum of the integer |det| of each simplex's difference
+rows, divided once by s^n; vertex containment tests each table vertex
+once against the polytope (and, in a refinement job, each pair of a
+shape and a table vertex once against the shape's piece), with
+HRep.contains_numerators.
 
 Every job is deterministic given (kind, family, n, parameters, seed).
 """
@@ -40,7 +48,7 @@ from .forests import (
     count_labeled_forests,
     enumerate_labeled_forests,
     enumerate_plane_forests,
-    fiber_of,
+    fiber_masks,
     nfs,
     shape,
 )
@@ -50,7 +58,7 @@ from .geometry import (
     IntegerRow,
     ParameterDomainError,
     Point,
-    Simplex,
+    VertexTable,
     build_hrep,
     family_parameters,
     forest_chain_hrep,
@@ -58,7 +66,6 @@ from .geometry import (
     orthoscheme_vertices,
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
-    simplex_for_forest,
 )
 from .graphs import LabeledGraph, map_mask_shards
 from .volumes import (
@@ -68,7 +75,7 @@ from .volumes import (
     closed_form_simplex_volume,
     connected_gf,
     family_total_polynomial,
-    simplex_volume_scaled,
+    integer_volume_scaled,
     z_bruteforce,
 )
 
@@ -279,10 +286,11 @@ def _partition_certificate(
     }
 
 
-def _vertices_outside(polytope: HRep, simplices: Iterable[Simplex]) -> set[Point]:
-    """The simplex vertices not in the polytope, each distinct vertex tested once."""
-    distinct = {v for s in simplices for v in s.vertices}
-    return {v for v in distinct if not polytope.contains(v)}
+def _vertices_outside(polytope: HRep, table: VertexTable) -> set[int]:
+    """The indices of the table's vertices not in the polytope, each
+    distinct vertex tested once, in integers."""
+    scale = table.scale
+    return {k for k, v in enumerate(table.vertices) if not polytope.contains_numerators(v, scale)}
 
 
 # ----------------------------------------------------------------------
@@ -336,23 +344,26 @@ def verify_triangulation(
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
     forests = list(fam.labeled_cells(n))
-    simplices = [simplex_for_forest(f, q_eff, t_eff) for f in forests]
+    table = VertexTable(n + 1, q_eff, t_eff)
+    simplices = [table.add(f) for f in forests]
     chains = [forest_chain_hrep(f, q_eff, t_eff) for f in forests]
     checks: dict = {}
     counterexample = None
 
     checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
 
-    outside = _vertices_outside(polytope, simplices)
+    outside = _vertices_outside(polytope, table)
     bad_vertex = None
     if outside:
-        f, v = next((f, v) for f, s in zip(forests, simplices) for v in s.vertices if v in outside)
-        bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
+        f, k = next((f, k) for f, s in zip(forests, simplices) for k in s if k in outside)
+        bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in table.point(k)]}
     checks["vertex_containment"] = {"ok": bad_vertex is None}
     if bad_vertex:
         counterexample = bad_vertex
 
-    total = sum((simplex_volume_scaled(s) for s in simplices), Fraction(0))
+    vertices = table.vertices
+    scaled = sum(integer_volume_scaled([vertices[k] for k in s]) for s in simplices)
+    total = Fraction(scaled, table.scale**n)
     expected_total = family_total_polynomial(family, n).evaluate(q_eff, t_eff)
     checks["volume_sum"] = {
         "got": format_rational(total),
@@ -404,8 +415,10 @@ def verify_subdivision(
 
     # Piece facets must stay inside the polytope: check simplex vertices of
     # the refinement instead of unavailable piece V-reps.
-    simplices = (simplex_for_forest(f, q_eff, t_eff) for f in fam.labeled_cells(n))
-    checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, simplices)}
+    table = VertexTable(n + 1, q_eff, t_eff)
+    for f in fam.labeled_cells(n):
+        table.add(f)
+    checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, table)}
 
     checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, pieces, samples, seed)
 
@@ -429,16 +442,21 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     q_eff, t_eff = family_parameters(family, q, t)
     forests = list(fam.labeled_cells(n))
     plane = list(fam.plane_cells(n))
-    piece_by_shape = {pf: piece_for_plane_forest(pf, q_eff, t_eff) for pf in plane}
+    table = VertexTable(n + 1, q_eff, t_eff)
+    # Each shape's piece, with the verdicts on the table vertices tested so far.
+    piece_by_shape = {pf: (piece_for_plane_forest(pf, q_eff, t_eff), {}) for pf in plane}
     groups: dict[PlaneForest, list[LabeledForest]] = {pf: [] for pf in plane}
     containment_ok = True
     counterexample = None
     for f in forests:
         pf = shape(f)
         groups[pf].append(f)
-        piece = piece_by_shape[pf]
-        s = simplex_for_forest(f, q_eff, t_eff)
-        if not all(piece.contains(v) for v in s.vertices):
+        piece, inside = piece_by_shape[pf]
+        simplex = table.add(f)
+        for k in simplex:
+            if k not in inside:
+                inside[k] = piece.contains_numerators(table.vertices[k], table.scale)
+        if not all(inside[k] for k in simplex):
             containment_ok = False
             counterexample = {"forest": f.to_parent_text(), "shape": pf.to_text()}
             break
@@ -561,7 +579,7 @@ def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
         f = LabeledForest(node_count, {v: p for v, p in enumerate(key, start=1) if p})
         forests_seen += 1
         got_masks = {mask for mask, _, _ in members}
-        if got_masks != {g.edges for g in fiber_of(f)}:
+        if got_masks != set(fiber_masks(f)):
             counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
             break
         weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)

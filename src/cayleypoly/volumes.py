@@ -24,11 +24,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import BivariatePolynomial, determinant
+from .exact import BivariatePolynomial, clear_denominators, eliminate
 from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
-from .geometry import ParameterDomainError, Simplex, family_parameters, get_family, simplex_for_forest
+from .geometry import ParameterDomainError, Simplex, VertexTable, family_parameters, get_family
 from .graphs import partition_pattern
 
 Z_MAX_NODES = 7
@@ -49,15 +49,27 @@ def simplex_volume(s: Simplex) -> Fraction:
 
 
 def simplex_volume_scaled(s: Simplex) -> Fraction:
-    """n! times the volume, i.e. |det(v_i - v_0)|."""
-    if s.dimension == 0:
-        return Fraction(1)
-    v0 = s.vertices[0]
-    rows = [[x - y for x, y in zip(v, v0)] for v in s.vertices[1:]]
-    det = determinant(rows)
-    if det == 0:
+    """n! times the volume, i.e. |det(v_i - v_0)|: the vertices cleared
+    over one common denominator s go through `integer_volume_scaled`,
+    and the result is divided by s^n."""
+    n = s.dimension
+    entries, scale = clear_denominators([x for v in s.vertices for x in v])
+    vertices = [entries[k * n : (k + 1) * n] for k in range(n + 1)]
+    return Fraction(integer_volume_scaled(vertices), scale**n)
+
+
+def integer_volume_scaled(vertices: Sequence[Sequence[int]]) -> int:
+    """|det(v_i - v_0)| of integer vertices, by `eliminate`; raises on an
+    affinely dependent vertex set.  A simplex whose vertices are these
+    numerators over a scale s has n! vol equal to this divided by s^n."""
+    v0 = vertices[0]
+    rows = [[x - y for x, y in zip(v, v0)] for v in vertices[1:]]
+    if not rows:
+        return 1
+    pivots, _ = eliminate(rows)
+    if len(pivots) < len(rows):
         raise DegenerateSimplexError("affinely dependent vertices")
-    return abs(det)
+    return abs(rows[-1][-1])
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +334,9 @@ def volume_report(
 
     The graph sweep runs over K_{n+1}, so n is capped at Z_MAX_NODES - 1
     before any cell is enumerated.  Cells stream: the determinant pass
-    enumerates them a second time.
+    enumerates them a second time, and sums each simplex's
+    `integer_volume_scaled` on the value table's numerators over one scale
+    s, divided once by s^n.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -332,8 +346,9 @@ def volume_report(
     q_eff, t_eff = family_parameters(family, q, t)
     det_total = None
     if with_determinant:
-        simplices = (simplex_for_forest(f, q_eff, t_eff) for f in fam.labeled_cells(n))
-        det_total = sum(map(simplex_volume_scaled, simplices), Fraction(0))
+        table = VertexTable(n + 1, q_eff, t_eff)
+        total = sum(integer_volume_scaled(table.numerators(f)) for f in fam.labeled_cells(n))
+        det_total = Fraction(total, table.scale**n)
     return VolumeReport(
         family=family,
         n=n,

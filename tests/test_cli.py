@@ -378,3 +378,44 @@ def test_verify_size_caps_precede_every_job(monkeypatch, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_PARSE_PATHS = [
+    ["--help"],
+    [],
+    ["nosuch"],
+    ["verify", "--help"],
+    ["verify", "--foo", "1"],
+    ["verify", "--n", "3", "--all"],
+    ["hrep", "--family", "x", "--n", "1"],
+    ["--", "verify", "--check", "fiber", "--n", "1"],
+    ["zpoly", "--n", "3", "extra"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("argv", _PARSE_PATHS)
+def test_one_command_parser_matches_full_parser(monkeypatch, capsys, argv):
+    # main builds only the invoked command's subparser; its help, usage
+    # lines, errors and exit codes are those of the parser with every one.
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    got = _outcome(capsys, argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert got == _outcome(capsys, argv)
+
+
+def test_full_parser_lists_every_command():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(action.choices) == list(cli._COMMANDS)
+    assert len(action.choices) == 10

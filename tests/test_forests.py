@@ -136,6 +136,20 @@ def test_fiber_lemma_exhaustive_small():
             assert len(masks) == 2 ** alpha(f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fiber_masks_match_edge_list_graphs(n):
+    # Subset sums of the cane-edge bits, in the order of the subsets of the
+    # sorted cane edges, as graphs built from forest and cane edge lists.
+    for f in enumerate_labeled_forests(n):
+        optional = sorted(cane_edges(f))
+        expected = [
+            LabeledGraph.from_edges(n, f.edge_list() + [e for k, e in enumerate(optional) if m >> k & 1]).edges
+            for m in range(1 << len(optional))
+        ]
+        assert forests.fiber_masks(f) == expected
+        assert [g.edges for g in fiber_of(f)] == expected
+
+
 def test_fiber_property_sampled_seven_nodes():
     # Random 7-node forests: adding any subset of cane edges leaves the
     # search forest unchanged, adding any other edge changes it.

@@ -30,7 +30,8 @@ from cayleypoly import (
     simplex_for_forest,
     simplex_volume_scaled,
 )
-from cayleypoly.geometry import family_parameters
+from cayleypoly.geometry import DimensionError, VertexTable, family_parameters
+from cayleypoly.volumes import integer_volume_scaled
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -451,6 +452,41 @@ def test_simplex_coordinates_are_the_tables_values():
     q, t = Fraction(37, 101), Fraction(53, 17)
     simplices = [simplex_for_forest(f, q, t) for f in enumerate_labeled_forests(5)]
     assert len({id(x) for s in simplices for v in s.vertices for x in v}) <= 4 + 4
+
+
+_TABLE_CASES = [
+    (name, n, q, t)
+    for name in FAMILIES
+    for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)))
+    for n in (1, 2, 3, 4)
+] + [("tutte", 5, q, t) for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)))]
+
+
+@pytest.mark.parametrize("name,n,q,t", _TABLE_CASES)
+def test_vertex_table_matches_fraction_simplices(name, n, q, t):
+    # The integer table over one scale s is the Fraction simplices: the
+    # same vertices, the same n!-volumes, and n+1 distinct indices each.
+    q_eff, t_eff = family_parameters(name, q, t)
+    table = VertexTable(n + 1, q_eff, t_eff)
+    fraction_vertices = set()
+    for f in get_family(name).labeled_cells(n):
+        simplex = simplex_for_forest(f, q_eff, t_eff)
+        indices = table.add(f)
+        assert len(indices) == n + 1 and len(set(indices)) == n + 1
+        assert tuple(table.point(k) for k in indices) == simplex.vertices
+        rows = [table.vertices[k] for k in indices]
+        assert Fraction(integer_volume_scaled(rows), table.scale**n) == simplex_volume_scaled(simplex)
+        fraction_vertices.update(simplex.vertices)
+    points = [table.point(k) for k in range(len(table.vertices))]
+    assert len(set(points)) == len(points)
+    assert set(points) == fraction_vertices
+    assert all(type(x) is int for v in table.vertices for x in v)
+
+
+def test_vertex_table_rejects_other_node_counts():
+    table = VertexTable(4, HALF, 1)
+    with pytest.raises(DimensionError):
+        table.add(next(iter(enumerate_labeled_forests(3))))
 
 
 _BUILDERS = [

@@ -13,6 +13,7 @@ from cayleypoly import (
     ParameterDomainError,
     build_hrep,
     enumerate_hrep_vertices,
+    enumerate_labeled_forests,
     forest_chain_hrep,
     get_family,
     enumerate_plane_forests,
@@ -20,6 +21,8 @@ from cayleypoly import (
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
     run_all,
+    shape,
+    simplex_for_forest,
     verify_fiber,
     verify_piece_constructions,
     verify_refinement,
@@ -27,6 +30,7 @@ from cayleypoly import (
     verify_subdivision,
     verify_triangulation,
 )
+from cayleypoly import geometry, verify
 from cayleypoly.exact import format_rational
 from cayleypoly.geometry import family_parameters
 from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_stream
@@ -312,6 +316,80 @@ def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
     for cells in (simplices, pieces, simplices[1:], pieces + pieces[:1], [*simplices[:-1], boundary]):
         args = (family, n, q_eff, t_eff, cells, 80, 11)
         assert _partition_certificate(*args) == _reference_certificate(*args)
+
+
+def _cut_x1(hrep: HRep, bound: Fraction) -> HRep:
+    """The H-rep with the extra row bound - x_1 >= 0."""
+    return HRep(hrep.dimension, hrep.inequalities + (AffineForm.linear(hrep.dimension, 1, -1, bound),))
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("family,n", [("tutte", 3), ("cayley", 3), ("tgayley", 4)])
+def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, family, n, q, t):
+    # Cut P below its largest x_1, so some table vertices leave it: the
+    # counterexample is the first forest and vertex in enumeration order,
+    # as the Fraction simplices give it.
+    q_eff, t_eff = family_parameters(family, q, t)
+    cut = _cut_x1(build_hrep(family, n, q_eff, t_eff), (1 + t_eff) * Fraction(9, 10))
+    forests = list(get_family(family).labeled_cells(n))
+    f, v = next(
+        (f, v)
+        for f in forests
+        for v in simplex_for_forest(f, q_eff, t_eff).vertices
+        if not cut.contains(v)
+    )
+    expected = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
+    monkeypatch.setattr(verify, "build_hrep", lambda *args: cut)
+    report = verify_triangulation(family, n, q, t, samples=20)
+    assert not report.passed
+    assert report.checks["vertex_containment"] == {"ok": False}
+    assert report.counterexample == expected
+    sub = verify_subdivision(family, n, q, t, samples=20)
+    assert sub.checks["vertex_containment"] == {"ok": False}
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, q, t):
+    # Cut one shape's piece below the largest x_1: the first forest whose
+    # simplex leaves its shape's piece is the Fraction path's.  A vertex
+    # of a cut shape's simplex may already have been tested, and passed,
+    # in the piece of another shape.
+    n = 3
+    build_piece = verify.piece_for_plane_forest
+    forests = list(enumerate_labeled_forests(n + 1))
+    failures = 0
+    for cut_shape in enumerate_plane_forests(n + 1):
+
+        def piece(pf, q, t):
+            hrep = build_piece(pf, q, t)
+            return _cut_x1(hrep, (1 + t) * Fraction(9, 10)) if pf == cut_shape else hrep
+
+        bad = [
+            f
+            for f in forests
+            if not all(piece(shape(f), q, t).contains(v) for v in simplex_for_forest(f, q, t).vertices)
+        ]
+        monkeypatch.setattr(verify, "piece_for_plane_forest", piece)
+        report = verify_refinement("tutte", n, q, t)
+        assert report.checks["vertex_containment"] == {"ok": not bad}
+        if bad:
+            failures += 1
+            assert report.counterexample == {"forest": bad[0].to_parent_text(), "shape": cut_shape.to_text()}
+    assert failures >= 3
+
+
+def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
+    # Triangulation, subdivision and refinement read the integer vertex
+    # table only; a Simplex (Fraction vertices) would raise here.
+    def no_simplex(self):
+        raise AssertionError("a Fraction simplex was built")
+
+    monkeypatch.setattr(geometry.Simplex, "__post_init__", no_simplex)
+    q, t = Fraction(37, 101), Fraction(53, 17)
+    for family in FAMILIES:
+        assert verify_triangulation(family, 3, q, t, samples=20).passed
+        assert verify_subdivision(family, 3, q, t, samples=20).passed
+        assert verify_refinement(family, 3, q, t).passed
 
 
 def test_parallel_jobs_match_serial():
