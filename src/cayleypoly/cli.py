@@ -99,8 +99,8 @@ def _add_common(parser, family=False, q_t=True, fmt=True):
     parser.add_argument("--output", default=None)
 
 
-# Kept so that existing command lines still parse; the sweep takes milliseconds.
-_SWEEP_JOBS_HELP = "accepted for symmetry with verify; the subgraph sweep runs in one process"
+# Kept so that existing command lines still parse.
+_SWEEP_JOBS_HELP = "accepted for compatibility; every command runs in one process"
 
 
 def _add_volume(p):
@@ -151,7 +151,7 @@ def _add_verify(p):
     p.add_argument("--t", type=_rational, default=Fraction(1))
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
     p.add_argument("--output", default=None)
 
 
@@ -337,10 +337,10 @@ def _cmd_verify(args) -> tuple[dict | str, int]:
         args.check = "all"
     kwargs = {"samples": args.samples, "seed": args.seed}
     if args.check == "all":
-        reports = run_all(args.nmax, args.q, args.t, jobs=args.jobs, **kwargs)
+        reports = run_all(args.nmax, args.q, args.t, **kwargs)
     elif args.check == "fiber":
         nodes = (args.n + 1) if args.n is not None else min(args.nmax + 1, 6)
-        reports = [verify_fiber(nodes, jobs=args.jobs)]
+        reports = [verify_fiber(nodes)]
     else:
         n_values = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
         check_run((args.check,), n_values, args.samples)
@@ -367,7 +367,7 @@ _DIMENSION_COMMANDS = frozenset({"hrep", "simplices", "pieces", "vertices", "fve
 
 def _check_domain(args) -> None:
     """Range checks shared by every command that has the flag: the
-    polytope dimension --n (when given), --nmax and the worker count --jobs."""
+    polytope dimension --n (when given), --nmax and --jobs."""
     n = getattr(args, "n", None)
     if args.command in _DIMENSION_COMMANDS and n is not None and n < 1:
         raise ParameterDomainError("n must be >= 1")

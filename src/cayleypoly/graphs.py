@@ -8,9 +8,8 @@ module that converts node pairs to bit indices goes through pair_index().
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 MAX_NODES = 12
 
@@ -131,24 +130,15 @@ def is_connected(g: LabeledGraph) -> bool:
     return component_count(g) == 1
 
 
-def enumerate_graphs(
-    n: int,
-    connected_only: bool = False,
-    mask_range: tuple[int, int] | None = None,
-) -> Iterator[LabeledGraph]:
+def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[LabeledGraph]:
     """All labeled graphs on {1..n}, in increasing edge-mask order.
 
     The stream is a pure function of (n, cursor): restarting it always
-    yields the same graphs, and disjoint `mask_range` slices (half-open)
-    partition it, so parallel workers can shard the sweep.
+    yields the same graphs.
     """
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"n must be in 1..{MAX_NODES}")
-    total = 1 << (n * (n - 1) // 2)
-    lo, hi = mask_range if mask_range is not None else (0, total)
-    if not 0 <= lo <= hi <= total:
-        raise ValueError("mask_range out of bounds")
-    for mask in range(lo, hi):
+    for mask in range(1 << (n * (n - 1) // 2)):
         g = LabeledGraph(n, mask)
         if connected_only and not is_connected(g):
             continue
@@ -159,20 +149,3 @@ def count_connected_graphs(n: int) -> int:
     """Number of connected labeled graphs on n nodes, by exhaustive sweep."""
     return sum(1 for _ in enumerate_graphs(n, connected_only=True))
 
-
-def map_mask_shards(fn: Callable, args: tuple, total: int, jobs: int) -> list:
-    """[fn(*args, (lo, hi)) ...] over contiguous slices covering range(total).
-
-    The slices run in a process pool of min(jobs, usable CPUs, total)
-    workers, one slice each, and come back in order; with one worker the
-    single call fn(*args, (0, total)) runs in this process.
-    """
-    workers = min(jobs, len(os.sched_getaffinity(0)), total)
-    if workers <= 1:
-        return [fn(*args, (0, total))]
-    import multiprocessing  # here, so that importing the package stays cheap
-
-    step = -(-total // workers)
-    slices = [(*args, (lo, min(lo + step, total))) for lo in range(0, total, step)]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.starmap(fn, slices)

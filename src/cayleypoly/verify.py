@@ -30,6 +30,11 @@ once against the polytope (and, in a refinement job, each pair of a
 shape and a table vertex once against the shape's piece), with
 HRep.contains_numerators.
 
+The fiber check generates the NFS fibers instead of sweeping for them:
+each labeled forest F gives the masks of F plus a subset of its cane
+edges.  They are the fibers exactly when every generated graph has NFS
+forest F, no mask is generated twice, and the masks number 2^C(n,2).
+
 Every job is deterministic given (kind, family, n, parameters, seed).
 """
 
@@ -67,7 +72,7 @@ from .geometry import (
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
 )
-from .graphs import LabeledGraph, map_mask_shards
+from .graphs import LabeledGraph
 from .volumes import (
     closed_form_piece_total,
     closed_form_piece_volume,
@@ -548,55 +553,53 @@ def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> Verif
 # ----------------------------------------------------------------------
 
 
-def _fiber_shard(node_count: int, shard: tuple[int, int]) -> dict[tuple, list[tuple[int, int, int]]]:
-    lo, hi = shard
-    out: dict[tuple, list[tuple[int, int, int]]] = {}
-    for mask in range(lo, hi):
-        g = LabeledGraph(node_count, mask)
-        f = nfs(g)
-        key = tuple(f.parent.get(v, 0) for v in range(1, node_count + 1))
-        out.setdefault(key, []).append((mask, f.component_count(), g.edge_count()))
-    return out
+def _fiber_fault(f: LabeledForest, seen: bytearray) -> Optional[str]:
+    """Why the generated fiber of f is not its NFS fiber, or None; marks
+    each generated mask in seen."""
+    components = f.component_count() - 1
+    tally = []
+    for mask in fiber_masks(f):
+        if seen[mask]:
+            return "mask generated twice"
+        seen[mask] = 1
+        if nfs(LabeledGraph(f.node_count, mask)).parent != f.parent:
+            return "fiber set mismatch"
+        tally.append(((components, mask.bit_count()), 1))
+    if BivariatePolynomial(tally) != closed_form_simplex_volume(f):
+        return "weighted fiber mismatch"
+    return None
 
 
-def verify_fiber(node_count: int, jobs: int = 1) -> VerificationReport:
+def verify_fiber(node_count: int) -> VerificationReport:
     """Exhaustive check that NFS preimages are forest-plus-cane-edge sets.
 
-    Sweeps every graph on the given node count, groups by search forest,
-    and compares each fiber with {forest edges union C : C subset of cane
-    edges}, in both unweighted and (component, edge)-weighted form.
+    Generates fiber_masks(F) for every labeled forest F and checks three
+    facts: each generated graph has NFS forest F; no mask is generated
+    twice; and the masks number 2^C(n,2).  Together they make the
+    generated sets exactly the NFS fibers.  Each fiber's tally by
+    (component count - 1, edge count) is then compared with F's closed
+    form simplex volume.
     """
     if not 1 <= node_count <= 7:
         raise ValueError(f"fiber sweep needs 1..7 nodes, got {node_count}")
     total_masks = 1 << (node_count * (node_count - 1) // 2)
-    grouped: dict[tuple, list[tuple[int, int, int]]] = {}
-    for part in map_mask_shards(_fiber_shard, (node_count,), total_masks, jobs):
-        for key, items in part.items():
-            grouped.setdefault(key, []).extend(items)
-    counterexample = None
+    seen = bytearray(total_masks)
     forests_seen = 0
-    for key, members in grouped.items():
-        f = LabeledForest(node_count, {v: p for v, p in enumerate(key, start=1) if p})
+    counterexample = None
+    for f in enumerate_labeled_forests(node_count):
         forests_seen += 1
-        got_masks = {mask for mask, _, _ in members}
-        if got_masks != set(fiber_masks(f)):
-            counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
+        reason = _fiber_fault(f, seen)
+        if reason is not None:
+            counterexample = {"forest": f.to_parent_text(), "reason": reason}
             break
-        weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)
-        if weighted != closed_form_simplex_volume(f):
-            counterexample = {"forest": f.to_parent_text(), "reason": "weighted fiber mismatch"}
-            break
+    swept = seen.count(1)
     expected_forests = count_labeled_forests(node_count)
     checks = {
-        "graphs_swept": {"got": sum(len(v) for v in grouped.values()), "expected": total_masks},
+        "graphs_swept": {"got": swept, "expected": total_masks},
         "distinct_forests": {"got": forests_seen, "expected": expected_forests},
         "fibers": {"ok": counterexample is None},
     }
-    passed = (
-        counterexample is None
-        and checks["graphs_swept"]["got"] == total_masks
-        and forests_seen == expected_forests
-    )
+    passed = counterexample is None and swept == total_masks and forests_seen == expected_forests
     return VerificationReport("fiber", None, node_count - 1, None, None, None, passed, checks, counterexample)
 
 
@@ -611,7 +614,6 @@ def run_all(
     t=Fraction(1),
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> list[VerificationReport]:
     """Triangulation, subdivision, refinement, specialization and fiber
     checks for every family and every n up to nmax."""
@@ -628,5 +630,5 @@ def run_all(
         reports.append(verify_specializations(n, q, t))
         if n <= 4:
             reports.append(verify_piece_constructions(n, q, t))
-    reports.append(verify_fiber(min(nmax + 1, 6), jobs=jobs))
+    reports.append(verify_fiber(min(nmax + 1, 6)))
     return reports

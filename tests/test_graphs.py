@@ -11,7 +11,6 @@ from cayleypoly.graphs import (
     component_partition,
     count_connected_graphs,
     is_connected,
-    map_mask_shards,
     pair_order,
     partition_pattern,
 )
@@ -37,15 +36,6 @@ def test_enumeration_is_restartable():
     first = [g.edges for g in enumerate_graphs(4)]
     second = [g.edges for g in enumerate_graphs(4)]
     assert first == second == sorted(first)
-
-
-def test_enumeration_shards_partition_the_stream():
-    full = [g.edges for g in enumerate_graphs(4)]
-    lo = [g.edges for g in enumerate_graphs(4, mask_range=(0, 40))]
-    hi = [g.edges for g in enumerate_graphs(4, mask_range=(40, 64))]
-    assert lo + hi == full
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(4, mask_range=(0, 65)))
 
 
 def test_out_of_range():
@@ -130,10 +120,6 @@ def test_partition_pattern_numbers_components_by_first_node():
     assert component_count(g) == 3
 
 
-def _slice(shard):
-    return shard
-
-
 class _RecordingPool:
     """Stand-in for multiprocessing.Pool: records the worker count and runs
     the calls in this process, so no process is started."""
@@ -153,40 +139,19 @@ class _RecordingPool:
         return [fn(*args) for args in arg_lists]
 
 
-def test_shard_workers_are_capped(monkeypatch):
-    import multiprocessing
-    import os
-
-    from cayleypoly import verify_fiber
-
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    cpus = len(os.sched_getaffinity(0))
-    huge = 10**9
-
-    slices = map_mask_shards(_slice, (), 64, huge)
-    workers = min(cpus, 64)
-    assert _RecordingPool.created == ([workers] if workers > 1 else [])
-    assert len(slices) == workers
-    assert slices[0][0] == 0 and slices[-1][1] == 64
-    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
-
-    _RecordingPool.created.clear()
-    assert map_mask_shards(_slice, (), 1, huge) == [(0, 1)]
-    assert _RecordingPool.created == []
-
-    assert verify_fiber(4, jobs=huge).checks == verify_fiber(4).checks
-    assert all(w <= cpus for w in _RecordingPool.created)
-
-
-def test_subgraph_sweep_commands_start_no_pool(monkeypatch, capsys):
+def test_jobs_flag_starts_no_pool(monkeypatch, capsys):
     import multiprocessing
 
     from cayleypoly.cli import main
 
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
-    for argv in (["zpoly", "--n", "7"], ["recursion", "--n", "7", "--mode", "both"]):
+    for argv in (
+        ["zpoly", "--n", "7"],
+        ["recursion", "--n", "7", "--mode", "both"],
+        ["verify", "--check", "fiber", "--n", "5"],
+        ["verify", "--all", "--nmax", "2", "--samples", "100"],
+    ):
         outputs = []
         for jobs in ("1", "2"):
             assert main([*argv, "--jobs", jobs]) == 0

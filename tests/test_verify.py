@@ -9,14 +9,20 @@ import pytest
 from cayleypoly import (
     FAMILIES,
     AffineForm,
+    BivariatePolynomial,
     HRep,
+    LabeledForest,
+    LabeledGraph,
     ParameterDomainError,
     build_hrep,
+    closed_form_simplex_volume,
+    count_labeled_forests,
     enumerate_hrep_vertices,
     enumerate_labeled_forests,
     forest_chain_hrep,
     get_family,
     enumerate_plane_forests,
+    nfs,
     orthoscheme_vertices,
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
@@ -32,6 +38,7 @@ from cayleypoly import (
 )
 from cayleypoly import geometry, verify
 from cayleypoly.exact import format_rational
+from cayleypoly.forests import fiber_masks
 from cayleypoly.geometry import family_parameters
 from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_stream
 
@@ -392,13 +399,85 @@ def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
         assert verify_refinement(family, 3, q, t).passed
 
 
-def test_parallel_jobs_match_serial():
-    from cayleypoly import verify_fiber
+def _fiber_by_sweep(node_count):
+    """verify_fiber by the exhaustive sweep: the reference for generation.
 
-    parallel = verify_fiber(4, jobs=2)
-    serial = verify_fiber(4)
-    assert parallel.passed and serial.passed
-    assert parallel.checks == serial.checks
+    Groups every edge mask by its NFS forest, and compares each group with
+    fiber_masks of that forest and its (component, edge) tally with the
+    forest's closed-form simplex volume.
+    """
+    total_masks = 1 << (node_count * (node_count - 1) // 2)
+    grouped = {}
+    for mask in range(total_masks):
+        g = LabeledGraph(node_count, mask)
+        f = nfs(g)
+        key = tuple(f.parent.get(v, 0) for v in range(1, node_count + 1))
+        grouped.setdefault(key, []).append((mask, f.component_count(), g.edge_count()))
+    counterexample = None
+    for key, members in grouped.items():
+        f = LabeledForest(node_count, {v: p for v, p in enumerate(key, start=1) if p})
+        if {mask for mask, _, _ in members} != set(fiber_masks(f)):
+            counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
+            break
+        weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)
+        if weighted != closed_form_simplex_volume(f):
+            counterexample = {"forest": f.to_parent_text(), "reason": "weighted fiber mismatch"}
+            break
+    expected_forests = count_labeled_forests(node_count)
+    checks = {
+        "graphs_swept": {"got": sum(len(v) for v in grouped.values()), "expected": total_masks},
+        "distinct_forests": {"got": len(grouped), "expected": expected_forests},
+        "fibers": {"ok": counterexample is None},
+    }
+    passed = counterexample is None and len(grouped) == expected_forests
+    return verify.VerificationReport(
+        "fiber", None, node_count - 1, None, None, None, passed, checks, counterexample
+    )
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5])
+def test_fiber_generation_matches_sweep(nodes):
+    assert verify_fiber(nodes).to_json_obj() == _fiber_by_sweep(nodes).to_json_obj()
+
+
+def _drop_last_mask(masks):
+    return masks[:-1] if len(masks) > 1 else masks
+
+
+def _add_outside_mask(masks):
+    # 64 masks: the graphs on the 4 nodes of verify_fiber(4).
+    return masks + [next(m for m in range(64) if m not in masks)]
+
+
+def _first_forest_twice(forests):
+    forests = list(forests)
+    return [forests[0], *forests]
+
+
+@pytest.mark.parametrize(
+    "name,wrap,reason",
+    [
+        ("fiber_masks", lambda fn: lambda f: _drop_last_mask(fn(f)), "weighted fiber mismatch"),
+        ("fiber_masks", lambda fn: lambda f: _add_outside_mask(fn(f)), "fiber set mismatch"),
+        (
+            "closed_form_simplex_volume",
+            lambda fn: lambda f: fn(f) + (len(f.parent) == 2),
+            "weighted fiber mismatch",
+        ),
+        (
+            "enumerate_labeled_forests",
+            lambda fn: lambda n: _first_forest_twice(fn(n)),
+            "mask generated twice",
+        ),
+    ],
+    ids=["missing-mask", "foreign-mask", "wrong-volume", "repeated-forest"],
+)
+def test_fiber_certificate_failures_carry_a_forest(monkeypatch, name, wrap, reason):
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    report = verify_fiber(4)
+    assert not report.passed
+    assert report.counterexample["reason"] == reason
+    assert report.checks["fibers"] == {"ok": False}
 
 
 def test_jobs_that_would_check_nothing_are_domain_errors():
