@@ -80,25 +80,6 @@ def _nfs_walk(roots: Iterable, kids_of: Callable[[object], Sequence]) -> list[tu
     return walk
 
 
-def _graph_walk(node_count: int, adj: dict[int, list[int]]) -> tuple[list[tuple], _Children]:
-    """The NFS walk of a graph on {1..node_count}, and the children of
-    each label: each component starts at the largest unvisited label, and
-    a node's children are its neighbours still unvisited when it becomes
-    active.  Each adjacency list must be sorted."""
-    seen: set[int] = set()
-    visited = seen.__contains__
-    children: _Children = {}
-
-    def fresh_neighbours(v: int) -> tuple[int, ...]:
-        seen.add(v)
-        kids = children[v] = tuple(filterfalse(visited, adj[v]))
-        seen.update(kids)
-        return kids
-
-    walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
-    return walk, children
-
-
 class NodeCoordinate(NamedTuple):
     """Placement data of one forest node inside the simplex chain.
 
@@ -126,38 +107,48 @@ class LabeledForest:
     __slots__ = ("node_count", "parent", "children", "component_order", "order", "_walk")
 
     def __init__(self, node_count: int, parent: dict[int, int]):
-        kids: dict[int, list[int]] = {v: [] for v in range(1, node_count + 1)}
         for v, p in parent.items():
             if not (1 <= v <= node_count and 1 <= p <= node_count) or v == p:
                 raise ValueError(f"bad parent entry {v} -> {p}")
-            kids[p].append(v)
-        children = {v: tuple(sorted(siblings)) for v, siblings in kids.items()}
-        roots = [v for v in range(node_count, 0, -1) if v not in parent]
-        walk = _nfs_walk(roots, children.__getitem__)
-        # Nodes whose upward path runs into a cycle are never reached.
-        root_of = {node: walk[top][0] for node, _, _, top in walk}
-        for v in range(1, node_count + 1):
-            if v not in root_of:
-                raise ValueError("parent map contains a cycle")
-            if root_of[v] < v:
-                raise ValueError(f"component root {root_of[v]} is not its maximal label")
-        self._adopt(node_count, walk, children)
+        # A cycle leaves the walk fewer edges than the map has.
+        if self._build(node_count, parent.items()) != self.edge_count():
+            raise ValueError("parent map contains a cycle")
+        for r in range(1, node_count + 1):
+            if r not in parent and r in self.parent:
+                raise ValueError(f"component root {r} is not its maximal label")
 
-    def _adopt(self, node_count: int, walk: list[tuple], children: _Children) -> None:
-        """Take every field from a finished walk of a canonical forest and
-        the children lists, left to right, it walked."""
+    def _build(self, node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> int:
+        """Take every field from the NFS walk of the graph on
+        {1..node_count} with these edges, and return how many pairs were
+        given.  Each component starts at the largest unvisited label, and a
+        node's children are its neighbours still unvisited when it becomes
+        active, in increasing label order."""
+        adj: dict[int, list[int]] = {v: [] for v in range(1, node_count + 1)}
+        count = 0
+        for i, j in edge_pairs:
+            adj[i].append(j)
+            adj[j].append(i)
+            count += 1
+        seen: set[int] = set()
+        visited = seen.__contains__
+        children: _Children = {}
+
+        def fresh_neighbours(v: int) -> tuple[int, ...]:
+            seen.add(v)
+            neighbours = adj[v]
+            neighbours.sort()
+            kids = children[v] = tuple(filterfalse(visited, neighbours))
+            seen.update(kids)
+            return kids
+
+        walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
         self.node_count = node_count
         self._walk = walk
         self.order = tuple(node for node, _, _, _ in walk)
         self.component_order = tuple(node for node, up, _, _ in walk if up is None)
         self.parent = {node: walk[up][0] for node, up, _, _ in walk if up is not None}
         self.children = children
-
-    @classmethod
-    def _from_walk(cls, node_count: int, walk: list[tuple], children: _Children) -> "LabeledForest":
-        forest = cls.__new__(cls)
-        forest._adopt(node_count, walk, children)
-        return forest
+        return count
 
     # -- construction ---------------------------------------------------
 
@@ -165,17 +156,9 @@ class LabeledForest:
     def from_edges(cls, n: int, edge_pairs) -> "LabeledForest":
         """The forest with these edges; on a forest graph the NFS forest
         is the graph itself, rooted at each component's maximal label."""
-        adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        count = 0
-        for i, j in edge_pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-            count += 1
-        for neighbours in adj.values():
-            neighbours.sort()
+        forest = cls.__new__(cls)
         # A cycle, a loop or a repeated pair leaves fewer forest edges.
-        forest = cls._from_walk(n, *_graph_walk(n, adj))
-        if forest.edge_count() != count:
+        if forest._build(n, edge_pairs) != forest.edge_count():
             raise ValueError("edge set contains a cycle")
         return forest
 
@@ -231,8 +214,9 @@ class LabeledForest:
 
 def nfs(g: LabeledGraph) -> LabeledForest:
     """The neighbors-first search forest of a labeled graph."""
-    # adjacency() lists each node's neighbours in pair order, so sorted.
-    return LabeledForest._from_walk(g.node_count, *_graph_walk(g.node_count, g.adjacency()))
+    forest = LabeledForest.__new__(LabeledForest)
+    forest._build(g.node_count, g.edge_list())
+    return forest
 
 
 def cane_paths_from(f: LabeledForest, v: int) -> int:
@@ -309,6 +293,8 @@ class PlaneForest:
             if pos >= len(seq):
                 raise ValueError("truncated degree sequence")
             d = seq[pos]
+            if d < 0:
+                raise ValueError(f"negative degree {d}")
             pos += 1
             return tuple(parse_tree() for _ in range(d))
 
@@ -432,39 +418,29 @@ def shape(f: LabeledForest) -> PlaneForest:
 def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[LabeledForest]:
     """Every labeled forest on {1..n} exactly once (canonical rooting).
 
-    Enumerates acyclic edge subsets of the complete graph by backtracking
-    over the canonical edge order, skipping any edge that would close a
-    cycle.
+    Depth first over the canonical pair order: at each pair the branch
+    that leaves the pair out comes first, then the branch that takes it.
+    Every node carries the label of its component; a pair is taken only
+    when its ends carry different labels, and taking it relabels the one
+    component with the other's label.  Each stack entry is (next pair,
+    node labels, edges taken), and an entry past the last pair is a
+    forest.
     """
     if not 1 <= n <= MAX_FOREST_NODES:
         raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
     pairs = pair_order(n)
-    chosen: list[tuple[int, int]] = []
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def rec(k: int, merges: int) -> Iterator[LabeledForest]:
+    stack = [(0, tuple(range(n + 1)), ())]
+    while stack:
+        k, label, edges = stack.pop()
         if k == len(pairs):
-            if not trees_only or merges == n - 1:
-                yield LabeledForest.from_edges(n, chosen)
-            return
-        yield from rec(k + 1, merges)
+            if not trees_only or len(edges) == n - 1:
+                yield LabeledForest.from_edges(n, edges)
+            continue
         i, j = pairs[k]
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            saved = parent[:]
-            parent[ri] = rj
-            chosen.append((i, j))
-            yield from rec(k + 1, merges + 1)
-            chosen.pop()
-            parent[:] = saved
-
-    yield from rec(0, 0)
+        old, new = label[i], label[j]
+        if old != new:
+            stack.append((k + 1, tuple(new if x == old else x for x in label), edges + ((i, j),)))
+        stack.append((k + 1, label, edges))
 
 
 def count_labeled_forests(n: int) -> int:

@@ -226,8 +226,10 @@ class HRep:
     def from_text(cls, text: str) -> "HRep":
         lines = [line for line in text.splitlines() if line.strip()]
         dim, count = (int(x) for x in lines[0].split())
+        if len(lines) - 1 != count:
+            raise ValueError(f"header declares {count} rows, found {len(lines) - 1}")
         forms = []
-        for line in lines[1 : count + 1]:
+        for line in lines[1:]:
             values = [parse_rational(x) for x in line.split()]
             if len(values) != dim + 1:
                 raise ValueError("row width mismatch")
@@ -258,10 +260,7 @@ class Simplex:
             raise DimensionError("vertex dimension mismatch")
 
     def to_text(self) -> str:
-        lines = [f"{self.dimension} {len(self.vertices)}"]
-        for v in self.vertices:
-            lines.append(" ".join(format_rational(x) for x in v))
-        return "\n".join(lines) + "\n"
+        return vrep_to_text(self.vertices, self.dimension)
 
     def to_json_obj(self) -> dict:
         return {

@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import BivariatePolynomial, eliminate, format_rational
+from .exact import BivariatePolynomial, clear_denominators, eliminate, format_rational
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -167,8 +167,7 @@ def interior_sample_stream(
     w = 1 + t
     lo = Fraction(1) if connected else 1 - q
     slack = 0 if connected or q == 1 else t * (1 - q) / q
-    base = math.lcm(w.denominator, lo.denominator, slack.denominator)
-    w_d, lo_d, slack_d = (int(v * base) for v in (w, lo, slack))
+    (w_d, lo_d, slack_d), base = clear_denominators((w, lo, slack))
     m = rng.denominator
     step = m * base
     while True:

@@ -1,5 +1,6 @@
 """Neighbors-first search, cane paths, shapes, and enumeration."""
 
+import itertools
 import math
 import random
 
@@ -398,6 +399,8 @@ def test_invalid_forests_rejected():
 def test_invalid_plane_forests_rejected():
     with pytest.raises(ValueError):
         PlaneForest.from_degree_sequence([2, 0])  # truncated
+    with pytest.raises(ValueError, match="^negative degree -1$"):
+        PlaneForest.from_text("-1")
     with pytest.raises(ValueError):
         PlaneForest(())
     with pytest.raises(ValueError):
@@ -564,6 +567,60 @@ def _ref_nfs_structure(pf: PlaneForest):
     return coords, parent, children, root_positions
 
 
+def _ref_forest_edge_lists(n: int, trees_only: bool = False):
+    """Edge lists of the labeled forests on n nodes, by backtracking over
+    the canonical pair order with a union-find that skips any pair
+    closing a cycle (the enumerator before it became one loop)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen: list[tuple[int, int]] = []
+    parent = list(range(n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def rec(k: int, merges: int):
+        if k == len(pairs):
+            if not trees_only or merges == n - 1:
+                yield list(chosen)
+            return
+        yield from rec(k + 1, merges)
+        i, j = pairs[k]
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            saved = parent[:]
+            parent[ri] = rj
+            chosen.append((i, j))
+            yield from rec(k + 1, merges + 1)
+            chosen.pop()
+            parent[:] = saved
+
+    yield from rec(0, 0)
+
+
+def _ref_parent_map(n: int, parent: dict):
+    """The parent-map check before it walked the map's edges: (message,
+    None) on a rejected map, else (None, (parent, children, walk)) of the
+    forest it built by walking the map's children lists."""
+    kids: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for v, p in parent.items():
+        if not (1 <= v <= n and 1 <= p <= n) or v == p:
+            return f"bad parent entry {v} -> {p}", None
+        kids[p].append(v)
+    children = {v: tuple(sorted(siblings)) for v, siblings in kids.items()}
+    roots = [v for v in range(n, 0, -1) if v not in parent]
+    walk = forests._nfs_walk(roots, children.__getitem__)
+    root_of = {node: walk[top][0] for node, _, _, top in walk}
+    for v in range(1, n + 1):
+        if v not in root_of:
+            return "parent map contains a cycle", None
+        if root_of[v] < v:
+            return f"component root {root_of[v]} is not its maximal label", None
+    return None, (dict(parent), children, walk)
+
+
 def _reference_graphs():
     for n in range(1, 6):
         yield from enumerate_graphs(n)
@@ -607,3 +664,34 @@ def test_plane_forests_match_reference():
             assert children == ref_children
             assert root_positions == ref_roots
             assert pf.alpha() == sum(rec[2] for rec in ref_coords)
+
+
+@pytest.mark.parametrize("trees_only", [False, True])
+def test_forest_enumeration_order_matches_backtracking_reference(trees_only):
+    for n in range(1, 7):
+        expected = [
+            ",".join(str(parent.get(v, 0)) for v in range(1, n + 1))
+            for parent in (_ref_forest_parent(n, edges) for edges in _ref_forest_edge_lists(n, trees_only))
+        ]
+        got = [f.to_parent_text() for f in enumerate_labeled_forests(n, trees_only=trees_only)]
+        assert got == expected, n
+
+
+def test_parent_maps_match_reference_check():
+    # Every map {1..n} -> {0..n} with n <= 5, 0 marking a root: the same
+    # maps are rejected, and an accepted map gives the same forest.  A map
+    # with two faults may report the other one (a cycle is reported before
+    # a misplaced root), so test_invalid_forests_rejected pins the messages.
+    maps = 0
+    for n in range(1, 6):
+        for entries in itertools.product(range(n + 1), repeat=n):
+            parent = {v: p for v, p in enumerate(entries, start=1) if p != 0}
+            message, expected = _ref_parent_map(n, parent)
+            maps += 1
+            if message is not None:
+                with pytest.raises(ValueError):
+                    LabeledForest(n, parent)
+                continue
+            f = LabeledForest(n, parent)
+            assert (f.parent, f.children, f._walk) == expected, entries
+    assert maps == 8476

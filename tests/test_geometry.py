@@ -683,6 +683,13 @@ def test_hrep_text_rejects_bad_row_width():
         HRep.from_text("2 1\n1 2\n")
 
 
+def test_hrep_text_rejects_row_count_mismatch():
+    with pytest.raises(ValueError, match="declares 3 rows, found 1"):
+        HRep.from_text("2 3\n1 0 0\n")  # truncated
+    with pytest.raises(ValueError, match="declares 1 rows, found 2"):
+        HRep.from_text("2 1\n1 0 0\n0 1 0\n")  # padded
+
+
 def test_simplex_needs_matching_vertex_count():
     from cayleypoly import Simplex
 
