@@ -46,6 +46,7 @@ from .geometry import (
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    FIBER_SWEEP_MAX_N,
     check_run,
     run_all,
     verify_fiber,
@@ -87,13 +88,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(parser, family=False, q_t=True, fmt=True):
+def _add_common(parser, family=False, fmt=True):
     if family:
         parser.add_argument("--family", choices=FAMILIES, required=True)
     parser.add_argument("--n", type=int, required=True)
-    if q_t:
-        parser.add_argument("--q", type=_rational, default=Fraction(1, 2))
-        parser.add_argument("--t", type=_rational, default=Fraction(1))
+    parser.add_argument("--q", type=_rational, default=Fraction(1, 2))
+    parser.add_argument("--t", type=_rational, default=Fraction(1))
     if fmt:
         parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None)
@@ -129,20 +129,20 @@ def _add_cayley1857(p):
     p.add_argument("--output", default=None)
 
 
+# Each --check but "all": its job at one n.  A lambda looks the job up by
+# its name here when called, so a job rebound in this module is the one run.
+_VERIFY_JOBS = {
+    "triangulation": lambda a, n: verify_triangulation(a.family, n, a.q, a.t, a.samples, a.seed),
+    "subdivision": lambda a, n: verify_subdivision(a.family, n, a.q, a.t, a.samples, a.seed),
+    "refinement": lambda a, n: verify_refinement(a.family, n, a.q, a.t),
+    "specializations": lambda a, n: verify_specializations(n, a.q, a.t),
+    "pieces": lambda a, n: verify_piece_constructions(n, a.q, a.t),
+    "fiber": lambda a, n: verify_fiber(n + 1),
+}
+
+
 def _add_verify(p):
-    p.add_argument(
-        "--check",
-        choices=(
-            "triangulation",
-            "subdivision",
-            "refinement",
-            "specializations",
-            "pieces",
-            "fiber",
-            "all",
-        ),
-        default="all",
-    )
+    p.add_argument("--check", choices=(*_VERIFY_JOBS, "all"), default="all")
     p.add_argument("--all", action="store_true", help="synonym for --check all")
     p.add_argument("--family", choices=FAMILIES, default="tutte")
     p.add_argument("--n", type=int, default=None)
@@ -163,22 +163,6 @@ def _add_fvector(p):
     _add_common(p, fmt=False)
 
 
-# Each command's help line and the function that adds its arguments, in
-# the order the help lists them.
-_SUBPARSERS = {
-    "hrep": ("H-representation of a family polytope", _add_family_polytope),
-    "simplices": ("triangulation simplices (V-reps)", _add_family_polytope),
-    "pieces": ("subdivision pieces (H-reps)", _add_family_polytope),
-    "volume": ("n!-scaled volume, three ways", _add_volume),
-    "zpoly": ("spanning-subgraph sum of the complete graph", _add_zpoly),
-    "fvector": ("f-vector of the two-parameter polytope", _add_fvector),
-    "vertices": ("closed-form vertex set of a family polytope", _add_family_polytope),
-    "recursion": ("connected-graph edge generating function", _add_recursion),
-    "cayley1857": ("integer-point and partition counts", _add_cayley1857),
-    "verify": ("run verification jobs; exit 0 iff all pass", _add_verify),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser, with every subcommand, or with only the
     named one.  A parser for one command writes the same usage lines,
@@ -187,13 +171,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
     if command is None:
         sub = parser.add_subparsers(dest="command", required=True)
-        names = list(_SUBPARSERS)
+        names = list(_COMMANDS)
     else:
-        every = "{" + ",".join(_SUBPARSERS) + "}"
+        every = "{" + ",".join(_COMMANDS) + "}"
         sub = parser.add_subparsers(dest="command", required=True, metavar=every)
         names = [command]
     for name in names:
-        help_line, add_arguments = _SUBPARSERS[name]
+        help_line, add_arguments, _ = _COMMANDS[name]
         add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
@@ -333,29 +317,17 @@ def _cmd_cayley1857(args) -> tuple[dict | str, int]:
 
 
 def _cmd_verify(args) -> tuple[dict | str, int]:
-    if getattr(args, "all", False):
-        args.check = "all"
-    kwargs = {"samples": args.samples, "seed": args.seed}
-    if args.check == "all":
-        reports = run_all(args.nmax, args.q, args.t, **kwargs)
-    elif args.check == "fiber":
-        nodes = (args.n + 1) if args.n is not None else min(args.nmax + 1, 6)
-        reports = [verify_fiber(nodes)]
+    if args.all or args.check == "all":
+        reports = run_all(args.nmax, args.q, args.t, samples=args.samples, seed=args.seed)
     else:
-        n_values = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
-        check_run((args.check,), n_values, args.samples)
-        reports = []
-        for n in n_values:
-            if args.check == "triangulation":
-                reports.append(verify_triangulation(args.family, n, args.q, args.t, **kwargs))
-            elif args.check == "subdivision":
-                reports.append(verify_subdivision(args.family, n, args.q, args.t, **kwargs))
-            elif args.check == "refinement":
-                reports.append(verify_refinement(args.family, n, args.q, args.t))
-            elif args.check == "specializations":
-                reports.append(verify_specializations(n, args.q, args.t))
-            elif args.check == "pieces":
-                reports.append(verify_piece_constructions(n, args.q, args.t))
+        if args.n is not None:
+            n_values = [args.n]
+        elif args.check == "fiber":
+            n_values = [min(args.nmax, FIBER_SWEEP_MAX_N)]
+        else:
+            n_values = range(1, args.nmax + 1)
+        check_run((args.check,), n_values, args.samples, args.q, args.t)
+        reports = [_VERIFY_JOBS[args.check](args, n) for n in n_values]
     all_passed = all(r.passed for r in reports)
     payload = {"passed": all_passed, "jobs": [r.to_json_obj() for r in reports]}
     return payload, 0 if all_passed else EXIT_VERIFICATION_FAILURE
@@ -377,17 +349,19 @@ def _check_domain(args) -> None:
         raise ParameterDomainError("jobs must be >= 1")
 
 
+# Each command's help line, the function that adds its arguments, and the
+# function that runs it, in the order the help lists them.
 _COMMANDS = {
-    "hrep": _cmd_hrep,
-    "simplices": _cmd_simplices,
-    "pieces": _cmd_pieces,
-    "volume": _cmd_volume,
-    "zpoly": _cmd_zpoly,
-    "fvector": _cmd_fvector,
-    "vertices": _cmd_vertices,
-    "recursion": _cmd_recursion,
-    "cayley1857": _cmd_cayley1857,
-    "verify": _cmd_verify,
+    "hrep": ("H-representation of a family polytope", _add_family_polytope, _cmd_hrep),
+    "simplices": ("triangulation simplices (V-reps)", _add_family_polytope, _cmd_simplices),
+    "pieces": ("subdivision pieces (H-reps)", _add_family_polytope, _cmd_pieces),
+    "volume": ("n!-scaled volume, three ways", _add_volume, _cmd_volume),
+    "zpoly": ("spanning-subgraph sum of the complete graph", _add_zpoly, _cmd_zpoly),
+    "fvector": ("f-vector of the two-parameter polytope", _add_fvector, _cmd_fvector),
+    "vertices": ("closed-form vertex set of a family polytope", _add_family_polytope, _cmd_vertices),
+    "recursion": ("connected-graph edge generating function", _add_recursion, _cmd_recursion),
+    "cayley1857": ("integer-point and partition counts", _add_cayley1857, _cmd_cayley1857),
+    "verify": ("run verification jobs; exit 0 iff all pass", _add_verify, _cmd_verify),
 }
 
 
@@ -395,13 +369,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only the invoked command's parser is built; any other argv (help,
     # no command, an unknown one, "--") gets the full parser.
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBPARSERS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.n is not None and (args.all or args.check == "all"):
         parser.error("--n does not combine with --check all (the default); the sweep runs n = 1..--nmax")
     try:
         _check_domain(args)
-        payload, code = _COMMANDS[args.command](args)
+        payload, code = _COMMANDS[args.command][2](args)
     except ParameterDomainError as exc:
         print(f"parameter domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

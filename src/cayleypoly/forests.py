@@ -157,8 +157,12 @@ class LabeledForest:
         """The forest with these edges; on a forest graph the NFS forest
         is the graph itself, rooted at each component's maximal label."""
         forest = cls.__new__(cls)
+        try:
+            given = forest._build(n, edge_pairs)
+        except KeyError as exc:
+            raise ValueError(f"bad edge label {exc.args[0]!r} for n={n}") from None
         # A cycle, a loop or a repeated pair leaves fewer forest edges.
-        if forest._build(n, edge_pairs) != forest.edge_count():
+        if given != forest.edge_count():
             raise ValueError("edge set contains a cycle")
         return forest
 

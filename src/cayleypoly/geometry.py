@@ -225,7 +225,10 @@ class HRep:
     @classmethod
     def from_text(cls, text: str) -> "HRep":
         lines = [line for line in text.splitlines() if line.strip()]
-        dim, count = (int(x) for x in lines[0].split())
+        header = lines[0].split() if lines else []
+        if len(header) != 2:
+            raise ValueError("expected the header line 'dimension rows'")
+        dim, count = (int(x) for x in header)
         if len(lines) - 1 != count:
             raise ValueError(f"header declares {count} rows, found {len(lines) - 1}")
         forms = []

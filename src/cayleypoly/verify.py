@@ -87,6 +87,8 @@ from .volumes import (
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 20240605
 VERIFY_MAX_N = 5
+# The n of a sweep's fiber job is nmax up to this cap: 2^15 graphs on 6 nodes.
+FIBER_SWEEP_MAX_N = 5
 
 
 @dataclass
@@ -97,9 +99,15 @@ class VerificationReport:
     q: Optional[Fraction]
     t: Optional[Fraction]
     seed: Optional[int]
-    passed: bool
     checks: dict = field(default_factory=dict)
     counterexample: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        """Whether every check holds: its "ok" is true or, without an
+        "ok", its "got" equals its "expected"."""
+        checks = self.checks.values()
+        return all(c["ok"] if "ok" in c else c["got"] == c["expected"] for c in checks)
 
     def to_json_obj(self) -> dict:
         return {
@@ -326,12 +334,26 @@ def _check_job(check: str, n: int, samples: int = 1) -> None:
         raise ParameterDomainError("samples must be >= 1")
 
 
-def check_run(checks: Sequence[str], n_values: Iterable[int], samples: int = DEFAULT_SAMPLES) -> None:
+def check_run(
+    checks: Sequence[str],
+    n_values: Iterable[int],
+    samples: int = DEFAULT_SAMPLES,
+    q=Fraction(1, 2),
+    t=Fraction(1),
+) -> None:
     """The checks of every job of a run, in the order the jobs run, so
-    that a run reaching past a cap fails before its first job."""
+    that a run reaching past a cap fails before its first job.  Then the
+    (q, t) of specializations, with the message the job would give: t of
+    the tcayley polytope, q of the tutte polytope, and q < 1 of the tutte
+    vertex formula."""
     for n in n_values:
         for check in checks:
-            _check_job(check, n, samples)
+            if check in _SIZE_CAPS:
+                _check_job(check, n, samples)
+    if "specializations" in checks:
+        family_parameters("tcayley", t=t)
+        if family_parameters("tutte", q, t)[0] == 1:
+            raise ParameterDomainError("q must lie strictly between 0 and 1")
 
 
 def verify_triangulation(
@@ -352,7 +374,6 @@ def verify_triangulation(
     simplices = [table.add(f) for f in forests]
     chains = [forest_chain_hrep(f, q_eff, t_eff) for f in forests]
     checks: dict = {}
-    counterexample = None
 
     checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
 
@@ -362,8 +383,6 @@ def verify_triangulation(
         f, k = next((f, k) for f, s in zip(forests, simplices) for k in s if k in outside)
         bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in table.point(k)]}
     checks["vertex_containment"] = {"ok": bad_vertex is None}
-    if bad_vertex:
-        counterexample = bad_vertex
 
     vertices = table.vertices
     scaled = sum(integer_volume_scaled([vertices[k] for k in s]) for s in simplices)
@@ -376,18 +395,8 @@ def verify_triangulation(
     }
 
     checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, chains, samples, seed)
-
-    passed = (
-        checks["cell_count"]["got"] == checks["cell_count"]["expected"]
-        and checks["vertex_containment"]["ok"]
-        and checks["volume_sum"]["ok"]
-        and checks["sampling"]["ok"]
-    )
-    if not passed and counterexample is None:
-        counterexample = checks["sampling"].get("failure")
-    return VerificationReport(
-        "triangulation", family, n, q_eff, t_eff, seed, passed, checks, counterexample
-    )
+    counterexample = bad_vertex or checks["sampling"]["failure"]
+    return VerificationReport("triangulation", family, n, q_eff, t_eff, seed, checks, counterexample)
 
 
 def verify_subdivision(
@@ -425,16 +434,8 @@ def verify_subdivision(
     checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, table)}
 
     checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, pieces, samples, seed)
-
-    passed = (
-        checks["cell_count"]["got"] == checks["cell_count"]["expected"]
-        and checks["volume_sum"]["ok"]
-        and checks["vertex_containment"]["ok"]
-        and checks["sampling"]["ok"]
-    )
     return VerificationReport(
-        "subdivision", family, n, q_eff, t_eff, seed, passed, checks,
-        checks["sampling"].get("failure"),
+        "subdivision", family, n, q_eff, t_eff, seed, checks, checks["sampling"]["failure"]
     )
 
 
@@ -483,15 +484,12 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
         "piece_volume_refines": {"ok": volume_ok},
         "total_forests": {"got": sum(len(v) for v in groups.values()), "expected": len(forests)},
     }
-    passed = containment_ok and counts_ok and volume_ok
-    return VerificationReport(
-        "refinement", family, n, q_eff, t_eff, None, passed, checks, counterexample
-    )
+    return VerificationReport("refinement", family, n, q_eff, t_eff, None, checks, counterexample)
 
 
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
-    _check_job("specializations", n)
+    check_run(("specializations",), (n,), q=q, t=t)
     q = Fraction(q)
     t = Fraction(t)
     checks: dict = {}
@@ -524,9 +522,7 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
     }
     one_plus_t_pow = BivariatePolynomial.one_plus_t_power(math.comb(n + 1, 2))
     checks["tgayley_total"] = {"ok": z.substitute(q=1) == one_plus_t_pow}
-
-    passed = all(entry["ok"] for entry in checks.values())
-    return VerificationReport("specializations", None, n, q, t, None, passed, checks, None)
+    return VerificationReport("specializations", None, n, q, t, None, checks, None)
 
 
 def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> VerificationReport:
@@ -542,9 +538,7 @@ def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> Verif
             mismatch = {"shape": pf.to_text()}
             break
     checks = {"vertex_sets_equal": {"ok": mismatch is None}}
-    return VerificationReport(
-        "piece-constructions", None, n, q, t, None, mismatch is None, checks, mismatch
-    )
+    return VerificationReport("piece-constructions", None, n, q, t, None, checks, mismatch)
 
 
 # ----------------------------------------------------------------------
@@ -598,8 +592,7 @@ def verify_fiber(node_count: int) -> VerificationReport:
         "distinct_forests": {"got": forests_seen, "expected": expected_forests},
         "fibers": {"ok": counterexample is None},
     }
-    passed = counterexample is None and swept == total_masks and forests_seen == expected_forests
-    return VerificationReport("fiber", None, node_count - 1, None, None, None, passed, checks, counterexample)
+    return VerificationReport("fiber", None, node_count - 1, None, None, None, checks, counterexample)
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +612,7 @@ def run_all(
     if nmax < 1:
         raise ParameterDomainError("nmax must be >= 1")
     per_n = ("triangulation", "subdivision", "refinement", "specializations")
-    check_run(per_n, range(1, nmax + 1), samples)
+    check_run(per_n, range(1, nmax + 1), samples, q, t)
     reports = []
     for n in range(1, nmax + 1):
         for name in FAMILIES:
@@ -627,7 +620,7 @@ def run_all(
             reports.append(verify_subdivision(name, n, q, t, samples=samples, seed=seed))
             reports.append(verify_refinement(name, n, q, t))
         reports.append(verify_specializations(n, q, t))
-        if n <= 4:
+        if n <= _SIZE_CAPS["pieces"][1]:
             reports.append(verify_piece_constructions(n, q, t))
-    reports.append(verify_fiber(min(nmax + 1, 6)))
+    reports.append(verify_fiber(min(nmax, FIBER_SWEEP_MAX_N) + 1))
     return reports

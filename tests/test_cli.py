@@ -248,7 +248,8 @@ def test_broken_invariant_exit_code(monkeypatch, capsys, error):
     def broken(args):
         raise error("witness of the broken invariant")
 
-    monkeypatch.setitem(cli._COMMANDS, "zpoly", broken)
+    help_line, add_arguments, _ = cli._COMMANDS["zpoly"]
+    monkeypatch.setitem(cli._COMMANDS, "zpoly", (help_line, add_arguments, broken))
     code = main(["zpoly", "--n", "3"])
     assert code == 1
     assert "witness of the broken invariant" in capsys.readouterr().err
@@ -378,6 +379,32 @@ def test_verify_size_caps_precede_every_job(monkeypatch, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--all", "--nmax", "3", "--q", "1"], "q must lie strictly between 0 and 1"),
+        (["--check", "specializations", "--q", "1"], "q must lie strictly between 0 and 1"),
+        (["--check", "specializations", "--n", "2", "--q", "1"], "q must lie strictly between 0 and 1"),
+        (["--all", "--nmax", "2", "--q", "2"], "q must lie in (0, 1], got 2"),
+        (["--all", "--nmax", "2", "--q", "2", "--t", "0"], "t must be positive, got 0"),
+    ],
+)
+def test_verify_specialization_parameters_precede_every_job(monkeypatch, capsys, argv, message):
+    # The specialization job needs 0 < q < 1 and t > 0; a run with it is
+    # refused before its first job, with the message the job would give.
+    def ran(*args, **kwargs):
+        raise AssertionError("a job ran before the parameter check")
+
+    for name in _VERIFY_JOBS:
+        monkeypatch.setattr(verify, name, ran)
+        monkeypatch.setattr(cli, name, ran)
+    code = main(["verify", *argv])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parameter domain violation: {message}\n"
 
 
 _PARSE_PATHS = [

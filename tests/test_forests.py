@@ -392,6 +392,10 @@ def test_invalid_forests_rejected():
         LabeledForest.from_edges(3, [(1, 2), (2, 3), (1, 3)])
     with pytest.raises(ValueError, match="^edge set contains a cycle$"):
         LabeledForest.from_edges(3, [(1, 2), (1, 2)])  # a doubled edge
+    with pytest.raises(ValueError, match="^bad edge label 0 for n=3$"):
+        LabeledForest.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match="^bad edge label 4 for n=3$"):
+        LabeledForest.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         list(enumerate_labeled_forests(9))
 

@@ -683,6 +683,12 @@ def test_hrep_text_rejects_bad_row_width():
         HRep.from_text("2 1\n1 2\n")
 
 
+@pytest.mark.parametrize("text", ["", "2\n"])
+def test_hrep_text_rejects_missing_header(text):
+    with pytest.raises(ValueError, match="^expected the header line 'dimension rows'$"):
+        HRep.from_text(text)
+
+
 def test_hrep_text_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="declares 3 rows, found 1"):
         HRep.from_text("2 3\n1 0 0\n")  # truncated

@@ -72,6 +72,66 @@ def sample_interior_point(family, n, q, t, rng):
     return tuple(x)
 
 
+# Each job's verdict as it was once written out by hand, one conjunction
+# per kind: the reference for VerificationReport.passed, which derives it
+# from the checks.
+def _cell_job_passed(report):
+    c = report.checks
+    return (
+        c["cell_count"]["got"] == c["cell_count"]["expected"]
+        and c["vertex_containment"]["ok"]
+        and c["volume_sum"]["ok"]
+        and c["sampling"]["ok"]
+    )
+
+
+_REFERENCE_VERDICTS = {
+    "triangulation": _cell_job_passed,
+    "subdivision": _cell_job_passed,
+    "refinement": lambda r: (
+        r.checks["vertex_containment"]["ok"]
+        and r.checks["shape_multiplicities"]["ok"]
+        and r.checks["piece_volume_refines"]["ok"]
+    ),
+    "specializations": lambda r: all(entry["ok"] for entry in r.checks.values()),
+    "piece-constructions": lambda r: r.counterexample is None,
+    "fiber": lambda r: (
+        r.counterexample is None
+        and r.checks["graphs_swept"]["got"] == r.checks["graphs_swept"]["expected"]
+        and r.checks["distinct_forests"]["got"] == r.checks["distinct_forests"]["expected"]
+    ),
+}
+
+
+def _assert_reference_verdict(report):
+    assert report.passed == _REFERENCE_VERDICTS[report.kind](report), report.to_json_obj()
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+def test_passing_verdicts_match_the_reference(q, t):
+    reports = run_all(3, q, t, samples=20)
+    assert {r.kind for r in reports} == set(_REFERENCE_VERDICTS)
+    for report in reports:
+        assert report.passed
+        _assert_reference_verdict(report)
+
+
+@pytest.mark.parametrize(
+    "checks,passed",
+    [
+        ({}, True),
+        ({"a": {"got": 3, "expected": 3}, "b": {"ok": True}}, True),
+        ({"a": {"got": 3, "expected": 4}, "b": {"ok": True}}, False),
+        ({"a": {"got": 3, "expected": 3}, "b": {"ok": False}}, False),
+        ({"a": {"got": "1/2", "expected": "2/4", "ok": True}}, True),
+    ],
+)
+def test_verdict_is_every_check_holding(checks, passed):
+    # An entry holds when its "ok" is true or, without an "ok", when its
+    # "got" equals its "expected".
+    assert verify.VerificationReport("fiber", None, 1, None, None, None, checks).passed is passed
+
+
 def test_triangulation_tutte_two():
     report = verify_triangulation("tutte", 2, HALF, 1, samples=300)
     assert report.passed
@@ -349,9 +409,12 @@ def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, fami
     monkeypatch.setattr(verify, "build_hrep", lambda *args: cut)
     report = verify_triangulation(family, n, q, t, samples=20)
     assert not report.passed
+    _assert_reference_verdict(report)
     assert report.checks["vertex_containment"] == {"ok": False}
     assert report.counterexample == expected
     sub = verify_subdivision(family, n, q, t, samples=20)
+    assert not sub.passed
+    _assert_reference_verdict(sub)
     assert sub.checks["vertex_containment"] == {"ok": False}
 
 
@@ -378,6 +441,7 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
         ]
         monkeypatch.setattr(verify, "piece_for_plane_forest", piece)
         report = verify_refinement("tutte", n, q, t)
+        _assert_reference_verdict(report)
         assert report.checks["vertex_containment"] == {"ok": not bad}
         if bad:
             failures += 1
@@ -429,10 +493,7 @@ def _fiber_by_sweep(node_count):
         "distinct_forests": {"got": len(grouped), "expected": expected_forests},
         "fibers": {"ok": counterexample is None},
     }
-    passed = counterexample is None and len(grouped) == expected_forests
-    return verify.VerificationReport(
-        "fiber", None, node_count - 1, None, None, None, passed, checks, counterexample
-    )
+    return verify.VerificationReport("fiber", None, node_count - 1, None, None, None, checks, counterexample)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5])
@@ -476,6 +537,7 @@ def test_fiber_certificate_failures_carry_a_forest(monkeypatch, name, wrap, reas
     monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
     report = verify_fiber(4)
     assert not report.passed
+    _assert_reference_verdict(report)
     assert report.counterexample["reason"] == reason
     assert report.checks["fibers"] == {"ok": False}
 
