@@ -25,9 +25,9 @@ cannot be written, 3 parameter outside its domain.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exact import format_rational, parse_rational
 from .faces import InconsistentGeometryError, cayley_vertices, tutte_f_vector, tutte_vertices
@@ -40,7 +40,7 @@ from .geometry import (
     get_family,
     orthoscheme_vertices,
     piece_for_plane_forest,
-    simplex_for_forest,
+    simplex_texts,
     vrep_to_text,
 )
 from .verify import (
@@ -69,11 +69,64 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
+def _json_text(payload) -> str:
+    """payload in the bytes of json.dumps(payload, sort_keys=True, indent=2).
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises TypeError on anything else.  Strings go through json's own C
+    encoder.  A tuple of strings is rendered once per indent depth and its
+    text reused for every equal tuple at that depth (one memo per call):
+    the rows of simplices and H-reps repeat many times over.
+    """
+    memos: dict[int, dict[tuple, str]] = {}
+
+    def array(items, depth: int) -> str:
+        if not items:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join([value(x, depth + 1) for x in items]) + inner[:-2] + "]"
+
+    def value(o, depth: int) -> str:
+        kind = type(o)
+        if kind is str:
+            return encode_basestring_ascii(o)
+        if kind is tuple and o and type(o[0]) is str:
+            memo = memos.get(depth)
+            if memo is None:
+                memo = memos[depth] = {}
+            try:
+                text = memo.get(o)
+                if text is None:
+                    inner = "\n" + "  " * (depth + 1)
+                    items = ("," + inner).join(map(encode_basestring_ascii, o))
+                    text = memo[o] = "[" + inner + items + inner[:-2] + "]"
+            except TypeError:  # not all strings: rendered item by item
+                return array(o, depth)
+            return text
+        if kind is list or kind is tuple:
+            return array(o, depth)
+        if kind is dict:
+            if not o:
+                return "{}"
+            # A key that is not a str fails in sorted() or in the encoder.
+            inner = "\n" + "  " * (depth + 1)
+            entries = (encode_basestring_ascii(k) + ": " + value(o[k], depth + 1) for k in sorted(o))
+            return "{" + inner + ("," + inner).join(entries) + inner[:-2] + "}"
+        if kind is int:
+            return int.__repr__(o)
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if o is None:
+            return "null"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return value(payload, 0)
+
+
 def _emit(args, payload: dict | str) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = payload if isinstance(payload, str) else _json_text(payload) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -206,17 +259,24 @@ def _cmd_hrep(args) -> tuple[dict | str, int]:
 
 def _cmd_simplices(args) -> tuple[dict | str, int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    entries = []
-    for f in get_family(args.family).labeled_cells(args.n):
-        s = simplex_for_forest(f, q_eff, t_eff)
-        entries.append((f.to_parent_text(), s))
+    n = args.n
+    entries = [
+        (f.to_parent_text(), simplex_texts(f, q_eff, t_eff))
+        for f in get_family(args.family).labeled_cells(n)
+    ]
     if args.format == "text":
-        return "".join(f"forest {name}\n{s.to_text()}" for name, s in entries), 0
+        header = f"{n} {n + 1}\n"
+        return "".join(
+            f"forest {name}\n{header}" + "".join(" ".join(v) + "\n" for v in vertices)
+            for name, vertices in entries
+        ), 0
     return {
         "family": args.family,
-        "n": args.n,
+        "n": n,
         "count": len(entries),
-        "simplices": [{"forest": name, **s.to_json_obj()} for name, s in entries],
+        "simplices": [
+            {"forest": name, "dimension": n, "vertices": vertices} for name, vertices in entries
+        ],
     }, 0
 
 

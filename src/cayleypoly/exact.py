@@ -25,11 +25,12 @@ from typing import Iterable, Mapping
 Monomial = tuple[int, int]
 Coefficient = int | Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational of the form "num" or "num/den".
+    """Parse an exact rational of the form "num" or "num/den", in ASCII
+    digits.
 
     Decimal notation is rejected on purpose: all command-line and file
     inputs stay exact.  A zero denominator is a ValueError too.

@@ -26,11 +26,12 @@ piece_for_plane_forest) reads one shared exact value table per
 turned into Fractions: 1 - q and the powers (1+t)^k, which every simplex
 vertex refers to rather than copies, and each distinct node coordinate
 form and chain row, built once and shared by every H-rep that has it (so
-is its cleared integer row).  The table also holds 1 - q and the powers
-cleared to integer numerators over one common scale s; one column
-builder writes a simplex from either value set, and a VertexTable interns
-the integer vertices of many simplices, each distinct vertex once, so a
-simplex is a tuple of indices into it.
+are its cleared integer row and its texts).  The table also holds 1 - q
+and the powers cleared to integer numerators over one common scale s,
+and as formatted texts; one column builder writes a simplex from any of
+these value sets (simplex_texts gives its vertices as texts), and a
+VertexTable interns the integer vertices of many simplices, each
+distinct vertex once, so a simplex is a tuple of indices into it.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -152,6 +153,12 @@ class AffineForm:
         b, *coeffs = (c // g for c in ints)
         return b, tuple((i, a) for i, a in enumerate(coeffs) if a)
 
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The constant and the coefficients as `format_rational` texts,
+        formatted once, on first use."""
+        return (format_rational(self.constant), *map(format_rational, self.coefficients))
+
     def __add__(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(
             self.constant + other.constant,
@@ -216,10 +223,7 @@ class HRep:
 
     def to_text(self) -> str:
         lines = [f"{self.dimension} {len(self.inequalities)}"]
-        for form in self.inequalities:
-            parts = [format_rational(form.constant)]
-            parts.extend(format_rational(a) for a in form.coefficients)
-            lines.append(" ".join(parts))
+        lines.extend(" ".join(form.texts) for form in self.inequalities)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -242,10 +246,7 @@ class HRep:
     def to_json_obj(self) -> dict:
         return {
             "dimension": self.dimension,
-            "inequalities": [
-                [format_rational(f.constant)] + [format_rational(a) for a in f.coefficients]
-                for f in self.inequalities
-            ],
+            "inequalities": [form.texts for form in self.inequalities],
         }
 
 
@@ -264,12 +265,6 @@ class Simplex:
 
     def to_text(self) -> str:
         return vrep_to_text(self.vertices, self.dimension)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "vertices": [[format_rational(x) for x in v] for v in self.vertices],
-        }
 
 
 def vrep_to_text(points: Iterable[Point], dimension: int) -> str:
@@ -395,14 +390,15 @@ def _form_key(rec: NodeCoordinate) -> _FormKey:
 
 class _ValueTable:
     """The exact values every cell on node_count nodes shares at (q, t):
-    1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1), as Fractions and
-    as integer numerators over their one common denominator `scale`, and
-    the coordinate form of each distinct placement and the chain row of
-    each distinct pair of placements, each built on first use."""
+    1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1), as Fractions, as
+    integer numerators over their one common denominator `scale` and as
+    their `format_rational` texts, and the coordinate form of each
+    distinct placement and the chain row of each distinct pair of
+    placements, each built on first use."""
 
     __slots__ = (
         "n", "q", "t", "one_minus_q", "powers", "scale", "int_one_minus_q", "int_powers",
-        "_forms", "_differences",
+        "text_one_minus_q", "text_powers", "_forms", "_differences",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
@@ -418,6 +414,8 @@ class _ValueTable:
         cleared, self.scale = clear_denominators((*powers, self.one_minus_q))
         self.int_one_minus_q = cleared.pop()
         self.int_powers = tuple(cleared)
+        self.text_one_minus_q = format_rational(self.one_minus_q)
+        self.text_powers = tuple(map(format_rational, powers))
         self._forms: dict[_FormKey, AffineForm] = {}
         self._differences: dict[tuple[_FormKey, _FormKey], AffineForm] = {}
 
@@ -470,8 +468,8 @@ def _coordinate_form(rec: NodeCoordinate, n: int, q, t) -> AffineForm:
 def _simplex_columns(f: LabeledForest, powers: Sequence, one_minus_q) -> list[tuple]:
     """The coordinate columns of the forest's simplex, each as three runs
     of the given values: powers[k] stands for (1+t)^k and one_minus_q for
-    1-q, as the value table's Fractions or as its numerators over one
-    scale.  The vertices are the rows."""
+    1-q, as the value table's Fractions, its numerators over one scale or
+    its texts.  The vertices are the rows."""
     nodes = f.node_count
     columns: list[tuple] = [()] * (nodes - 1)
     for label, rec in f.coordinates().items():
@@ -506,6 +504,15 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     table = _value_table(f.node_count, q, t)
     columns = _simplex_columns(f, table.powers, table.one_minus_q)
     return Simplex(table.n, tuple(zip(*columns)) if columns else ((),))
+
+
+def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
+    """The vertices of simplex_for_forest(f, q, t), each coordinate as its
+    `format_rational` text: the value table formats each of its n+3
+    values once, and the columns are built from those texts."""
+    table = _value_table(f.node_count, q, t)
+    columns = _simplex_columns(f, table.text_powers, table.text_one_minus_q)
+    return tuple(zip(*columns)) if columns else ((),)
 
 
 class VertexTable:

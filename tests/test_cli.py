@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -88,12 +89,77 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    code, out = run_cli(capsys, "zpoly", "--n", "3", "--output", str(target))
+_DRAW = ("--q", "37/101", "--t", "53/17")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("zpoly", "--n", "3")]
+    + [
+        (command, "--family", "tutte", "--n", "3", *_DRAW, "--format", fmt)
+        for command in ("simplices", "pieces")
+        for fmt in ("json", "text")
+    ],
+)
+def test_output_file(tmp_path, capsys, argv):
+    _, stdout = run_cli(capsys, *argv)
+    target = tmp_path / "out"
+    code, out = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == stdout.encode("utf-8")
+
+
+# sha256 of stdout at the sizes the structure benchmark runs, at
+# (q, t) = (1/2, 1/3); the golden file stops at simplices --n 4 and
+# pieces --n 5.
+_BENCHMARKED_SHA256 = {
+    ("simplices", "cayley", "json"): "35edfca1bf979aa365a3ffa934ab40a3887ee0f93fa859c1fe9b71a95089dffc",
+    ("simplices", "gayley", "json"): "cd321d1a4eed97c55b8f6f8d14bce07d3bb5d2c90c61977fb78a69a9f6331288",
+    ("simplices", "tcayley", "json"): "589027adfe68be61b268ea015a898203bdc37f08d519b0bbb0e7b93e0041d7bb",
+    ("simplices", "tgayley", "json"): "54d2030d6ec0a106b55e978f765868d70d7b003a75a313b5a2d53b24a88c4359",
+    ("simplices", "tutte", "json"): "3617ef26465eec117c67558ee8fb5376f6902ef5a6fc2914787b22e9f7705259",
+    ("simplices", "tutte", "text"): "97914175d887e1adf827c126e93c71919f0bc02a2934110519fbd3b95c97664a",
+    ("pieces", "cayley", "json"): "4f969931887464618fe51d685ffd269f33b060819ada35b08b4e5fe7777d3d72",
+    ("pieces", "gayley", "json"): "c30285c2505c280948b69d3b793bbca50efb5454955a7f925fdd3a08397858cb",
+    ("pieces", "tcayley", "json"): "a1cfc96a14381bbd2cbb396128619322021911f8672a633d9c4ba3821b7c8a10",
+    ("pieces", "tgayley", "json"): "4d048ea99ebb4eae66cce7bd5669fc28c23b8010ac66553e242a115e3b50f3fa",
+    ("pieces", "tutte", "json"): "e02e7873f253bafa107866a5caa4713fb1e5272f4bf91b9478e724388c6e7d64",
+    ("pieces", "tutte", "text"): "e7c9aed5e5bbb821124fd48e5746154f520e769e4338b10a5a39e5cba93ac5d6",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BENCHMARKED_SHA256))
+def test_benchmarked_sizes_keep_their_bytes(capsys, key):
+    command, family, fmt = key
+    n = "5" if command == "simplices" else "6"
+    code, out = run_cli(capsys, command, "--family", family, "--n", n, "--q", "1/2", "--t", "1/3", "--format", fmt)
     assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["nodes"] == 3
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BENCHMARKED_SHA256[key]
+
+
+_WRITER_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": (), "d": [[], {}, (), [[]], ({},)]},
+    ["plain", "é ü", "\u2028 \U0001f600", "\x00\x1f\x7f", 'q"b\\s', "\ud800", ""],
+    {"é": 1, '"\\': 2, "\n\t": 3, "": 4, "b": 5, "B": 6},
+    [True, False, None, 0, -5, 10**40, -(10**40)],
+    {"a": ("x", "y"), "b": [("x", "y"), [("x", "y")]], "c": {"d": ("x", "y")}},
+    [("1",), (1,), (True,), ("1", 1), ("1", True), ("1", None), ("1", [1]), ("1", ("1",))],
+    ("x", ("x", "y"), ["x", ("x", "y")]),
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_CASES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"a": ("x", 2.5)}, ("x", 1.5), {1: "a"}, {"a": 1, 2: "b"}, b"x"])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
@@ -117,6 +183,10 @@ def test_decimal_rational_rejected(capsys):
         ["hrep", "--family", "tutte", "--n", "2", "--q", "1/0"],
         ["hrep", "--family", "tutte", "--n", "2", "--t", "3/0"],
         ["fvector", "--n", "3", "--q", "0/0"],
+        # Digits other than ASCII 0-9.
+        ["hrep", "--family", "tutte", "--n", "1", "--q", "\u0663/4", "--t", "1"],
+        ["hrep", "--family", "tutte", "--n", "1", "--q", "\uff11/2"],
+        ["hrep", "--family", "tutte", "--n", "1", "--t", "1/\uff12"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

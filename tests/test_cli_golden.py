@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from cayleypoly import cli
 from cayleypoly.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json.gz")
@@ -23,3 +24,15 @@ def test_cli_output_matches_golden(record, capsys):
     code = main(list(record["argv"]))
     assert capsys.readouterr().out == record["stdout"]
     assert code == record["code"]
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_payload(monkeypatch, capsys):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+    for record in RECORDS:
+        main(list(record["argv"]))
+    capsys.readouterr()
+    objects = [p for p in payloads if not isinstance(p, str)]
+    assert len(objects) > len(RECORDS) // 2
+    for obj in objects:
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)

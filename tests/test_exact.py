@@ -70,7 +70,9 @@ def test_format_rational_examples():
 
 # A zero denominator is a ValueError, not ZeroDivisionError, so the CLI
 # reports a usage error.
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "1/2/3", "", "q", "1/0", "-3/00"])
+@pytest.mark.parametrize(
+    "bad", ["0.5", "1e3", "1/2/3", "", "q", "1/0", "-3/00", "\u0663/4", "\uff11/2", "1/\uff12"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

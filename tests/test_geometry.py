@@ -30,7 +30,8 @@ from cayleypoly import (
     simplex_for_forest,
     simplex_volume_scaled,
 )
-from cayleypoly.geometry import DimensionError, VertexTable, family_parameters
+from cayleypoly.exact import format_rational
+from cayleypoly.geometry import DimensionError, VertexTable, family_parameters, simplex_texts
 from cayleypoly.volumes import integer_volume_scaled
 
 HALF = Fraction(1, 2)
@@ -483,6 +484,14 @@ def test_vertex_table_matches_fraction_simplices(name, n, q, t):
     assert all(type(x) is int for v in table.vertices for x in v)
 
 
+@pytest.mark.parametrize("name,n,q,t", [case for case in _TABLE_CASES if case[1] <= 4])
+def test_simplex_texts_format_the_fraction_simplices(name, n, q, t):
+    q_eff, t_eff = family_parameters(name, q, t)
+    for f in get_family(name).labeled_cells(n):
+        expected = tuple(tuple(map(format_rational, v)) for v in simplex_for_forest(f, q_eff, t_eff).vertices)
+        assert simplex_texts(f, q_eff, t_eff) == expected
+
+
 def test_vertex_table_rejects_other_node_counts():
     table = VertexTable(4, HALF, 1)
     with pytest.raises(DimensionError):
@@ -676,6 +685,11 @@ def test_simplex_text_form(star3):
     lines = s.to_text().splitlines()
     assert lines[0] == "2 3"
     assert len(lines) == 4
+
+
+def test_hrep_text_rejects_non_ascii_digits():
+    with pytest.raises(ValueError, match="not an exact rational"):
+        HRep.from_text("1 1\n\u0663 1\n")
 
 
 def test_hrep_text_rejects_bad_row_width():
