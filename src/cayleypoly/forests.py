@@ -16,8 +16,12 @@ Conventions used throughout:
   node pushes its children right to left, so the leftmost child is on top
   and becomes active next, and when a node has no children the top of
   the stack is exactly the last visited node that has not been active.
-  One loop over that stack (`_nfs_walk`) serves graphs, labeled forests
-  and plane forests.
+  One loop over that stack (`_nfs_walk`) serves graphs and plane forests.
+  Positions, parents and cane exponents depend on the plane shape alone,
+  so a labeled forest is its shape's walk (a `ShapeWalk`, shared by every
+  forest of that shape) plus the label at each position: enumeration
+  walks each shape once and fills in its labelings, and `nfs` on a graph
+  builds the same record from the graph's walk.
 * A cane path starts at a node, climbs at least one step toward the root,
   and ends with a single step down to a child lying strictly to the right
   of (for labeled forests: labeled higher than) the branch it came up on.
@@ -32,9 +36,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from itertools import filterfalse
+from itertools import combinations, filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import LabeledGraph, pair_index, pair_order
@@ -50,10 +53,6 @@ def catalan(n: int) -> int:
 # ----------------------------------------------------------------------
 # The neighbors-first search walk
 # ----------------------------------------------------------------------
-
-
-# Children of each label, left to right.
-_Children = dict[int, tuple[int, ...]]
 
 
 def _nfs_walk(roots: Iterable, kids_of: Callable[[object], Sequence]) -> list[tuple]:
@@ -101,24 +100,74 @@ class NodeCoordinate(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-class LabeledForest:
-    """Acyclic graph on {1..n}, canonically rooted and NFS-ordered."""
+class ShapeWalk:
+    """The NFS walk of one plane shape: `walk` holds one entry
+    (parent_position, cane_exponent, root_position) per NFS position, with
+    parent_position None at a root; `roots` lists the root positions and
+    `alpha` totals the cane exponents.  Every labeled forest of the shape
+    shares one record."""
 
-    __slots__ = ("node_count", "parent", "children", "component_order", "order", "_walk")
+    __slots__ = ("walk", "roots", "alpha", "_kids", "_plane")
+
+    def __init__(self, entries: Iterable[tuple], plane: Optional[PlaneForest] = None):
+        """From the entries of `_nfs_walk`, whose nodes are dropped, and the
+        shape when it is already built."""
+        self.walk = tuple([(up, j, top) for _, up, j, top in entries])
+        self.roots = tuple([i for i, (up, _, _) in enumerate(self.walk) if up is None])
+        self.alpha = sum([j for _, j, _ in self.walk])
+        self._kids: Optional[tuple[tuple[int, ...], ...]] = None
+        self._plane = plane
+
+    def kids(self) -> tuple[tuple[int, ...], ...]:
+        """The child positions of each position, left to right, built on
+        first use."""
+        if self._kids is None:
+            kids: list[list[int]] = [[] for _ in self.walk]
+            # Children are visited right to left, so the walk read
+            # backwards lists each node's children left to right.
+            for i in reversed(range(len(self.walk))):
+                up = self.walk[i][0]
+                if up is not None:
+                    kids[up].append(i)
+            self._kids = tuple(map(tuple, kids))
+        return self._kids
+
+    def plane(self) -> PlaneForest:
+        """The shape as a plane forest, built on first use."""
+        if self._plane is None:
+            kids = self.kids()
+
+            def build(p: int) -> tuple:
+                return tuple(build(c) for c in kids[p])
+
+            self._plane = PlaneForest([build(r) for r in self.roots])
+        return self._plane
+
+
+class LabeledForest:
+    """Acyclic graph on {1..n}, canonically rooted and NFS-ordered.
+
+    Stored as `order`, the label at each NFS position, and `shape_walk`,
+    the walk of its plane shape; parents, children and coordinates are
+    read off the two on demand.
+    """
+
+    __slots__ = ("order", "shape_walk")
 
     def __init__(self, node_count: int, parent: dict[int, int]):
         for v, p in parent.items():
             if not (1 <= v <= node_count and 1 <= p <= node_count) or v == p:
                 raise ValueError(f"bad parent entry {v} -> {p}")
         # A cycle leaves the walk fewer edges than the map has.
-        if self._build(node_count, parent.items()) != self.edge_count():
+        if self._build(node_count, parent.items()) != node_count - self.component_count():
             raise ValueError("parent map contains a cycle")
+        built = self.parent
         for r in range(1, node_count + 1):
-            if r not in parent and r in self.parent:
+            if r not in parent and r in built:
                 raise ValueError(f"component root {r} is not its maximal label")
 
     def _build(self, node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> int:
-        """Take every field from the NFS walk of the graph on
+        """Take both fields from the NFS walk of the graph on
         {1..node_count} with these edges, and return how many pairs were
         given.  Each component starts at the largest unvisited label, and a
         node's children are its neighbours still unvisited when it becomes
@@ -131,26 +180,29 @@ class LabeledForest:
             count += 1
         seen: set[int] = set()
         visited = seen.__contains__
-        children: _Children = {}
 
         def fresh_neighbours(v: int) -> tuple[int, ...]:
             seen.add(v)
             neighbours = adj[v]
             neighbours.sort()
-            kids = children[v] = tuple(filterfalse(visited, neighbours))
+            kids = tuple(filterfalse(visited, neighbours))
             seen.update(kids)
             return kids
 
         walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
-        self.node_count = node_count
-        self._walk = walk
         self.order = tuple(node for node, _, _, _ in walk)
-        self.component_order = tuple(node for node, up, _, _ in walk if up is None)
-        self.parent = {node: walk[up][0] for node, up, _, _ in walk if up is not None}
-        self.children = children
+        self.shape_walk = ShapeWalk(walk)
         return count
 
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _labeled(cls, order: tuple[int, ...], shape_walk: ShapeWalk) -> "LabeledForest":
+        """The forest with these labels, by position, on this shape."""
+        forest = cls.__new__(cls)
+        forest.order = order
+        forest.shape_walk = shape_walk
+        return forest
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "LabeledForest":
@@ -162,7 +214,7 @@ class LabeledForest:
         except KeyError as exc:
             raise ValueError(f"bad edge label {exc.args[0]!r} for n={n}") from None
         # A cycle, a loop or a repeated pair leaves fewer forest edges.
-        if given != forest.edge_count():
+        if given != n - forest.component_count():
             raise ValueError("edge set contains a cycle")
         return forest
 
@@ -174,12 +226,18 @@ class LabeledForest:
         return cls(len(entries), parent)
 
     def to_parent_text(self) -> str:
-        return ",".join(str(self.parent.get(v, 0)) for v in range(1, self.node_count + 1))
+        order = self.order
+        text = ["0"] * len(order)
+        for label, (up, _, _) in zip(order, self.shape_walk.walk):
+            if up is not None:
+                text[label - 1] = str(order[up])
+        return ",".join(text)
 
     # -- identity ---------------------------------------------------------
 
     def _key(self) -> tuple:
-        return (self.node_count, tuple(self.parent.get(v, 0) for v in range(1, self.node_count + 1)))
+        # The canonical walk is a function of the parent map and back.
+        return self.order, self.shape_walk.walk
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabeledForest) and self._key() == other._key()
@@ -192,6 +250,27 @@ class LabeledForest:
 
     # -- basic data -------------------------------------------------------
 
+    @property
+    def node_count(self) -> int:
+        return len(self.order)
+
+    @property
+    def parent(self) -> dict[int, int]:
+        """Parent label of every non-root label."""
+        order = self.order
+        return {order[i]: order[up] for i, (up, _, _) in enumerate(self.shape_walk.walk) if up is not None}
+
+    @property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """Children of every label, in increasing label order."""
+        order = self.order
+        return {order[i]: tuple(order[k] for k in kids) for i, kids in enumerate(self.shape_walk.kids())}
+
+    @property
+    def component_order(self) -> tuple[int, ...]:
+        """Component roots, in decreasing label order."""
+        return tuple(self.order[r] for r in self.shape_walk.roots)
+
     def position(self, v: int) -> int:
         return self.order.index(v)
 
@@ -199,20 +278,20 @@ class LabeledForest:
         return sorted((min(v, p), max(v, p)) for v, p in self.parent.items())
 
     def edge_count(self) -> int:
-        return len(self.parent)
+        return len(self.order) - len(self.shape_walk.roots)
 
     def component_count(self) -> int:
-        return len(self.component_order)
+        return len(self.shape_walk.roots)
 
     def is_tree(self) -> bool:
         return self.component_count() == 1
 
     def coordinates(self) -> dict[int, NodeCoordinate]:
         """NodeCoordinate for every label, keyed by label."""
-        walk = self._walk
+        order = self.order
         return {
-            node: NodeCoordinate(up is None, i, j, top, walk[top][0])
-            for i, (node, up, j, top) in enumerate(walk)
+            order[i]: NodeCoordinate(up is None, i, j, top, order[top])
+            for i, (up, j, top) in enumerate(self.shape_walk.walk)
         }
 
 
@@ -227,26 +306,27 @@ def cane_paths_from(f: LabeledForest, v: int) -> int:
     """Number of cane paths starting at node v."""
     if not 1 <= v <= f.node_count:
         raise ValueError(f"node {v} not in forest")
-    return f._walk[f.position(v)][2]
+    return f.shape_walk.walk[f.position(v)][1]
 
 
 def alpha(f: LabeledForest) -> int:
     """Total number of cane paths in the forest."""
-    return sum(j for _, _, j, _ in f._walk)
+    return f.shape_walk.alpha
 
 
 def cane_edges(f: LabeledForest) -> set[tuple[int, int]]:
     """Non-tree pairs joined by a cane path; exactly alpha(f) of them."""
+    order, walk = f.order, f.shape_walk.walk
+    kids = f.shape_walk.kids()
     out: set[tuple[int, int]] = set()
-    for v in range(1, f.node_count + 1):
-        prev = v
-        anc = f.parent.get(v)
+    for i, v in enumerate(order):
+        prev, anc = i, walk[i][0]
         while anc is not None:
-            kids = f.children[anc]
-            for w in kids[kids.index(prev) + 1 :]:
+            siblings = kids[anc]
+            for k in siblings[siblings.index(prev) + 1 :]:
+                w = order[k]
                 out.add((min(v, w), max(v, w)))
-            prev = anc
-            anc = f.parent.get(anc)
+            prev, anc = anc, walk[anc][0]
     return out
 
 
@@ -359,16 +439,16 @@ class PlaneForest:
 
     def labeled_forest_count(self) -> int:
         """Number of labeled forests whose shape is this plane forest."""
-        n = self.node_count() - 1
-        count = Fraction(math.factorial(n))
+        divisor = 1
         for d in self.reduced_degree_sequence():
-            count /= math.factorial(d)
+            divisor *= math.factorial(d)
         sizes = self.component_sizes()
         for j in range(1, len(sizes)):
-            count /= sum(sizes[j:])
-        if count.denominator != 1:
+            divisor *= sum(sizes[j:])
+        count, remainder = divmod(math.factorial(self.node_count() - 1), divisor)
+        if remainder:
             raise ArithmeticError(f"non-integer labeling count for {self!r}")
-        return count.numerator
+        return count
 
     def nfs_structure(self):
         """(coords, parent, children, root_positions) over NFS positions.
@@ -376,18 +456,10 @@ class PlaneForest:
         Nodes are identified with their NFS positions 0..n-1; children
         lists are in plane left-to-right order.
         """
-        walk = _nfs_walk(self.trees, _subtrees)
-        coords = [NodeCoordinate(up is None, i, j, top) for i, (_, up, j, top) in enumerate(walk)]
-        parent = {i: up for i, (_, up, _, _) in enumerate(walk) if up is not None}
-        kids: list[list[int]] = [[] for _ in walk]
-        # Children are visited right to left, so the walk read backwards
-        # lists each node's children left to right.
-        for i in reversed(range(len(walk))):
-            if walk[i][1] is not None:
-                kids[walk[i][1]].append(i)
-        children = {i: tuple(siblings) for i, siblings in enumerate(kids)}
-        root_positions = [i for i, (_, up, _, _) in enumerate(walk) if up is None]
-        return coords, parent, children, root_positions
+        record = ShapeWalk(_nfs_walk(self.trees, _subtrees), self)
+        coords = [NodeCoordinate(up is None, i, j, top) for i, (up, j, top) in enumerate(record.walk)]
+        parent = {i: up for i, (up, _, _) in enumerate(record.walk) if up is not None}
+        return coords, parent, dict(enumerate(record.kids())), list(record.roots)
 
 
 def _subtrees(node: tuple) -> tuple:
@@ -406,12 +478,9 @@ def _tree_degrees(tree: tuple, out: list[int]) -> None:
 
 
 def shape(f: LabeledForest) -> PlaneForest:
-    """Erase labels: children keep their increasing-label order."""
-
-    def build(v: int) -> tuple:
-        return tuple(build(c) for c in f.children[v])
-
-    return PlaneForest([build(root) for root in f.component_order])
+    """Erase labels: children keep their increasing-label order.  The
+    shape is held by the forest's walk record, shared across the shape."""
+    return f.shape_walk.plane()
 
 
 # ----------------------------------------------------------------------
@@ -420,31 +489,70 @@ def shape(f: LabeledForest) -> PlaneForest:
 
 
 def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[LabeledForest]:
-    """Every labeled forest on {1..n} exactly once (canonical rooting).
+    """Every labeled forest on {1..n} exactly once (canonical rooting), in
+    increasing order of its edge mask read with pair (1, 2) as the most
+    significant bit.
 
-    Depth first over the canonical pair order: at each pair the branch
-    that leaves the pair out comes first, then the branch that takes it.
-    Every node carries the label of its component; a pair is taken only
-    when its ends carry different labels, and taking it relabels the one
-    component with the other's label.  Each stack entry is (next pair,
-    node labels, edges taken), and an entry past the last pair is a
-    forest.
+    Each plane forest on n nodes (plane tree, with trees_only) is walked
+    once, and its labelings share that walk; they are gathered as
+    (key, labels, walk record) and sorted by key.  Forests with equal
+    labels by position share one labels tuple: there are at most n! of
+    them, against 36961 forests on 7 nodes.
     """
     if not 1 <= n <= MAX_FOREST_NODES:
         raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
     pairs = pair_order(n)
-    stack = [(0, tuple(range(n + 1)), ())]
-    while stack:
-        k, label, edges = stack.pop()
-        if k == len(pairs):
-            if not trees_only or len(edges) == n - 1:
-                yield LabeledForest.from_edges(n, edges)
-            continue
-        i, j = pairs[k]
-        old, new = label[i], label[j]
-        if old != new:
-            stack.append((k + 1, tuple(new if x == old else x for x in label), edges + ((i, j),)))
-        stack.append((k + 1, label, edges))
+    # bit[a][b]: the key bit of the pair {a, b}.
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(pairs):
+        bit[i][j] = bit[j][i] = 1 << (len(pairs) - 1 - k)
+    found: list[tuple[int, tuple[int, ...], ShapeWalk]] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for pf in enumerate_plane_trees(n) if trees_only else enumerate_plane_forests(n):
+        _add_labelings(ShapeWalk(_nfs_walk(pf.trees, _subtrees), pf), bit, shared, found)
+    found.sort()  # keys are distinct, so no two labelings are compared
+    for _, labels, record in found:
+        yield LabeledForest._labeled(labels, record)
+
+
+def _add_labelings(record: ShapeWalk, bit: list[list[int]], shared: dict, found: list) -> None:
+    """Append (key, labels, record) for every labeling of the shape, with
+    labels by position, taken from `shared` when an equal tuple is there,
+    and key the sum of the edges' bits.
+
+    A component's root takes the largest label left, and each sibling
+    group then takes any set of the labels left, increasing left to right
+    (the rightmost sibling has the lowest position).  The steps run in
+    position order, so a parent is labeled before its children and a
+    component has taken all its labels before the next root takes the
+    largest one left.
+    """
+    labels = [0] * len(record.walk)
+    steps: list[tuple[Optional[int], tuple[int, ...]]] = []
+    for p, kids in enumerate(record.kids()):
+        if record.walk[p][0] is None:
+            steps.append((None, (p,)))
+        if kids:
+            steps.append((p, kids))
+
+    def fill(k: int, pool: tuple[int, ...], key: int) -> None:
+        if k == len(steps):
+            labeling = tuple(labels)
+            found.append((key, shared.setdefault(labeling, labeling), record))
+            return
+        parent, group = steps[k]
+        if parent is None:
+            labels[group[0]] = pool[-1]
+            fill(k + 1, pool[:-1], key)
+            return
+        row = bit[labels[parent]]
+        for chosen in combinations(pool, len(group)):
+            for p, label in zip(group, chosen):
+                labels[p] = label
+            rest = tuple([x for x in pool if x not in chosen])
+            fill(k + 1, rest, key + sum([row[x] for x in chosen]))
+
+    fill(0, tuple(range(1, len(labels) + 1)), 0)
 
 
 def count_labeled_forests(n: int) -> int:

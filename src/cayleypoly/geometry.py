@@ -470,18 +470,17 @@ def _simplex_columns(f: LabeledForest, powers: Sequence, one_minus_q) -> list[tu
     of the given values: powers[k] stands for (1+t)^k and one_minus_q for
     1-q, as the value table's Fractions, its numerators over one scale or
     its texts.  The vertices are the rows."""
-    nodes = f.node_count
-    columns: list[tuple] = [()] * (nodes - 1)
-    for label, rec in f.coordinates().items():
-        if rec.position == 0:
-            continue
-        r = rec.root_label
-        if rec.is_root:
+    labels = f.order
+    nodes = len(labels)
+    columns: list[tuple] = []
+    # Position 0 holds the constant qt; column i - 1 is position i's.
+    for label, (up, j, top) in zip(labels[1:], f.shape_walk.walk[1:]):
+        r = labels[top]
+        if up is None:
             column = (powers[0],) * r
         else:
-            j = rec.cane_exponent
             column = (powers[j + 1],) * label + (powers[j],) * (r - label)
-        columns[rec.position - 1] = column + (one_minus_q,) * (nodes - r)
+        columns.append(column + (one_minus_q,) * (nodes - r))
     return columns
 
 

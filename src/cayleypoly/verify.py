@@ -555,7 +555,7 @@ def _fiber_fault(f: LabeledForest, seen: bytearray) -> Optional[str]:
         if seen[mask]:
             return "mask generated twice"
         seen[mask] = 1
-        if nfs(LabeledGraph(f.node_count, mask)).parent != f.parent:
+        if nfs(LabeledGraph(f.node_count, mask)) != f:
             return "fiber set mismatch"
         tally.append(((components, mask.bit_count()), 1))
     if BivariatePolynomial(tally) != closed_form_simplex_volume(f):

@@ -225,13 +225,14 @@ def tree_inversions(tree: LabeledForest) -> int:
     if not tree.is_tree():
         raise ValueError("inversions are defined for trees")
     root = tree.component_order[0]
+    parent = tree.parent
     count = 0
     for j in range(1, tree.node_count + 1):
-        anc = tree.parent.get(j)
+        anc = parent.get(j)
         while anc is not None:
             if anc > j and anc != root:
                 count += 1
-            anc = tree.parent.get(anc)
+            anc = parent.get(anc)
     return count
 
 
@@ -333,8 +334,8 @@ def volume_report(
     """Compute the family volume by simplices, pieces, and the graph sweep.
 
     The graph sweep runs over K_{n+1}, so n is capped at Z_MAX_NODES - 1
-    before any cell is enumerated.  Cells stream: the determinant pass
-    enumerates them a second time, and sums each simplex's
+    before any cell is enumerated.  The determinant pass enumerates the
+    cells a second time, and sums each simplex's
     `integer_volume_scaled` on the value table's numerators over one scale
     s, divided once by s^n.
     """

@@ -137,6 +137,28 @@ def test_benchmarked_sizes_keep_their_bytes(capsys, key):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BENCHMARKED_SHA256[key]
 
 
+# sha256 of stdout of `volume --n 5` at (q, t) = (1/2, 1/3), the size the
+# symbolic benchmark runs; the golden file stops at n = 3.  None marks the
+# determinant pass, run for tutte only.
+_VOLUME_SHA256 = {
+    ("cayley", "--symbolic"): "f12c9dfcac54c2d8676ec4889112156f1cdb5404188f41218dcede91d0007dc9",
+    ("gayley", "--symbolic"): "85d5a88f73ff65a5f56a2558d6316f7cba2488e4a054ff944bc11788e7465f1b",
+    ("tcayley", "--symbolic"): "f02381e87ac427ec0ae2f960fa9d0ec1146330eacaa95aebe8ab1b30d0d31479",
+    ("tgayley", "--symbolic"): "1fd0a999a8249217c0bcf469381554cb6d2cbdf8a81bc65db42ab00366365d29",
+    ("tutte", "--symbolic"): "7784975ecdbd109463f78382acb90db4710dc41900c27bf6d4b62de990571ec2",
+    ("tutte", None): "29accb030a046c13bb10fb65e451571b6735541914f50479e430b9d884b270b1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_VOLUME_SHA256, key=str))
+def test_volume_n5_keeps_its_bytes(capsys, key):
+    family, flag = key
+    argv = ["volume", "--family", family, "--n", "5", "--q", "1/2", "--t", "1/3"]
+    code, out = run_cli(capsys, *argv, *([flag] if flag else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _VOLUME_SHA256[key]
+
+
 _WRITER_CASES = [
     {},
     [],

@@ -372,6 +372,21 @@ def test_single_node_edge_cases():
     assert pf.labeled_forest_count() == 1
 
 
+def test_labeled_forest_counts_sum_to_forest_counts():
+    for n in range(1, 10):
+        assert sum(pf.labeled_forest_count() for pf in enumerate_plane_forests(n)) == count_labeled_forests(n)
+        trees = sum(pf.labeled_forest_count() for pf in enumerate_plane_trees(n))
+        assert trees == (1 if n == 1 else n ** (n - 2))
+
+
+def test_labeled_forest_count_rejects_a_non_integer(monkeypatch):
+    # No plane forest gets here; a forged degree sequence makes 1! / 3!.
+    pf = PlaneForest.from_text("1,0")
+    monkeypatch.setattr(PlaneForest, "reduced_degree_sequence", lambda self: (3,))
+    with pytest.raises(ArithmeticError, match="non-integer labeling count"):
+        pf.labeled_forest_count()
+
+
 def test_parent_text_round_trip(worked_forest12):
     text = worked_forest12.to_parent_text()
     assert LabeledForest.from_parent_text(text) == worked_forest12
@@ -697,5 +712,69 @@ def test_parent_maps_match_reference_check():
                     LabeledForest(n, parent)
                 continue
             f = LabeledForest(n, parent)
-            assert (f.parent, f.children, f._walk) == expected, entries
+            walk = [(label, *entry) for label, entry in zip(f.order, f.shape_walk.walk)]
+            assert (f.parent, f.children, walk) == expected, entries
     assert maps == 8476
+
+
+def _flat_labeled_forests(n: int, trees_only: bool = False):
+    """The labeled forests on n nodes, one NFS walk each, in enumeration
+    order (the enumerator before it labeled plane shapes).  Depth first
+    over the canonical pair order: at each pair the branch that leaves the
+    pair out comes first.  Every node carries the label of its component;
+    a pair is taken only when its ends carry different labels, and taking
+    it relabels the one component with the other's label."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    stack = [(0, tuple(range(n + 1)), ())]
+    while stack:
+        k, label, edges = stack.pop()
+        if k == len(pairs):
+            if not trees_only or len(edges) == n - 1:
+                yield LabeledForest.from_edges(n, edges)
+            continue
+        i, j = pairs[k]
+        old, new = label[i], label[j]
+        if old != new:
+            stack.append((k + 1, tuple(new if x == old else x for x in label), edges + ((i, j),)))
+        stack.append((k + 1, label, edges))
+
+
+def _public_fields(f: LabeledForest) -> tuple:
+    return (
+        f.node_count,
+        f.parent,
+        f.children,
+        f.order,
+        f.component_order,
+        f.coordinates(),
+        alpha(f),
+        shape(f),
+        f.to_parent_text(),
+    )
+
+
+@pytest.mark.parametrize("trees_only", [False, True])
+def test_enumeration_matches_flat_reference_in_order(trees_only):
+    for n in range(1, 8):
+        expected = _flat_labeled_forests(n, trees_only)
+        got = enumerate_labeled_forests(n, trees_only=trees_only)
+        for ref, f in itertools.zip_longest(expected, got):
+            assert ref is not None and f is not None, n
+            assert _public_fields(f) == _public_fields(ref), ref
+
+
+@pytest.mark.parametrize("trees_only", [False, True])
+def test_enumeration_walks_each_shape_once(monkeypatch, trees_only):
+    walks = []
+    real_walk = forests._nfs_walk
+
+    def counting_walk(roots, kids_of):
+        walks.append(1)
+        return real_walk(roots, kids_of)
+
+    monkeypatch.setattr(forests, "_nfs_walk", counting_walk)
+    for n in range(1, 7):
+        walks.clear()
+        for _ in enumerate_labeled_forests(n, trees_only=trees_only):
+            pass
+        assert len(walks) == (catalan(n - 1) if trees_only else catalan(n))
