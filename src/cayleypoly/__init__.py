@@ -14,7 +14,6 @@ from .exact import (
 )
 from .forests import (
     LabeledForest,
-    NodeCoordinate,
     PlaneForest,
     alpha,
     cane_edges,

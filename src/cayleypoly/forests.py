@@ -18,10 +18,11 @@ Conventions used throughout:
   the stack is exactly the last visited node that has not been active.
   One loop over that stack (`_nfs_walk`) serves graphs and plane forests.
   Positions, parents and cane exponents depend on the plane shape alone,
-  so a labeled forest is its shape's walk (a `ShapeWalk`, shared by every
-  forest of that shape) plus the label at each position: enumeration
-  walks each shape once and fills in its labelings, and `nfs` on a graph
-  builds the same record from the graph's walk.
+  so a `PlaneForest` is held as its walk, and a labeled forest is its
+  shape (one `PlaneForest`, shared by every forest of that shape) plus
+  the label at each position: enumeration walks each shape once and
+  fills in its labelings, and `nfs` on a graph builds the shape from the
+  graph's walk.
 * A cane path starts at a node, climbs at least one step toward the root,
   and ends with a single step down to a child lying strictly to the right
   of (for labeled forests: labeled higher than) the branch it came up on.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, filterfalse
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import LabeledGraph, pair_index, pair_order
 
@@ -79,80 +80,20 @@ def _nfs_walk(roots: Iterable, kids_of: Callable[[object], Sequence]) -> list[tu
     return walk
 
 
-class NodeCoordinate(NamedTuple):
-    """Placement data of one forest node inside the simplex chain.
-
-    position is the NFS position i (0-based, forest-wide); cane_exponent
-    is the number j of cane paths starting at the node; root_position is
-    the NFS position l of the node's component root.  root_label is the
-    maximal label of the component (None for unlabeled plane forests).
-    """
-
-    is_root: bool
-    position: int
-    cane_exponent: int
-    root_position: int
-    root_label: Optional[int] = None
-
-
 # ----------------------------------------------------------------------
 # Labeled forests
 # ----------------------------------------------------------------------
 
 
-class ShapeWalk:
-    """The NFS walk of one plane shape: `walk` holds one entry
-    (parent_position, cane_exponent, root_position) per NFS position, with
-    parent_position None at a root; `roots` lists the root positions and
-    `alpha` totals the cane exponents.  Every labeled forest of the shape
-    shares one record."""
-
-    __slots__ = ("walk", "roots", "alpha", "_kids", "_plane")
-
-    def __init__(self, entries: Iterable[tuple], plane: Optional[PlaneForest] = None):
-        """From the entries of `_nfs_walk`, whose nodes are dropped, and the
-        shape when it is already built."""
-        self.walk = tuple([(up, j, top) for _, up, j, top in entries])
-        self.roots = tuple([i for i, (up, _, _) in enumerate(self.walk) if up is None])
-        self.alpha = sum([j for _, j, _ in self.walk])
-        self._kids: Optional[tuple[tuple[int, ...], ...]] = None
-        self._plane = plane
-
-    def kids(self) -> tuple[tuple[int, ...], ...]:
-        """The child positions of each position, left to right, built on
-        first use."""
-        if self._kids is None:
-            kids: list[list[int]] = [[] for _ in self.walk]
-            # Children are visited right to left, so the walk read
-            # backwards lists each node's children left to right.
-            for i in reversed(range(len(self.walk))):
-                up = self.walk[i][0]
-                if up is not None:
-                    kids[up].append(i)
-            self._kids = tuple(map(tuple, kids))
-        return self._kids
-
-    def plane(self) -> PlaneForest:
-        """The shape as a plane forest, built on first use."""
-        if self._plane is None:
-            kids = self.kids()
-
-            def build(p: int) -> tuple:
-                return tuple(build(c) for c in kids[p])
-
-            self._plane = PlaneForest([build(r) for r in self.roots])
-        return self._plane
-
-
 class LabeledForest:
     """Acyclic graph on {1..n}, canonically rooted and NFS-ordered.
 
-    Stored as `order`, the label at each NFS position, and `shape_walk`,
-    the walk of its plane shape; parents, children and coordinates are
-    read off the two on demand.
+    Stored as `order`, the label at each NFS position, and `shape`, its
+    plane shape, which holds the walk; parents and children are read off
+    the two on demand.
     """
 
-    __slots__ = ("order", "shape_walk")
+    __slots__ = ("order", "shape")
 
     def __init__(self, node_count: int, parent: dict[int, int]):
         for v, p in parent.items():
@@ -191,17 +132,17 @@ class LabeledForest:
 
         walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
         self.order = tuple(node for node, _, _, _ in walk)
-        self.shape_walk = ShapeWalk(walk)
+        self.shape = PlaneForest._walked(walk)
         return count
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _labeled(cls, order: tuple[int, ...], shape_walk: ShapeWalk) -> "LabeledForest":
+    def _labeled(cls, order: tuple[int, ...], plane: PlaneForest) -> "LabeledForest":
         """The forest with these labels, by position, on this shape."""
         forest = cls.__new__(cls)
         forest.order = order
-        forest.shape_walk = shape_walk
+        forest.shape = plane
         return forest
 
     @classmethod
@@ -228,7 +169,7 @@ class LabeledForest:
     def to_parent_text(self) -> str:
         order = self.order
         text = ["0"] * len(order)
-        for label, (up, _, _) in zip(order, self.shape_walk.walk):
+        for label, (up, _, _) in zip(order, self.shape.walk):
             if up is not None:
                 text[label - 1] = str(order[up])
         return ",".join(text)
@@ -237,7 +178,7 @@ class LabeledForest:
 
     def _key(self) -> tuple:
         # The canonical walk is a function of the parent map and back.
-        return self.order, self.shape_walk.walk
+        return self.order, self.shape.walk
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabeledForest) and self._key() == other._key()
@@ -258,18 +199,18 @@ class LabeledForest:
     def parent(self) -> dict[int, int]:
         """Parent label of every non-root label."""
         order = self.order
-        return {order[i]: order[up] for i, (up, _, _) in enumerate(self.shape_walk.walk) if up is not None}
+        return {order[i]: order[up] for i, (up, _, _) in enumerate(self.shape.walk) if up is not None}
 
     @property
     def children(self) -> dict[int, tuple[int, ...]]:
         """Children of every label, in increasing label order."""
         order = self.order
-        return {order[i]: tuple(order[k] for k in kids) for i, kids in enumerate(self.shape_walk.kids())}
+        return {order[i]: tuple(order[k] for k in kids) for i, kids in enumerate(self.shape.kids())}
 
     @property
     def component_order(self) -> tuple[int, ...]:
         """Component roots, in decreasing label order."""
-        return tuple(self.order[r] for r in self.shape_walk.roots)
+        return tuple(self.order[r] for r in self.shape.roots)
 
     def position(self, v: int) -> int:
         return self.order.index(v)
@@ -278,21 +219,13 @@ class LabeledForest:
         return sorted((min(v, p), max(v, p)) for v, p in self.parent.items())
 
     def edge_count(self) -> int:
-        return len(self.order) - len(self.shape_walk.roots)
+        return len(self.order) - len(self.shape.roots)
 
     def component_count(self) -> int:
-        return len(self.shape_walk.roots)
+        return len(self.shape.roots)
 
     def is_tree(self) -> bool:
         return self.component_count() == 1
-
-    def coordinates(self) -> dict[int, NodeCoordinate]:
-        """NodeCoordinate for every label, keyed by label."""
-        order = self.order
-        return {
-            order[i]: NodeCoordinate(up is None, i, j, top, order[top])
-            for i, (up, j, top) in enumerate(self.shape_walk.walk)
-        }
 
 
 def nfs(g: LabeledGraph) -> LabeledForest:
@@ -306,18 +239,18 @@ def cane_paths_from(f: LabeledForest, v: int) -> int:
     """Number of cane paths starting at node v."""
     if not 1 <= v <= f.node_count:
         raise ValueError(f"node {v} not in forest")
-    return f.shape_walk.walk[f.position(v)][1]
+    return f.shape.walk[f.position(v)][1]
 
 
 def alpha(f: LabeledForest) -> int:
     """Total number of cane paths in the forest."""
-    return f.shape_walk.alpha
+    return f.shape.alpha()
 
 
 def cane_edges(f: LabeledForest) -> set[tuple[int, int]]:
     """Non-tree pairs joined by a cane path; exactly alpha(f) of them."""
-    order, walk = f.order, f.shape_walk.walk
-    kids = f.shape_walk.kids()
+    order, walk = f.order, f.shape.walk
+    kids = f.shape.kids()
     out: set[tuple[int, int]] = set()
     for i, v in enumerate(order):
         prev, anc = i, walk[i][0]
@@ -355,17 +288,60 @@ def fiber_of(f: LabeledForest) -> list[LabeledGraph]:
 class PlaneForest:
     """Unlabeled plane forest: ordered components of ordered rooted trees.
 
-    Stored as a tuple of nested tuples, one per component; a node is the
-    tuple of its subtrees.  The depth-first degree sequence (component-
-    terminating zeros retained) determines the forest uniquely.
+    Held as its NFS walk, which determines it: `walk` has one entry
+    (parent_position, cane_exponent, root_position) per NFS position, with
+    parent_position None at a root, and `roots` lists the root positions.
+    `trees` has one nested tuple per component (a node is the tuple of its
+    subtrees), rebuilt from the walk on first use when not given.
     """
 
-    __slots__ = ("trees",)
+    __slots__ = ("walk", "roots", "_alpha", "_kids", "_trees")
 
     def __init__(self, trees: Sequence[tuple]):
-        self.trees = tuple(trees)
-        if not self.trees:
+        trees = tuple(trees)
+        if not trees:
             raise ValueError("plane forest needs at least one component")
+        # A node is the tuple of its subtrees, so `tuple` lists its children.
+        self._read(_nfs_walk(trees, tuple), trees)
+
+    @classmethod
+    def _walked(cls, entries: Iterable[tuple]) -> "PlaneForest":
+        """The shape of an `_nfs_walk`, whose nodes are dropped."""
+        forest = cls.__new__(cls)
+        forest._read(entries, None)
+        return forest
+
+    def _read(self, entries: Iterable[tuple], trees: Optional[tuple]) -> None:
+        self.walk = tuple([(up, j, top) for _, up, j, top in entries])
+        self.roots = tuple([i for i, (up, _, _) in enumerate(self.walk) if up is None])
+        self._alpha = sum([j for _, j, _ in self.walk])
+        self._kids: Optional[tuple[tuple[int, ...], ...]] = None
+        self._trees = trees
+
+    @property
+    def trees(self) -> tuple:
+        if self._trees is None:
+            kids = self.kids()
+
+            def build(p: int) -> tuple:
+                return tuple(build(c) for c in kids[p])
+
+            self._trees = tuple([build(r) for r in self.roots])
+        return self._trees
+
+    def kids(self) -> tuple[tuple[int, ...], ...]:
+        """The child positions of each position, left to right, built on
+        first use."""
+        if self._kids is None:
+            kids: list[list[int]] = [[] for _ in self.walk]
+            # Children are visited right to left, so the walk read
+            # backwards lists each node's children left to right.
+            for i in reversed(range(len(self.walk))):
+                up = self.walk[i][0]
+                if up is not None:
+                    kids[up].append(i)
+            self._kids = tuple(map(tuple, kids))
+        return self._kids
 
     @classmethod
     def from_degree_sequence(cls, seq: Sequence[int]) -> "PlaneForest":
@@ -395,10 +371,10 @@ class PlaneForest:
         return ",".join(str(d) for d in self.degree_sequence())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PlaneForest) and self.trees == other.trees
+        return isinstance(other, PlaneForest) and self.walk == other.walk
 
     def __hash__(self) -> int:
-        return hash(self.trees)
+        return hash(self.walk)
 
     def __repr__(self) -> str:
         return f"PlaneForest({self.to_text()!r})"
@@ -406,13 +382,15 @@ class PlaneForest:
     # -- derived data ----------------------------------------------------
 
     def node_count(self) -> int:
-        return sum(self.component_sizes())
+        return len(self.walk)
 
     def component_count(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
 
     def component_sizes(self) -> tuple[int, ...]:
-        return tuple(_tree_size(t) for t in self.trees)
+        """A component spans the positions from its root to the next."""
+        ends = self.roots[1:] + (len(self.walk),)
+        return tuple([end - root for root, end in zip(self.roots, ends)])
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Depth-first degrees, one terminating zero per component kept."""
@@ -422,53 +400,31 @@ class PlaneForest:
         return tuple(out)
 
     def reduced_degree_sequence(self) -> tuple[int, ...]:
-        """Degree sequence with the zero ending each component erased."""
-        out: list[int] = []
-        for tree in self.trees:
-            degs: list[int] = []
-            _tree_degrees(tree, degs)
-            out.extend(degs[:-1])
-        return tuple(out)
+        """Degree sequence with the zero ending each component erased.  A
+        component's depth-first run covers the positions its walk run does,
+        so it ends just before the next root's position."""
+        ends = {*self.roots[1:], len(self.walk)}
+        return tuple([d for i, d in enumerate(self.degree_sequence(), 1) if i not in ends])
 
     def edge_count(self) -> int:
-        return sum(self.degree_sequence())
+        return len(self.walk) - len(self.roots)
 
     def alpha(self) -> int:
-        """Total number of cane paths, counted on the plane structure."""
-        return sum(j for _, _, j, _ in _nfs_walk(self.trees, _subtrees))
+        """Total number of cane paths, summed once over the walk."""
+        return self._alpha
 
     def labeled_forest_count(self) -> int:
         """Number of labeled forests whose shape is this plane forest."""
         divisor = 1
         for d in self.reduced_degree_sequence():
             divisor *= math.factorial(d)
-        sizes = self.component_sizes()
-        for j in range(1, len(sizes)):
-            divisor *= sum(sizes[j:])
+        # The components from the one at this root on hold n - root nodes.
+        for root in self.roots[1:]:
+            divisor *= len(self.walk) - root
         count, remainder = divmod(math.factorial(self.node_count() - 1), divisor)
         if remainder:
             raise ArithmeticError(f"non-integer labeling count for {self!r}")
         return count
-
-    def nfs_structure(self):
-        """(coords, parent, children, root_positions) over NFS positions.
-
-        Nodes are identified with their NFS positions 0..n-1; children
-        lists are in plane left-to-right order.
-        """
-        record = ShapeWalk(_nfs_walk(self.trees, _subtrees), self)
-        coords = [NodeCoordinate(up is None, i, j, top) for i, (up, j, top) in enumerate(record.walk)]
-        parent = {i: up for i, (up, _, _) in enumerate(record.walk) if up is not None}
-        return coords, parent, dict(enumerate(record.kids())), list(record.roots)
-
-
-def _subtrees(node: tuple) -> tuple:
-    """A plane-forest node is the tuple of its subtrees, left to right."""
-    return node
-
-
-def _tree_size(tree: tuple) -> int:
-    return 1 + sum(_tree_size(c) for c in tree)
 
 
 def _tree_degrees(tree: tuple, out: list[int]) -> None:
@@ -478,9 +434,9 @@ def _tree_degrees(tree: tuple, out: list[int]) -> None:
 
 
 def shape(f: LabeledForest) -> PlaneForest:
-    """Erase labels: children keep their increasing-label order.  The
-    shape is held by the forest's walk record, shared across the shape."""
-    return f.shape_walk.plane()
+    """Erase labels: children keep their increasing-label order.  Every
+    forest of one shape shares one `PlaneForest`."""
+    return f.shape
 
 
 # ----------------------------------------------------------------------
@@ -494,10 +450,11 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     significant bit.
 
     Each plane forest on n nodes (plane tree, with trees_only) is walked
-    once, and its labelings share that walk; they are gathered as
-    (key, labels, walk record) and sorted by key.  Forests with equal
-    labels by position share one labels tuple: there are at most n! of
-    them, against 36961 forests on 7 nodes.
+    once, and its labelings share that walk.  Forests with equal labels
+    by position share one labels tuple: there are at most n! of them,
+    against 36961 forests on 7 nodes.  Each labeling is gathered as the
+    one int (key * shapes + shape index) * n! + labels index, and these
+    are sorted; keys are distinct, so the sort is by key.
     """
     if not 1 <= n <= MAX_FOREST_NODES:
         raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
@@ -506,19 +463,25 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     bit = [[0] * (n + 1) for _ in range(n + 1)]
     for k, (i, j) in enumerate(pairs):
         bit[i][j] = bit[j][i] = 1 << (len(pairs) - 1 - k)
-    found: list[tuple[int, tuple[int, ...], ShapeWalk]] = []
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for pf in enumerate_plane_trees(n) if trees_only else enumerate_plane_forests(n):
-        _add_labelings(ShapeWalk(_nfs_walk(pf.trees, _subtrees), pf), bit, shared, found)
-    found.sort()  # keys are distinct, so no two labelings are compared
-    for _, labels, record in found:
-        yield LabeledForest._labeled(labels, record)
+    shapes = list(enumerate_plane_trees(n) if trees_only else enumerate_plane_forests(n))
+    width = math.factorial(n)
+    found: list[int] = []
+    shared: dict[tuple[int, ...], int] = {}
+    for index, pf in enumerate(shapes):
+        _add_labelings(pf, bit, shared, found, len(shapes) * width, index * width)
+    found.sort()
+    labelings = list(shared)
+    for packed in found:
+        rest, labels = divmod(packed, width)
+        yield LabeledForest._labeled(labelings[labels], shapes[rest % len(shapes)])
 
 
-def _add_labelings(record: ShapeWalk, bit: list[list[int]], shared: dict, found: list) -> None:
-    """Append (key, labels, record) for every labeling of the shape, with
-    labels by position, taken from `shared` when an equal tuple is there,
-    and key the sum of the edges' bits.
+def _add_labelings(
+    pf: PlaneForest, bit: list[list[int]], shared: dict, found: list, scale: int, tail: int
+) -> None:
+    """Append key * scale + tail + labels for every labeling of the
+    shape, with key the sum of the edges' bits and labels the index in
+    `shared` of its labels by position, added when new.
 
     A component's root takes the largest label left, and each sibling
     group then takes any set of the labels left, increasing left to right
@@ -527,10 +490,10 @@ def _add_labelings(record: ShapeWalk, bit: list[list[int]], shared: dict, found:
     component has taken all its labels before the next root takes the
     largest one left.
     """
-    labels = [0] * len(record.walk)
+    labels = [0] * len(pf.walk)
     steps: list[tuple[Optional[int], tuple[int, ...]]] = []
-    for p, kids in enumerate(record.kids()):
-        if record.walk[p][0] is None:
+    for p, kids in enumerate(pf.kids()):
+        if pf.walk[p][0] is None:
             steps.append((None, (p,)))
         if kids:
             steps.append((p, kids))
@@ -538,7 +501,7 @@ def _add_labelings(record: ShapeWalk, bit: list[list[int]], shared: dict, found:
     def fill(k: int, pool: tuple[int, ...], key: int) -> None:
         if k == len(steps):
             labeling = tuple(labels)
-            found.append((key, shared.setdefault(labeling, labeling), record))
+            found.append(key * scale + tail + shared.setdefault(labeling, len(shared)))
             return
         parent, group = steps[k]
         if parent is None:

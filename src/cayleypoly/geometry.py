@@ -24,9 +24,11 @@ Every cell builder (simplex_for_forest, forest_chain_hrep,
 piece_for_plane_forest) reads one shared exact value table per
 (node count, q, t), kept in a bounded cache after q and t are checked and
 turned into Fractions: 1 - q and the powers (1+t)^k, which every simplex
-vertex refers to rather than copies, and each distinct node coordinate
-form and chain row, built once and shared by every H-rep that has it (so
-are its cleared integer row and its texts).  The table also holds 1 - q
+vertex refers to rather than copies, and the coordinate form of each
+distinct placement (a node's position, cane exponent and root position,
+read off the NFS walk that a PlaneForest holds) and each distinct chain
+row, built once and shared by every H-rep that has it (so are its
+cleared integer row and its texts).  The table also holds 1 - q
 and the powers cleared to integer numerators over one common scale s,
 and as formatted texts; one column builder writes a simplex from any of
 these value sets (simplex_texts gives its vertices as texts), and a
@@ -50,7 +52,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .exact import clear_denominators, format_rational, parse_rational
 from .forests import (
     LabeledForest,
-    NodeCoordinate,
     PlaneForest,
     catalan,
     count_labeled_forests,
@@ -380,12 +381,9 @@ def _tutte_hrep(n: int, q: Fraction, t: Fraction) -> HRep:
 _VALUE_TABLES = 16
 
 # A node's chain coordinate depends on its placement only, not on its
-# component's maximal label: (is_root, position, cane_exponent, root_position).
-_FormKey = tuple[bool, int, int, int]
-
-
-def _form_key(rec: NodeCoordinate) -> _FormKey:
-    return rec.is_root, rec.position, rec.cane_exponent, rec.root_position
+# component's maximal label: (position, cane_exponent, root_position), the
+# position being a root when it is its own root position.
+_Placement = tuple[int, int, int]
 
 
 class _ValueTable:
@@ -416,28 +414,28 @@ class _ValueTable:
         self.int_powers = tuple(cleared)
         self.text_one_minus_q = format_rational(self.one_minus_q)
         self.text_powers = tuple(map(format_rational, powers))
-        self._forms: dict[_FormKey, AffineForm] = {}
-        self._differences: dict[tuple[_FormKey, _FormKey], AffineForm] = {}
+        self._forms: dict[_Placement, AffineForm] = {}
+        self._differences: dict[tuple[_Placement, _Placement], AffineForm] = {}
 
-    def form(self, key: _FormKey) -> AffineForm:
+    def form(self, key: _Placement) -> AffineForm:
         """The chain coordinate of a placement as an affine form on R^n."""
         form = self._forms.get(key)
         if form is None:
             form = self._forms[key] = self._build_form(*key)
         return form
 
-    def difference(self, upper: _FormKey, lower: _FormKey) -> AffineForm:
+    def difference(self, upper: _Placement, lower: _Placement) -> AffineForm:
         """The chain row form(upper) - form(lower)."""
         row = self._differences.get((upper, lower))
         if row is None:
             row = self._differences[upper, lower] = self.form(upper) - self.form(lower)
         return row
 
-    def _build_form(self, is_root: bool, position: int, j: int, root_position: int) -> AffineForm:
+    def _build_form(self, position: int, j: int, root_position: int) -> AffineForm:
         n, q, t, mq = self.n, self.q, self.t, self.one_minus_q
         if position == 0:
             return AffineForm.constant_form(n, q * t)
-        if is_root:
+        if position == root_position:
             return AffineForm.linear(n, position, t, -t * mq)
         wj = self.powers[j]
         coeffs = [Fraction(0)] * n
@@ -459,29 +457,24 @@ def _value_table(node_count: int, q, t) -> _ValueTable:
     return _ValueTable(node_count, _check_q(q), _check_t(t))
 
 
-def _coordinate_form(rec: NodeCoordinate, n: int, q, t) -> AffineForm:
-    """The node's chain coordinate as an affine form on R^n, from the
-    shared table of (n, q, t)."""
-    return _value_table(n + 1, q, t).form(_form_key(rec))
-
-
-def _simplex_columns(f: LabeledForest, powers: Sequence, one_minus_q) -> list[tuple]:
-    """The coordinate columns of the forest's simplex, each as three runs
-    of the given values: powers[k] stands for (1+t)^k and one_minus_q for
-    1-q, as the value table's Fractions, its numerators over one scale or
-    its texts.  The vertices are the rows."""
+def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[tuple, ...]:
+    """The vertices of the forest's simplex in the given values: powers[k]
+    stands for (1+t)^k and one_minus_q for 1-q, as the value table's
+    Fractions, its numerators over one scale or its texts.  Each
+    coordinate column is built as three runs, and the vertices are the
+    rows."""
     labels = f.order
     nodes = len(labels)
     columns: list[tuple] = []
     # Position 0 holds the constant qt; column i - 1 is position i's.
-    for label, (up, j, top) in zip(labels[1:], f.shape_walk.walk[1:]):
+    for label, (up, j, top) in zip(labels[1:], f.shape.walk[1:]):
         r = labels[top]
         if up is None:
             column = (powers[0],) * r
         else:
             column = (powers[j + 1],) * label + (powers[j],) * (r - label)
         columns.append(column + (one_minus_q,) * (nodes - r))
-    return columns
+    return tuple(zip(*columns)) if columns else ((),)
 
 
 def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
@@ -501,8 +494,7 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
     is built as three runs and the vertices are its rows.
     """
     table = _value_table(f.node_count, q, t)
-    columns = _simplex_columns(f, table.powers, table.one_minus_q)
-    return Simplex(table.n, tuple(zip(*columns)) if columns else ((),))
+    return Simplex(table.n, _simplex_vertices(f, table.powers, table.one_minus_q))
 
 
 def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
@@ -510,8 +502,7 @@ def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
     `format_rational` text: the value table formats each of its n+3
     values once, and the columns are built from those texts."""
     table = _value_table(f.node_count, q, t)
-    columns = _simplex_columns(f, table.text_powers, table.text_one_minus_q)
-    return tuple(zip(*columns)) if columns else ((),)
+    return _simplex_vertices(f, table.text_powers, table.text_one_minus_q)
 
 
 class VertexTable:
@@ -538,8 +529,7 @@ class VertexTable:
         values = self._values
         if f.node_count != values.n + 1:
             raise DimensionError("forest/table node count mismatch")
-        columns = _simplex_columns(f, values.int_powers, values.int_one_minus_q)
-        return tuple(zip(*columns)) if columns else ((),)
+        return _simplex_vertices(f, values.int_powers, values.int_one_minus_q)
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
         index, vertices = self._index, self.vertices
@@ -563,8 +553,8 @@ def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
     node coordinates; c(n+1) is the constant qt.
     """
     table = _value_table(f.node_count, q, t)
-    coords = f.coordinates()
-    keys = [_form_key(coords[label]) for label in range(1, f.node_count + 1)]
+    walk = f.shape.walk
+    keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
     rows = [table.form(keys[0])]
     rows.extend(table.difference(upper, lower) for lower, upper in zip(keys, keys[1:]))
     return HRep(table.n, tuple(rows))
@@ -584,20 +574,18 @@ def piece_for_plane_forest(pf: PlaneForest, q, t) -> HRep:
     with c(w_1) = qt constant.
     """
     table = _value_table(pf.node_count(), q, t)
-    coords, _, children, root_positions = pf.nfs_structure()
-    keys = [_form_key(rec) for rec in coords]
+    keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
     rows: list[AffineForm] = []
-    for u in range(pf.node_count()):
-        kids = children.get(u, ())
+    for (_, _, top), kids in zip(pf.walk, pf.kids()):
         if not kids:
             continue
         rows.append(table.form(keys[kids[0]]))
         for a, b in zip(kids, kids[1:]):
             rows.append(table.difference(keys[b], keys[a]))
-        rows.append(table.difference(keys[coords[u].root_position], keys[kids[-1]]))
-    if len(root_positions) > 1:
-        rows.append(table.form(keys[root_positions[-1]]))
-        for a, b in zip(root_positions, root_positions[1:]):
+        rows.append(table.difference(keys[top], keys[kids[-1]]))
+    if len(pf.roots) > 1:
+        rows.append(table.form(keys[pf.roots[-1]]))
+        for a, b in zip(pf.roots, pf.roots[1:]):
             rows.append(table.difference(keys[a], keys[b]))
     return HRep(table.n, tuple(rows))
 

@@ -86,9 +86,9 @@ def test_worked_forest_order_and_exponents(worked_forest12):
     expected = {11: 0, 10: 1, 6: 2, 8: 2, 4: 1, 2: 2, 5: 0, 7: 0, 3: 1, 1: 2}
     for node, j in expected.items():
         assert cane_paths_from(worked_forest12, node) == j
-    coords = worked_forest12.coordinates()
-    assert coords[9].is_root and coords[9].position == 8
-    assert coords[7].root_position == 8 and coords[7].root_label == 9
+    coords = _walk_coordinates(worked_forest12)
+    assert coords[9][:2] == (True, 8)
+    assert coords[7][3:] == (8, 9)
 
 
 # ----------------------------------------------------------------------
@@ -248,16 +248,33 @@ def test_shape_examples(star3, path3):
 
 
 def test_shape_positions_mirror_labeled_forest():
-    # The NFS structure of the shape coincides position-by-position with
-    # the labeled forest's own coordinates.
+    # Walking the shape's trees as a plane forest puts every node where
+    # the labeled forest's own NFS puts it, and the shape's walk holds both.
     for f in enumerate_labeled_forests(5):
-        by_position = {rec.position: rec for rec in f.coordinates().values()}
-        coords, _, _, _ = shape(f).nfs_structure()
-        for position, rec in enumerate(coords):
-            labeled = by_position[position]
-            assert rec.is_root == labeled.is_root
-            assert rec.cane_exponent == labeled.cane_exponent
-            assert rec.root_position == labeled.root_position
+        _, by_label = _ref_labeled(5, f.parent)
+        ref_coords, _, _, _ = _ref_nfs_structure(shape(f))
+        walk_coords = _walk_coordinates(f)
+        for label, labeled in by_label.items():
+            assert ref_coords[labeled[1]][:4] == labeled[:4]
+            assert walk_coords[label] == labeled
+
+
+def test_one_shape_one_value_from_every_constructor():
+    # A shape is one value however it is built: from the enumerator, its
+    # trees, its degree sequence, or a graph's NFS walk.
+    for n in range(1, 8):
+        for f in enumerate_labeled_forests(n):
+            pf = shape(f)
+            for other in (PlaneForest(pf.trees), PlaneForest.from_degree_sequence(pf.degree_sequence())):
+                assert other == pf and hash(other) == hash(pf)
+    for n in range(1, 6):
+        by_parent = {f.to_parent_text(): shape(f) for f in enumerate_labeled_forests(n)}
+        for g in enumerate_graphs(n):
+            f = nfs(g)
+            walked, enumerated = shape(f), by_parent[f.to_parent_text()]
+            assert walked == enumerated and hash(walked) == hash(enumerated)
+            assert walked.trees == enumerated.trees
+            assert walked.to_text() == enumerated.to_text()
 
 
 def test_shape_groups_and_multiplicities():
@@ -523,6 +540,13 @@ def _ref_forest_parent(n: int, edge_pairs) -> dict:
     return parent
 
 
+def _walk_coordinates(f: LabeledForest) -> dict:
+    """(is_root, position, cane exponent, root position, root label) by
+    label, read off the forest's shape walk."""
+    order = f.order
+    return {order[i]: (up is None, i, j, top, order[top]) for i, (up, j, top) in enumerate(f.shape.walk)}
+
+
 def _ref_labeled(n: int, parent: dict) -> tuple[list, dict]:
     """(NFS order, coordinates by label) of a canonical parent map."""
     kids: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
@@ -665,7 +689,7 @@ def test_labeled_forests_match_reference():
             assert f.parent == _ref_forest_parent(n, f.edge_list())
             order, coords = _ref_labeled(n, f.parent)
             assert list(f.order) == order
-            assert {v: tuple(rec) for v, rec in f.coordinates().items()} == coords
+            assert _walk_coordinates(f) == coords
             assert [f.position(v) for v in order] == list(range(n))
             assert alpha(f) == sum(rec[2] for rec in coords.values())
             for v in range(1, n + 1):
@@ -676,12 +700,11 @@ def test_labeled_forests_match_reference():
 def test_plane_forests_match_reference():
     for n in range(1, 9):
         for pf in enumerate_plane_forests(n):
-            coords, parent, children, root_positions = pf.nfs_structure()
             ref_coords, ref_parent, ref_children, ref_roots = _ref_nfs_structure(pf)
-            assert [tuple(rec) for rec in coords] == ref_coords
-            assert parent == ref_parent
-            assert children == ref_children
-            assert root_positions == ref_roots
+            assert [(up is None, i, j, top, None) for i, (up, j, top) in enumerate(pf.walk)] == ref_coords
+            assert {i: up for i, (up, _, _) in enumerate(pf.walk) if up is not None} == ref_parent
+            assert dict(enumerate(pf.kids())) == ref_children
+            assert list(pf.roots) == ref_roots
             assert pf.alpha() == sum(rec[2] for rec in ref_coords)
 
 
@@ -712,7 +735,7 @@ def test_parent_maps_match_reference_check():
                     LabeledForest(n, parent)
                 continue
             f = LabeledForest(n, parent)
-            walk = [(label, *entry) for label, entry in zip(f.order, f.shape_walk.walk)]
+            walk = [(label, *entry) for label, entry in zip(f.order, f.shape.walk)]
             assert (f.parent, f.children, walk) == expected, entries
     assert maps == 8476
 
@@ -746,9 +769,10 @@ def _public_fields(f: LabeledForest) -> tuple:
         f.children,
         f.order,
         f.component_order,
-        f.coordinates(),
+        f.shape.walk,
         alpha(f),
         shape(f),
+        shape(f).trees,
         f.to_parent_text(),
     )
 

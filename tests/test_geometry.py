@@ -170,16 +170,24 @@ def test_worked_forest_vertex_table(worked_forest12, q, t):
         assert s.vertices[p] == _expected_vertex(row, q, t), f"vertex {p + 1}"
 
 
+def _walk_coordinates(f):
+    """(is_root, position, cane exponent, root position, root label) by
+    label, read off the forest's shape walk."""
+    order = f.order
+    return {order[i]: (up is None, i, j, top, order[top]) for i, (up, j, top) in enumerate(f.shape.walk)}
+
+
 def test_chain_solve_pattern():
     # Vertex p zeroes the chain coordinates below p and saturates the rest.
-    from cayleypoly.geometry import _coordinate_form
+    from cayleypoly.geometry import _value_table
 
     q, t = THIRD, Fraction(2)
     for size in (2, 3, 4, 5):
+        table = _value_table(size, q, t)
         for f in enumerate_labeled_forests(size):
-            coords = f.coordinates()
-            n = f.node_count - 1
-            forms = [_coordinate_form(coords[k], n, q, t) for k in range(1, f.node_count + 1)]
+            coords = _walk_coordinates(f)
+            # The table keys a coordinate by (position, j, root position).
+            forms = [table.form(coords[k][1:4]) for k in range(1, size + 1)]
             s = simplex_for_forest(f, q, t)
             for p, vertex in enumerate(s.vertices, start=1):
                 for k, form in enumerate(forms, start=1):
@@ -210,15 +218,15 @@ def test_order_simplex_map_gives_tree_vertices():
     t = Fraction(2)
     w = 1 + t
     for tree in enumerate_labeled_forests(4, trees_only=True):
-        coords = tree.coordinates()
+        coords = _walk_coordinates(tree)
         n = tree.node_count - 1
         expected = simplex_for_forest(tree, 1, t).vertices
         for p in range(1, tree.node_count + 1):
             x = [Fraction(0)] * n
             for label in range(1, tree.node_count):
-                rec = coords[label]
+                _, position, j, _, _ = coords[label]
                 y = 0 if label < p else 1
-                x[rec.position - 1] = w**rec.cane_exponent * (1 + t * y)
+                x[position - 1] = w**j * (1 + t * y)
             assert tuple(x) == expected[p - 1]
 
 
@@ -231,15 +239,11 @@ def test_skew_shift_maps_one_parameter_simplex_to_two_parameter():
         for f in enumerate_labeled_forests(n):
             base = simplex_for_forest(f, 1, t)
             target = simplex_for_forest(f, q, t)
-            recs = sorted(
-                (rec for rec in f.coordinates().values() if rec.position >= 1),
-                key=lambda r: r.position,
-            )
             for v_base, v_target in zip(base.vertices, target.vertices):
                 mapped = list(v_base)
-                for rec in recs:
-                    x_l = Fraction(1) if rec.root_position == 0 else v_base[rec.root_position - 1]
-                    mapped[rec.position - 1] = v_base[rec.position - 1] + (1 - q) * (1 - x_l)
+                for i, (_, _, top) in enumerate(f.shape.walk[1:], start=1):
+                    x_l = Fraction(1) if top == 0 else v_base[top - 1]
+                    mapped[i - 1] = v_base[i - 1] + (1 - q) * (1 - x_l)
                 assert tuple(mapped) == v_target
 
 
@@ -251,11 +255,11 @@ def test_tree_chain_matches_classical_form(t):
     w = 1 + t
     for tree in enumerate_labeled_forests(4, trees_only=True):
         n = tree.node_count - 1
-        coords = tree.coordinates()
+        coords = _walk_coordinates(tree)
         forms = []
         for label in range(1, tree.node_count):
-            rec = coords[label]
-            forms.append(AffineForm.linear(n, rec.position, Fraction(1, w**rec.cane_exponent)))
+            _, position, j, _, _ = coords[label]
+            forms.append(AffineForm.linear(n, position, Fraction(1, w**j)))
         rows = [forms[0] - AffineForm.constant_form(n, 1)]
         for a, b in zip(forms, forms[1:]):
             rows.append(b - a)
@@ -351,41 +355,42 @@ def _reference_simplex(f, q, t):
     """Vertex by vertex, every coordinate computed afresh."""
     n = f.node_count - 1
     w = 1 + t
-    coords = f.coordinates()
+    coords = _walk_coordinates(f)
     vertices = []
     for p in range(1, f.node_count + 1):
         x = [Fraction(0)] * n
-        for label, rec in coords.items():
-            if rec.position == 0:
+        for label, (is_root, position, j, _, r) in coords.items():
+            if position == 0:
                 continue
-            r = rec.root_label
-            if rec.is_root:
-                x[rec.position - 1] = Fraction(1) if p <= r else 1 - q
+            if is_root:
+                x[position - 1] = Fraction(1) if p <= r else 1 - q
             elif p <= label:
-                x[rec.position - 1] = w ** (rec.cane_exponent + 1)
+                x[position - 1] = w ** (j + 1)
             elif p <= r:
-                x[rec.position - 1] = w**rec.cane_exponent
+                x[position - 1] = w**j
             else:
-                x[rec.position - 1] = 1 - q
+                x[position - 1] = 1 - q
         vertices.append(tuple(x))
     return tuple(vertices)
 
 
-def _reference_form(rec, n, q, t):
-    """(constant, coefficients) of a node's chain coordinate."""
-    if rec.position == 0:
+def _reference_form(coord, n, q, t):
+    """(constant, coefficients) of a node's chain coordinate, from its
+    (is_root, position, cane exponent, root position, ...)."""
+    is_root, position, j, root_position = coord[:4]
+    if position == 0:
         return q * t, (Fraction(0),) * n
     coeffs = [Fraction(0)] * n
-    if rec.is_root:
-        coeffs[rec.position - 1] = t
+    if is_root:
+        coeffs[position - 1] = t
         return -t * (1 - q), tuple(coeffs)
-    wj = (1 + t) ** rec.cane_exponent
-    coeffs[rec.position - 1] = q / wj
+    wj = (1 + t) ** j
+    coeffs[position - 1] = q / wj
     const = (1 - q) - (1 - q) / wj
-    if rec.root_position == 0:
+    if root_position == 0:
         const += (1 - q) / wj - 1
     else:
-        coeffs[rec.root_position - 1] += (1 - q) / wj - 1
+        coeffs[root_position - 1] += (1 - q) / wj - 1
     return const, tuple(coeffs)
 
 
@@ -395,23 +400,23 @@ def _minus(a, b):
 
 def _reference_chain(f, q, t):
     n = f.node_count - 1
-    coords = f.coordinates()
+    coords = _walk_coordinates(f)
     forms = [_reference_form(coords[label], n, q, t) for label in range(1, f.node_count + 1)]
     return [forms[0]] + [_minus(hi, lo) for lo, hi in zip(forms, forms[1:])]
 
 
 def _reference_piece(pf, q, t):
     n = pf.node_count() - 1
-    coords, _, children, root_positions = pf.nfs_structure()
-    forms = [_reference_form(rec, n, q, t) for rec in coords]
+    coords = [(up is None, i, j, top) for i, (up, j, top) in enumerate(pf.walk)]
+    forms = [_reference_form(coord, n, q, t) for coord in coords]
+    root_positions = pf.roots
     rows = []
-    for u in range(pf.node_count()):
-        kids = children.get(u, ())
+    for u, kids in enumerate(pf.kids()):
         if not kids:
             continue
         rows.append(forms[kids[0]])
         rows.extend(_minus(forms[b], forms[a]) for a, b in zip(kids, kids[1:]))
-        rows.append(_minus(forms[coords[u].root_position], forms[kids[-1]]))
+        rows.append(_minus(forms[coords[u][3]], forms[kids[-1]]))
     if len(root_positions) > 1:
         rows.append(forms[root_positions[-1]])
         rows.extend(_minus(forms[a], forms[b]) for a, b in zip(root_positions, root_positions[1:]))
