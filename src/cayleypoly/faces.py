@@ -2,16 +2,16 @@
 
 The face lattice comes from vertex-facet incidences alone, with no linear
 algebra (Kaibel & Pfetsch, CGTA 23 (2002)).  For a full-dimensional
-polytope P with a complete H-rep, two facts suffice: the facets of P are
-the inclusion-maximal nonempty proper contact sets of its rows, and the
-facets of a d-face G are the inclusion-maximal meets G & F with the
-facets F of P, other than G and the empty set (Ziegler, Lectures on
-Polytopes, 2.2).  So each level of faces comes from the one above, and
-the level is the dimension.  Contacts are found in integers: the vertices
-are cleared over one common denominator and each coprime row of
-`HRep.integer_rows` is evaluated on the numerators; only a violation is
-re-evaluated as a Fraction, to report its exact amount.  Contact sets are
-bitmasks over the vertex indices.
+polytope P with a complete H-rep, two facts suffice: a facet of P is an
+inclusion-maximal nonempty proper contact set of its rows, and a facet of
+a d-face G is an inclusion-maximal meet G & F with a facet F of P, other
+than G and the empty set (Ziegler, Lectures on Polytopes, 2.2).  So each
+level of faces comes from the one above, and the level is the dimension.
+Contacts are found in integers: the vertices are cleared over one common
+denominator and each coprime row of `HRep.integer_rows` is evaluated on
+the numerators; only a violation is re-evaluated as a Fraction, to
+report its exact amount.  Contact sets, and every face through to the
+returned lattice, are int bitmasks over the vertex indices.
 """
 
 from __future__ import annotations
@@ -111,9 +111,14 @@ class InconsistentGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class FaceLattice:
+    """Faces as int bitmasks of the vertex indices (bit i for point i).
+
+    faces_by_dim[d] holds the d-face masks in ascending order, the facet
+    masks at d = dimension - 1; f_vector is (f_0, ..., f_{dimension-1}).
+    """
+
     dimension: int
-    facets: tuple[frozenset[int], ...]
-    faces_by_dim: dict[int, tuple[frozenset[int], ...]]
+    faces_by_dim: dict[int, tuple[int, ...]]
     f_vector: tuple[int, ...]
 
 
@@ -147,16 +152,6 @@ def _contact_masks(points, hrep: HRep) -> list[int]:
     return masks
 
 
-def _members(mask: int) -> list[int]:
-    """The indices of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _maximal(masks: set[int]) -> list[int]:
     """The inclusion-maximal masks, largest first."""
     kept: list[int] = []
@@ -172,25 +167,20 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     The points must be the vertices of a full-dimensional polytope, every
     point must satisfy every inequality, and every facet must have a row
     (redundant rows are allowed).  Faces are graded top-down from the
-    facets, as in the module docstring.  The f-vector lists
-    (f_0, ..., f_{n-1}).
+    facet level, as in the module docstring.
     """
     n = hrep.dimension
     full = (1 << len(vertices.points)) - 1
     contacts = {m for m in _contact_masks(vertices.points, hrep) if m and m != full}
-    facet_masks = sorted(_maximal(contacts))
-    levels = {n - 1: facet_masks}
+    facet_masks = tuple(sorted(_maximal(contacts)))
+    faces_by_dim = {n - 1: facet_masks}
     for d in range(n - 1, 0, -1):
         below: set[int] = set()
-        for face in levels[d]:
+        for face in faces_by_dim[d]:
             below.update(_maximal({face & f for f in facet_masks} - {face, 0}))
-        levels[d - 1] = below
-    faces_by_dim = {
-        d: tuple(sorted((frozenset(_members(m)) for m in levels[d]), key=sorted)) for d in range(n)
-    }
+        faces_by_dim[d - 1] = tuple(sorted(below))
     return FaceLattice(
         dimension=n,
-        facets=tuple(frozenset(_members(m)) for m in facet_masks),
         faces_by_dim=faces_by_dim,
         f_vector=tuple(len(faces_by_dim[d]) for d in range(n)),
     )

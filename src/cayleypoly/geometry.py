@@ -288,11 +288,10 @@ def _check_t(t) -> Fraction:
     return t
 
 
-def _check_q(q, allow_one=True) -> Fraction:
+def _check_q(q) -> Fraction:
     q = Fraction(q)
-    if q <= 0 or q > 1 or (not allow_one and q == 1):
-        hi = "1" if allow_one else "1 (exclusive)"
-        raise ParameterDomainError(f"q must lie in (0, {hi}], got {q}")
+    if q <= 0 or q > 1:
+        raise ParameterDomainError(f"q must lie in (0, 1], got {q}")
     return q
 
 

@@ -47,6 +47,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import BivariatePolynomial, clear_denominators, eliminate, format_rational
+from .faces import cayley_vertices, tutte_vertices
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -138,10 +139,10 @@ class RationalLCG:
     MULTIPLIER = 6364136223846793005
     INCREMENT = 1442695040888963407
     MODULUS = 1 << 64
+    denominator = 257
 
-    def __init__(self, seed: int, denominator: int = 257):
+    def __init__(self, seed: int):
         self.state = seed & (self.MODULUS - 1)
-        self.denominator = denominator
 
     def next_numerator(self) -> int:
         self.state = (self.state * self.MULTIPLIER + self.INCREMENT) % self.MODULUS
@@ -498,8 +499,6 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
     gayley = enumerate_hrep_vertices(build_hrep("gayley", n))
     ortho = tuple(sorted(orthoscheme_vertices([Fraction(2) ** k for k in range(1, n + 1)])))
     checks["tutte_q1_t1_is_gayley"] = {"ok": tutte11 == gayley == ortho}
-
-    from .faces import cayley_vertices, tutte_vertices  # local import avoids a cycle
 
     tcayley = enumerate_hrep_vertices(build_hrep("tcayley", n, t=t))
     closed = tuple(sorted(cayley_vertices(n, t).points))

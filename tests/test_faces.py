@@ -1,5 +1,6 @@
 """Vertex sets, face lattices, f-vectors, and the edge/2-face formulas."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from cayleypoly import (
     vertices_are_extreme,
 )
 from cayleypoly.exact import clear_denominators, eliminate
-from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks, _members
+from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks
 from cayleypoly.geometry import AffineForm, HRep, ParameterDomainError
 
 HALF = Fraction(1, 2)
@@ -131,10 +132,24 @@ def test_face_lattice_structure():
     hrep = build_hrep("tutte", 3, HALF, 1)
     lattice = face_lattice(vs, hrep)
     assert lattice.f_vector == (8, 13, 7)
-    assert len(lattice.facets) == 7
-    # Every vertex occurs as a zero-dimensional face.
-    zero_faces = {frozenset(face) for face in lattice.faces_by_dim[0]}
-    assert zero_faces == {frozenset({i}) for i in range(8)}
+    assert len(lattice.faces_by_dim[2]) == 7
+    # Every vertex occurs as a zero-dimensional face: its own bit.
+    assert lattice.faces_by_dim[0] == tuple(1 << i for i in range(8))
+    for faces in lattice.faces_by_dim.values():
+        assert all(a < b for a, b in zip(faces, faces[1:]))
+
+
+def test_face_lattice_at_n9():
+    # No command reaches n = 9 (FVECTOR_MAX_N caps tutte_f_vector), but
+    # face_lattice itself has no cap.
+    q, t = Fraction(37, 101), Fraction(53, 17)
+    lattice = face_lattice(tutte_vertices(9, q, t), build_hrep("tutte", 9, q, t))
+    f = lattice.f_vector
+    assert f == (512, 3073, 8095, 12130, 11255, 6597, 2381, 487, 46)
+    assert f[1] == edge_count_formula(9)
+    assert f[2] == two_face_count_formula(9)
+    assert len(lattice.faces_by_dim[8]) == math.comb(10, 2) + 1
+    assert sum((-1) ** i * x for i, x in enumerate(f)) == 1 + (-1) ** 8
 
 
 def test_euler_relation():
@@ -149,8 +164,6 @@ def test_chain_polytope_is_a_combinatorial_cube():
     # f-vector f_k = C(n, k) 2^(n-k) agrees with the two-parameter table
     # only for n <= 2; from n = 3 on the face lattices genuinely differ
     # (12 edges and 6 facets versus 13 and 7 at n = 3).
-    import math
-
     for n in range(1, 5):
         vs = cayley_vertices(n, Fraction(2))
         hrep = build_hrep("tcayley", n, t=2)
@@ -172,7 +185,7 @@ def _rank_face_lattice(vertices, hrep):
 
     def dim_of(mask: int) -> int:
         """Affine dimension: the rank of the differences to one member."""
-        base, *rest = (int_points[i] for i in _members(mask))
+        base, *rest = (p for i, p in enumerate(int_points) if mask >> i & 1)
         return len(eliminate([[a - b for a, b in zip(p, base)] for p in rest])[0])
 
     facet_masks = sorted(
@@ -192,14 +205,13 @@ def _rank_face_lattice(vertices, hrep):
                     new.append(meet)
         frontier = new
     f_vector = [0] * n
-    faces_by_dim: dict[int, list[frozenset[int]]] = {d: [] for d in range(n)}
+    faces_by_dim: dict[int, list[int]] = {d: [] for d in range(n)}
     for mask, dim in faces.items():
         f_vector[dim] += 1
-        faces_by_dim[dim].append(frozenset(_members(mask)))
+        faces_by_dim[dim].append(mask)
     return FaceLattice(
         dimension=n,
-        facets=tuple(frozenset(_members(m)) for m in facet_masks),
-        faces_by_dim={d: tuple(sorted(v, key=sorted)) for d, v in faces_by_dim.items()},
+        faces_by_dim={d: tuple(sorted(v)) for d, v in faces_by_dim.items()},
         f_vector=tuple(f_vector),
     )
 
@@ -233,7 +245,7 @@ def test_face_lattice_ignores_redundant_rows():
         rows = hrep.inequalities
         padded = HRep(n, (*rows, rows[0] + rows[-1], rows[1] + rows[2], AffineForm.constant_form(n, 0)))
         lattice = face_lattice(vs, hrep)
-        assert len(lattice.facets) == len(rows)
+        assert len(lattice.faces_by_dim[n - 1]) == len(rows)
         assert face_lattice(vs, padded) == lattice == _rank_face_lattice(vs, padded)
 
 
