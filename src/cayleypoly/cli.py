@@ -43,19 +43,7 @@ from .geometry import (
     simplex_texts,
     vrep_to_text,
 )
-from .verify import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    FIBER_SWEEP_MAX_N,
-    check_run,
-    run_all,
-    verify_fiber,
-    verify_piece_constructions,
-    verify_refinement,
-    verify_specializations,
-    verify_subdivision,
-    verify_triangulation,
-)
+from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
 from .volumes import (
     DegenerateSimplexError,
     connected_gf,
@@ -182,20 +170,8 @@ def _add_cayley1857(p):
     p.add_argument("--output", default=None)
 
 
-# Each --check but "all": its job at one n.  A lambda looks the job up by
-# its name here when called, so a job rebound in this module is the one run.
-_VERIFY_JOBS = {
-    "triangulation": lambda a, n: verify_triangulation(a.family, n, a.q, a.t, a.samples, a.seed),
-    "subdivision": lambda a, n: verify_subdivision(a.family, n, a.q, a.t, a.samples, a.seed),
-    "refinement": lambda a, n: verify_refinement(a.family, n, a.q, a.t),
-    "specializations": lambda a, n: verify_specializations(n, a.q, a.t),
-    "pieces": lambda a, n: verify_piece_constructions(n, a.q, a.t),
-    "fiber": lambda a, n: verify_fiber(n + 1),
-}
-
-
 def _add_verify(p):
-    p.add_argument("--check", choices=(*_VERIFY_JOBS, "all"), default="all")
+    p.add_argument("--check", choices=(*CHECKS, "all"), default="all")
     p.add_argument("--all", action="store_true", help="synonym for --check all")
     p.add_argument("--family", choices=FAMILIES, default="tutte")
     p.add_argument("--n", type=int, default=None)
@@ -377,17 +353,9 @@ def _cmd_cayley1857(args) -> tuple[dict | str, int]:
 
 
 def _cmd_verify(args) -> tuple[dict | str, int]:
-    if args.all or args.check == "all":
-        reports = run_all(args.nmax, args.q, args.t, samples=args.samples, seed=args.seed)
-    else:
-        if args.n is not None:
-            n_values = [args.n]
-        elif args.check == "fiber":
-            n_values = [min(args.nmax, FIBER_SWEEP_MAX_N)]
-        else:
-            n_values = range(1, args.nmax + 1)
-        check_run((args.check,), n_values, args.samples, args.q, args.t)
-        reports = [_VERIFY_JOBS[args.check](args, n) for n in n_values]
+    check = "all" if args.all else args.check
+    jobs = plan(check, args.nmax, args.n, args.family, args.q, args.t, args.samples, args.seed)
+    reports = [job() for job in jobs]
     all_passed = all(r.passed for r in reports)
     payload = {"passed": all_passed, "jobs": [r.to_json_obj() for r in reports]}
     return payload, 0 if all_passed else EXIT_VERIFICATION_FAILURE

@@ -9,8 +9,9 @@ renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 Linear algebra is in integers only: `clear_denominators` writes rationals
 over one common denominator, and `eliminate` is the one fraction-free
-elimination kernel, behind `determinant` and the vertex oracle of
-`verify`.
+elimination kernel, behind `determinant`, `volumes.integer_volume_scaled`
+(so every simplex volume of `verify` and `volume`) and the vertex oracle
+of `verify`.
 
 No floating point is used anywhere in this package.
 """

@@ -74,7 +74,7 @@ class LabeledGraph:
         return [pair for k, pair in enumerate(_PAIRS[self.node_count]) if self.edges >> k & 1]
 
     def edge_count(self) -> int:
-        return bin(self.edges).count("1")
+        return self.edges.bit_count()
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.node_count + 1)}

@@ -43,8 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .exact import BivariatePolynomial, clear_denominators, eliminate, format_rational
 from .faces import cayley_vertices, tutte_vertices
@@ -311,14 +312,27 @@ def _vertices_outside(polytope: HRep, table: VertexTable) -> set[int]:
 # ----------------------------------------------------------------------
 
 
-# The size cap of each job, keyed by its `verify --check` name: what the
-# message calls the job's checks, and the largest n at desk scale.
-_SIZE_CAPS = {
-    "triangulation": ("full triangulation checks", VERIFY_MAX_N),
-    "subdivision": ("full subdivision checks", VERIFY_MAX_N),
-    "refinement": ("refinement checks", VERIFY_MAX_N),
-    "specializations": ("specialization checks", VERIFY_MAX_N),
-    "pieces": ("piece construction cross-checks", 4),
+# Each `verify --check` name but "all", in the order a sweep runs them:
+# what its size cap's message calls the job's checks, the largest n at
+# desk scale (None for fiber, whose job checks its own node count), and
+# its job at one n, called as job(family, n, q, t, samples, seed).  A
+# lambda looks the job up by its name here when called, so a job rebound
+# in this module is the one run.
+CHECKS = {
+    "triangulation": ("full triangulation checks", VERIFY_MAX_N, lambda *a: verify_triangulation(*a)),
+    "subdivision": ("full subdivision checks", VERIFY_MAX_N, lambda *a: verify_subdivision(*a)),
+    "refinement": ("refinement checks", VERIFY_MAX_N, lambda f, n, q, t, *_: verify_refinement(f, n, q, t)),
+    "specializations": (
+        "specialization checks",
+        VERIFY_MAX_N,
+        lambda f, n, q, t, *_: verify_specializations(n, q, t),
+    ),
+    "pieces": (
+        "piece construction cross-checks",
+        4,
+        lambda f, n, q, t, *_: verify_piece_constructions(n, q, t),
+    ),
+    "fiber": (None, None, lambda f, n, *_: verify_fiber(n + 1)),
 }
 
 
@@ -326,7 +340,7 @@ def _check_job(check: str, n: int, samples: int = 1) -> None:
     """What a job checks before any work: n = 0 is outside every family's
     domain, above the cap is beyond desk scale, and a sampling job needs
     at least one sample."""
-    checks, limit = _SIZE_CAPS[check]
+    checks, limit, _ = CHECKS[check]
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
     if n > limit:
@@ -335,26 +349,12 @@ def _check_job(check: str, n: int, samples: int = 1) -> None:
         raise ParameterDomainError("samples must be >= 1")
 
 
-def check_run(
-    checks: Sequence[str],
-    n_values: Iterable[int],
-    samples: int = DEFAULT_SAMPLES,
-    q=Fraction(1, 2),
-    t=Fraction(1),
-) -> None:
-    """The checks of every job of a run, in the order the jobs run, so
-    that a run reaching past a cap fails before its first job.  Then the
-    (q, t) of specializations, with the message the job would give: t of
-    the tcayley polytope, q of the tutte polytope, and q < 1 of the tutte
-    vertex formula."""
-    for n in n_values:
-        for check in checks:
-            if check in _SIZE_CAPS:
-                _check_job(check, n, samples)
-    if "specializations" in checks:
-        family_parameters("tcayley", t=t)
-        if family_parameters("tutte", q, t)[0] == 1:
-            raise ParameterDomainError("q must lie strictly between 0 and 1")
+def _check_specialization_parameters(q, t) -> None:
+    """The (q, t) of the specialization job: t of the tcayley polytope, q
+    of the tutte polytope, and q < 1 of the tutte vertex formula."""
+    family_parameters("tcayley", t=t)
+    if family_parameters("tutte", q, t)[0] == 1:
+        raise ParameterDomainError("q must lie strictly between 0 and 1")
 
 
 def verify_triangulation(
@@ -490,7 +490,8 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
 
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
-    check_run(("specializations",), (n,), q=q, t=t)
+    _check_job("specializations", n)
+    _check_specialization_parameters(q, t)
     q = Fraction(q)
     t = Fraction(t)
     checks: dict = {}
@@ -595,8 +596,51 @@ def verify_fiber(node_count: int) -> VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# Batch driver
+# Run plan
 # ----------------------------------------------------------------------
+
+
+def plan(
+    check: str,
+    nmax: int,
+    n: Optional[int] = None,
+    family: str = "tutte",
+    q=Fraction(1, 2),
+    t=Fraction(1),
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> list[Callable[[], VerificationReport]]:
+    """The jobs of `verify --check check`, in the order they run, each a
+    call with no arguments.
+
+    "all" runs, for each n = 1..nmax, triangulation, subdivision and
+    refinement for each family, then specializations, then pieces while n
+    is within their cap; then one fiber job at min(nmax,
+    FIBER_SWEEP_MAX_N).  One check runs at n when given, else at that
+    fiber n or at each n = 1..nmax.  Every job's checks run here first, in
+    the order the jobs run, so a run reaching past a cap fails before its
+    first job; then the (q, t) of specializations."""
+    if nmax < 1:
+        raise ParameterDomainError("nmax must be >= 1")
+    fiber_n = min(nmax, FIBER_SWEEP_MAX_N)
+    if check == "all":
+        steps = []
+        for m in range(1, nmax + 1):
+            for name in FAMILIES:
+                steps += [(c, name, m) for c in ("triangulation", "subdivision", "refinement")]
+            steps.append(("specializations", family, m))
+            if m <= CHECKS["pieces"][1]:
+                steps.append(("pieces", family, m))
+        steps.append(("fiber", family, fiber_n))
+    else:
+        n_values = [n] if n is not None else [fiber_n] if check == "fiber" else range(1, nmax + 1)
+        steps = [(check, family, m) for m in n_values]
+    for c, _, m in steps:
+        if CHECKS[c][1] is not None:
+            _check_job(c, m, samples)
+    if check in ("all", "specializations"):
+        _check_specialization_parameters(q, t)
+    return [partial(CHECKS[c][2], name, m, q, t, samples, seed) for c, name, m in steps]
 
 
 def run_all(
@@ -608,18 +652,4 @@ def run_all(
 ) -> list[VerificationReport]:
     """Triangulation, subdivision, refinement, specialization and fiber
     checks for every family and every n up to nmax."""
-    if nmax < 1:
-        raise ParameterDomainError("nmax must be >= 1")
-    per_n = ("triangulation", "subdivision", "refinement", "specializations")
-    check_run(per_n, range(1, nmax + 1), samples, q, t)
-    reports = []
-    for n in range(1, nmax + 1):
-        for name in FAMILIES:
-            reports.append(verify_triangulation(name, n, q, t, samples=samples, seed=seed))
-            reports.append(verify_subdivision(name, n, q, t, samples=samples, seed=seed))
-            reports.append(verify_refinement(name, n, q, t))
-        reports.append(verify_specializations(n, q, t))
-        if n <= _SIZE_CAPS["pieces"][1]:
-            reports.append(verify_piece_constructions(n, q, t))
-    reports.append(verify_fiber(min(nmax, FIBER_SWEEP_MAX_N) + 1))
-    return reports
+    return [job() for job in plan("all", nmax, q=q, t=t, samples=samples, seed=seed)]

@@ -264,15 +264,42 @@ def test_verify_all_rejects_n(monkeypatch, capsys, argv):
     # The sweep runs n = 1..--nmax; an --n beside it (even one above the
     # size cap) is a usage error, not silently ignored.
     def ran(*args, **kwargs):
-        raise AssertionError("run_all ran")
+        raise AssertionError("plan ran")
 
-    monkeypatch.setattr(cli, "run_all", ran)
+    monkeypatch.setattr(cli, "plan", ran)
     with pytest.raises(SystemExit) as info:
         main(["verify", *argv, "--n", "9", "--nmax", "1"])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n does not combine with --check all" in captured.err
+
+
+@pytest.mark.parametrize("nmax,nodes", [(1, 2), (4, 5), (5, 6), (9, 6)])
+def test_verify_fiber_without_n_runs_one_clamped_job(monkeypatch, capsys, nmax, nodes):
+    # Without --n the fiber check is one job at n = min(--nmax,
+    # FIBER_SWEEP_MAX_N), on n + 1 nodes; the job is looked up in verify.
+    swept = []
+
+    def fiber(node_count):
+        swept.append(node_count)
+        return verify.VerificationReport("fiber", None, node_count - 1, None, None, None)
+
+    monkeypatch.setattr(verify, "verify_fiber", fiber)
+    code, out = run_cli(capsys, "verify", "--check", "fiber", "--nmax", str(nmax))
+    assert code == 0
+    assert swept == [nodes]
+    assert [job["n"] for job in json.loads(out)["jobs"]] == [nodes - 1]
+
+
+def test_verify_check_choices_are_the_job_table():
+    # The --check choices, and so the verify --help text, follow the job
+    # table's order, with "all" last.
+    (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (check,) = [a for a in command.choices["verify"]._actions if a.dest == "check"]
+    assert list(check.choices) == [*verify.CHECKS, "all"] == [
+        "triangulation", "subdivision", "refinement", "specializations", "pieces", "fiber", "all"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -465,7 +492,6 @@ def test_verify_size_caps_precede_every_job(monkeypatch, capsys, argv, message):
 
     for name in _VERIFY_JOBS:
         monkeypatch.setattr(verify, name, ran)
-        monkeypatch.setattr(cli, name, ran)
     code = main(["verify", *argv])
     assert code == 3
     captured = capsys.readouterr()
@@ -491,7 +517,6 @@ def test_verify_specialization_parameters_precede_every_job(monkeypatch, capsys,
 
     for name in _VERIFY_JOBS:
         monkeypatch.setattr(verify, name, ran)
-        monkeypatch.setattr(cli, name, ran)
     code = main(["verify", *argv])
     assert code == 3
     captured = capsys.readouterr()
