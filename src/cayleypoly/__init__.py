@@ -6,7 +6,6 @@ verification of the underlying counting identities.
 
 from .exact import (
     BivariatePolynomial,
-    determinant,
     format_rational,
     parse_rational,
     tutte_from_z,
@@ -23,9 +22,7 @@ from .forests import (
     enumerate_labeled_forests,
     enumerate_plane_forests,
     enumerate_plane_trees,
-    fiber_of,
     nfs,
-    shape,
 )
 from .geometry import (
     FAMILIES,
@@ -38,7 +35,6 @@ from .geometry import (
     cone_q,
     forest_chain_hrep,
     get_family,
-    orthoscheme,
     orthoscheme_vertices,
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
@@ -81,7 +77,6 @@ from .volumes import (
     family_total_polynomial,
     inversion_enumerator,
     lattice_and_partition_counts,
-    simplex_volume,
     simplex_volume_scaled,
     tree_inversions,
     volume_report,

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: bivariate polynomials and determinants.
+"""Exact rational arithmetic: bivariate polynomials and integer elimination.
 
 Everything downstream (volumes, generating functions, vertex coordinates)
 runs over arbitrary-precision rationals.  A polynomial in the two formal
@@ -9,9 +9,9 @@ renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 Linear algebra is in integers only: `clear_denominators` writes rationals
 over one common denominator, and `eliminate` is the one fraction-free
-elimination kernel, behind `determinant`, `volumes.integer_volume_scaled`
-(so every simplex volume of `verify` and `volume`) and the vertex oracle
-of `verify`.
+elimination kernel, behind `volumes.integer_volume_scaled` (so every
+simplex volume of `verify` and `volume`) and the vertex oracle of
+`verify`.
 
 No floating point is used anywhere in this package.
 """
@@ -132,9 +132,6 @@ class BivariatePolynomial:
             {(0, dt): c for (dq, dt), c in self._terms.items() if dq == deg_q}
         )
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "BivariatePolynomial":
@@ -159,9 +156,6 @@ class BivariatePolynomial:
 
     def __sub__(self, other) -> "BivariatePolynomial":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "BivariatePolynomial":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "BivariatePolynomial":
         other = _coerce(other)
@@ -246,10 +240,6 @@ class BivariatePolynomial:
         """[[deg_q, deg_t, "num/den"], ...] sorted lexicographically."""
         return [[dq, dt, format_rational(c)] for (dq, dt), c in self.terms()]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "BivariatePolynomial":
-        return cls({(int(dq), int(dt)): parse_rational(str(c)) for dq, dt, c in obj})
-
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
@@ -326,25 +316,6 @@ def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], i
         pivots.append(col)
         previous = pivot
     return pivots, sign
-
-
-def determinant(rows) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions.
-
-    Every entry is cleared over one common denominator s, the integer
-    matrix goes through `eliminate`, and the determinant is
-    sign * last pivot / s^n.
-    """
-    rows = [tuple(row) for row in rows]
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("determinant requires a square matrix of dimension >= 1")
-    entries, scale = clear_denominators([x for row in rows for x in row])
-    ints = [entries[k : k + n] for k in range(0, n * n, n)]
-    pivots, sign = eliminate(ints)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * ints[-1][-1], scale**n)
 
 
 # ----------------------------------------------------------------------

@@ -275,11 +275,6 @@ def fiber_masks(f: LabeledForest) -> list[int]:
     return masks
 
 
-def fiber_of(f: LabeledForest) -> list[LabeledGraph]:
-    """All graphs whose NFS forest is f: the forest plus any cane edges."""
-    return [LabeledGraph(f.node_count, mask) for mask in fiber_masks(f)]
-
-
 # ----------------------------------------------------------------------
 # Plane forests
 # ----------------------------------------------------------------------
@@ -431,12 +426,6 @@ def _tree_degrees(tree: tuple, out: list[int]) -> None:
     out.append(len(tree))
     for child in tree:
         _tree_degrees(child, out)
-
-
-def shape(f: LabeledForest) -> PlaneForest:
-    """Erase labels: children keep their increasing-label order.  Every
-    forest of one shape shares one `PlaneForest`."""
-    return f.shape
 
 
 # ----------------------------------------------------------------------

@@ -652,8 +652,3 @@ def orthoscheme_vertices(lengths: Sequence[Fraction]) -> list[Point]:
     for k in range(n + 1):
         points.append(tuple(lengths[:k]) + (Fraction(0),) * (n - k))
     return points
-
-
-def orthoscheme(lengths: Sequence[Fraction]) -> Simplex:
-    verts = orthoscheme_vertices(lengths)
-    return Simplex(len(verts) - 1, tuple(verts))

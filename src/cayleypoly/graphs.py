@@ -76,12 +76,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return self.edges.bit_count()
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.node_count + 1)}
-        for i, j in self.edge_list():
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 def partition_pattern(n: int, edge_pairs) -> tuple[int, ...]:
@@ -116,14 +110,6 @@ def _pattern(g: LabeledGraph) -> tuple[int, ...]:
 def component_count(g: LabeledGraph) -> int:
     """Number of connected components, isolated nodes included."""
     return len(set(_pattern(g)))
-
-
-def component_partition(g: LabeledGraph) -> list[frozenset[int]]:
-    """Connected components as frozensets of nodes."""
-    buckets: dict[int, set[int]] = {}
-    for v, label in enumerate(_pattern(g), start=1):
-        buckets.setdefault(label, set()).add(v)
-    return [frozenset(s) for s in buckets.values()]
 
 
 def is_connected(g: LabeledGraph) -> bool:

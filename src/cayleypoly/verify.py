@@ -57,7 +57,6 @@ from .forests import (
     enumerate_plane_forests,
     fiber_masks,
     nfs,
-    shape,
 )
 from .geometry import (
     FAMILIES,
@@ -455,7 +454,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     containment_ok = True
     counterexample = None
     for f in forests:
-        pf = shape(f)
+        pf = f.shape
         groups[pf].append(f)
         piece, inside = piece_by_shape[pf]
         simplex = table.add(f)

@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .exact import BivariatePolynomial, clear_denominators, eliminate
 from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
 from .geometry import ParameterDomainError, Simplex, VertexTable, family_parameters, get_family
-from .graphs import partition_pattern
 
 Z_MAX_NODES = 7
 
@@ -41,11 +40,6 @@ class DegenerateSimplexError(ValueError):
 # ----------------------------------------------------------------------
 # Determinant volumes
 # ----------------------------------------------------------------------
-
-
-def simplex_volume(s: Simplex) -> Fraction:
-    """|det(v_i - v_0)| / n!; raises on a degenerate vertex set."""
-    return simplex_volume_scaled(s) / math.factorial(s.dimension)
 
 
 def simplex_volume_scaled(s: Simplex) -> Fraction:
@@ -168,19 +162,6 @@ def z_bruteforce(n: int) -> BivariatePolynomial:
         raise ValueError(f"n must be in 2..{Z_MAX_NODES}")
     tally = subgraph_tally(n)
     return BivariatePolynomial({(k - 1, e): c for (k, e), c in tally.items()})
-
-
-def z_bruteforce_naive(n: int) -> BivariatePolynomial:
-    """Single-level sweep over all edge masks of K_n; cross-check oracle."""
-    if not 2 <= n <= 6:
-        raise ValueError("naive sweep supported for 2 <= n <= 6")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    subgraphs = (
-        [pairs[k] for k in range(len(pairs)) if mask >> k & 1] for mask in range(1 << len(pairs))
-    )
-    return BivariatePolynomial(
-        ((len(set(partition_pattern(n, edges))) - 1, len(edges)), 1) for edges in subgraphs
-    )
 
 
 def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:

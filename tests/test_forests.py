@@ -20,12 +20,10 @@ from cayleypoly import (
     enumerate_labeled_forests,
     enumerate_plane_forests,
     enumerate_plane_trees,
-    fiber_of,
     nfs,
-    shape,
 )
 from cayleypoly import forests
-from cayleypoly.graphs import component_partition
+from cayleypoly.graphs import partition_pattern
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +54,8 @@ def test_nfs_preserves_components_and_edges():
     for g in enumerate_graphs(5):
         f = nfs(g)
         assert set(f.edge_list()) <= set(g.edge_list())
-        forest_graph = LabeledGraph.from_edges(5, f.edge_list())
-        assert component_partition(forest_graph) == component_partition(g)
+        forest_pattern = partition_pattern(5, [(i - 1, j - 1) for i, j in f.edge_list()])
+        assert forest_pattern == partition_pattern(5, [(i - 1, j - 1) for i, j in g.edge_list()])
 
 
 def test_nfs_idempotent_on_forests():
@@ -122,7 +120,7 @@ def test_cane_edge_count_is_alpha():
 
 
 def test_fiber_reconstruction_three_nodes(star3):
-    fiber = {g.to_text() for g in fiber_of(star3)}
+    fiber = {LabeledGraph(3, mask).to_text() for mask in forests.fiber_masks(star3)}
     assert fiber == {"3:1-3,2-3", "3:1-2,1-3,2-3"}
 
 
@@ -132,7 +130,7 @@ def test_fiber_lemma_exhaustive_small():
         for g in enumerate_graphs(n):
             grouped.setdefault(nfs(g), set()).add(g.edges)
         for f, masks in grouped.items():
-            expected = {g.edges for g in fiber_of(f)}
+            expected = set(forests.fiber_masks(f))
             assert masks == expected
             assert len(masks) == 2 ** alpha(f)
 
@@ -148,7 +146,6 @@ def test_fiber_masks_match_edge_list_graphs(n):
             for m in range(1 << len(optional))
         ]
         assert forests.fiber_masks(f) == expected
-        assert [g.edges for g in fiber_of(f)] == expected
 
 
 def test_fiber_property_sampled_seven_nodes():
@@ -182,7 +179,7 @@ def test_fiber_property_sampled_seven_nodes():
 
 
 def degree_formula_alpha(f: LabeledForest) -> int:
-    pf = shape(f)
+    pf = f.shape
     reduced = pf.reduced_degree_sequence()
     total = f.node_count
     m = pf.component_count()
@@ -211,7 +208,7 @@ def test_alpha_degree_formula_random_trees_seven():
 
 def test_plane_alpha_matches_labeled():
     for f in enumerate_labeled_forests(5):
-        assert shape(f).alpha() == alpha(f)
+        assert f.shape.alpha() == alpha(f)
 
 
 def test_seven_node_forest_battery():
@@ -240,11 +237,11 @@ def test_seven_node_forest_battery():
 
 
 def test_shape_examples(star3, path3):
-    assert shape(star3).degree_sequence() == (2, 0, 0)
-    assert shape(path3).degree_sequence() == (1, 1, 0)
+    assert star3.shape.degree_sequence() == (2, 0, 0)
+    assert path3.shape.degree_sequence() == (1, 1, 0)
     singles = LabeledForest.from_edges(2, [])
-    assert shape(singles).degree_sequence() == (0, 0)
-    assert shape(singles).component_sizes() == (1, 1)
+    assert singles.shape.degree_sequence() == (0, 0)
+    assert singles.shape.component_sizes() == (1, 1)
 
 
 def test_shape_positions_mirror_labeled_forest():
@@ -252,7 +249,7 @@ def test_shape_positions_mirror_labeled_forest():
     # the labeled forest's own NFS puts it, and the shape's walk holds both.
     for f in enumerate_labeled_forests(5):
         _, by_label = _ref_labeled(5, f.parent)
-        ref_coords, _, _, _ = _ref_nfs_structure(shape(f))
+        ref_coords, _, _, _ = _ref_nfs_structure(f.shape)
         walk_coords = _walk_coordinates(f)
         for label, labeled in by_label.items():
             assert ref_coords[labeled[1]][:4] == labeled[:4]
@@ -264,14 +261,14 @@ def test_one_shape_one_value_from_every_constructor():
     # trees, its degree sequence, or a graph's NFS walk.
     for n in range(1, 8):
         for f in enumerate_labeled_forests(n):
-            pf = shape(f)
+            pf = f.shape
             for other in (PlaneForest(pf.trees), PlaneForest.from_degree_sequence(pf.degree_sequence())):
                 assert other == pf and hash(other) == hash(pf)
     for n in range(1, 6):
-        by_parent = {f.to_parent_text(): shape(f) for f in enumerate_labeled_forests(n)}
+        by_parent = {f.to_parent_text(): f.shape for f in enumerate_labeled_forests(n)}
         for g in enumerate_graphs(n):
             f = nfs(g)
-            walked, enumerated = shape(f), by_parent[f.to_parent_text()]
+            walked, enumerated = f.shape, by_parent[f.to_parent_text()]
             assert walked == enumerated and hash(walked) == hash(enumerated)
             assert walked.trees == enumerated.trees
             assert walked.to_text() == enumerated.to_text()
@@ -281,7 +278,7 @@ def test_shape_groups_and_multiplicities():
     for n in range(1, 6):
         groups = {}
         for f in enumerate_labeled_forests(n):
-            groups.setdefault(shape(f), []).append(f)
+            groups.setdefault(f.shape, []).append(f)
         assert len(groups) == catalan(n)
         for pf, members in groups.items():
             assert len(members) == pf.labeled_forest_count()
@@ -383,7 +380,7 @@ def test_single_node_edge_cases():
     f = LabeledForest.from_edges(1, [])
     assert alpha(f) == 0
     assert cane_edges(f) == set()
-    pf = shape(f)
+    pf = f.shape
     assert pf.degree_sequence() == (0,)
     assert pf.reduced_degree_sequence() == ()
     assert pf.labeled_forest_count() == 1
@@ -487,7 +484,10 @@ def _ref_cane_paths(node, parent, children) -> int:
 def _ref_nfs(g: LabeledGraph) -> tuple[dict, list]:
     """(parent map, visit order) of the backtracking graph search."""
     n = g.node_count
-    adj = g.adjacency()
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for i, j in g.edge_list():
+        adj[i].append(j)
+        adj[j].append(i)
     visited: set[int] = set()
     parent: dict[int, int] = {}
     order: list[int] = []
@@ -771,8 +771,8 @@ def _public_fields(f: LabeledForest) -> tuple:
         f.component_order,
         f.shape.walk,
         alpha(f),
-        shape(f),
-        shape(f).trees,
+        f.shape,
+        f.shape.trees,
         f.to_parent_text(),
     )
 

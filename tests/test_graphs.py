@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cayleypoly import LabeledGraph, component_count, enumerate_graphs, nfs, pair_index
 from cayleypoly.graphs import (
-    component_partition,
     count_connected_graphs,
     is_connected,
     pair_order,
@@ -116,7 +115,7 @@ def test_partition_pattern_numbers_components_by_first_node():
     assert partition_pattern(5, [(3, 1), (4, 2)]) == (0, 1, 2, 1, 2)
     assert partition_pattern(3, []) == (0, 1, 2)
     g = LabeledGraph.from_text("5:1-4,2-5,4-1")
-    assert component_partition(g) == [frozenset({1, 4}), frozenset({2, 5}), frozenset({3})]
+    assert partition_pattern(5, [(i - 1, j - 1) for i, j in g.edge_list()]) == (0, 1, 2, 0, 1)
     assert component_count(g) == 3
 
 

@@ -27,7 +27,6 @@ from cayleypoly import (
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
     run_all,
-    shape,
     simplex_for_forest,
     verify_fiber,
     verify_piece_constructions,
@@ -437,7 +436,7 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
         bad = [
             f
             for f in forests
-            if not all(piece(shape(f), q, t).contains(v) for v in simplex_for_forest(f, q, t).vertices)
+            if not all(piece(f.shape, q, t).contains(v) for v in simplex_for_forest(f, q, t).vertices)
         ]
         monkeypatch.setattr(verify, "piece_for_plane_forest", piece)
         report = verify_refinement("tutte", n, q, t)

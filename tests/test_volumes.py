@@ -24,9 +24,8 @@ from cayleypoly import (
     get_family,
     inversion_enumerator,
     lattice_and_partition_counts,
-    orthoscheme,
+    orthoscheme_vertices,
     simplex_for_forest,
-    simplex_volume,
     simplex_volume_scaled,
     tree_inversions,
     tutte_from_z,
@@ -34,7 +33,7 @@ from cayleypoly import (
     z_bruteforce,
 )
 from cayleypoly.graphs import partition_pattern
-from cayleypoly.volumes import subgraph_tally, z_bruteforce_naive
+from cayleypoly.volumes import subgraph_tally
 
 P = BivariatePolynomial
 HALF = Fraction(1, 2)
@@ -46,9 +45,15 @@ THIRD = Fraction(1, 3)
 # ----------------------------------------------------------------------
 
 
+def simplex_volume(s: Simplex) -> Fraction:
+    """|det(v_i - v_0)| / n!."""
+    return simplex_volume_scaled(s) / math.factorial(s.dimension)
+
+
 def test_orthoscheme_volume():
-    assert simplex_volume(orthoscheme([2, 4])) == 4  # the 2-leg orthoscheme
-    assert simplex_volume_scaled(orthoscheme([2, 4])) == 8
+    orthoscheme = Simplex(2, tuple(orthoscheme_vertices([2, 4])))
+    assert simplex_volume(orthoscheme) == 4  # the 2-leg orthoscheme
+    assert simplex_volume_scaled(orthoscheme) == 8
 
 
 def test_unit_simplex_volume():
@@ -116,8 +121,9 @@ def test_z_small_values():
 
 
 def test_z_against_naive_sweep():
-    for n in range(2, 6):
-        assert z_bruteforce(n) == z_bruteforce_naive(n)
+    for n in range(2, 7):
+        tally = _mask_sweep_tally(n)
+        assert z_bruteforce(n) == P({(k - 1, e): c for (k, e), c in tally.items()})
 
 
 def _mask_sweep_tally(n: int) -> dict[tuple[int, int], int]:
