@@ -17,6 +17,9 @@ denominators are rejected (exit 2).
 Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
+A well-formed call is parsed from the argument declarations without
+building argparse; help, usage lines and errors go through argparse.
+
 Exit codes: 0 success, 1 verification failure or broken internal
 invariant (message on stderr), 2 usage error or an --output file that
 cannot be written, 3 parameter outside its domain.
@@ -192,23 +195,77 @@ def _add_fvector(p):
     _add_common(p, fmt=False)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand, or with only the
-    named one.  A parser for one command writes the same usage lines,
-    help and errors for that command's argv: the subcommand list in its
-    usage is pinned to the full list."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand."""
     parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = list(_COMMANDS)
-    else:
-        every = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-        names = [command]
-    for name in names:
-        help_line, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+class _Declarations:
+    """A command's flags, recorded by running its adder against this
+    object in place of a parser: {flag: add_argument keywords}.  Raises
+    TypeError on a keyword that _parse_plain does not mirror, and on a str
+    default with a type (which argparse would convert)."""
+
+    _MIRRORED = frozenset({"type", "default", "choices", "required", "action", "help"})
+
+    def __init__(self, add_arguments):
+        self.flags: dict[str, dict] = {}
+        add_arguments(self)
+
+    def add_argument(self, flag: str, **kw) -> None:
+        if (
+            kw.keys() - self._MIRRORED
+            or kw.get("action", "store_true") != "store_true"
+            or (isinstance(kw.get("default"), str) and "type" in kw)
+        ):
+            raise TypeError(f"cannot mirror add_argument({flag!r}, **{kw!r})")
+        self.flags[flag] = kw
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace of build_parser().parse_args(argv), read from the
+    command's declarations without building argparse, for a well-formed
+    argv: a command name, then exact known flags, each at most once, each
+    a switch or followed by one value that does not start with "-" and
+    that passes the flag's type and choices, with every required flag
+    given.  None for any other argv: argparse then parses it, so help,
+    usage lines and errors stay its own."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _Declarations(_COMMANDS[argv[0]][1]).flags
+    given: dict[str, object] = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        kw = flags.get(flag)
+        if kw is None or flag in given:
+            return None
+        if "action" in kw:
+            given[flag] = True
+            continue
+        text = next(rest, "-")  # a value flag at the end has none
+        if text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, kw in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif kw.get("required"):
+            return None
+        else:
+            value = kw.get("default", False if "action" in kw else None)
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(command=argv[0], **values)
 
 
 # ----------------------------------------------------------------------
@@ -395,12 +452,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the invoked command's parser is built; any other argv (help,
-    # no command, an unknown one, "--") gets the full parser.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    # argparse is built only for help and errors: its first message
+    # imports locale, which costs more than most commands.
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "verify" and args.n is not None and (args.all or args.check == "all"):
-        parser.error("--n does not combine with --check all (the default); the sweep runs n = 1..--nmax")
+        build_parser().error("--n does not combine with --check all (the default); the sweep runs n = 1..--nmax")
     try:
         _check_domain(args)
         payload, code = _COMMANDS[args.command][2](args)

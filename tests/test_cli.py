@@ -1,9 +1,16 @@
 """Command-line interface: outputs, formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleypoly import cli, geometry, verify, volumes
 from cayleypoly.cli import main
@@ -537,26 +544,139 @@ _PARSE_PATHS = [
 ]
 
 
-def _outcome(capsys, argv):
+def _outcome(capsys, call, argv):
     try:
-        code = main(list(argv))
+        code = call(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
     return captured.out, captured.err, code
 
 
+def _argparse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("argv", _PARSE_PATHS)
-def test_one_command_parser_matches_full_parser(monkeypatch, capsys, argv):
-    # main builds only the invoked command's subparser; its help, usage
-    # lines, errors and exit codes are those of the parser with every one.
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
-    got = _outcome(capsys, argv)
-    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    assert got == _outcome(capsys, argv)
+def test_malformed_calls_keep_argparse_bytes(monkeypatch, capsys, argv):
+    # Help, usage errors and bad values are left to argparse: main writes
+    # its help, usage lines, errors and exit codes.  The one argv here
+    # that parses plainly hits the --n/--check all conflict, whose usage
+    # error main writes as it does after argparse has parsed.
+    plain = cli._parse_plain(argv)
+    got = _outcome(capsys, main, argv)
+    if plain is None:
+        assert got == _outcome(capsys, _argparse, argv)
+    else:
+        assert argv == ["verify", "--n", "3", "--all"]
+        assert vars(plain) == vars(_argparse(argv))
+        monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+        assert got == _outcome(capsys, main, argv)
+        assert got[2] == 2
+
+
+_ODD_VALUES = ["-3", "-1/2", "-", "", "1/0", "2.5", " 3", "+3", "3_0", "\u0663", "x"]
+_ODD_TOKENS = [
+    "nosuch", "--fam", "--form", "--sym", "--chec", "--nm", "--mo", "--out", "--h",
+    "--n=3", "--family=tutte", "--q=1/2", "--check=all", "--format=text", "-h", "--help", "--",
+]
+
+
+def _fitting(kw):
+    if "choices" in kw:
+        return list(kw["choices"])
+    return ["0", "1", "3"] if kw.get("type") is int else ["1", "1/2", "37/101"]
+
+
+@st.composite
+def _argvs(draw):
+    # A command, known or not; its required flags, each now and then left
+    # out; then up to six pieces: one of its flags (repeats allowed) with a
+    # value that its type and choices accept or an odd one, or an odd token.
+    command = draw(st.sampled_from([*cli._COMMANDS, "nosuch", "Verify", "verif", "-h", "--"]))
+    flags = cli._Declarations(cli._COMMANDS[command][1]).flags if command in cli._COMMANDS else {}
+    argv = [command]
+    for flag, kw in flags.items():
+        if kw.get("required") and draw(st.integers(0, 7)):
+            argv += [flag, draw(st.sampled_from(_fitting(kw)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 15))
+        if not flags or kind == 0:
+            argv.append(draw(st.sampled_from(_ODD_TOKENS + _ODD_VALUES)))
+            continue
+        flag = draw(st.sampled_from(sorted(flags)))
+        argv.append(flag)
+        if "action" in flags[flag] and kind > 1:
+            continue
+        argv.append(draw(st.sampled_from(_ODD_VALUES if kind == 1 else _fitting(flags[flag]))))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_plain_parse_agrees_with_argparse(argv):
+    plain = cli._parse_plain(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = _argparse(argv)
+        except SystemExit:
+            parsed = None
+    if parsed is None:
+        assert plain is None
+    elif plain is not None:
+        assert vars(plain) == vars(parsed)
+
+
+# One well-formed call of each command.
+_WELL_FORMED = [
+    ["hrep", "--family", "tutte", "--n", "2"],
+    ["simplices", "--family", "cayley", "--n", "2"],
+    ["pieces", "--family", "tutte", "--n", "2", "--format", "text"],
+    ["volume", "--family", "tutte", "--n", "2", "--symbolic"],
+    ["zpoly", "--n", "3"],
+    ["fvector", "--n", "3", "--q", "1/3"],
+    ["vertices", "--family", "gayley", "--n", "2"],
+    ["recursion", "--n", "3", "--mode", "recursion"],
+    ["cayley1857", "--n", "3"],
+    ["verify", "--check", "fiber", "--n", "2"],
+]
+
+_LOCALE_CHILD = """\
+import contextlib, io, json, sys
+from cayleypoly.cli import main
+before = "locale" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, before, "locale" in sys.modules]))
+"""
+
+
+def test_well_formed_calls_never_import_locale():
+    # argparse's first message looks up gettext, which imports locale and
+    # costs more than most commands; a well-formed call asks for none.
+    assert sorted(argv[0] for argv in _WELL_FORMED) == sorted(cli._COMMANDS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _LOCALE_CHILD, json.dumps(_WELL_FORMED)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [[0] * 10, False, False]
+
+
+@pytest.mark.parametrize(
+    "kw", [{"nargs": 2}, {"type": int, "default": "3"}, {"action": "count"}, {"dest": "m"}]
+)
+def test_declarations_refuse_what_the_plain_parse_cannot_mirror(kw):
+    with pytest.raises(TypeError):
+        cli._Declarations(lambda parser: parser.add_argument("--n", **kw))
+
+
+def test_declarations_record_every_flag_of_every_command():
+    (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    for name, (_, add_arguments, _) in cli._COMMANDS.items():
+        options = {s for a in command.choices[name]._actions for s in a.option_strings}
+        assert set(cli._Declarations(add_arguments).flags) == options - {"-h", "--help"}
 
 
 def test_full_parser_lists_every_command():
