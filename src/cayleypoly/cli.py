@@ -18,7 +18,7 @@ Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
 A well-formed call is parsed from the argument declarations without
-building argparse; help, usage lines and errors go through argparse.
+building argparse; help, errors and any other call go through argparse.
 
 Exit codes: 0 success, 1 verification failure or broken internal
 invariant (message on stderr), 2 usage error or an --output file that
@@ -452,7 +452,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse is built only for help and errors: its first message
+    # argparse is built only for calls the plain parse refuses (help,
+    # errors, abbreviated or repeated flags): its first message lookup
     # imports locale, which costs more than most commands.
     args = _parse_plain(argv)
     if args is None:
