@@ -70,9 +70,7 @@ from .volumes import (
     DegenerateSimplexError,
     VolumeReport,
     closed_form_piece_total,
-    closed_form_piece_volume,
     closed_form_simplex_total,
-    closed_form_simplex_volume,
     connected_gf,
     family_total_polynomial,
     inversion_enumerator,

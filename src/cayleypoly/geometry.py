@@ -172,10 +172,6 @@ class AffineForm:
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
-    def scaled(self, factor: Fraction) -> "AffineForm":
-        factor = Fraction(factor)
-        return AffineForm(self.constant * factor, tuple(a * factor for a in self.coefficients))
-
     @staticmethod
     def constant_form(dimension: int, value) -> "AffineForm":
         return AffineForm(Fraction(value), (Fraction(0),) * dimension)

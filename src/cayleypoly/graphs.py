@@ -2,8 +2,8 @@
 
 The bit layout is shared package-wide: the unordered pairs (i, j), i < j,
 are numbered in lexicographic order (1,2), (1,3), ..., (1,n), (2,3), ...,
-(n-1,n), and bit k of the edge mask corresponds to pair number k.  Every
-module that converts node pairs to bit indices goes through pair_index().
+(n-1,n), and bit k of the edge mask is pair number k.  Masks go through
+pair_index(); enumerate_labeled_forests keys its sort by the reverse order.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ Every job is deterministic given (kind, family, n, parameters, seed).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -76,12 +77,13 @@ from .geometry import (
 from .graphs import LabeledGraph
 from .volumes import (
     closed_form_piece_total,
-    closed_form_piece_volume,
     closed_form_simplex_total,
-    closed_form_simplex_volume,
     connected_gf,
     family_total_polynomial,
     integer_volume_scaled,
+    piece_tally,
+    simplex_tally,
+    tally_monomials,
     z_bruteforce,
 )
 
@@ -440,8 +442,8 @@ def verify_subdivision(
 
 
 def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport:
-    """Each simplex sits inside the piece of its plane shape; multiplicities
-    and volume sums match the closed formulas."""
+    """Each simplex sits inside the piece of its plane shape; each shape has
+    its count of forests, whose simplex tally equals its piece's tally."""
     _check_job("refinement", n)
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
@@ -475,7 +477,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
                 "got": len(members),
                 "expected": pf.labeled_forest_count(),
             }
-        if closed_form_simplex_total(members) != closed_form_piece_volume(pf):
+        if simplex_tally(members) != piece_tally((pf,)):
             volume_ok = False
             counterexample = counterexample or {"shape": pf.to_text(), "mismatch": "volume"}
     checks = {
@@ -509,11 +511,11 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
     checks["tutte_vertices_closed_form"] = {"ok": qt_vertices == closed_qt}
 
     z = z_bruteforce(n + 1)
-    connected = connected_gf(n + 1, "bruteforce")
+    connected = connected_gf(n + 1, "recursion")
     checks["z_q0_coefficient_is_connected_gf"] = {"ok": z.restrict_q_power(0) == connected}
 
-    trees = enumerate_labeled_forests(n + 1, trees_only=True)
-    tree_sum = closed_form_simplex_total(trees).substitute(q=1)
+    # Trees have one component, so no power of q.
+    tree_sum = closed_form_simplex_total(enumerate_labeled_forests(n + 1, trees_only=True))
     checks["tree_simplices_sum_to_tcayley_total"] = {"ok": tree_sum == connected}
 
     checks["gayley_total"] = {
@@ -549,15 +551,15 @@ def _fiber_fault(f: LabeledForest, seen: bytearray) -> Optional[str]:
     """Why the generated fiber of f is not its NFS fiber, or None; marks
     each generated mask in seen."""
     components = f.component_count() - 1
-    tally = []
+    weighted = Counter()
     for mask in fiber_masks(f):
         if seen[mask]:
             return "mask generated twice"
         seen[mask] = 1
         if nfs(LabeledGraph(f.node_count, mask)) != f:
             return "fiber set mismatch"
-        tally.append(((components, mask.bit_count()), 1))
-    if BivariatePolynomial(tally) != closed_form_simplex_volume(f):
+        weighted[components, mask.bit_count()] += 1
+    if weighted != tally_monomials(simplex_tally((f,))):
         return "weighted fiber mismatch"
     return None
 
@@ -568,9 +570,9 @@ def verify_fiber(node_count: int) -> VerificationReport:
     Generates fiber_masks(F) for every labeled forest F and checks three
     facts: each generated graph has NFS forest F; no mask is generated
     twice; and the masks number 2^C(n,2).  Together they make the
-    generated sets exactly the NFS fibers.  Each fiber's tally by
-    (component count - 1, edge count) is then compared with F's closed
-    form simplex volume.
+    generated sets exactly the NFS fibers.  Each fiber's count of masks by
+    (component count - 1, edge count) is then compared with the monomials
+    of F's closed-form simplex volume.
     """
     if not 1 <= node_count <= 7:
         raise ValueError(f"fiber sweep needs 1..7 nodes, got {node_count}")

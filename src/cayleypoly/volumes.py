@@ -16,6 +16,10 @@ counts by edge number, attaches the next node with every star subset
 (components, edges).  Each subgraph is counted exactly once, from
 B_m 2^m (pattern, star) pairs at node m (B_m the Bell number) in place of
 one union-find per subgraph.  No recursion formula enters this oracle.
+
+Closed forms are tallies {(a, b, k): c} of terms c q^a t^b (1+t)^k, and
+the connected-graph recursion holds its r_k in powers of 1+t; a tally is
+expanded into a BivariatePolynomial once, for a reported result.
 """
 
 from __future__ import annotations
@@ -71,20 +75,21 @@ def integer_volume_scaled(vertices: Sequence[Sequence[int]]) -> int:
 # ----------------------------------------------------------------------
 
 
-def _expand(tally: Mapping[tuple[int, int, int], int]) -> BivariatePolynomial:
-    """The sum of c q^a t^b (1+t)^k over the tally {(a, b, k): c}."""
-    return BivariatePolynomial(
-        ((a, b + i), c * math.comb(k, i)) for (a, b, k), c in tally.items() for i in range(k + 1)
-    )
+def tally_monomials(tally: Mapping[tuple[int, int, int], int]) -> Counter:
+    """The monomials of the sum of c q^a t^b (1+t)^k over {(a, b, k): c}."""
+    monomials = Counter()
+    for (a, b, k), c in tally.items():
+        monomials.update({(a, b + i): c * math.comb(k, i) for i in range(k + 1)})
+    return monomials
 
 
-def closed_form_simplex_total(forests: Iterable[LabeledForest]) -> BivariatePolynomial:
-    """Sum of the n! vols q^(k-1) t^|E| (1+t)^alpha of the forests' simplices."""
-    return _expand(Counter((f.component_count() - 1, f.edge_count(), alpha(f)) for f in forests))
+def simplex_tally(forests: Iterable[LabeledForest]) -> Counter:
+    """The forests' simplices, n! vol q^(k-1) t^|E| (1+t)^alpha each, as a tally."""
+    return Counter((f.component_count() - 1, f.edge_count(), alpha(f)) for f in forests)
 
 
-def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePolynomial:
-    """Sum of the n! vols of the plane forests' subdivision pieces.
+def piece_tally(plane_forests: Iterable[PlaneForest]) -> Counter:
+    """The plane forests' subdivision pieces, by n! vol, as a tally.
 
     A piece with m components, N nodes and reduced degrees d_1, d_2, ...
     has n! vol (its labeled forest count) times
@@ -97,17 +102,17 @@ def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePo
         weighted_degrees = sum(i * d for i, d in enumerate(reduced, start=1))
         exponent = math.comb(pf.node_count() + 1 - m, 2) - weighted_degrees
         tally[m - 1, sum(reduced), exponent] += pf.labeled_forest_count()
-    return _expand(tally)
+    return tally
 
 
-def closed_form_simplex_volume(f: LabeledForest) -> BivariatePolynomial:
-    """n! vol of the forest's simplex: q^(k-1) t^|E| (1+t)^alpha."""
-    return closed_form_simplex_total((f,))
+def closed_form_simplex_total(forests: Iterable[LabeledForest]) -> BivariatePolynomial:
+    """Sum of the n! vols of the forests' simplices."""
+    return BivariatePolynomial(tally_monomials(simplex_tally(forests)))
 
 
-def closed_form_piece_volume(pf: PlaneForest) -> BivariatePolynomial:
-    """n! vol of the plane forest's subdivision piece."""
-    return closed_form_piece_total((pf,))
+def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePolynomial:
+    """Sum of the n! vols of the plane forests' subdivision pieces."""
+    return BivariatePolynomial(tally_monomials(piece_tally(plane_forests)))
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +176,9 @@ def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     recursion:  the alternating-sum recurrence
         r_0 = 1,  r_k = -sum_{j=1..k} C(k,j) (1+t)^C(j,2) r_{k-j},
         F_n = sum_{j=0..n-1} C(n-1,j) (1+t)^C(j+1,2) r_{n-1-j}
-    valid for n up to 30.  Both modes agree on their common range.
+    valid for n up to 30, with each r_k held in powers of 1+t (a factor
+    (1+t)^C(j,2) shifts them) and F_n expanded once.  Both modes agree on
+    their common range.
     """
     if mode == "bruteforce":
         if not 1 <= n <= Z_MAX_NODES:
@@ -181,18 +188,19 @@ def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     if mode == "recursion":
         if not 1 <= n <= 30:
             raise ValueError("recursion mode supported for 1 <= n <= 30")
-        r = [BivariatePolynomial.constant(1)]
+
+        def combine(terms) -> Counter:
+            # The sum of weight (1+t)^shift r_i, each in powers of 1+t.
+            out = Counter()
+            for weight, shift, r_i in terms:
+                out.update({power + shift: weight * c for power, c in r_i.items()})
+            return out
+
+        r = [{0: 1}]
         for k in range(1, n):
-            acc = BivariatePolynomial.zero()
-            for j in range(1, k + 1):
-                term = BivariatePolynomial.one_plus_t_power(math.comb(j, 2)) * r[k - j]
-                acc += term * math.comb(k, j)
-            r.append(-acc)
-        out = BivariatePolynomial.zero()
-        for j in range(n):
-            term = BivariatePolynomial.one_plus_t_power(math.comb(j + 1, 2)) * r[n - 1 - j]
-            out += term * math.comb(n - 1, j)
-        return out
+            r.append(combine((-math.comb(k, j), math.comb(j, 2), r[k - j]) for j in range(1, k + 1)))
+        f = combine((math.comb(n - 1, j), math.comb(j + 1, 2), r[n - 1 - j]) for j in range(n))
+        return BivariatePolynomial(tally_monomials({(0, 0, power): c for power, c in f.items()}))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -14,8 +14,8 @@ from cayleypoly import (
     build_hrep,
     catalan,
     cayley_vertices,
-    closed_form_piece_volume,
-    closed_form_simplex_volume,
+    closed_form_piece_total,
+    closed_form_simplex_total,
     component_count,
     conjecture_check,
     connected_gf,
@@ -60,7 +60,7 @@ def test_criterion_01_connected_graph_volume():
             simplex_volume_scaled(simplex_for_forest(t, 1, 1)) for t in trees
         )
         by_pieces = sum(
-            closed_form_piece_volume(pf).evaluate(1, 1)
+            closed_form_piece_total((pf,)).evaluate(1, 1)
             for pf in enumerate_plane_trees(n + 1)
         )
         assert by_alpha == referee
@@ -79,7 +79,7 @@ def test_criterion_02_subgraph_sum_volume():
         z = z_bruteforce(n + 1)
         total = P.zero()
         for f in enumerate_labeled_forests(n + 1):
-            total += closed_form_simplex_volume(f)
+            total += closed_form_simplex_total((f,))
         assert total == z
         assert z_from_tutte(tutte_from_z(z, n + 1), n) == z
     assert time.time() - started < 30
@@ -91,12 +91,12 @@ def test_criterion_03_two_dimensional_anchors(star3):
     # two-component rectangle piece has 2! area 2qt, exactly.
     from cayleypoly import PlaneForest
 
-    assert closed_form_simplex_volume(star3) == P({(0, 2): 1, (0, 3): 1})
+    assert closed_form_simplex_total((star3,)) == P({(0, 2): 1, (0, 3): 1})
     for q, t in ((HALF, Fraction(1)), (THIRD, Fraction(2))):
         scaled = simplex_volume_scaled(simplex_for_forest(star3, q, t))
         assert scaled == t * t * (1 + t)
     rect = PlaneForest.from_degree_sequence([1, 0, 0])
-    assert closed_form_piece_volume(rect) == P({(1, 1): 2})
+    assert closed_form_piece_total((rect,)) == P({(1, 1): 2})
     _report(3, "t^2(1+t) simplex and 2qt rectangle anchors")
 
 

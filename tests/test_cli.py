@@ -166,6 +166,17 @@ def test_volume_n5_keeps_its_bytes(capsys, key):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _VOLUME_SHA256[key]
 
 
+# sha256 of stdout of `recursion --n 30 --mode recursion`, the largest size
+# the recursion allows; the golden file stops at n = 20.
+_RECURSION_N30_SHA256 = "c261f7bd3384c671eb0d04ecd84e93a94971e05f60b5d408a0ea1a00de219065"
+
+
+def test_recursion_n30_keeps_its_bytes(capsys):
+    code, out = run_cli(capsys, "recursion", "--n", "30", "--mode", "recursion")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _RECURSION_N30_SHA256
+
+
 _WRITER_CASES = [
     {},
     [],

@@ -636,7 +636,8 @@ def hrep_with_point(draw):
 
     forms = [form() for _ in range(draw(st.integers(1, 4)))]
     source, multiple = draw(st.integers(0, len(forms) - 1)), len(forms)
-    forms.append(forms[source].scaled(draw(positive_factor)))
+    base, factor = forms[source], draw(positive_factor)
+    forms.append(AffineForm(base.constant * factor, tuple(a * factor for a in base.coefficients)))
     forms.append(form(st.fractions(min_value=-3, max_value=Fraction(-1, 4), max_denominator=4)))
     forms.append(AffineForm.constant_form(d, 0))
     order = draw(st.permutations(range(len(forms))))

@@ -1,6 +1,7 @@
 """Verification jobs: partitions, refinement, specializations, fibers."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,8 +15,10 @@ from cayleypoly import (
     LabeledForest,
     LabeledGraph,
     ParameterDomainError,
+    PlaneForest,
     build_hrep,
-    closed_form_simplex_volume,
+    closed_form_simplex_total,
+    connected_gf,
     count_labeled_forests,
     enumerate_hrep_vertices,
     enumerate_labeled_forests,
@@ -35,7 +38,7 @@ from cayleypoly import (
     verify_subdivision,
     verify_triangulation,
 )
-from cayleypoly import geometry, verify
+from cayleypoly import geometry, verify, volumes
 from cayleypoly.exact import format_rational
 from cayleypoly.forests import fiber_masks
 from cayleypoly.geometry import family_parameters
@@ -188,6 +191,23 @@ def test_specializations():
         assert report.passed, report.checks
 
 
+def test_specializations_check_the_sweep_against_the_recursion(monkeypatch):
+    # A fake connected graph with no edge in the subgraph sweep: the
+    # sweep's q^0 part must then disagree with the connected-graph
+    # function, which the recursion computes without the sweep.
+    sweep = volumes.subgraph_tally
+
+    def one_fake_graph(n):
+        tally = dict(sweep(n))
+        tally[1, 0] = tally.get((1, 0), 0) + 1
+        return tally
+
+    monkeypatch.setattr(volumes, "subgraph_tally", one_fake_graph)
+    report = verify_specializations(2)
+    assert not report.passed
+    assert report.checks["z_q0_coefficient_is_connected_gf"] == {"ok": False}
+
+
 def test_piece_constructions():
     for n in (1, 2, 3):
         assert verify_piece_constructions(n).passed
@@ -306,7 +326,7 @@ def test_vertex_oracle_skips_singular_subsets():
     forms = (
         x_lower,
         x_lower,
-        x_lower.scaled(3),
+        x_lower + x_lower + x_lower,
         AffineForm.linear(2, 1, -1, 2),
         AffineForm.linear(2, 1, -1, 3),
         AffineForm.linear(2, 2),
@@ -448,6 +468,69 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
     assert failures >= 3
 
 
+def _middle_shape(family, n):
+    shapes = list(get_family(family).plane_cells(n))
+    return shapes[len(shapes) // 2]
+
+
+@pytest.mark.parametrize("family", ["tutte", "cayley"])
+def test_refinement_volume_failure_names_the_shape(monkeypatch, family):
+    # One more power of 1+t in one shape's piece: that piece's volume no
+    # longer matches the sum over its simplices.
+    target = _middle_shape(family, 3)
+    tally = verify.piece_tally
+
+    def shifted(plane_forests):
+        plane_forests = tuple(plane_forests)
+        out = tally(plane_forests)
+        if plane_forests == (target,):
+            out = Counter({(a, b, k + 1): c for (a, b, k), c in out.items()})
+        return out
+
+    monkeypatch.setattr(verify, "piece_tally", shifted)
+    report = verify_refinement(family, 3)
+    assert not report.passed
+    _assert_reference_verdict(report)
+    assert report.checks["shape_multiplicities"] == {"ok": True}
+    assert report.checks["piece_volume_refines"] == {"ok": False}
+    assert report.counterexample == {"shape": target.to_text(), "mismatch": "volume"}
+
+
+@pytest.mark.parametrize("family", ["tutte", "cayley"])
+def test_refinement_count_failure_names_the_shape(monkeypatch, family):
+    # One shape claims one labeled forest more than it has.
+    target = _middle_shape(family, 3)
+    count = PlaneForest.labeled_forest_count
+    monkeypatch.setattr(PlaneForest, "labeled_forest_count", lambda pf: count(pf) + (pf == target))
+    report = verify_refinement(family, 3)
+    assert not report.passed
+    _assert_reference_verdict(report)
+    assert report.checks["shape_multiplicities"] == {"ok": False}
+    expected = count(target)
+    assert report.counterexample == {"shape": target.to_text(), "got": expected, "expected": expected + 1}
+
+
+def test_closed_forms_stay_tallies_until_reported(monkeypatch):
+    # The recursion expands its one result; the fiber and refinement jobs
+    # compare tallies and build no polynomial.
+    built = []
+    init = BivariatePolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BivariatePolynomial, "__init__", counting_init)
+    for call, polynomials in (
+        (lambda: connected_gf(20, "recursion"), 1),
+        (lambda: verify_fiber(4), 0),
+        (lambda: verify_refinement("tutte", 3), 0),
+    ):
+        built.clear()
+        call()
+        assert len(built) == polynomials
+
+
 def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
     # Triangulation, subdivision and refinement read the integer vertex
     # table only; a Simplex (Fraction vertices) would raise here.
@@ -483,7 +566,7 @@ def _fiber_by_sweep(node_count):
             counterexample = {"forest": f.to_parent_text(), "reason": "fiber set mismatch"}
             break
         weighted = BivariatePolynomial(((k - 1, e), 1) for _, k, e in members)
-        if weighted != closed_form_simplex_volume(f):
+        if weighted != closed_form_simplex_total((f,)):
             counterexample = {"forest": f.to_parent_text(), "reason": "weighted fiber mismatch"}
             break
     expected_forests = count_labeled_forests(node_count)
@@ -520,8 +603,8 @@ def _first_forest_twice(forests):
         ("fiber_masks", lambda fn: lambda f: _drop_last_mask(fn(f)), "weighted fiber mismatch"),
         ("fiber_masks", lambda fn: lambda f: _add_outside_mask(fn(f)), "fiber set mismatch"),
         (
-            "closed_form_simplex_volume",
-            lambda fn: lambda f: fn(f) + (len(f.parent) == 2),
+            "simplex_tally",
+            lambda fn: lambda fs: fn(fs) + Counter({(0, 0, 0): sum(len(f.parent) == 2 for f in fs)}),
             "weighted fiber mismatch",
         ),
         (

@@ -14,9 +14,7 @@ from cayleypoly import (
     Simplex,
     alpha,
     closed_form_piece_total,
-    closed_form_piece_volume,
     closed_form_simplex_total,
-    closed_form_simplex_volume,
     connected_gf,
     enumerate_labeled_forests,
     enumerate_plane_forests,
@@ -84,20 +82,20 @@ def test_point_simplex_volume():
 
 
 def test_closed_form_simplex_examples(star3):
-    assert closed_form_simplex_volume(star3) == P({(0, 2): 1, (0, 3): 1})  # t^2 (1+t)
+    assert closed_form_simplex_total((star3,)) == P({(0, 2): 1, (0, 3): 1})  # t^2 (1+t)
     pair = LabeledForest.from_edges(3, [(3, 1)])
-    assert closed_form_simplex_volume(pair) == P({(1, 1): 1})  # q t
+    assert closed_form_simplex_total((pair,)) == P({(1, 1): 1})  # q t
     edgeless = LabeledForest.from_edges(4, [])
-    assert closed_form_simplex_volume(edgeless) == P({(3, 0): 1})  # q^3
+    assert closed_form_simplex_total((edgeless,)) == P({(3, 0): 1})  # q^3
 
 
 def test_closed_form_piece_examples():
     rect = PlaneForest.from_degree_sequence([1, 0, 0])
-    assert closed_form_piece_volume(rect) == P({(1, 1): 2})  # 2 q t
+    assert closed_form_piece_total((rect,)) == P({(1, 1): 2})  # 2 q t
     path = PlaneForest.from_degree_sequence([1, 1, 1, 0])
-    assert closed_form_piece_volume(path) == P({(0, 3): 6})  # 3! t^3
+    assert closed_form_piece_total((path,)) == P({(0, 3): 6})  # 3! t^3
     singleton = PlaneForest.from_degree_sequence([0])
-    assert closed_form_piece_volume(singleton) == P.constant(1)
+    assert closed_form_piece_total((singleton,)) == P.constant(1)
 
 
 def test_determinant_matches_closed_form():
@@ -105,7 +103,7 @@ def test_determinant_matches_closed_form():
         for n in range(1, 5):
             for f in enumerate_labeled_forests(n + 1):
                 scaled = simplex_volume_scaled(simplex_for_forest(f, *params))
-                assert scaled == closed_form_simplex_volume(f).evaluate(*params)
+                assert scaled == closed_form_simplex_total((f,)).evaluate(*params)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +276,7 @@ def test_simplex_sum_equals_subgraph_sum():
     for n in range(1, 5):
         total = P.zero()
         for f in enumerate_labeled_forests(n + 1):
-            total += closed_form_simplex_volume(f)
+            total += closed_form_simplex_total((f,))
         assert total == z_bruteforce(n + 1)
 
 
@@ -286,7 +284,7 @@ def test_piece_sum_equals_subgraph_sum():
     for n in range(1, 5):
         total = P.zero()
         for pf in enumerate_plane_forests(n + 1):
-            total += closed_form_piece_volume(pf)
+            total += closed_form_piece_total((pf,))
         assert total == z_bruteforce(n + 1)
 
 
@@ -294,7 +292,7 @@ def test_gayley_total_power():
     for n in range(1, 5):
         total = P.zero()
         for f in enumerate_labeled_forests(n + 1):
-            total += closed_form_simplex_volume(f).substitute(q=1)
+            total += closed_form_simplex_total((f,)).substitute(q=1)
         assert total == P.one_plus_t_power(math.comb(n + 1, 2))
 
 
@@ -304,11 +302,11 @@ def test_closed_form_totals_equal_per_cell_sums(family):
     for n in range(0, 5):
         simplex_sum = P.zero()
         for f in fam.labeled_cells(n):
-            simplex_sum += closed_form_simplex_volume(f)
+            simplex_sum += closed_form_simplex_total((f,))
         assert closed_form_simplex_total(fam.labeled_cells(n)) == simplex_sum
         piece_sum = P.zero()
         for pf in fam.plane_cells(n):
-            piece_sum += closed_form_piece_volume(pf)
+            piece_sum += closed_form_piece_total((pf,))
         assert closed_form_piece_total(fam.plane_cells(n)) == piece_sum
 
 
@@ -316,7 +314,7 @@ def test_piece_total_equals_per_cell_sum_up_to_eight_nodes():
     for nodes in range(1, 9):
         piece_sum = P.zero()
         for pf in enumerate_plane_forests(nodes):
-            piece_sum += closed_form_piece_volume(pf)
+            piece_sum += closed_form_piece_total((pf,))
         assert closed_form_piece_total(enumerate_plane_forests(nodes)) == piece_sum
 
 
@@ -327,7 +325,7 @@ def test_closed_forms_match_their_formulas_cell_by_cell():
     for f in enumerate_labeled_forests(5):
         expected = P.monomial(f.component_count() - 1, f.edge_count())
         expected *= P.one_plus_t_power(alpha(f))
-        assert closed_form_simplex_volume(f) == expected
+        assert closed_form_simplex_total((f,)) == expected
     for nodes in range(1, 9):
         for pf in enumerate_plane_forests(nodes):
             sizes = pf.component_sizes()
@@ -340,7 +338,7 @@ def test_closed_forms_match_their_formulas_cell_by_cell():
             m = len(sizes)
             exponent = math.comb(nodes + 1 - m, 2) - sum(i * d for i, d in enumerate(reduced, 1))
             expected = P.monomial(m - 1, sum(reduced), prefactor) * P.one_plus_t_power(exponent)
-            assert closed_form_piece_volume(pf) == expected
+            assert closed_form_piece_total((pf,)) == expected
 
 
 def test_volume_report_tutte():
