@@ -30,7 +30,9 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .exact import format_rational, parse_rational
 from .faces import InconsistentGeometryError, cayley_vertices, tutte_f_vector, tutte_vertices
@@ -60,14 +62,23 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _json_text(payload) -> str:
-    """payload in the bytes of json.dumps(payload, sort_keys=True, indent=2).
+class _Streamed(Exception):
+    """Raised by the JSON renderer on an iterator, which it does not consume."""
 
-    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
-    raises TypeError on anything else.  Strings go through json's own C
-    encoder.  A tuple of strings is rendered once per indent depth and its
-    text reused for every equal tuple at that depth (one memo per call):
-    the rows of simplices and H-reps repeat many times over.
+
+def _json_chunks(payload) -> Iterator[str]:
+    """payload in the bytes of json.dumps(payload, sort_keys=True, indent=2),
+    as text pieces to write in order.
+
+    Takes dicts with str keys, lists, tuples, iterators, str, int, bool and
+    None, and raises TypeError on anything else.  An iterator at any depth
+    is rendered like the list of its items, and consumed one item at a
+    time: each item is one piece, so only the item in hand is held.  A
+    value with no iterator inside is one piece.  Strings go through
+    json's own C encoder.  A tuple of strings is rendered once per indent
+    depth and its text reused for every equal tuple at that depth (one
+    memo per call): the rows of simplices and H-reps repeat many times
+    over.
     """
     memos: dict[int, dict[tuple, str]] = {}
 
@@ -75,6 +86,13 @@ def _json_text(payload) -> str:
         if not items:
             return "[]"
         inner = "\n" + "  " * (depth + 1)
+        if type(items[0]) is str:
+            try:
+                body = ("," + inner).join(map(encode_basestring_ascii, items))
+            except TypeError:  # not all strings: rendered item by item
+                pass
+            else:
+                return "[" + inner + body + inner[:-2] + "]"
         return "[" + inner + ("," + inner).join([value(x, depth + 1) for x in items]) + inner[:-2] + "]"
 
     def value(o, depth: int) -> str:
@@ -111,18 +129,75 @@ def _json_text(payload) -> str:
             return "false"
         if o is None:
             return "null"
+        if hasattr(o, "__next__"):
+            raise _Streamed
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    return value(payload, 0)
+    def chunks(o, depth: int) -> Iterator[str]:
+        # A container is walked here, entry by entry, only when value()
+        # meets an iterator inside it; the entries before that iterator
+        # are rendered twice, the iterator itself never.
+        try:
+            text = value(o, depth)
+        except _Streamed:
+            pass
+        else:
+            yield text
+            return
+        if type(o) is dict:
+            opener, closer = "{", "}"
+            entries = ((encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o))
+        else:
+            opener, closer = "[", "]"
+            entries = (("", x) for x in o)
+        inner = "\n" + "  " * (depth + 1)
+        head = opener + inner
+        empty = True
+        for key, x in entries:
+            try:
+                text = value(x, depth + 1)
+            except _Streamed:
+                yield head + key
+                yield from chunks(x, depth + 1)
+            else:
+                yield head + key + text
+            head = "," + inner
+            empty = False
+        yield opener + closer if empty else inner[:-2] + closer
+
+    return chunks(payload, 0)
 
 
-def _emit(args, payload: dict | str) -> None:
-    text = payload if isinstance(payload, str) else _json_text(payload) + "\n"
+def _emit(args, payload: dict | str | Iterable[str]) -> None:
+    """Write a command's payload as it comes: a dict as JSON, a str or
+    an iterable of text pieces as text.  --output is opened only here,
+    after every check of the command has passed."""
+    if isinstance(payload, dict):
+        pieces = chain(_json_chunks(payload), ("\n",))
+    elif isinstance(payload, str):
+        pieces = (payload,)
+    else:
+        pieces = payload
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+class _CellCountError(RuntimeError):
+    """A cell command wrote a number of cells other than its count."""
+
+
+def _counted(cells: Iterable, count: int, what: str) -> Iterator:
+    """The cells, one at a time; raises _CellCountError after the last one
+    unless there were exactly `count`."""
+    written = 0
+    for cell in cells:
+        written += 1
+        yield cell
+    if written != count:
+        raise _CellCountError(f"{written} {what} written, Family.cell_counts gives {count}")
 
 
 def _rational(text: str) -> Fraction:
@@ -273,57 +348,75 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 # ----------------------------------------------------------------------
 
 
-# Each command returns its payload (a dict for JSON, or text) and its exit code.
+# Each command returns its payload and its exit code: a dict for JSON, or
+# text as a str or as an iterable of pieces.  The cell commands give their
+# cells as iterators, so each cell is built as it is written; every check
+# runs before they return.
 
 
-def _cmd_hrep(args) -> tuple[dict | str, int]:
+def _row_texts(form) -> list[str]:
+    """A row of a family H-rep as texts.  Not AffineForm.texts, which
+    caches them on the form, and a list, which the JSON writer does not
+    memoize: these rows are written once each, so nothing keeps them."""
+    return [format_rational(form.constant), *map(format_rational, form.coefficients)]
+
+
+def _cmd_hrep(args) -> tuple[dict | Iterable[str], int]:
     hrep = build_hrep(args.family, args.n, args.q, args.t)
+    rows = map(_row_texts, hrep.inequalities)
     if args.format == "text":
-        return hrep.to_text(), 0
+        header = f"{hrep.dimension} {len(hrep.inequalities)}\n"
+        return chain((header,), (" ".join(row) + "\n" for row in rows)), 0
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     return {
         "family": args.family,
         "n": args.n,
         "q": format_rational(q_eff),
         "t": format_rational(t_eff),
-        "hrep": hrep.to_json_obj(),
+        "hrep": {"dimension": hrep.dimension, "inequalities": rows},
     }, 0
 
 
-def _cmd_simplices(args) -> tuple[dict | str, int]:
+def _cmd_simplices(args) -> tuple[dict | Iterable[str], int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     n = args.n
-    entries = [
-        (f.to_parent_text(), simplex_texts(f, q_eff, t_eff))
-        for f in get_family(args.family).labeled_cells(n)
-    ]
+    fam = get_family(args.family)
+    cells = fam.labeled_cells(n)  # checks the node cap before the count is computed
+    count = fam.cell_counts(n)[0]
+    forests = _counted(cells, count, "simplices")
     if args.format == "text":
         header = f"{n} {n + 1}\n"
-        return "".join(
-            f"forest {name}\n{header}" + "".join(" ".join(v) + "\n" for v in vertices)
-            for name, vertices in entries
+        return (
+            f"forest {f.to_parent_text()}\n{header}"
+            + "".join([" ".join(v) + "\n" for v in simplex_texts(f, q_eff, t_eff)])
+            for f in forests
         ), 0
     return {
         "family": args.family,
         "n": n,
-        "count": len(entries),
-        "simplices": [
-            {"forest": name, "dimension": n, "vertices": vertices} for name, vertices in entries
-        ],
+        "count": count,
+        "simplices": (
+            {"forest": f.to_parent_text(), "dimension": n, "vertices": simplex_texts(f, q_eff, t_eff)}
+            for f in forests
+        ),
     }, 0
 
 
-def _cmd_pieces(args) -> tuple[dict | str, int]:
+def _cmd_pieces(args) -> tuple[dict | Iterable[str], int]:
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    plane = get_family(args.family).plane_cells(args.n)
-    entries = [(pf.to_text(), piece_for_plane_forest(pf, q_eff, t_eff)) for pf in plane]
+    fam = get_family(args.family)
+    plane = fam.plane_cells(args.n)  # checks the node cap before the count is computed
+    count = fam.cell_counts(args.n)[1]
+    entries = (
+        (pf.to_text(), piece_for_plane_forest(pf, q_eff, t_eff)) for pf in _counted(plane, count, "pieces")
+    )
     if args.format == "text":
-        return "".join(f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries), 0
+        return (f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries), 0
     return {
         "family": args.family,
         "n": args.n,
-        "count": len(entries),
-        "pieces": [{"plane_forest": name, "hrep": h.to_json_obj()} for name, h in entries],
+        "count": count,
+        "pieces": ({"plane_forest": name, "hrep": h.to_json_obj()} for name, h in entries),
     }, 0
 
 
@@ -477,6 +570,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _CellCountError as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     return code
 
 

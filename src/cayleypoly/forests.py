@@ -444,9 +444,16 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     against 36961 forests on 7 nodes.  Each labeling is gathered as the
     one int (key * shapes + shape index) * n! + labels index, and these
     are sorted; keys are distinct, so the sort is by key.
+
+    The node count is checked at the call; the walk and the sort run on
+    the first next().
     """
     if not 1 <= n <= MAX_FOREST_NODES:
         raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
+    return _labeled_forests(n, trees_only)
+
+
+def _labeled_forests(n: int, trees_only: bool) -> Iterator[LabeledForest]:
     pairs = pair_order(n)
     # bit[a][b]: the key bit of the pair {a, b}.
     bit = [[0] * (n + 1) for _ in range(n + 1)]
@@ -548,14 +555,14 @@ def _check_plane_nodes(n: int) -> None:
 
 
 def enumerate_plane_forests(n: int) -> Iterator[PlaneForest]:
-    """Every plane forest on n nodes exactly once; there are catalan(n)."""
+    """Every plane forest on n nodes exactly once; there are catalan(n).
+    The node count is checked at the call, not on the first next()."""
     _check_plane_nodes(n)
-    for forest in _plane_forests(n):
-        yield PlaneForest(forest)
+    return (PlaneForest(forest) for forest in _plane_forests(n))
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneForest]:
-    """Single-component plane forests on n nodes; there are catalan(n-1)."""
+    """Single-component plane forests on n nodes; there are catalan(n-1).
+    The node count is checked at the call, not on the first next()."""
     _check_plane_nodes(n)
-    for tree in _plane_trees(n):
-        yield PlaneForest((tree,))
+    return (PlaneForest((tree,)) for tree in _plane_trees(n))

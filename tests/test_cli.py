@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,116 @@ def test_output_file(tmp_path, capsys, argv):
     assert target.read_bytes() == stdout.encode("utf-8")
 
 
+_CELL_COMMANDS = [
+    (command, family, fmt)
+    for command in ("simplices", "pieces", "hrep")
+    for family in ("tutte", "cayley")
+    for fmt in ("json", "text")
+]
+
+
+def _failed_call(capsys, tmp_path, argv):
+    """Exit code and stderr of argv, run once to stdout and once to
+    --output; checks that neither run wrote a byte."""
+    target = tmp_path / "out"
+    results = []
+    for extra in ([], ["--output", str(target)]):
+        code = main([*argv, *extra])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not target.exists()
+        results.append((code, captured.err))
+    assert results[0] == results[1]
+    return results[0]
+
+
+@pytest.mark.parametrize("command,family,fmt", _CELL_COMMANDS)
+def test_cell_commands_check_everything_before_the_first_byte(capsys, tmp_path, command, family, fmt):
+    # A bad parameter or a size over the cap exits 3 with nothing written
+    # and no --output file created: the cells stream only after every check.
+    base = [command, "--family", family, "--format", fmt]
+    over = {"simplices": "8", "pieces": "12", "hrep": str(MAX_DIMENSION + 1)}[command]
+    code, err = _failed_call(capsys, tmp_path, [*base, "--n", over])
+    assert code == 3 and err.count("\n") == 1
+    if family == "tutte":
+        code, err = _failed_call(capsys, tmp_path, [*base, "--n", "2", "--q", "2"])
+        assert (code, err) == (3, "parameter domain violation: q must lie in (0, 1], got 2\n")
+
+
+@pytest.mark.parametrize("command,family,fmt", _CELL_COMMANDS)
+def test_cell_commands_unwritable_output(capsys, tmp_path, command, family, fmt):
+    target = tmp_path / "missing" / "out"
+    code = main([command, "--family", family, "--n", "3", "--format", fmt, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("command,family,fmt", [c for c in _CELL_COMMANDS if c[0] != "hrep"])
+def test_cell_count_mismatch_is_a_broken_invariant(monkeypatch, capsys, command, family, fmt, shift):
+    # The count is written before the cells; one other than the number of
+    # cells written exits 1 after the last cell, before the JSON closes.
+    argv = [command, "--family", family, "--n", "3", "--format", fmt]
+    code, good = run_cli(capsys, *argv)
+    assert code == 0
+    counts = Family.cell_counts
+    monkeypatch.setattr(Family, "cell_counts", lambda self, n: tuple(c + shift for c in counts(self, n)))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    count = counts(geometry.get_family(family), 3)[command == "pieces"]
+    assert captured.err == (
+        f"internal invariant broken: {count} {command} written, Family.cell_counts gives {count + shift}\n"
+    )
+    if fmt == "text":
+        assert captured.out == good
+    else:
+        tail = "\n  ]\n}\n"
+        assert good.endswith(tail)
+        expected = good[: -len(tail)].replace(f'"count": {count},', f'"count": {count + shift},', 1)
+        assert captured.out == expected
+
+
+# Linux carries the peak of the process that started an exec'd child into
+# the child's ru_maxrss, so the call runs in a fork of this small child,
+# whose ru_maxrss is then its own.
+_RSS_CHILD = """\
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    from cayleypoly.cli import main
+    code = main(sys.argv[1:])
+    sys.stdout.flush()
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+# Peak resident memory allowed to the largest cell outputs, in MB; an
+# interpreter with the package imported takes about 17 MB.
+_RSS_BOUND_MB = 30
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command,n", [("simplices", "6"), ("pieces", "9")])
+def test_cell_commands_stream_in_bounded_memory(command, n, fmt):
+    # simplices --n 6 writes 36961 simplices (31 MB of JSON) and pieces
+    # --n 9 16796 pieces (48 MB); each is written as it is built.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, command, "--family", "tutte", "--n", n, "--format", fmt],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300, check=True,
+    )
+    code, kib = map(int, done.stderr.split())
+    assert code == 0
+    assert kib / 1024 <= _RSS_BOUND_MB
+
+
 # sha256 of stdout at the sizes the structure benchmark runs, at
 # (q, t) = (1/2, 1/3); the golden file stops at simplices --n 4 and
 # pieces --n 5.
@@ -191,15 +302,83 @@ _WRITER_CASES = [
 ]
 
 
+def _json_text(obj) -> str:
+    return "".join(cli._json_chunks(obj))
+
+
 @pytest.mark.parametrize("obj", _WRITER_CASES)
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("obj", [1.5, [0.0], {"a": ("x", 2.5)}, ("x", 1.5), {1: "a"}, {"a": 1, 2: "b"}, b"x"])
 def test_json_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
-        cli._json_text(obj)
+        _json_text(obj)
+
+
+def test_json_writer_rejects_other_types_inside_iterators():
+    # Built here, since an iterator is spent once read.
+    for obj in [
+        iter([1.5]),
+        {"a": iter([("x", 2.5)])},
+        [iter([]), {1: "a"}],
+        ("x", iter([b"x"])),
+        {"a": iter([]), 2: "b"},
+        {"a": iter([]), "b": {3: "c"}},
+        {"a": {}.keys()},
+    ]:
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+
+def _streamed(obj, choices):
+    """obj with each list or tuple given as an iterator over the same
+    items where the next draw from `choices` is true."""
+    if isinstance(obj, dict):
+        return {k: _streamed(v, choices) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        items = type(obj)(_streamed(x, choices) for x in obj)
+        return iter(items) if next(choices) else items
+    return obj
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(st.text(max_size=3), min_size=1, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES, choices=st.lists(st.booleans(), min_size=1, max_size=40))
+def test_json_writer_renders_iterators_as_lists(obj, choices):
+    # The same payload gives the same bytes whether its lists are given as
+    # lists or as iterators, at any depth.
+    streamed = _streamed(obj, cycle(choices))
+    assert _json_text(streamed) == _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_writer_pulls_one_item_per_piece():
+    pulled = []
+
+    def cells():
+        for k in range(5):
+            pulled.append(k)
+            yield {"cell": k, "rows": [("1", "2")] * 3}
+
+    chunks = cli._json_chunks({"count": 5, "cells": cells(), "family": "x"})
+    head = next(chunks)
+    assert pulled == [] and head.endswith('"cells": ')
+    for k in range(5):
+        next(chunks)
+        assert pulled == list(range(k + 1))
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
