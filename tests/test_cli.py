@@ -765,6 +765,38 @@ def test_malformed_calls_keep_argparse_bytes(monkeypatch, capsys, argv):
         assert got[2] == 2
 
 
+# sha256 of json.dumps([stdout, stderr, exit code]) of the help of the
+# top-level parser and of each command, and of four usage errors, at an
+# 80-column terminal.
+_HELP_SHA256 = {
+    ("--help",): "1b5e8a6ca5cfa00f3633893fc0ac5c9deb8db9f592b56dd3e5b45ac235bbcafa",
+    ("hrep", "--help"): "4ee5165727563558fdcd7977f854ac17602dccf89c59668292732b753b121157",
+    ("simplices", "--help"): "e67b63a92d32369cb7de32c6c3d7dbd4a93ecaeeeb4f5c5608730eaebced3c94",
+    ("pieces", "--help"): "56a69a329fdc40f821b5f4e756c649b447660f47075f135d247eb98946049038",
+    ("volume", "--help"): "11c2a6c817353dbd08aa0b0285928f468af68781386663e9ee9d8f577ef2f848",
+    ("zpoly", "--help"): "467e6c55c4b11b05b0790836acf6c61cd314ce7147705da20640af29fca15393",
+    ("fvector", "--help"): "24c603201fef92bf66b95745a9110125321b74d44b234f67f518ad92a4397d00",
+    ("vertices", "--help"): "9557d91537e76de0f4178a9ea43c15abf49c4a99d927e257316bf4d54f45d22d",
+    ("recursion", "--help"): "c51bf5a7453269cc2b25b194018c0ef9258ae6af305bbc842a726548620094fe",
+    ("cayley1857", "--help"): "f1b235077c8f633c755c1471b7f9c6d604ab8b5036affa8a9b9242e25f0d57f9",
+    ("verify", "--help"): "ca2f16586b69d79197ba9f1d72eba824f2b9e17903f308c2a58c98ec193e3721",
+    ("hrep", "--family", "tutte"): "a1129c404c86ca7e4d8759206630de57fd2463655f60932e1e0355832afb0c5a",
+    ("hrep", "--family", "nosuch", "--n", "2"): "d2beca158864bfed5c4c13033a30d3db91a814825128a4c2ae266b16eb7dff9f",
+    ("hrep", "--family", "tutte", "--n", "2", "--q", "0.5"): "6946c6d5aedb32f6878ab245651caac0bc64912d1d72d8aef146145cbff2e5f0",
+    ("verify", "--n", "3", "--all"): "8aecdeb490c7cf655bee9c52a1271a5cc5dcd694b6487bbe88be531b74b7857f",
+}
+
+
+# argparse lays out help and usage lines differently across Python
+# versions, so the bytes are pinned on 3.11 only.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help bytes are pinned on Python 3.11")
+@pytest.mark.parametrize("argv", list(_HELP_SHA256), ids=" ".join)
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = _outcome(capsys, main, argv)
+    assert hashlib.sha256(json.dumps(outcome).encode("utf-8")).hexdigest() == _HELP_SHA256[argv]
+
+
 _ODD_VALUES = ["-3", "-1/2", "-", "", "1/0", "2.5", " 3", "+3", "3_0", "\u0663", "x"]
 _ODD_TOKENS = [
     "nosuch", "--fam", "--form", "--sym", "--chec", "--nm", "--mo", "--out", "--h",
