@@ -17,8 +17,9 @@ denominators are rejected (exit 2).
 Every command writes deterministic output (sorted keys, fixed enumeration
 order), so identical flags produce byte-identical bytes.
 
-A well-formed call is parsed from the argument declarations without
-building argparse; help, errors and any other call go through argparse.
+Each command's flags are declared once, in a table that both parsers
+read: a well-formed call is parsed from it without building argparse;
+help, errors and any other call go through argparse, built from it.
 
 Exit codes: 0 success, 1 verification failure or broken internal
 invariant (message on stderr), 2 usage error or an --output file that
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -62,10 +64,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-class _Streamed(Exception):
-    """Raised by the JSON renderer on an iterator, which it does not consume."""
-
-
 def _json_chunks(payload) -> Iterator[str]:
     """payload in the bytes of json.dumps(payload, sort_keys=True, indent=2),
     as text pieces to write in order.
@@ -80,7 +78,10 @@ def _json_chunks(payload) -> Iterator[str]:
     memo per call): the rows of simplices and H-reps repeat many times
     over.
     """
-    memos: dict[int, dict[tuple, str]] = {}
+    memos: defaultdict[int, dict[tuple, str]] = defaultdict(dict)
+    # The iterators value() met, with their depths, in the order of their
+    # placeholders: a NUL, which the encoder escapes inside every string.
+    streams: list[tuple[Iterator, int]] = []
 
     def array(items, depth: int) -> str:
         if not items:
@@ -100,9 +101,7 @@ def _json_chunks(payload) -> Iterator[str]:
         if kind is str:
             return encode_basestring_ascii(o)
         if kind is tuple and o and type(o[0]) is str:
-            memo = memos.get(depth)
-            if memo is None:
-                memo = memos[depth] = {}
+            memo = memos[depth]
             try:
                 text = memo.get(o)
                 if text is None:
@@ -130,40 +129,31 @@ def _json_chunks(payload) -> Iterator[str]:
         if o is None:
             return "null"
         if hasattr(o, "__next__"):
-            raise _Streamed
+            streams.append((o, depth))
+            return "\x00"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     def chunks(o, depth: int) -> Iterator[str]:
-        # A container is walked here, entry by entry, only when value()
-        # meets an iterator inside it; the entries before that iterator
-        # are rendered twice, the iterator itself never.
-        try:
-            text = value(o, depth)
-        except _Streamed:
-            pass
-        else:
+        # The text of o is written up to each placeholder, then the items
+        # of its iterator, each joined to its separator so that every
+        # piece pulls exactly one item.
+        text = value(o, depth)
+        if not streams:
             yield text
             return
-        if type(o) is dict:
-            opener, closer = "{", "}"
-            entries = ((encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o))
-        else:
-            opener, closer = "[", "]"
-            entries = (("", x) for x in o)
-        inner = "\n" + "  " * (depth + 1)
-        head = opener + inner
-        empty = True
-        for key, x in entries:
-            try:
-                text = value(x, depth + 1)
-            except _Streamed:
-                yield head + key
-                yield from chunks(x, depth + 1)
-            else:
-                yield head + key + text
-            head = "," + inner
-            empty = False
-        yield opener + closer if empty else inner[:-2] + closer
+        gaps = text.split("\x00")
+        found = streams[:]
+        streams.clear()
+        yield gaps[0]
+        for (items, at), gap in zip(found, gaps[1:]):
+            inner = "\n" + "  " * (at + 1)
+            head = "[" + inner
+            for item in items:
+                pieces = chunks(item, at + 1)
+                yield head + next(pieces)
+                yield from pieces
+                head = "," + inner
+            yield ("[]" if head[0] == "[" else inner[:-2] + "]") + gap
 
     return chunks(payload, 0)
 
@@ -171,7 +161,8 @@ def _json_chunks(payload) -> Iterator[str]:
 def _emit(args, payload: dict | str | Iterable[str]) -> None:
     """Write a command's payload as it comes: a dict as JSON, a str or
     an iterable of text pieces as text.  --output is opened only here,
-    after every check of the command has passed."""
+    after every check that runs before the first cell; the cell-count
+    check runs after the last cell has been written."""
     if isinstance(payload, dict):
         pieces = chain(_json_chunks(payload), ("\n",))
     elif isinstance(payload, str):
@@ -207,103 +198,32 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(parser, family=False, fmt=True):
-    if family:
-        parser.add_argument("--family", choices=FAMILIES, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--q", type=_rational, default=Fraction(1, 2))
-    parser.add_argument("--t", type=_rational, default=Fraction(1))
-    if fmt:
-        parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--output", default=None)
-
-
+# Flags shared by several commands, as add_argument keywords.
+_FAMILY = {"choices": FAMILIES, "required": True}
+_N = {"type": int, "required": True}
+_Q = {"type": _rational, "default": Fraction(1, 2)}
+_T = {"type": _rational, "default": Fraction(1)}
+_FORMAT = {"choices": ("json", "text"), "default": "json"}
+_OUTPUT = {"default": None}
 # Kept so that existing command lines still parse.
-_SWEEP_JOBS_HELP = "accepted for compatibility; every command runs in one process"
-
-
-def _add_volume(p):
-    _add_common(p, family=True, fmt=False)
-    p.add_argument("--symbolic", action="store_true", help="skip the determinant pass")
-    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
-
-
-def _add_zpoly(p):
-    p.add_argument("--n", type=int, required=True, help="number of nodes of K_n")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
-
-
-def _add_recursion(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("recursion", "bruteforce", "both"), default="both")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
-
-
-def _add_cayley1857(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--output", default=None)
-
-
-def _add_verify(p):
-    p.add_argument("--check", choices=(*CHECKS, "all"), default="all")
-    p.add_argument("--all", action="store_true", help="synonym for --check all")
-    p.add_argument("--family", choices=FAMILIES, default="tutte")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--q", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--t", type=_rational, default=Fraction(1))
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1, help=_SWEEP_JOBS_HELP)
-    p.add_argument("--output", default=None)
-
-
-def _add_family_polytope(p):
-    _add_common(p, family=True)
-
-
-def _add_fvector(p):
-    _add_common(p, fmt=False)
+_JOBS = {"type": int, "default": 1, "help": "accepted for compatibility; every command runs in one process"}
+_POLYTOPE = {"--family": _FAMILY, "--n": _N, "--q": _Q, "--t": _T, "--format": _FORMAT, "--output": _OUTPUT}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, with every subcommand."""
     parser = argparse.ArgumentParser(prog="cayleypoly", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kw in flags.items():
+            command.add_argument(flag, **kw)
     return parser
-
-
-class _Declarations:
-    """A command's flags, recorded by running its adder against this
-    object in place of a parser: {flag: add_argument keywords}.  Raises
-    TypeError on a keyword that _parse_plain does not mirror, and on a str
-    default with a type (which argparse would convert)."""
-
-    _MIRRORED = frozenset({"type", "default", "choices", "required", "action", "help"})
-
-    def __init__(self, add_arguments):
-        self.flags: dict[str, dict] = {}
-        add_arguments(self)
-
-    def add_argument(self, flag: str, **kw) -> None:
-        if (
-            kw.keys() - self._MIRRORED
-            or kw.get("action", "store_true") != "store_true"
-            or (isinstance(kw.get("default"), str) and "type" in kw)
-        ):
-            raise TypeError(f"cannot mirror add_argument({flag!r}, **{kw!r})")
-        self.flags[flag] = kw
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace of build_parser().parse_args(argv), read from the
-    command's declarations without building argparse, for a well-formed
+    command's flag table without building argparse, for a well-formed
     argv: a command name, then exact known flags, each at most once, each
     a switch or followed by one value that does not start with "-" and
     that passes the flag's type and choices, with every required flag
@@ -311,7 +231,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     usage lines and errors stay its own."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    flags = _Declarations(_COMMANDS[argv[0]][1]).flags
+    flags = _COMMANDS[argv[0]][1]
     given: dict[str, object] = {}
     rest = iter(argv[1:])
     for flag in rest:
@@ -527,19 +447,62 @@ def _check_domain(args) -> None:
         raise ParameterDomainError("jobs must be >= 1")
 
 
-# Each command's help line, the function that adds its arguments, and the
-# function that runs it, in the order the help lists them.
+# Each command's help line, its flags ({flag: add_argument keywords}) and
+# the function that runs it, each in the order the help lists them.  Both
+# parsers read the flags: _parse_plain mirrors only the keywords type,
+# default, choices, required, help and action="store_true", and a str
+# default with no type.
 _COMMANDS = {
-    "hrep": ("H-representation of a family polytope", _add_family_polytope, _cmd_hrep),
-    "simplices": ("triangulation simplices (V-reps)", _add_family_polytope, _cmd_simplices),
-    "pieces": ("subdivision pieces (H-reps)", _add_family_polytope, _cmd_pieces),
-    "volume": ("n!-scaled volume, three ways", _add_volume, _cmd_volume),
-    "zpoly": ("spanning-subgraph sum of the complete graph", _add_zpoly, _cmd_zpoly),
-    "fvector": ("f-vector of the two-parameter polytope", _add_fvector, _cmd_fvector),
-    "vertices": ("closed-form vertex set of a family polytope", _add_family_polytope, _cmd_vertices),
-    "recursion": ("connected-graph edge generating function", _add_recursion, _cmd_recursion),
-    "cayley1857": ("integer-point and partition counts", _add_cayley1857, _cmd_cayley1857),
-    "verify": ("run verification jobs; exit 0 iff all pass", _add_verify, _cmd_verify),
+    "hrep": ("H-representation of a family polytope", _POLYTOPE, _cmd_hrep),
+    "simplices": ("triangulation simplices (V-reps)", _POLYTOPE, _cmd_simplices),
+    "pieces": ("subdivision pieces (H-reps)", _POLYTOPE, _cmd_pieces),
+    "volume": (
+        "n!-scaled volume, three ways",
+        {
+            "--family": _FAMILY, "--n": _N, "--q": _Q, "--t": _T, "--output": _OUTPUT,
+            "--symbolic": {"action": "store_true", "help": "skip the determinant pass"},
+            "--jobs": _JOBS,
+        },
+        _cmd_volume,
+    ),
+    "zpoly": (
+        "spanning-subgraph sum of the complete graph",
+        {
+            "--n": {**_N, "help": "number of nodes of K_n"},
+            "--format": _FORMAT, "--output": _OUTPUT, "--jobs": _JOBS,
+        },
+        _cmd_zpoly,
+    ),
+    "fvector": (
+        "f-vector of the two-parameter polytope",
+        {"--n": _N, "--q": _Q, "--t": _T, "--output": _OUTPUT},
+        _cmd_fvector,
+    ),
+    "vertices": ("closed-form vertex set of a family polytope", _POLYTOPE, _cmd_vertices),
+    "recursion": (
+        "connected-graph edge generating function",
+        {
+            "--n": _N, "--mode": {"choices": ("recursion", "bruteforce", "both"), "default": "both"},
+            "--format": _FORMAT, "--output": _OUTPUT, "--jobs": _JOBS,
+        },
+        _cmd_recursion,
+    ),
+    "cayley1857": ("integer-point and partition counts", {"--n": _N, "--output": _OUTPUT}, _cmd_cayley1857),
+    "verify": (
+        "run verification jobs; exit 0 iff all pass",
+        {
+            "--check": {"choices": (*CHECKS, "all"), "default": "all"},
+            "--all": {"action": "store_true", "help": "synonym for --check all"},
+            "--family": {"choices": FAMILIES, "default": "tutte"},
+            "--n": {"type": int, "default": None},
+            "--nmax": {"type": int, "default": 3},
+            "--q": _Q, "--t": _T,
+            "--samples": {"type": int, "default": DEFAULT_SAMPLES},
+            "--seed": {"type": int, "default": DEFAULT_SEED},
+            "--jobs": _JOBS, "--output": _OUTPUT,
+        },
+        _cmd_verify,
+    ),
 }
 
 
@@ -556,23 +519,19 @@ def main(argv=None) -> int:
     try:
         _check_domain(args)
         payload, code = _COMMANDS[args.command][2](args)
+        _emit(args, payload)
     except ParameterDomainError as exc:
         print(f"parameter domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (DegenerateSimplexError, InconsistentGeometryError) as exc:
+    except (DegenerateSimplexError, InconsistentGeometryError, _CellCountError) as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        _emit(args, payload)
     except OSError as exc:
         print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _CellCountError as exc:
-        print(f"internal invariant broken: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
     return code
 
 

@@ -230,6 +230,8 @@ class HRep:
         if len(header) != 2:
             raise ValueError("expected the header line 'dimension rows'")
         dim, count = (int(x) for x in header)
+        if dim < 0:
+            raise ValueError(f"header declares dimension {dim}, expected one >= 0")
         if len(lines) - 1 != count:
             raise ValueError(f"header declares {count} rows, found {len(lines) - 1}")
         forms = []

@@ -51,7 +51,10 @@ class LabeledGraph:
     def from_edges(cls, n: int, edge_pairs) -> "LabeledGraph":
         mask = 0
         for i, j in edge_pairs:
-            mask |= 1 << pair_index(i, j, n)
+            bit = 1 << pair_index(i, j, n)
+            if mask & bit:
+                raise ValueError(f"repeated pair ({i}, {j})")
+            mask |= bit
         return cls(n, mask)
 
     @classmethod

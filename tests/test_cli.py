@@ -10,7 +10,7 @@ import sys
 from itertools import cycle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleypoly import cli, geometry, verify, volumes
@@ -358,6 +358,12 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(obj=_JSON_VALUES, choices=st.lists(st.booleans(), min_size=1, max_size=40))
+# A NUL in a string, beside an iterator and inside its items, is escaped
+# like any other; an empty iterator, at the top or nested, is "[]".
+@example(obj={"\x00": "\x00", "cells": ["\x00", {"\x00": ["a\x00b"]}, ("\x00",)]}, choices=[True])
+@example(obj={"cells": ["\x00", ("\x00", "x")], "x\x00": ("\x00", "x")}, choices=[True, False])
+@example(obj=[], choices=[True])
+@example(obj={"a": [], "b": [[], [[]], ["x", []]]}, choices=[True])
 def test_json_writer_renders_iterators_as_lists(obj, choices):
     # The same payload gives the same bytes whether its lists are given as
     # lists or as iterators, at any depth.
@@ -564,8 +570,8 @@ def test_broken_invariant_exit_code(monkeypatch, capsys, error):
     def broken(args):
         raise error("witness of the broken invariant")
 
-    help_line, add_arguments, _ = cli._COMMANDS["zpoly"]
-    monkeypatch.setitem(cli._COMMANDS, "zpoly", (help_line, add_arguments, broken))
+    help_line, flags, _ = cli._COMMANDS["zpoly"]
+    monkeypatch.setitem(cli._COMMANDS, "zpoly", (help_line, flags, broken))
     code = main(["zpoly", "--n", "3"])
     assert code == 1
     assert "witness of the broken invariant" in capsys.readouterr().err
@@ -816,7 +822,7 @@ def _argvs(draw):
     # out; then up to six pieces: one of its flags (repeats allowed) with a
     # value that its type and choices accept or an odd one, or an odd token.
     command = draw(st.sampled_from([*cli._COMMANDS, "nosuch", "Verify", "verif", "-h", "--"]))
-    flags = cli._Declarations(cli._COMMANDS[command][1]).flags if command in cli._COMMANDS else {}
+    flags = cli._COMMANDS[command][1] if command in cli._COMMANDS else {}
     argv = [command]
     for flag, kw in flags.items():
         if kw.get("required") and draw(st.integers(0, 7)):
@@ -886,19 +892,16 @@ def test_well_formed_calls_never_import_locale():
     assert json.loads(done.stdout) == [[0] * 10, False, False]
 
 
-@pytest.mark.parametrize(
-    "kw", [{"nargs": 2}, {"type": int, "default": "3"}, {"action": "count"}, {"dest": "m"}]
-)
-def test_declarations_refuse_what_the_plain_parse_cannot_mirror(kw):
-    with pytest.raises(TypeError):
-        cli._Declarations(lambda parser: parser.add_argument("--n", **kw))
-
-
-def test_declarations_record_every_flag_of_every_command():
-    (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
-    for name, (_, add_arguments, _) in cli._COMMANDS.items():
-        options = {s for a in command.choices[name]._actions for s in a.option_strings}
-        assert set(cli._Declarations(add_arguments).flags) == options - {"-h", "--help"}
+def test_flag_table_holds_only_what_the_plain_parse_mirrors():
+    # _parse_plain reads type, default, choices, required and store_true
+    # switches from the table itself; any other keyword, or a str default
+    # that argparse would pass through the type, would let the parsers part.
+    for _, flags, _ in cli._COMMANDS.values():
+        for flag, kw in flags.items():
+            assert flag.startswith("--")
+            assert kw.keys() <= {"type", "default", "choices", "required", "action", "help"}
+            assert kw.get("action", "store_true") == "store_true"
+            assert not (isinstance(kw.get("default"), str) and "type" in kw)
 
 
 def test_full_parser_lists_every_command():

@@ -26,8 +26,8 @@ def _no_argparse(*args, **kwargs):
 
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_cli_output_matches_golden(record, capsys, monkeypatch):
-    # Every recorded call is well-formed, so it is parsed from the argument
-    # declarations without building argparse.
+    # Every recorded call is well-formed, so it is parsed from the flag
+    # table without building argparse.
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_argparse)
     code = main(list(record["argv"]))
     assert capsys.readouterr().out == record["stdout"]

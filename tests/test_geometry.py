@@ -709,6 +709,8 @@ def test_hrep_text_rejects_missing_header(text):
 
 
 def test_hrep_text_rejects_row_count_mismatch():
+    with pytest.raises(ValueError, match="header declares dimension -1"):
+        HRep.from_text("-1 0")
     with pytest.raises(ValueError, match="declares 3 rows, found 1"):
         HRep.from_text("2 3\n1 0 0\n")  # truncated
     with pytest.raises(ValueError, match="declares 1 rows, found 2"):

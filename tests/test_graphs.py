@@ -109,12 +109,14 @@ def test_invalid_graphs_rejected():
         pair_index(2, 2, 4)
     with pytest.raises(ValueError):
         pair_index(1, 5, 4)
+    with pytest.raises(ValueError, match=r"^repeated pair \(2, 1\)$"):
+        LabeledGraph.from_text("3:1-2,2-1")  # one pair given twice, not one edge
 
 
 def test_partition_pattern_numbers_components_by_first_node():
     assert partition_pattern(5, [(3, 1), (4, 2)]) == (0, 1, 2, 1, 2)
     assert partition_pattern(3, []) == (0, 1, 2)
-    g = LabeledGraph.from_text("5:1-4,2-5,4-1")
+    g = LabeledGraph.from_text("5:1-4,2-5")
     assert partition_pattern(5, [(i - 1, j - 1) for i, j in g.edge_list()]) == (0, 1, 2, 0, 1)
     assert component_count(g) == 3
 
