@@ -483,7 +483,7 @@ _COMMANDS = {
         "connected-graph edge generating function",
         {
             "--n": _N, "--mode": {"choices": ("recursion", "bruteforce", "both"), "default": "both"},
-            "--format": _FORMAT, "--output": _OUTPUT, "--jobs": _JOBS,
+            "--output": _OUTPUT, "--jobs": _JOBS,
         },
         _cmd_recursion,
     ),

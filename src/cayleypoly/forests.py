@@ -16,7 +16,8 @@ Conventions used throughout:
   node pushes its children right to left, so the leftmost child is on top
   and becomes active next, and when a node has no children the top of
   the stack is exactly the last visited node that has not been active.
-  One loop over that stack (`_nfs_walk`) serves graphs and plane forests.
+  One loop over that stack (`_nfs_walk`) serves plane forests and graphs,
+  which `graph_walk` feeds from int neighbour masks and an unvisited mask.
   Positions, parents and cane exponents depend on the plane shape alone,
   so a `PlaneForest` is held as its walk, and a labeled forest is its
   shape (one `PlaneForest`, shared by every forest of that shape) plus
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, filterfalse
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import LabeledGraph, pair_index, pair_order
@@ -80,6 +81,30 @@ def _nfs_walk(roots: Iterable, kids_of: Callable[[object], Sequence]) -> list[tu
     return walk
 
 
+def graph_walk(node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> list[tuple]:
+    """The `_nfs_walk` of the graph on {1..node_count} with these edges,
+    with labels as nodes, run on one neighbour mask per label and one mask
+    of the labels not yet visited."""
+    adjacency = [0] * (node_count + 1)
+    for i, j in edge_pairs:
+        for v in (i, j):
+            if not 1 <= v <= node_count:
+                raise ValueError(f"bad edge label {v!r} for n={node_count}")
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+    unvisited = (1 << node_count + 1) - 2
+
+    def kids_of(v: int) -> list[int]:
+        nonlocal unvisited
+        # Roots are read off the mask, not cleared from it, until active.
+        unvisited &= ~(1 << v)
+        fresh = adjacency[v] & unvisited
+        unvisited ^= fresh
+        return [w for w in range(1, fresh.bit_length()) if fresh >> w & 1]
+
+    return _nfs_walk((v for v in range(node_count, 0, -1) if unvisited >> v & 1), kids_of)
+
+
 # ----------------------------------------------------------------------
 # Labeled forests
 # ----------------------------------------------------------------------
@@ -100,42 +125,20 @@ class LabeledForest:
             if not (1 <= v <= node_count and 1 <= p <= node_count) or v == p:
                 raise ValueError(f"bad parent entry {v} -> {p}")
         # A cycle leaves the walk fewer edges than the map has.
-        if self._build(node_count, parent.items()) != node_count - self.component_count():
+        walked = self._walked(graph_walk(node_count, parent.items()))
+        self.order, self.shape = walked.order, walked.shape
+        if len(parent) != node_count - self.component_count():
             raise ValueError("parent map contains a cycle")
-        built = self.parent
-        for r in range(1, node_count + 1):
-            if r not in parent and r in built:
-                raise ValueError(f"component root {r} is not its maximal label")
-
-    def _build(self, node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> int:
-        """Take both fields from the NFS walk of the graph on
-        {1..node_count} with these edges, and return how many pairs were
-        given.  Each component starts at the largest unvisited label, and a
-        node's children are its neighbours still unvisited when it becomes
-        active, in increasing label order."""
-        adj: dict[int, list[int]] = {v: [] for v in range(1, node_count + 1)}
-        count = 0
-        for i, j in edge_pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-            count += 1
-        seen: set[int] = set()
-        visited = seen.__contains__
-
-        def fresh_neighbours(v: int) -> tuple[int, ...]:
-            seen.add(v)
-            neighbours = adj[v]
-            neighbours.sort()
-            kids = tuple(filterfalse(visited, neighbours))
-            seen.update(kids)
-            return kids
-
-        walk = _nfs_walk((v for v in range(node_count, 0, -1) if v not in seen), fresh_neighbours)
-        self.order = tuple(node for node, _, _, _ in walk)
-        self.shape = PlaneForest._walked(walk)
-        return count
+        misplaced = self.parent.keys() - parent.keys()
+        if misplaced:
+            raise ValueError(f"component root {min(misplaced)} is not its maximal label")
 
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _walked(cls, walk: list[tuple]) -> "LabeledForest":
+        """The forest of a `graph_walk`."""
+        return cls._labeled(tuple([node for node, _, _, _ in walk]), PlaneForest._walked(walk))
 
     @classmethod
     def _labeled(cls, order: tuple[int, ...], plane: PlaneForest) -> "LabeledForest":
@@ -149,22 +152,12 @@ class LabeledForest:
     def from_edges(cls, n: int, edge_pairs) -> "LabeledForest":
         """The forest with these edges; on a forest graph the NFS forest
         is the graph itself, rooted at each component's maximal label."""
-        forest = cls.__new__(cls)
-        try:
-            given = forest._build(n, edge_pairs)
-        except KeyError as exc:
-            raise ValueError(f"bad edge label {exc.args[0]!r} for n={n}") from None
+        edge_pairs = list(edge_pairs)
+        forest = cls._walked(graph_walk(n, edge_pairs))
         # A cycle, a loop or a repeated pair leaves fewer forest edges.
-        if given != n - forest.component_count():
+        if len(edge_pairs) != n - forest.component_count():
             raise ValueError("edge set contains a cycle")
         return forest
-
-    @classmethod
-    def from_parent_text(cls, text: str) -> "LabeledForest":
-        """Parse the text form "p_1,...,p_n" with 0 marking roots."""
-        entries = [int(x) for x in text.split(",")]
-        parent = {v: p for v, p in enumerate(entries, start=1) if p != 0}
-        return cls(len(entries), parent)
 
     def to_parent_text(self) -> str:
         order = self.order
@@ -230,9 +223,7 @@ class LabeledForest:
 
 def nfs(g: LabeledGraph) -> LabeledForest:
     """The neighbors-first search forest of a labeled graph."""
-    forest = LabeledForest.__new__(LabeledForest)
-    forest._build(g.node_count, g.edge_list())
-    return forest
+    return LabeledForest._walked(graph_walk(g.node_count, g.edge_list()))
 
 
 def cane_paths_from(f: LabeledForest, v: int) -> int:
@@ -268,7 +259,7 @@ def fiber_masks(f: LabeledForest) -> list[int]:
     mask OR'ed with every subset sum of its cane-edge bits.  Subset k
     holds the sorted cane edges whose bits are set in k."""
     n = f.node_count
-    masks = [LabeledGraph.from_edges(n, f.edge_list()).edges]
+    masks = [sum([1 << pair_index(i, j, n) for i, j in f.edge_list()])]
     for i, j in sorted(cane_edges(f)):
         bit = 1 << pair_index(i, j, n)
         masks += [mask | bit for mask in masks]
@@ -381,11 +372,6 @@ class PlaneForest:
 
     def component_count(self) -> int:
         return len(self.roots)
-
-    def component_sizes(self) -> tuple[int, ...]:
-        """A component spans the positions from its root to the next."""
-        ends = self.roots[1:] + (len(self.walk),)
-        return tuple([end - root for root, end in zip(self.roots, ends)])
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Depth-first degrees, one terminating zero per component kept."""

@@ -229,7 +229,10 @@ class HRep:
         header = lines[0].split() if lines else []
         if len(header) != 2:
             raise ValueError("expected the header line 'dimension rows'")
-        dim, count = (int(x) for x in header)
+        try:
+            dim, count = (int(x) for x in header)
+        except ValueError:
+            raise ValueError(f"bad header {lines[0].strip()!r}: expected 'dimension rows'") from None
         if dim < 0:
             raise ValueError(f"header declares dimension {dim}, expected one >= 0")
         if len(lines) - 1 != count:

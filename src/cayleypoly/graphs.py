@@ -33,6 +33,11 @@ def pair_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
+def mask_pairs(n: int, edges: int) -> list[tuple[int, int]]:
+    """The pairs whose bits are set in the edge mask on {1..n}, in order."""
+    return [pair for k, pair in enumerate(_PAIRS[n]) if edges >> k & 1]
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple graph on nodes {1..node_count}; edges is a C(n,2)-bit mask."""
@@ -61,12 +66,18 @@ class LabeledGraph:
     def from_text(cls, text: str) -> "LabeledGraph":
         """Parse the text form "n:i-j,i-j,..." (edge list may be empty)."""
         head, _, body = text.partition(":")
-        n = int(head)
+        try:
+            n = int(head)
+        except ValueError:
+            raise ValueError(f"bad header {head!r}: expected the node count") from None
         pairs = []
         if body:
             for item in body.split(","):
                 i, _, j = item.partition("-")
-                pairs.append((int(i), int(j)))
+                try:
+                    pairs.append((int(i), int(j)))
+                except ValueError:
+                    raise ValueError(f"bad edge {item!r}: expected 'i-j'") from None
         return cls.from_edges(n, pairs)
 
     def to_text(self) -> str:
@@ -74,7 +85,7 @@ class LabeledGraph:
         return f"{self.node_count}:{body}"
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [pair for k, pair in enumerate(_PAIRS[self.node_count]) if self.edges >> k & 1]
+        return mask_pairs(self.node_count, self.edges)
 
     def edge_count(self) -> int:
         return self.edges.bit_count()

@@ -33,7 +33,8 @@ HRep.contains_numerators.
 The fiber check generates the NFS fibers instead of sweeping for them:
 each labeled forest F gives the masks of F plus a subset of its cane
 edges.  They are the fibers exactly when every generated graph has NFS
-forest F, no mask is generated twice, and the masks number 2^C(n,2).
+forest F, no mask is generated twice, and the masks number 2^C(n,2).  A
+forest is its NFS walk, so each graph's walk is compared with F's.
 
 Every job is deterministic given (kind, family, n, parameters, seed).
 """
@@ -57,7 +58,7 @@ from .forests import (
     enumerate_labeled_forests,
     enumerate_plane_forests,
     fiber_masks,
-    nfs,
+    graph_walk,
 )
 from .geometry import (
     FAMILIES,
@@ -74,7 +75,7 @@ from .geometry import (
     piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
 )
-from .graphs import LabeledGraph
+from .graphs import mask_pairs
 from .volumes import (
     closed_form_piece_total,
     closed_form_simplex_total,
@@ -549,14 +550,16 @@ def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> Verif
 
 def _fiber_fault(f: LabeledForest, seen: bytearray) -> Optional[str]:
     """Why the generated fiber of f is not its NFS fiber, or None; marks
-    each generated mask in seen."""
+    each generated mask in seen; no graph or forest is built per mask."""
+    n = f.node_count
+    walk = [(label, *entry) for label, entry in zip(f.order, f.shape.walk)]
     components = f.component_count() - 1
     weighted = Counter()
     for mask in fiber_masks(f):
         if seen[mask]:
             return "mask generated twice"
         seen[mask] = 1
-        if nfs(LabeledGraph(f.node_count, mask)) != f:
+        if graph_walk(n, mask_pairs(n, mask)) != walk:
             return "fiber set mismatch"
         weighted[components, mask.bit_count()] += 1
     if weighted != tally_monomials(simplex_tally((f,))):
@@ -568,7 +571,7 @@ def verify_fiber(node_count: int) -> VerificationReport:
     """Exhaustive check that NFS preimages are forest-plus-cane-edge sets.
 
     Generates fiber_masks(F) for every labeled forest F and checks three
-    facts: each generated graph has NFS forest F; no mask is generated
+    facts: each generated graph has F's NFS walk; no mask is generated
     twice; and the masks number 2^C(n,2).  Together they make the
     generated sets exactly the NFS fibers.  Each fiber's count of masks by
     (component count - 1, edge count) is then compared with the monomials

@@ -426,6 +426,13 @@ def test_volume_has_no_format_flag():
     assert info.value.code == 2
 
 
+def test_recursion_has_no_format_flag():
+    # recursion always prints JSON; a --format flag it ignored is gone.
+    with pytest.raises(SystemExit) as info:
+        main(["recursion", "--n", "3", "--format", "text"])
+    assert info.value.code == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -783,7 +790,7 @@ _HELP_SHA256 = {
     ("zpoly", "--help"): "467e6c55c4b11b05b0790836acf6c61cd314ce7147705da20640af29fca15393",
     ("fvector", "--help"): "24c603201fef92bf66b95745a9110125321b74d44b234f67f518ad92a4397d00",
     ("vertices", "--help"): "9557d91537e76de0f4178a9ea43c15abf49c4a99d927e257316bf4d54f45d22d",
-    ("recursion", "--help"): "c51bf5a7453269cc2b25b194018c0ef9258ae6af305bbc842a726548620094fe",
+    ("recursion", "--help"): "0ecc427830ddad15fc008452ab8db3f41998614a9c16bde909a0ff3373bbeb26",
     ("cayley1857", "--help"): "f1b235077c8f633c755c1471b7f9c6d604ab8b5036affa8a9b9242e25f0d57f9",
     ("verify", "--help"): "ca2f16586b69d79197ba9f1d72eba824f2b9e17903f308c2a58c98ec193e3721",
     ("hrep", "--family", "tutte"): "a1129c404c86ca7e4d8759206630de57fd2463655f60932e1e0355832afb0c5a",

@@ -241,7 +241,7 @@ def test_shape_examples(star3, path3):
     assert path3.shape.degree_sequence() == (1, 1, 0)
     singles = LabeledForest.from_edges(2, [])
     assert singles.shape.degree_sequence() == (0, 0)
-    assert singles.shape.component_sizes() == (1, 1)
+    assert singles.shape.roots == (0, 1)
 
 
 def test_shape_positions_mirror_labeled_forest():
@@ -371,7 +371,7 @@ def test_plane_forest_round_trip():
 def test_degree_sequence_component_zeros():
     # Only the zero closing each component is erased; inner zeros stay.
     pf = PlaneForest.from_degree_sequence([2, 0, 0, 1, 0])
-    assert pf.component_sizes() == (3, 2)
+    assert pf.roots == (0, 3)
     assert pf.reduced_degree_sequence() == (2, 0, 1)
     assert pf.edge_count() == 3
 
@@ -402,8 +402,9 @@ def test_labeled_forest_count_rejects_a_non_integer(monkeypatch):
 
 
 def test_parent_text_round_trip(worked_forest12):
-    text = worked_forest12.to_parent_text()
-    assert LabeledForest.from_parent_text(text) == worked_forest12
+    entries = [int(x) for x in worked_forest12.to_parent_text().split(",")]
+    parent = {v: p for v, p in enumerate(entries, start=1) if p != 0}
+    assert LabeledForest(len(entries), parent) == worked_forest12
 
 
 def test_invalid_forests_rejected():
@@ -425,6 +426,10 @@ def test_invalid_forests_rejected():
         LabeledForest.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="^bad edge label 4 for n=3$"):
         LabeledForest.from_edges(3, [(1, 4)])
+    with pytest.raises(ValueError, match="^bad edge label -1 for n=3$"):
+        LabeledForest.from_edges(3, [(1, -1)])  # not a negative shift count
+    with pytest.raises(ValueError, match="^edge set contains a cycle$"):
+        LabeledForest.from_edges(3, [(2, 2)])  # a self-loop
     with pytest.raises(ValueError):
         list(enumerate_labeled_forests(9))
 

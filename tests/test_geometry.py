@@ -708,6 +708,11 @@ def test_hrep_text_rejects_missing_header(text):
         HRep.from_text(text)
 
 
+def test_hrep_text_names_a_bad_header():
+    with pytest.raises(ValueError, match="^bad header 'a 1': expected 'dimension rows'$"):
+        HRep.from_text("a 1\n1 2")
+
+
 def test_hrep_text_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="header declares dimension -1"):
         HRep.from_text("-1 0")

@@ -111,6 +111,10 @@ def test_invalid_graphs_rejected():
         pair_index(1, 5, 4)
     with pytest.raises(ValueError, match=r"^repeated pair \(2, 1\)$"):
         LabeledGraph.from_text("3:1-2,2-1")  # one pair given twice, not one edge
+    with pytest.raises(ValueError, match="^bad edge '': expected 'i-j'$"):
+        LabeledGraph.from_text("3:1-2,")
+    with pytest.raises(ValueError, match="^bad header 'x': expected the node count$"):
+        LabeledGraph.from_text("x:1-2")
 
 
 def test_partition_pattern_numbers_components_by_first_node():

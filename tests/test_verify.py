@@ -597,6 +597,12 @@ def _first_forest_twice(forests):
     return [forests[0], *forests]
 
 
+def _swap_first_labels(walk):
+    # On 4 nodes every walk has two entries to swap the labels of.
+    (a, *rest_a), (b, *rest_b), *tail = walk
+    return [(b, *rest_a), (a, *rest_b), *tail]
+
+
 @pytest.mark.parametrize(
     "name,wrap,reason",
     [
@@ -612,8 +618,13 @@ def _first_forest_twice(forests):
             lambda fn: lambda n: _first_forest_twice(fn(n)),
             "mask generated twice",
         ),
+        (
+            "graph_walk",
+            lambda fn: lambda n, adjacency: _swap_first_labels(fn(n, adjacency)),
+            "fiber set mismatch",
+        ),
     ],
-    ids=["missing-mask", "foreign-mask", "wrong-volume", "repeated-forest"],
+    ids=["missing-mask", "foreign-mask", "wrong-volume", "repeated-forest", "wrong-walk"],
 )
 def test_fiber_certificate_failures_carry_a_forest(monkeypatch, name, wrap, reason):
     monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))

@@ -328,7 +328,9 @@ def test_closed_forms_match_their_formulas_cell_by_cell():
         assert closed_form_simplex_total((f,)) == expected
     for nodes in range(1, 9):
         for pf in enumerate_plane_forests(nodes):
-            sizes = pf.component_sizes()
+            # A component spans the positions from its root to the next.
+            ends = pf.roots[1:] + (nodes,)
+            sizes = [end - root for root, end in zip(pf.roots, ends)]
             reduced = pf.reduced_degree_sequence()
             prefactor = Fraction(math.factorial(nodes - 1))
             for d in reduced:
