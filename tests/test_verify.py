@@ -1,9 +1,10 @@
 """Verification jobs: partitions, refinement, specializations, fibers."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -254,6 +255,24 @@ def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
             point = tuple(Fraction(v, scale) for v in numerators)
             assert point == sample_interior_point(family, n, q_eff, t_eff, reference_rng)
             assert rng.state == reference_rng.state
+
+
+# sha256 of the first 200 (numerators, scale) draws of the integer sample
+# stream at the default seed, for each family and n = 1..5, at (1/2, 1) then
+# (37/101, 53/17): the points every partition certificate classifies.
+_SAMPLE_STREAM_SHA256 = "bbd4545a18c3360d9d4dc051acbdfe71057713ca0633a907730d850b215dc975"
+
+
+def test_sample_stream_draws_keep_their_bytes():
+    digest = hashlib.sha256()
+    for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))):
+        for family in FAMILIES:
+            q_eff, t_eff = family_parameters(family, q, t)
+            for n in range(1, 6):
+                stream = interior_sample_stream(family, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
+                for numerators, scale in islice(stream, 200):
+                    digest.update(f"{family} {n} {numerators} {scale}\n".encode("ascii"))
+    assert digest.hexdigest() == _SAMPLE_STREAM_SHA256
 
 
 def test_sampler_deterministic():
