@@ -8,10 +8,11 @@ polynomial is the empty dict.  Univariate polynomials (in t alone, or in a
 renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 Linear algebra is in integers only: `clear_denominators` writes rationals
-over one common denominator, and `eliminate` is the one fraction-free
-elimination kernel, behind `volumes.integer_volume_scaled` (so every
-simplex volume of `verify` and `volume`) and the vertex oracle of
-`verify`.
+over one common denominator, and `bareiss_step` is the one fraction-free
+elimination step.  `eliminate` runs it column by column, behind
+`volumes.integer_volume_scaled` (so every simplex volume of `verify` and
+`volume`), and the vertex oracle of `verify` runs it row by row down its
+tree of row subsets.
 
 No floating point is used anywhere in this package.
 """
@@ -27,6 +28,17 @@ Monomial = tuple[int, int]
 Coefficient = int | Fraction
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer as int() does, but in ASCII digits only: an
+    optional sign and surrounding whitespace are allowed, and other
+    scripts' digits and underscores, which int() takes, are a ValueError.
+    """
+    if not _INTEGER_RE.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -220,20 +232,6 @@ class BivariatePolynomial:
             for (dq, dt), c in self._terms.items()
         )
 
-    def compose_t(self, replacement: "BivariatePolynomial") -> "BivariatePolynomial":
-        """Substitute a polynomial for the t variable (q left untouched)."""
-        out = BivariatePolynomial.zero()
-        powers: dict[int, BivariatePolynomial] = {0: BivariatePolynomial.constant(1)}
-        for (dq, dt), coeff in sorted(self._terms.items()):
-            if dt not in powers:
-                dt_max = max(powers)
-                acc = powers[dt_max]
-                for k in range(dt_max + 1, dt + 1):
-                    acc = acc * replacement
-                    powers[k] = acc
-            out += BivariatePolynomial.monomial(dq, 0, coeff) * powers[dt]
-        return out
-
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self) -> list:
@@ -275,17 +273,36 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
+def bareiss_step(rows: list[list[int]], top: list[int], col: int, previous: int) -> list[list[int]]:
+    """One fraction-free elimination step of each row against the pivot
+    row top, whose pivot is top[col], over the previous pivot.
+
+    A row becomes (pivot * row - row[col] * top) // previous, a division
+    that is exact (Bareiss, Math. Comp. 22 (1968)); a row whose entry is
+    already zero is only rescaled, and kept as it is when the pivot did
+    not change.  After k steps, against the pivot rows of k rows in turn,
+    a row's entry in column j is the minor of those k rows and the row, as
+    first given, on the k pivot columns and column j.  Returns the new
+    rows; no list is mutated."""
+    pivot = top[col]
+    stepped = []
+    for row in rows:
+        factor = row[col]
+        if factor:
+            row = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
+        elif pivot != previous:
+            row = [pivot * a // previous for a in row]
+        stepped.append(row)
+    return stepped
+
+
+def eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gaussian elimination of integer rows, in place.
 
     Column by column, a row with a nonzero entry is swapped up to become
-    pivot row k (its column is pivots[k]); every row below it, or with
-    reduce every other row, becomes
-    (pivot * row - row[col] * rows[k]) // previous pivot, a division that
-    is exact (Bareiss, Math. Comp. 22 (1968)).  A row whose entry is
-    already zero is only rescaled, and only when the pivot changed.  Stops
-    at full rank.  The last pivot is then sign * the determinant of the
-    pivot minor, and with reduce every pivot equals it.  The lists in
+    pivot row k (its column is pivots[k]); every row below it takes one
+    `bareiss_step` against rows[k].  Stops at full rank.  The last
+    pivot is then sign * the determinant of the pivot minor.  The lists in
     `rows` are replaced, never mutated.
     """
     pivots: list[int] = []
@@ -303,18 +320,9 @@ def eliminate(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], i
             rows[k], rows[found] = rows[found], rows[k]
             sign = -sign
         top = rows[k]
-        pivot = top[col]
-        for r in range(0 if reduce else k + 1, len(rows)):
-            if r == k:
-                continue
-            row = rows[r]
-            factor = row[col]
-            if factor:
-                rows[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
-            elif pivot != previous:
-                rows[r] = [pivot * a // previous for a in row]
+        rows[k + 1 :] = bareiss_step(rows[k + 1 :], top, col, previous)
         pivots.append(col)
-        previous = pivot
+        previous = top[col]
     return pivots, sign
 
 

@@ -42,6 +42,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .exact import parse_integer
 from .graphs import LabeledGraph, pair_index, pair_order
 
 MAX_FOREST_NODES = 8
@@ -351,7 +352,7 @@ class PlaneForest:
 
     @classmethod
     def from_text(cls, text: str) -> "PlaneForest":
-        return cls.from_degree_sequence(int(x) for x in text.split(","))
+        return cls.from_degree_sequence(parse_integer(x) for x in text.split(","))
 
     def to_text(self) -> str:
         return ",".join(str(d) for d in self.degree_sequence())

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import clear_denominators, format_rational, parse_rational
+from .exact import clear_denominators, format_rational, parse_integer, parse_rational
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -230,7 +230,7 @@ class HRep:
         if len(header) != 2:
             raise ValueError("expected the header line 'dimension rows'")
         try:
-            dim, count = (int(x) for x in header)
+            dim, count = (parse_integer(x) for x in header)
         except ValueError:
             raise ValueError(f"bad header {lines[0].strip()!r}: expected 'dimension rows'") from None
         if dim < 0:

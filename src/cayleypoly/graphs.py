@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .exact import parse_integer
+
 MAX_NODES = 12
 
 
@@ -67,7 +69,7 @@ class LabeledGraph:
         """Parse the text form "n:i-j,i-j,..." (edge list may be empty)."""
         head, _, body = text.partition(":")
         try:
-            n = int(head)
+            n = parse_integer(head)
         except ValueError:
             raise ValueError(f"bad header {head!r}: expected the node count") from None
         pairs = []
@@ -75,7 +77,7 @@ class LabeledGraph:
             for item in body.split(","):
                 i, _, j = item.partition("-")
                 try:
-                    pairs.append((int(i), int(j)))
+                    pairs.append((parse_integer(i), parse_integer(j)))
                 except ValueError:
                     raise ValueError(f"bad edge {item!r}: expected 'i-j'") from None
         return cls.from_edges(n, pairs)

@@ -10,16 +10,17 @@ exact volume-sum identities and vertex containment this certifies the
 partitions at desk scale; no pairwise intersection LP is attempted.
 
 Sampling and membership are in integers.  The sample stream draws each
-point as integer numerators over one running positive scale
+point as integer numerators over one positive scale
 (interior_sample_stream), and each H-rep clears its rows once to coprime
 integer rows (HRep.integer_rows), so a row shared by many cells, up to a
 positive factor, is one row.  A row's sign at a point does not depend on
 the positive scale the point is written over, so the numerators go into
-the rows as they are.  The partition certificate keeps each distinct row
-of all the cells once, with the bitmask of the cells having it, and
-evaluates it once per sample; two ORs of masks (negative rows, zero rows)
-then classify the sample against every cell at once.  A Fraction point is
-built only for a failure report.
+the rows as they are.  The partition certificate keeps each hyperplane of
+all the cells once, as the larger of a row and its negation, with two
+bitmasks: the cells having it as written and those having its negation.
+It evaluates each hyperplane once per sample; ORs of masks (cells with a
+negative row, cells with a zero row) then classify the sample against
+every cell at once.  A Fraction point is built only for a failure report.
 
 Simplices are in integers too.  A geometry.VertexTable holds the distinct
 simplex vertices of a job as integer numerators over the value table's
@@ -46,10 +47,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .exact import BivariatePolynomial, clear_denominators, eliminate, format_rational
+from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
 from .faces import cayley_vertices, tutte_vertices
 from .forests import (
     LabeledForest,
@@ -172,8 +172,9 @@ def interior_sample_stream(
     draw is
     (m lo_d S + k (w_d P - slack_d (S - M) - lo_d S)) / (m D S),
     so each coordinate multiplies the running scale S by m D and rescales
-    the earlier numerators and M.  A point is (numerators, S); x_i is
-    Fraction(numerators[i], S).
+    M.  The last scale is always (m D)^n, so coordinate i is lifted to it
+    once, by (m D)^(n-1-i), when drawn.  A point is (numerators, (m D)^n);
+    x_i is Fraction(numerators[i], (m D)^n).
     """
     connected = get_family(family).connected
     w = 1 + t
@@ -182,21 +183,22 @@ def interior_sample_stream(
     (w_d, lo_d, slack_d), base = clear_denominators((w, lo, slack))
     m = rng.denominator
     step = m * base
+    lifts = [step ** (n - 1 - i) for i in range(n)]
     while True:
         numerators: list[int] = []
         scale = lowest = prev = 1
-        for _ in range(n):
+        for lift in lifts:
             k = rng.next_numerator()
             prev = m * lo_d * scale + k * (w_d * prev - slack_d * (scale - lowest) - lo_d * scale)
-            numerators = [v * step for v in numerators]
-            numerators.append(prev)
+            numerators.append(prev * lift)
             lowest = min(lowest * step, prev)
             scale *= step
         yield numerators, scale
 
 
 # ----------------------------------------------------------------------
-# Brute-force vertex enumeration (test oracle, desk scale only)
+# Brute-force vertex enumeration (test oracle, desk scale only): every
+# n-subset of rows, walked as a tree of prefixes pruned at singular ones
 # ----------------------------------------------------------------------
 
 
@@ -205,10 +207,17 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
     tight; intended for small n only.
 
     Each coprime row of `HRep.integer_rows` is written once as
-    [a_1, ..., a_n, b].  Elimination with reduce brings a nonsingular
-    subset to D x_i + b'_i = 0 with one common pivot D; the point
-    (-b'_1, ..., -b'_n) / D, signs flipped when D < 0, is kept when the
-    H-rep contains it."""
+    [a_1, ..., a_n, b].  The n-subsets are walked depth first in index
+    order, as a tree whose nodes are their prefixes.  Taking a row as the
+    next pivot row takes one `bareiss_step` of each later row against
+    it, so a row is reduced once per prefix; a later row whose first n
+    entries are then zero is dropped, with every subset that holds it and
+    the prefix, since they are all singular.  So each leaf is a
+    nonsingular subset in echelon form, with last pivot D = +-det; back
+    substitution gives its point as integer numerators over D, each
+    division exact (Cramer's rule).  A point is kept once, as gcd-reduced
+    numerators over a positive denominator, and tested once against the
+    H-rep; Fractions are built for the distinct vertices only."""
     n = hrep.dimension
     if n == 0:
         return ((),)
@@ -218,19 +227,32 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
         for i, a in terms:
             row[i] = a
         augmented.append(row)
-    nonsingular = list(range(n))
-    found: set[Point] = set()
-    for subset in combinations(augmented, n):
-        system = list(subset)
-        if eliminate(system, reduce=True)[0] != nonsingular:
-            continue
-        pivot = system[-1][n - 1]
-        numerators = [-row[n] for row in system]
-        if pivot < 0:
-            pivot, numerators = -pivot, [-v for v in numerators]
-        if hrep.contains_numerators(numerators, pivot):
-            found.add(tuple(Fraction(v, pivot) for v in numerators))
-    return tuple(sorted(found))
+    points: dict[tuple[tuple[int, ...], int], bool] = {}
+
+    def walk(rows: list[list[int]], pivots: list[tuple[list[int], int]], previous: int) -> None:
+        # Each row left has taken its step against every (pivot row, pivot
+        # column) of the prefix, and is nonzero in its first n entries.
+        need = n - len(pivots)
+        for k in range(len(rows) - need + 1):
+            top = rows[k]
+            col = next(c for c in range(n) if top[c])
+            if need > 1:
+                reduced = bareiss_step(rows[k + 1 :], top, col, previous)
+                walk([row for row in reduced if any(row[:n])], pivots + [(top, col)], top[col])
+                continue
+            d = top[col]
+            x = [0] * n
+            for row, c in reversed(pivots + [(top, col)]):
+                x[c] = -(row[n] * d + sum(a * v for a, v in zip(row, x))) // row[c]
+            if d < 0:
+                d, x = -d, [-v for v in x]
+            g = math.gcd(d, *x)
+            key = (tuple(v // g for v in x), d // g)
+            if key not in points:
+                points[key] = hrep.contains_numerators(*key)
+
+    walk([row for row in augmented if any(row[:n])], [], 1)
+    return tuple(sorted(tuple(Fraction(v, d) for v in x) for (x, d), inside in points.items() if inside))
 
 
 # ----------------------------------------------------------------------
@@ -251,20 +273,26 @@ def _partition_certificate(
 
     A sample is integer numerators over a positive scale, so a row b + a.x
     is evaluated as b * scale + a.numerators, which has the row's sign.
-    Every distinct integer row of the cells (HRep.integer_rows: coprime,
-    so rows that are positive multiples of each other coincide) is kept
-    once, with the bitmask of the cells that have it.  A sample evaluates
-    each distinct row once; `outside` is the union of the masks of the
-    negative rows and `touched` that of the zero rows.  A cell with a zero
-    row and no negative one has the sample on its boundary, so the sample
-    is discarded when touched & ~outside is nonzero; otherwise the cells
-    containing it are those in neither mask.
+    The distinct integer rows of the cells (HRep.integer_rows: coprime,
+    so rows that are positive multiples of each other coincide) lie on
+    fewer hyperplanes, as two cells on either side of one have it in
+    opposite orientations.  Each hyperplane is kept once, written as the
+    larger of a row and its negation, with two bitmasks: `pos`, the cells
+    that have it as written, and `neg`, those that have its negation.  A
+    sample evaluates each hyperplane once: a negative value puts the
+    `pos` cells in `outside`, a positive one the `neg` cells, and a zero
+    both in `touched`.  A cell with a zero row and no negative one has the
+    sample on its boundary, so the sample is discarded when
+    touched & ~outside is nonzero; otherwise the cells containing it are
+    those in neither mask.
     """
-    masks: dict[IntegerRow, int] = {}
+    masks: dict[IntegerRow, list[int]] = {}  # hyperplane -> [pos, neg]
     for bit, hrep in enumerate(hreps):
         for row in hrep.integer_rows:
-            masks[row] = masks.get(row, 0) | 1 << bit
-    rows = list(masks.items())
+            b, terms = row
+            hyperplane = max(row, (-b, tuple((i, -a) for i, a in terms)))
+            masks.setdefault(hyperplane, [0, 0])[hyperplane != row] |= 1 << bit
+    hyperplanes = [(b, terms, pos, neg, pos | neg) for (b, terms), (pos, neg) in masks.items()]
     every_cell = (1 << len(hreps)) - 1
     stream = interior_sample_stream(family, n, q, t, RationalLCG(seed))
     accepted = 0
@@ -275,14 +303,16 @@ def _partition_certificate(
         attempts_left -= 1
         numerators, scale = next(stream)
         outside = touched = 0
-        for (b, terms), mask in rows:
+        for b, terms, pos, neg, both in hyperplanes:
             value = b * scale
             for i, a in terms:
                 value += a * numerators[i]
             if value < 0:
-                outside |= mask
-            elif not value:
-                touched |= mask
+                outside |= pos
+            elif value:
+                outside |= neg
+            else:
+                touched |= both
         if touched & ~outside:
             discarded += 1
             continue

@@ -1,5 +1,6 @@
 """Exact arithmetic core: polynomials, elimination, Tutte conversion."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -14,7 +15,9 @@ from cayleypoly import (
     tutte_from_z,
     z_from_tutte,
 )
-from cayleypoly.exact import clear_denominators, eliminate
+from cayleypoly.exact import clear_denominators, eliminate, parse_integer
+
+from poly_helpers import compose_t
 
 P = BivariatePolynomial
 
@@ -76,6 +79,18 @@ def test_format_rational_examples():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text,value", [("12", 12), ("-1", -1), ("+3", 3), (" 0 ", 0), ("007", 7)])
+def test_parse_integer_reads_ascii_integers_as_int_does(text, value):
+    assert parse_integer(text) == int(text) == value
+
+
+# int() would take three of these: "1_0", "\u0663" and "\uff11\uff12", as 10, 3 and 12.
+@pytest.mark.parametrize("bad", ["", "1.0", "1_0", "\u0663", "\uff11\uff12", "--1", "1 2"])
+def test_parse_integer_rejects(bad):
+    with pytest.raises(ValueError, match=f"^not an integer: {re.escape(repr(bad))}$"):
+        parse_integer(bad)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +283,7 @@ def test_restrict_and_substitute():
 def test_compose_t():
     # (2 + y) at y = 1 + t
     p = P({(0, 0): 2, (0, 1): 1})
-    assert p.compose_t(P.one_plus_t_power(1)) == P({(0, 0): 3, (0, 1): 1})
+    assert compose_t(p, P.one_plus_t_power(1)) == P({(0, 0): 3, (0, 1): 1})
 
 
 # ----------------------------------------------------------------------

@@ -439,6 +439,11 @@ def test_invalid_plane_forests_rejected():
         PlaneForest.from_degree_sequence([2, 0])  # truncated
     with pytest.raises(ValueError, match="^negative degree -1$"):
         PlaneForest.from_text("-1")
+    # int() alone would read these as 1,0 and as one node of degree 10.
+    with pytest.raises(ValueError, match="^not an integer: '\u0660'$"):
+        PlaneForest.from_text("1,\u0660")
+    with pytest.raises(ValueError, match="^not an integer: '1_0'$"):
+        PlaneForest.from_text("1_0")
     with pytest.raises(ValueError):
         PlaneForest(())
     with pytest.raises(ValueError):

@@ -713,6 +713,13 @@ def test_hrep_text_names_a_bad_header():
         HRep.from_text("a 1\n1 2")
 
 
+@pytest.mark.parametrize("header", ["\u0661 1", "1_0 0", "1 \u0661"])
+def test_hrep_text_header_takes_ascii_digits_only(header):
+    # int() alone would read these as dimension 1, dimension 10 and one row.
+    with pytest.raises(ValueError, match=f"^bad header '{header}': expected 'dimension rows'$"):
+        HRep.from_text(f"{header}\n0 1")
+
+
 def test_hrep_text_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="header declares dimension -1"):
         HRep.from_text("-1 0")

@@ -115,6 +115,14 @@ def test_invalid_graphs_rejected():
         LabeledGraph.from_text("3:1-2,")
     with pytest.raises(ValueError, match="^bad header 'x': expected the node count$"):
         LabeledGraph.from_text("x:1-2")
+    # int() alone would read these as 3:1-2, a node count of 12 and 3:1-2.
+    with pytest.raises(ValueError, match="^bad header '\u0663': expected the node count$"):
+        LabeledGraph.from_text("\u0663:\u0661-\u0662")
+    with pytest.raises(ValueError, match="^bad header '1_2': expected the node count$"):
+        LabeledGraph.from_text("1_2:1-2")
+    with pytest.raises(ValueError, match="^bad edge '1-\u0662': expected 'i-j'$"):
+        LabeledGraph.from_text("3:1-\u0662")
+    assert LabeledGraph.from_text(" 3: 1-2, 2-3") == LabeledGraph.from_text("3:1-2,2-3")
 
 
 def test_partition_pattern_numbers_components_by_first_node():

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleypoly import (
     FAMILIES,
@@ -312,6 +314,33 @@ def reference_hrep_vertices(hrep):
     return tuple(sorted(found))
 
 
+@st.composite
+def small_integer_hreps(draw):
+    """(n, rows) in dimensions 1 to 3, each row [b, a_1, ..., a_n] for
+    b + a.x >= 0; up to two more rows repeat an earlier row times 1, 2 or -1."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), max_size=6))
+    if rows:
+        for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+            factor = draw(st.sampled_from([1, 2, -1]))
+            rows.append([factor * a for a in rows[k]])
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_hreps())
+@example((2, [[0, 1, 0], [0, 1, 0], [0, 0, 1], [2, -1, -1]]))  # duplicate rows
+@example((2, [[0, 1, 0], [0, -1, 0], [0, 0, 1], [3, -1, -1]]))  # a row and its negation
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, -1, -1]]))  # a zero linear part
+@example((2, [[-1, 0, 0], [0, 1, 0], [0, 0, 1], [2, -1, -1]]))  # the same, never satisfied
+@example((3, [[0, 1, 0, 0], [0, 0, 1, 0]]))  # fewer rows than the dimension
+@example((1, []))
+def test_vertex_oracle_matches_fraction_solver_on_random_hreps(case):
+    n, rows = case
+    hrep = HRep(n, tuple(AffineForm(Fraction(b), tuple(map(Fraction, a))) for b, *a in rows))
+    assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
+
+
 def test_hrep_vertex_oracle_on_orthoscheme():
     hrep = build_hrep("gayley", 3)
     expected = tuple(sorted(orthoscheme_vertices([2, 4, 8])))
@@ -421,6 +450,36 @@ def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
     for cells in (simplices, pieces, simplices[1:], pieces + pieces[:1], [*simplices[:-1], boundary]):
         args = (family, n, q_eff, t_eff, cells, 80, 11)
         assert _partition_certificate(*args) == _reference_certificate(*args)
+
+
+def _halves_at_x1(hrep: HRep, bound: Fraction) -> tuple[HRep, HRep]:
+    """hrep cut in two by the hyperplane x_1 = bound, which the halves
+    have in opposite orientations."""
+    n = hrep.dimension
+    below, above = (AffineForm.linear(n, 1, sign, -sign * bound) for sign in (-1, 1))
+    return HRep(n, hrep.inequalities + (below,)), HRep(n, hrep.inequalities + (above,))
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("family,n", [("tutte", 2), ("cayley", 3), ("tgayley", 3)])
+def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q, t):
+    # Cut at a generic bound, the two halves tile the polytope; one half
+    # twice overlaps.  Cut through the first sample, that sample lies on
+    # the boundary of both halves and is discarded.
+    q_eff, t_eff = family_parameters(family, q, t)
+    polytope = build_hrep(family, n, q_eff, t_eff)
+    numerators, scale = next(interior_sample_stream(family, n, q_eff, t_eff, RationalLCG(11)))
+    first_x1 = Fraction(numerators[0], scale)
+    generic = (first_x1 + (1 + t_eff)) / 2
+    for bound in (generic, first_x1):
+        below, above = _halves_at_x1(polytope, bound)
+        for cells in ([below, above], [below, below]):
+            args = (family, n, q_eff, t_eff, cells, 80, 11)
+            result = _partition_certificate(*args)
+            assert result == _reference_certificate(*args)
+            assert result["ok"] is (cells[1] is above)
+            if bound == first_x1:
+                assert result["discarded_non_generic"] >= 1
 
 
 def _cut_x1(hrep: HRep, bound: Fraction) -> HRep:
