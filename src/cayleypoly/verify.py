@@ -16,11 +16,12 @@ integer rows (HRep.integer_rows), so a row shared by many cells, up to a
 positive factor, is one row.  A row's sign at a point does not depend on
 the positive scale the point is written over, so the numerators go into
 the rows as they are.  The partition certificate keeps each hyperplane of
-all the cells once, as the larger of a row and its negation, with two
-bitmasks: the cells having it as written and those having its negation.
-It evaluates each hyperplane once per sample; ORs of masks (cells with a
-negative row, cells with a zero row) then classify the sample against
-every cell at once.  A Fraction point is built only for a failure report.
+all the cells once, as the larger of a row and its negation, and takes
+the samples in batches, bit-sliced: each sample is one lane of a few big
+ints, so one big-int evaluation of a hyperplane signs it at every sample
+of the batch, read as one bit per sample.  Each cell then ORs the bits of
+its rows (a row negative, a row zero), and the cells classify every
+sample at once.  A Fraction point is built only for a failure report.
 
 Simplices are in integers too.  A geometry.VertexTable holds the distinct
 simplex vertices of a job as integer numerators over the value table's
@@ -47,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
@@ -93,6 +95,11 @@ DEFAULT_SEED = 20240605
 VERIFY_MAX_N = 5
 # The n of a sweep's fiber job is nmax up to this cap: 2^15 graphs on 6 nodes.
 FIBER_SWEEP_MAX_N = 5
+# The most samples a partition certificate classifies at once, one lane
+# each; it bounds the certificate's memory whatever the sample count.
+BATCH = 1024
+# bytes.translate table: a byte with its top bit set becomes the digit 1.
+_TOP_BIT_DIGITS = b"0" * 128 + b"1" * 128
 
 
 @dataclass
@@ -147,9 +154,19 @@ class RationalLCG:
     def __init__(self, seed: int):
         self.state = seed & (self.MODULUS - 1)
 
+    def numerators(self, count: int) -> list[int]:
+        """The next `count` numerators, in the order they are drawn."""
+        state, multiplier, increment = self.state, self.MULTIPLIER, self.INCREMENT
+        mask, span = self.MODULUS - 1, self.denominator - 1
+        draws = []
+        for _ in range(count):
+            state = (state * multiplier + increment) & mask
+            draws.append(1 + (state >> 16) % span)
+        self.state = state
+        return draws
+
     def next_numerator(self) -> int:
-        self.state = (self.state * self.MULTIPLIER + self.INCREMENT) % self.MODULUS
-        return 1 + (self.state >> 16) % (self.denominator - 1)
+        return self.numerators(1)[0]
 
 
 def interior_sample_stream(
@@ -170,11 +187,13 @@ def interior_sample_stream(
     w = 1+t, lo and slack = t(1-q)/q into the integers w_d, lo_d, slack_d
     (each times D).  With x_{i-1} = P/S and min(x_0..x_{i-1}) = M/S, the
     draw is
-    (m lo_d S + k (w_d P - slack_d (S - M) - lo_d S)) / (m D S),
+    (m lo_d S + k (w_d P + slack_d M - (slack_d + lo_d) S)) / (m D S),
     so each coordinate multiplies the running scale S by m D and rescales
-    M.  The last scale is always (m D)^n, so coordinate i is lifted to it
-    once, by (m D)^(n-1-i), when drawn.  A point is (numerators, (m D)^n);
-    x_i is Fraction(numerators[i], (m D)^n).
+    M.  At coordinate i, S is (m D)^i for every point, so m lo_d S and
+    (slack_d + lo_d) S are computed once per stream.  The last scale is
+    always (m D)^n, so coordinate i is lifted to it once, by
+    (m D)^(n-1-i), when drawn.  A point is (numerators, (m D)^n); x_i is
+    Fraction(numerators[i], (m D)^n).
     """
     connected = get_family(family).connected
     w = 1 + t
@@ -183,16 +202,16 @@ def interior_sample_stream(
     (w_d, lo_d, slack_d), base = clear_denominators((w, lo, slack))
     m = rng.denominator
     step = m * base
-    lifts = [step ** (n - 1 - i) for i in range(n)]
+    # Per coordinate i: m lo_d S and (slack_d + lo_d) S at S = (m D)^i, and the lift.
+    coordinates = [(m * lo_d * step**i, (slack_d + lo_d) * step**i, step ** (n - 1 - i)) for i in range(n)]
+    scale = step**n
     while True:
         numerators: list[int] = []
-        scale = lowest = prev = 1
-        for lift in lifts:
-            k = rng.next_numerator()
-            prev = m * lo_d * scale + k * (w_d * prev - slack_d * (scale - lowest) - lo_d * scale)
+        lowest = prev = 1
+        for (floor, offset, lift), k in zip(coordinates, rng.numerators(n)):
+            prev = floor + k * (w_d * prev + slack_d * lowest - offset)
             numerators.append(prev * lift)
             lowest = min(lowest * step, prev)
-            scale *= step
         yield numerators, scale
 
 
@@ -260,6 +279,25 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
 # ----------------------------------------------------------------------
 
 
+def _lane_signs(value: int, ones: int, width: int, lanes: int) -> tuple[int, int]:
+    """(lanes >= 0, lanes > 0) of value, lane j as bit j, where each
+    width-byte lane holds a signed v plus 2^(8 width - 1), |v| below
+    2^(8 width - 2), and ones has 1 in every lane."""
+    raw = value.to_bytes(width * lanes, "big")
+    # Big-endian, every width-th byte is a lane's top byte, the last
+    # lane's first; as binary digits, most significant first, they are the
+    # lanes' top bits.
+    nonnegative = int(raw[::width].translate(_TOP_BIT_DIGITS), 2)
+    # A zero lane's bytes are 0x80 then width - 1 zero bytes, and no other
+    # run of raw's bytes is: a lane's top byte is never zero.  So without
+    # that run no lane is zero, and the lanes read a second time, less 1,
+    # only with it.
+    if b"\x80".ljust(width, b"\0") not in raw:
+        return nonnegative, nonnegative
+    less_one = (value - ones).to_bytes(width * lanes, "big")
+    return nonnegative, int(less_one[::width].translate(_TOP_BIT_DIGITS), 2)
+
+
 def _partition_certificate(
     family: str,
     n: int,
@@ -276,54 +314,101 @@ def _partition_certificate(
     The distinct integer rows of the cells (HRep.integer_rows: coprime,
     so rows that are positive multiples of each other coincide) lie on
     fewer hyperplanes, as two cells on either side of one have it in
-    opposite orientations.  Each hyperplane is kept once, written as the
-    larger of a row and its negation, with two bitmasks: `pos`, the cells
-    that have it as written, and `neg`, those that have its negation.  A
-    sample evaluates each hyperplane once: a negative value puts the
-    `pos` cells in `outside`, a positive one the `neg` cells, and a zero
-    both in `touched`.  A cell with a zero row and no negative one has the
-    sample on its boundary, so the sample is discarded when
-    touched & ~outside is nonzero; otherwise the cells containing it are
-    those in neither mask.
+    opposite orientations.  Each hyperplane h is kept once, written as the
+    larger of a row and its negation, and each distinct row is oriented
+    once, as 2h (the row as written) or 2h + 1 (its negation).
+
+    The samples are classified up to BATCH at a time, each in its own
+    w-byte slot (lane) of a few big ints: SWAR arithmetic (Lamport,
+    "Multiple byte processing with full-word instructions", CACM 1975).
+    The numerators of coordinate i of the batch are packed into one int,
+    and each hyperplane is evaluated once per batch, as
+    b * scale * ONES + sum a * column + BIAS, where ONES has 1 and BIAS
+    2^(8w-1) in every lane.  The batch sets w so that
+    |b| * scale + sum |a| * max numerator stays below 2^(8w-2): no lane
+    carries into or borrows from the next, and a lane's top bit says
+    value >= 0, and in the sum less ONES, value > 0 (read only when some
+    lane is zero).  Each reading is one bit per sample, so a cell ORs over
+    its rows the lanes where a row is violated (`out`) and those where it
+    is zero (`touch`).  A sample is on a cell's boundary, and discarded,
+    where touch & ~out; an accepted one must be in exactly one cell, in
+    neither mask, which a pair of ones/twos bitsets counts.  The first
+    accepted lane that fails ends the certificate as the one-at-a-time
+    loop would: the counts stop at it, and its cells are those that
+    contain it strictly (HRep.contains_numerators).
     """
-    masks: dict[IntegerRow, list[int]] = {}  # hyperplane -> [pos, neg]
-    for bit, hrep in enumerate(hreps):
+    orientation: dict[IntegerRow, int] = {}  # row -> 2h, or 2h + 1 for a negation
+    index: dict[IntegerRow, int] = {}  # hyperplane -> h
+    cells = []  # per cell, its rows' orientations
+    for hrep in hreps:
+        rows = []
         for row in hrep.integer_rows:
-            b, terms = row
-            hyperplane = max(row, (-b, tuple((i, -a) for i, a in terms)))
-            masks.setdefault(hyperplane, [0, 0])[hyperplane != row] |= 1 << bit
-    hyperplanes = [(b, terms, pos, neg, pos | neg) for (b, terms), (pos, neg) in masks.items()]
-    every_cell = (1 << len(hreps)) - 1
+            oriented = orientation.get(row)
+            if oriented is None:
+                b, terms = row
+                hyperplane = max(row, (-b, tuple((i, -a) for i, a in terms)))
+                h = index.setdefault(hyperplane, len(index))
+                oriented = orientation[row] = 2 * h + (hyperplane != row)
+            rows.append(oriented)
+        cells.append(rows)
+    hyperplanes = list(index)
     stream = interior_sample_stream(family, n, q, t, RationalLCG(seed))
     accepted = 0
     discarded = 0
     failure = None
     attempts_left = 60 * samples
-    while accepted < samples and attempts_left > 0:
-        attempts_left -= 1
-        numerators, scale = next(stream)
-        outside = touched = 0
-        for b, terms, pos, neg, both in hyperplanes:
-            value = b * scale
+    while accepted < samples and attempts_left > 0 and failure is None:
+        # The lanes the one-at-a-time loop would draw, if no sample fails.
+        size = min(samples - accepted, attempts_left, BATCH)
+        attempts_left -= size
+        # Only the numerators are kept, one list per coordinate: a list per
+        # sample would leave the garbage collector a thousand new containers.
+        columns: list[list[int]] = [[] for _ in range(n)]
+        for numerators, scale in islice(stream, size):  # one scale, (m D)^n
+            for column, v in zip(columns, numerators):
+                column.append(v)
+        peaks = [max(column) for column in columns]
+        # The largest |value| of a row over the batch; each numerator fits a lane too.
+        bound = max(
+            peaks + [abs(b) * scale + sum(abs(a) * peaks[i] for i, a in terms) for b, terms in hyperplanes]
+        )
+        width = (bound.bit_length() + 9) // 8  # 8 * width >= bit_length + 2
+        packed = [int.from_bytes(b"".join(v.to_bytes(width, "little") for v in c), "little") for c in columns]
+        ones = int.from_bytes(b"\x01".ljust(width, b"\0") * size, "little")
+        scale_ones, bias = scale * ones, ones << (8 * width - 1)
+        every = (1 << size) - 1
+        violated = []  # per row 2h or 2h + 1: the lanes where it is negative
+        zero = []  # per row: the lanes where it is zero
+        for b, terms in hyperplanes:
+            value = b * scale_ones + bias
             for i, a in terms:
-                value += a * numerators[i]
-            if value < 0:
-                outside |= pos
-            elif value:
-                outside |= neg
-            else:
-                touched |= both
-        if touched & ~outside:
-            discarded += 1
-            continue
-        accepted += 1
-        inside = (every_cell & ~(outside | touched)).bit_count()
-        if inside != 1:
+                value += a * packed[i]
+            nonnegative, positive = _lane_signs(value, ones, width, size)
+            violated += (every ^ nonnegative, positive)
+            zero += (nonnegative ^ positive,) * 2
+        boundary = once = twice = 0
+        for rows in cells:
+            out = touch = 0
+            for row in rows:
+                out |= violated[row]
+                touch |= zero[row]
+            boundary |= touch & ~out
+            inside = every & ~(out | touch)
+            twice |= once & inside
+            once |= inside
+        kept = every & ~boundary
+        failing = kept & ~(once & ~twice)
+        if failing:
+            lane = (failing & -failing).bit_length() - 1
+            kept &= (2 << lane) - 1
+            boundary &= (1 << lane) - 1
+            numerators = [column[lane] for column in columns]
             failure = {
                 "point": [format_rational(Fraction(v, scale)) for v in numerators],
-                "cells_containing": inside,
+                "cells_containing": sum(h.contains_numerators(numerators, scale, strict=True) for h in hreps),
             }
-            break
+        accepted += kept.bit_count()
+        discarded += boundary.bit_count()
     return {
         "samples": accepted,
         "discarded_non_generic": discarded,

@@ -205,9 +205,23 @@ if pid == 0:
 sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
-# Peak resident memory allowed to the largest cell outputs, in MB; an
-# interpreter with the package imported takes about 17 MB.
+# Peak resident memory allowed to the largest cell outputs and the
+# longest sample runs, in MB; an interpreter with the package imported
+# takes about 17 MB.
 _RSS_BOUND_MB = 30
+
+
+def _exit_code_and_peak_mb(*argv: str) -> tuple[int, float]:
+    """The exit code and peak resident MB of `cayleypoly argv`, run in a
+    fork of a small child with stdout discarded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, *argv],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300, check=True,
+    )
+    code, kib = map(int, done.stderr.split())
+    return code, kib / 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -216,15 +230,19 @@ _RSS_BOUND_MB = 30
 def test_cell_commands_stream_in_bounded_memory(command, n, fmt):
     # simplices --n 6 writes 36961 simplices (31 MB of JSON) and pieces
     # --n 9 16796 pieces (48 MB); each is written as it is built.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", _RSS_CHILD, command, "--family", "tutte", "--n", n, "--format", fmt],
-        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=300, check=True,
-    )
-    code, kib = map(int, done.stderr.split())
+    code, peak_mb = _exit_code_and_peak_mb(command, "--family", "tutte", "--n", n, "--format", fmt)
     assert code == 0
-    assert kib / 1024 <= _RSS_BOUND_MB
+    assert peak_mb <= _RSS_BOUND_MB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_many_samples_run_in_bounded_memory():
+    # --samples has no cap; the partition certificate holds one batch of
+    # samples at a time, however many it draws.
+    argv = ("verify", "--check", "triangulation", "--family", "tutte", "--n", "1", "--samples", "100000")
+    code, peak_mb = _exit_code_and_peak_mb(*argv)
+    assert code == 0
+    assert peak_mb <= _RSS_BOUND_MB
 
 
 # sha256 of stdout at the sizes the structure benchmark runs, at

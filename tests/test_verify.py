@@ -435,20 +435,97 @@ def _reference_certificate(family, n, q, t, hreps, samples, seed):
     }
 
 
+def _with_constant_row(hrep: HRep, constant: int) -> HRep:
+    """The H-rep with the extra row constant >= 0: it holds everywhere for
+    a positive constant, is zero everywhere for 0 (every point is on the
+    cell's boundary) and fails everywhere for a negative one."""
+    return HRep(hrep.dimension, hrep.inequalities + (AffineForm.constant_form(hrep.dimension, constant),))
+
+
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
     fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
-    simplices = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(n)]
     pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in fam.plane_cells(n)]
+    # At n = 4 the pieces stand in for the simplices, too many cells for
+    # the Fraction reference.
+    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(n)] if n < 4 else pieces
     # Faulty cell lists: one cell missing, one cell twice, and one cell with
     # a zero row, which puts every sample inside that cell on its boundary.
-    last = simplices[-1]
-    boundary = HRep(n, last.inequalities + (AffineForm.constant_form(n, 0),))
-    for cells in (simplices, pieces, simplices[1:], pieces + pieces[:1], [*simplices[:-1], boundary]):
-        args = (family, n, q_eff, t_eff, cells, 80, 11)
+    faulty = [cells[1:], pieces + pieces[:1], [*cells[:-1], _with_constant_row(cells[-1], 0)]]
+    for hreps in [cells, *faulty] + ([pieces] if n < 4 else []):
+        args = (family, n, q_eff, t_eff, hreps, 80, 11)
+        assert _partition_certificate(*args) == _reference_certificate(*args)
+
+
+# The batch edges of the certificate, each against the Fraction reference.
+
+
+def test_partition_certificate_when_every_sample_is_discarded():
+    # Every cell has a zero row, so each sample is on the boundary of the
+    # cell holding it: every one of the 60 * samples attempts is discarded.
+    chains = [forest_chain_hrep(f, HALF, 1) for f in get_family("tutte").labeled_cells(2)]
+    cells = [_with_constant_row(chain, 0) for chain in chains]
+    args = ("tutte", 2, HALF, Fraction(1), cells, 40, 11)
+    result = _partition_certificate(*args)
+    assert result == _reference_certificate(*args)
+    assert result == {"samples": 0, "discarded_non_generic": 2400, "ok": False, "failure": None}
+
+
+def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch):
+    # Batches of 8 samples put the failure a few batches in.
+    monkeypatch.setattr(verify, "BATCH", 8)
+    family, n, q, t = "tutte", 2, HALF, Fraction(1)
+    stream = interior_sample_stream(family, n, q, t, RationalLCG(11))
+    first_x1 = [Fraction(numerators[0], scale) for numerators, scale in islice(stream, 12)]
+    # The first sample is on the boundary of both halves, so it is
+    # discarded; above the largest x_1 of the first 12 samples no cell is
+    # left, so a later sample fails, in no cell.
+    below, above = _halves_at_x1(build_hrep(family, n, q, t), first_x1[0])
+    cells = [below, _cut_x1(above, max(first_x1))]
+    args = (family, n, q, t, cells, 80, 11)
+    result = _partition_certificate(*args)
+    assert result == _reference_certificate(*args)
+    assert result["discarded_non_generic"] >= 1
+    assert result["samples"] > verify.BATCH
+    assert result["failure"]["cells_containing"] == 0
+
+
+@pytest.mark.parametrize("family", ["tutte", "cayley"])
+def test_partition_certificate_over_more_than_two_batches(family):
+    q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
+    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in get_family(family).labeled_cells(2)]
+    args = (family, 2, q_eff, t_eff, cells, 2 * verify.BATCH + 3, 11)
+    result = _partition_certificate(*args)
+    assert result == _reference_certificate(*args)
+    assert result["ok"] and result["samples"] == 2 * verify.BATCH + 3
+
+
+@pytest.mark.parametrize("constant", [1, -1])
+@pytest.mark.parametrize("family,n", [("tutte", 2), ("cayley", 3)])
+def test_partition_certificate_with_a_constant_row(family, n, constant):
+    # A row with no terms has one value at every sample: the cell is
+    # unchanged for 1, and empty for -1, which leaves its samples in no cell.
+    q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
+    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in get_family(family).labeled_cells(n)]
+    cells[1] = _with_constant_row(cells[1], constant)
+    args = (family, n, q_eff, t_eff, cells, 200, 11)
+    result = _partition_certificate(*args)
+    assert result == _reference_certificate(*args)
+    assert result["ok"] is (constant > 0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_partition_certificate_at_huge_denominators(family):
+    # The widest lanes: (q, t) with four-digit prime denominators at n = 3.
+    q_eff, t_eff = family_parameters(family, Fraction(9973, 10007), Fraction(7919, 7907))
+    fam = get_family(family)
+    simplices = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(3)]
+    pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in fam.plane_cells(3)]
+    for cells in (simplices, pieces, simplices[1:]):
+        args = (family, 3, q_eff, t_eff, cells, 120, 11)
         assert _partition_certificate(*args) == _reference_certificate(*args)
 
 
