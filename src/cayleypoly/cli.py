@@ -41,13 +41,13 @@ from .faces import InconsistentGeometryError, cayley_vertices, tutte_f_vector, t
 from .geometry import (
     FAMILIES,
     ParameterDomainError,
+    VertexTable,
     build_hrep,
     check_dimension,
     family_parameters,
     get_family,
     orthoscheme_vertices,
     piece_for_plane_forest,
-    simplex_texts,
     vrep_to_text,
 )
 from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
@@ -304,21 +304,18 @@ def _cmd_simplices(args) -> tuple[dict | Iterable[str], int]:
     cells = fam.labeled_cells(n)  # checks the node cap before the count is computed
     count = fam.cell_counts(n)[0]
     forests = _counted(cells, count, "simplices")
+    texts = VertexTable(n + 1, q_eff, t_eff).texts
     if args.format == "text":
         header = f"{n} {n + 1}\n"
         return (
-            f"forest {f.to_parent_text()}\n{header}"
-            + "".join([" ".join(v) + "\n" for v in simplex_texts(f, q_eff, t_eff)])
+            f"forest {f.to_parent_text()}\n{header}" + "".join([" ".join(v) + "\n" for v in texts(f)])
             for f in forests
         ), 0
     return {
         "family": args.family,
         "n": n,
         "count": count,
-        "simplices": (
-            {"forest": f.to_parent_text(), "dimension": n, "vertices": simplex_texts(f, q_eff, t_eff)}
-            for f in forests
-        ),
+        "simplices": ({"forest": f.to_parent_text(), "dimension": n, "vertices": texts(f)} for f in forests),
     }, 0
 
 

@@ -32,8 +32,9 @@ cleared integer row and its texts).  The table also holds 1 - q
 and the powers cleared to integer numerators over one common scale s,
 and as formatted texts; one column builder writes a simplex from any of
 these value sets (simplex_texts gives its vertices as texts), and a
-VertexTable interns the integer vertices of many simplices, each
-distinct vertex once, so a simplex is a tuple of indices into it.
+VertexTable, one table lookup for many simplices, gives their vertices
+as texts or interns their integer vertices, each distinct vertex once,
+so a simplex is a tuple of indices into it.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -502,21 +503,22 @@ def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
 def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
     """The vertices of simplex_for_forest(f, q, t), each coordinate as its
     `format_rational` text: the value table formats each of its n+3
-    values once, and the columns are built from those texts."""
-    table = _value_table(f.node_count, q, t)
-    return _simplex_vertices(f, table.text_powers, table.text_one_minus_q)
+    values once, and the columns are built from those texts.  For many
+    forests at one (q, t), `VertexTable.texts` looks the table up once."""
+    return VertexTable(f.node_count, q, t).texts(f)
 
 
 class VertexTable:
     """The simplex vertices of labeled forests on node_count nodes at
-    (q, t), in integers.
+    (q, t), in integers or as texts, from one lookup of the value table.
 
     Every coordinate is a value of the value table, so every vertex is
     integer numerators over the table's one common denominator `scale`.
-    `numerators(f)` gives the vertices of simplex_for_forest(f, q, t) so;
-    `add(f)` also interns them into `vertices`, each distinct vertex once
-    in order of first appearance, and gives the simplex as the indices of
-    its vertices, in vertex order.
+    `numerators(f)` gives the vertices of simplex_for_forest(f, q, t) so,
+    and `texts(f)` gives them as simplex_texts does; `add(f)` also interns
+    the numerators into `vertices`, each distinct vertex once in order of
+    first appearance, and gives the simplex as the indices of its
+    vertices, in vertex order.
     """
 
     __slots__ = ("scale", "vertices", "_values", "_index")
@@ -527,11 +529,18 @@ class VertexTable:
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
 
-    def numerators(self, f: LabeledForest) -> tuple[tuple[int, ...], ...]:
-        values = self._values
-        if f.node_count != values.n + 1:
+    def _checked(self, f: LabeledForest) -> _ValueTable:
+        if f.node_count != self._values.n + 1:
             raise DimensionError("forest/table node count mismatch")
+        return self._values
+
+    def numerators(self, f: LabeledForest) -> tuple[tuple[int, ...], ...]:
+        values = self._checked(f)
         return _simplex_vertices(f, values.int_powers, values.int_one_minus_q)
+
+    def texts(self, f: LabeledForest) -> tuple[tuple[str, ...], ...]:
+        values = self._checked(f)
+        return _simplex_vertices(f, values.text_powers, values.text_one_minus_q)
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
         index, vertices = self._index, self.vertices

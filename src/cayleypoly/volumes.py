@@ -9,13 +9,15 @@ The spanning-subgraph sum
 
 is computed by a node-by-node transfer over all 2^C(n,2) subgraphs.  A
 subgraph of K_n is the sequence of its stars: node m joins some subset of
-the nodes 0..m-1.  The sweep keeps a table from the partition pattern of
-the nodes seen so far (components numbered by first node) to subgraph
-counts by edge number, attaches the next node with every star subset
-(merging the components it touches), and reduces the last node to
-(components, edges).  Each subgraph is counted exactly once, from
-B_m 2^m (pattern, star) pairs at node m (B_m the Bell number) in place of
-one union-find per subgraph.  No recursion formula enters this oracle.
+the nodes 0..m-1.  The sweep keeps a table from the component-size
+profile of the nodes seen so far (the sorted tuple of sizes, p(m) states
+for p the partition function) to subgraph counts by edge number, packed
+in one int (Kronecker substitution: one digit per edge number).  Node m
+joins j of the k components of each size s in C(k, j) ((1+x)^s - 1)^j
+ways, since its star must reach every component it joins; the last table
+is reduced to (components, edges).  Each subgraph is counted exactly
+once, components of equal size together through the binomials.  No
+connected-graph count or recursion formula enters this oracle.
 
 Closed forms are tallies {(a, b, k): c} of terms c q^a t^b (1+t)^k, and
 the connected-graph recursion holds its r_k in powers of 1+t; a tally is
@@ -120,44 +122,43 @@ def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePo
 # ----------------------------------------------------------------------
 
 
-def _stars(pattern: tuple[int, ...]) -> Counter:
-    """Number of stars by (bitmask of the components touched, star size),
-    over every subset of the nodes 0..m-1 that node m can join
-    (m = len(pattern))."""
-    touched, sizes = [0], [0]
-    for label in pattern:
-        touched += [mask | 1 << label for mask in touched]
-        sizes += [size + 1 for size in sizes]
-    return Counter(zip(touched, sizes))
-
-
 def subgraph_tally(n: int) -> dict[tuple[int, int], int]:
-    """Counts of spanning subgraphs of K_n by (components, edges)."""
+    """Counts of spanning subgraphs of K_n by (components, edges), nonzero
+    entries only, from a node-by-node transfer over component-size profiles."""
     if not 1 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 1..{Z_MAX_NODES}")
-    # {partition pattern of the nodes 0..m-1: subgraph counts by edge number}
-    table: dict[tuple[int, ...], list[int]] = {(): [1]}
-    for m in range(n - 1):
-        grown: dict[tuple[int, ...], list[int]] = {}
-        for pattern, by_edges in table.items():
-            for (touched, size), ways in _stars(pattern).items():
-                # Node m (label -1) joins the touched components; relabel by first node.
-                relabel: dict[int, int] = {}
-                joined = (-1 if touched >> x & 1 else x for x in pattern)
-                merged = tuple(relabel.setdefault(x, len(relabel)) for x in (*joined, -1))
-                counts = grown.setdefault(merged, [0] * (math.comb(m + 1, 2) + 1))
-                for e, count in enumerate(by_edges):
-                    counts[e + size] += count * ways
+    # Counts by edge number e are packed into one int, digit e at bit w*e.
+    # Every coefficient, partial products included, is nonnegative and
+    # counts distinct subgraphs of K_n, so it is at most 2^C(n,2) < 2^w:
+    # no digit carries into the next.
+    w = math.comb(n, 2) + 1
+    # (1+x)^s - 1 at x = 2^w: the stars of a new node that join a component of size s.
+    joins = [((1 << w) + 1) ** s - 1 for s in range(n)]
+    # {sorted component sizes of the nodes seen so far: packed counts}
+    table: dict[tuple[int, ...], int] = {(): 1}
+    for _ in range(n):
+        grown: Counter = Counter()
+        for sizes, counts in table.items():
+            # (sizes kept apart, size of the new node's component, packed ways)
+            choices = [((), 1, counts)]
+            for s, k in Counter(sizes).items():
+                choices = [
+                    (kept + (s,) * (k - j), joined + s * j, ways * math.comb(k, j) * joins[s] ** j)
+                    for kept, joined, ways in choices
+                    for j in range(k + 1)
+                ]
+            for kept, joined, ways in choices:
+                grown[tuple(sorted((*kept, joined)))] += ways
         table = grown
-    # Attach node n-1, keeping only the component count.
+    # Profiles with equal component counts add up before the one unpacking.
+    by_components = Counter()
+    for sizes, counts in table.items():
+        by_components[len(sizes)] += counts
     tally: dict[tuple[int, int], int] = {}
-    for pattern, by_edges in table.items():
-        k_base = len(set(pattern))
-        for (touched, size), ways in _stars(pattern).items():
-            for e, count in enumerate(by_edges):
-                if count:
-                    key = (k_base - touched.bit_count() + 1, e + size)
-                    tally[key] = tally.get(key, 0) + count * ways
+    for k, counts in by_components.items():
+        for e in range(counts.bit_length() // w + 1):
+            if count := (counts >> w * e) & ((1 << w) - 1):
+                tally[k, e] = count
     return tally
 
 
@@ -172,7 +173,8 @@ def z_bruteforce(n: int) -> BivariatePolynomial:
 def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     """Edge generating function of connected labeled graphs on n nodes.
 
-    bruteforce: restrict the subgraph sweep to one component (n <= 7).
+    bruteforce: the one-component counts of the subgraph sweep, the
+                profile transfer of `subgraph_tally` (n <= 7).
     recursion:  the alternating-sum recurrence
         r_0 = 1,  r_k = -sum_{j=1..k} C(k,j) (1+t)^C(j,2) r_{k-j},
         F_n = sum_{j=0..n-1} C(n-1,j) (1+t)^C(j+1,2) r_{n-1-j}

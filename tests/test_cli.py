@@ -306,6 +306,25 @@ def test_recursion_n30_keeps_its_bytes(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _RECURSION_N30_SHA256
 
 
+# sha256 of stdout of the subgraph-sweep commands at the sizes the symbolic
+# benchmark runs; the golden file stops at zpoly --n 5 and recursion --n 5.
+_SWEEP_SHA256 = {
+    ("zpoly", "--n", "6", "--format", "json"): "9f3bc47cb8955c1dad9e051f0484cbc5711bd57be7d3fd16e32c7bfe42d344ff",
+    ("zpoly", "--n", "6", "--format", "text"): "36c44bf4a3208e5c843c49fb77005a0f46bbd13469c1fc0fe0d911c2e18f72c3",
+    ("zpoly", "--n", "7", "--format", "json"): "be191f8c74d5c9375b17099c53f5d4667044bf9c62210c9e418f8076b1ff9baf",
+    ("zpoly", "--n", "7", "--format", "text"): "c3be4c94aa6f9b242ed58a89f0f06f591936b91d6c568c8271f7d312847db5cd",
+    ("recursion", "--n", "6", "--mode", "both"): "f250257fc1fcd4ed6f07fdbb028ac7bde3f67c21861010bb8df0948e321b8f08",
+    ("recursion", "--n", "7", "--mode", "both"): "b1cc3903c918a9f17255ebdac31bd42f01c7907740af439aac4f9cf55eccf667",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_SWEEP_SHA256))
+def test_sweep_commands_keep_their_bytes(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SWEEP_SHA256[argv]
+
+
 _WRITER_CASES = [
     {},
     [],

@@ -498,8 +498,11 @@ def test_simplex_texts_format_the_fraction_simplices(name, n, q, t):
 
 def test_vertex_table_rejects_other_node_counts():
     table = VertexTable(4, HALF, 1)
+    forest = next(iter(enumerate_labeled_forests(3)))
     with pytest.raises(DimensionError):
-        table.add(next(iter(enumerate_labeled_forests(3))))
+        table.add(forest)
+    with pytest.raises(DimensionError):
+        table.texts(forest)
 
 
 _BUILDERS = [

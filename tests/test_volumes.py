@@ -16,6 +16,7 @@ from cayleypoly import (
     closed_form_piece_total,
     closed_form_simplex_total,
     connected_gf,
+    count_labeled_forests,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     family_total_polynomial,
@@ -159,6 +160,18 @@ def _mask_sweep_tally(n: int) -> dict[tuple[int, int], int]:
 def test_subgraph_tally_matches_mask_sweep():
     for n in range(1, 8):
         assert subgraph_tally(n) == _mask_sweep_tally(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subgraph_tally_closed_forms(n):
+    # Counts known in closed form, independent of any sweep: all 2^C(n,2)
+    # subgraphs, Cayley's n^(n-2) spanning trees, the forests (k + e = n)
+    # and the one complete graph.
+    tally = subgraph_tally(n)
+    assert sum(tally.values()) == 2 ** math.comb(n, 2)
+    assert tally[1, n - 1] == n ** max(n - 2, 0)
+    assert sum(c for (k, e), c in tally.items() if k + e == n) == count_labeled_forests(n)
+    assert tally[1, math.comb(n, 2)] == 1
 
 
 def test_z_matches_exponential_formula():
