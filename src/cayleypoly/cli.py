@@ -47,7 +47,6 @@ from .geometry import (
     family_parameters,
     get_family,
     orthoscheme_vertices,
-    piece_for_plane_forest,
     vrep_to_text,
 )
 from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
@@ -324,9 +323,8 @@ def _cmd_pieces(args) -> tuple[dict | Iterable[str], int]:
     fam = get_family(args.family)
     plane = fam.plane_cells(args.n)  # checks the node cap before the count is computed
     count = fam.cell_counts(args.n)[1]
-    entries = (
-        (pf.to_text(), piece_for_plane_forest(pf, q_eff, t_eff)) for pf in _counted(plane, count, "pieces")
-    )
+    piece = VertexTable(args.n + 1, q_eff, t_eff).piece
+    entries = ((pf.to_text(), piece(pf)) for pf in _counted(plane, count, "pieces"))
     if args.format == "text":
         return (f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries), 0
     return {

@@ -32,9 +32,11 @@ cleared integer row and its texts).  The table also holds 1 - q
 and the powers cleared to integer numerators over one common scale s,
 and as formatted texts; one column builder writes a simplex from any of
 these value sets (simplex_texts gives its vertices as texts), and a
-VertexTable, one table lookup for many simplices, gives their vertices
+VertexTable, one table lookup for many cells, gives simplex vertices
 as texts or interns their integer vertices, each distinct vertex once,
-so a simplex is a tuple of indices into it.
+so a simplex is a tuple of indices into it, and builds chain H-reps and
+pieces (forest_chain_hrep and piece_for_plane_forest build one cell
+from a VertexTable of their own).
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -509,8 +511,9 @@ def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
 
 
 class VertexTable:
-    """The simplex vertices of labeled forests on node_count nodes at
-    (q, t), in integers or as texts, from one lookup of the value table.
+    """The cells of forests on node_count nodes at (q, t), from one lookup
+    of the value table: simplex vertices in integers or as texts, chain
+    H-reps and subdivision pieces.
 
     Every coordinate is a value of the value table, so every vertex is
     integer numerators over the table's one common denominator `scale`.
@@ -518,7 +521,8 @@ class VertexTable:
     and `texts(f)` gives them as simplex_texts does; `add(f)` also interns
     the numerators into `vertices`, each distinct vertex once in order of
     first appearance, and gives the simplex as the indices of its
-    vertices, in vertex order.
+    vertices, in vertex order.  `chain_hrep(f)` is forest_chain_hrep(f, q,
+    t) and `piece(pf)` is piece_for_plane_forest(pf, q, t).
     """
 
     __slots__ = ("scale", "vertices", "_values", "_index")
@@ -529,17 +533,17 @@ class VertexTable:
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
 
-    def _checked(self, f: LabeledForest) -> _ValueTable:
-        if f.node_count != self._values.n + 1:
+    def _checked(self, node_count: int) -> _ValueTable:
+        if node_count != self._values.n + 1:
             raise DimensionError("forest/table node count mismatch")
         return self._values
 
     def numerators(self, f: LabeledForest) -> tuple[tuple[int, ...], ...]:
-        values = self._checked(f)
+        values = self._checked(f.node_count)
         return _simplex_vertices(f, values.int_powers, values.int_one_minus_q)
 
     def texts(self, f: LabeledForest) -> tuple[tuple[str, ...], ...]:
-        values = self._checked(f)
+        values = self._checked(f.node_count)
         return _simplex_vertices(f, values.text_powers, values.text_one_minus_q)
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
@@ -556,19 +560,40 @@ class VertexTable:
         """Vertex k as Fractions."""
         return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
+    def chain_hrep(self, f: LabeledForest) -> HRep:
+        table = self._checked(f.node_count)
+        walk = f.shape.walk
+        keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
+        rows = [table.form(keys[0])]
+        rows.extend(table.difference(upper, lower) for lower, upper in zip(keys, keys[1:]))
+        return HRep(table.n, tuple(rows))
+
+    def piece(self, pf: PlaneForest) -> HRep:
+        table = self._checked(pf.node_count())
+        keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
+        rows: list[AffineForm] = []
+        for (_, _, top), kids in zip(pf.walk, pf.kids()):
+            if not kids:
+                continue
+            rows.append(table.form(keys[kids[0]]))
+            for a, b in zip(kids, kids[1:]):
+                rows.append(table.difference(keys[b], keys[a]))
+            rows.append(table.difference(keys[top], keys[kids[-1]]))
+        if len(pf.roots) > 1:
+            rows.append(table.form(keys[pf.roots[-1]]))
+            for a, b in zip(pf.roots, pf.roots[1:]):
+                rows.append(table.difference(keys[a], keys[b]))
+        return HRep(table.n, tuple(rows))
+
 
 def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
     """The defining chain of the forest's simplex, as an H-representation.
 
     Rows: c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
-    node coordinates; c(n+1) is the constant qt.
+    node coordinates; c(n+1) is the constant qt.  For many forests at one
+    (q, t), `VertexTable.chain_hrep` looks the table up once.
     """
-    table = _value_table(f.node_count, q, t)
-    walk = f.shape.walk
-    keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
-    rows = [table.form(keys[0])]
-    rows.extend(table.difference(upper, lower) for lower, upper in zip(keys, keys[1:]))
-    return HRep(table.n, tuple(rows))
+    return VertexTable(f.node_count, q, t).chain_hrep(f)
 
 
 # ----------------------------------------------------------------------
@@ -582,23 +607,10 @@ def piece_for_plane_forest(pf: PlaneForest, q, t) -> HRep:
     Per-node chains: for a node with successors v_1..v_k (left to right)
     in a component rooted at w,  0 <= c(v_1) <= ... <= c(v_k) <= c(w);
     for the roots w_1..w_m (left to right),  0 <= c(w_m) <= ... <= c(w_1)
-    with c(w_1) = qt constant.
+    with c(w_1) = qt constant.  For many pieces at one (q, t),
+    `VertexTable.piece` looks the table up once.
     """
-    table = _value_table(pf.node_count(), q, t)
-    keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
-    rows: list[AffineForm] = []
-    for (_, _, top), kids in zip(pf.walk, pf.kids()):
-        if not kids:
-            continue
-        rows.append(table.form(keys[kids[0]]))
-        for a, b in zip(kids, kids[1:]):
-            rows.append(table.difference(keys[b], keys[a]))
-        rows.append(table.difference(keys[top], keys[kids[-1]]))
-    if len(pf.roots) > 1:
-        rows.append(table.form(keys[pf.roots[-1]]))
-        for a, b in zip(pf.roots, pf.roots[1:]):
-            rows.append(table.difference(keys[a], keys[b]))
-    return HRep(table.n, tuple(rows))
+    return VertexTable(pf.node_count(), q, t).piece(pf)
 
 
 def product(a: HRep, b: HRep) -> HRep:

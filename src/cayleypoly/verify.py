@@ -9,23 +9,27 @@ sample must lie strictly inside exactly one cell.  Combined with the
 exact volume-sum identities and vertex containment this certifies the
 partitions at desk scale; no pairwise intersection LP is attempted.
 
-Sampling and membership are in integers.  The sample stream draws each
-point as integer numerators over one positive scale
-(interior_sample_stream), and each H-rep clears its rows once to coprime
-integer rows (HRep.integer_rows), so a row shared by many cells, up to a
-positive factor, is one row.  A row's sign at a point does not depend on
-the positive scale the point is written over, so the numerators go into
-the rows as they are.  The partition certificate keeps each hyperplane of
-all the cells once, as the larger of a row and its negation, and takes
-the samples in batches, bit-sliced: each sample is one lane of a few big
-ints, so one big-int evaluation of a hyperplane signs it at every sample
-of the batch, read as one bit per sample.  Each cell then ORs the bits of
-its rows (a row negative, a row zero), and the cells classify every
-sample at once.  A Fraction point is built only for a failure report.
+Sampling and membership are in integers.  The sample drawer
+(interior_sample_drawer) draws a batch of points at a time, as integer
+numerators over one positive scale, one list per coordinate: one call to
+the generator for the whole batch, then the coordinate recurrence over
+the whole batch, one coordinate at a time.  Each H-rep clears its rows
+once to coprime integer rows (HRep.integer_rows), so a row shared by
+many cells, up to a positive factor, is one row.  A row's sign at a
+point does not depend on the positive scale the point is written over,
+so the numerators go into the rows as they are.  The partition
+certificate keeps each hyperplane of all the cells once, as the larger
+of a row and its negation, and classifies each batch of samples
+bit-sliced: each sample is one lane of a few big ints, so one big-int
+evaluation of a hyperplane signs it at every sample of the batch, read
+as one bit per sample.  Each cell then ORs the bits of its rows (a row
+negative, a row zero), and the cells classify every sample at once.  A
+Fraction point is built only for a failure report.
 
 Simplices are in integers too.  A geometry.VertexTable holds the distinct
 simplex vertices of a job as integer numerators over the value table's
-one scale s, and each simplex is the tuple of its vertex indices.  The
+one scale s, and each simplex is the tuple of its vertex indices; the
+job's chain H-reps and pieces come from the same table lookup.  The
 volume sum is the sum of the integer |det| of each simplex's difference
 rows, divided once by s^n; vertex containment tests each table vertex
 once against the polytope (and, in a refinement job, each pair of a
@@ -48,7 +52,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
@@ -71,7 +74,6 @@ from .geometry import (
     VertexTable,
     build_hrep,
     family_parameters,
-    forest_chain_hrep,
     get_family,
     orthoscheme_vertices,
     piece_for_plane_forest,
@@ -165,15 +167,14 @@ class RationalLCG:
         self.state = state
         return draws
 
-    def next_numerator(self) -> int:
-        return self.numerators(1)[0]
 
-
-def interior_sample_stream(
+def interior_sample_drawer(
     family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG
-) -> Iterator[tuple[list[int], int]]:
-    """Endless stream of exact points strictly inside the family polytope,
-    each as integer numerators over one positive scale.
+) -> Callable[[int], tuple[list[list[int]], int]]:
+    """The batch drawer of exact points strictly inside the family
+    polytope: draw(size) draws the next size points and gives them as
+    (columns, scale), where columns[i][j] is coordinate i of point j as an
+    integer numerator over the one positive scale.
 
     Coordinates are drawn left to right, each strictly between its lower
     bound and the minimum of its currently active upper bounds.  For the
@@ -190,10 +191,17 @@ def interior_sample_stream(
     (m lo_d S + k (w_d P + slack_d M - (slack_d + lo_d) S)) / (m D S),
     so each coordinate multiplies the running scale S by m D and rescales
     M.  At coordinate i, S is (m D)^i for every point, so m lo_d S and
-    (slack_d + lo_d) S are computed once per stream.  The last scale is
+    (slack_d + lo_d) S are computed once per drawer.  The last scale is
     always (m D)^n, so coordinate i is lifted to it once, by
-    (m D)^(n-1-i), when drawn.  A point is (numerators, (m D)^n); x_i is
-    Fraction(numerators[i], (m D)^n).
+    (m D)^(n-1-i), when drawn; x_i of point j is
+    Fraction(columns[i][j], (m D)^n).
+
+    A batch takes its size * n draws from rng in one call, point-major:
+    point j reads draws j n to j n + n - 1, as if the points were drawn
+    one at a time, so batches of any sizes draw the same points.
+    Coordinate i reads every n-th draw from i on and runs the recurrence
+    above over the whole batch at once; M is kept only where slack_d is
+    nonzero, the only case that reads it.
     """
     connected = get_family(family).connected
     w = 1 + t
@@ -205,14 +213,34 @@ def interior_sample_stream(
     # Per coordinate i: m lo_d S and (slack_d + lo_d) S at S = (m D)^i, and the lift.
     coordinates = [(m * lo_d * step**i, (slack_d + lo_d) * step**i, step ** (n - 1 - i)) for i in range(n)]
     scale = step**n
+
+    def draw(size: int) -> tuple[list[list[int]], int]:
+        draws = rng.numerators(size * n)
+        columns = []
+        prev = lowest = [1] * size
+        for i, (floor, offset, lift) in enumerate(coordinates):
+            ks = draws[i::n]
+            if slack_d:
+                prev = [floor + k * (w_d * p + slack_d * low - offset) for k, p, low in zip(ks, prev, lowest)]
+                lowest = [min(low * step, p) for low, p in zip(lowest, prev)]
+            else:
+                prev = [floor + k * (w_d * p - offset) for k, p in zip(ks, prev)]
+            columns.append([p * lift for p in prev])
+        return columns, scale
+
+    return draw
+
+
+def interior_sample_stream(
+    family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG
+) -> Iterator[tuple[list[int], int]]:
+    """Endless stream of the drawer's points one at a time, each as
+    (numerators, scale): one draw(1) per point, so rng has drawn exactly
+    the points handed out."""
+    draw = interior_sample_drawer(family, n, q, t, rng)
     while True:
-        numerators: list[int] = []
-        lowest = prev = 1
-        for (floor, offset, lift), k in zip(coordinates, rng.numerators(n)):
-            prev = floor + k * (w_d * prev + slack_d * lowest - offset)
-            numerators.append(prev * lift)
-            lowest = min(lowest * step, prev)
-        yield numerators, scale
+        columns, scale = draw(1)
+        yield [column[0] for column in columns], scale
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +380,7 @@ def _partition_certificate(
             rows.append(oriented)
         cells.append(rows)
     hyperplanes = list(index)
-    stream = interior_sample_stream(family, n, q, t, RationalLCG(seed))
+    draw = interior_sample_drawer(family, n, q, t, RationalLCG(seed))
     accepted = 0
     discarded = 0
     failure = None
@@ -361,12 +389,7 @@ def _partition_certificate(
         # The lanes the one-at-a-time loop would draw, if no sample fails.
         size = min(samples - accepted, attempts_left, BATCH)
         attempts_left -= size
-        # Only the numerators are kept, one list per coordinate: a list per
-        # sample would leave the garbage collector a thousand new containers.
-        columns: list[list[int]] = [[] for _ in range(n)]
-        for numerators, scale in islice(stream, size):  # one scale, (m D)^n
-            for column, v in zip(columns, numerators):
-                column.append(v)
+        columns, scale = draw(size)
         peaks = [max(column) for column in columns]
         # The largest |value| of a row over the batch; each numerator fits a lane too.
         bound = max(
@@ -490,7 +513,7 @@ def verify_triangulation(
     forests = list(fam.labeled_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     simplices = [table.add(f) for f in forests]
-    chains = [forest_chain_hrep(f, q_eff, t_eff) for f in forests]
+    chains = [table.chain_hrep(f) for f in forests]
     checks: dict = {}
 
     checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
@@ -531,7 +554,8 @@ def verify_subdivision(
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
     plane = list(fam.plane_cells(n))
-    pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in plane]
+    table = VertexTable(n + 1, q_eff, t_eff)
+    pieces = [table.piece(pf) for pf in plane]
     checks: dict = {}
 
     checks["cell_count"] = {"got": len(pieces), "expected": fam.cell_counts(n)[1]}
@@ -546,7 +570,6 @@ def verify_subdivision(
 
     # Piece facets must stay inside the polytope: check simplex vertices of
     # the refinement instead of unavailable piece V-reps.
-    table = VertexTable(n + 1, q_eff, t_eff)
     for f in fam.labeled_cells(n):
         table.add(f)
     checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, table)}
@@ -567,7 +590,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     # Each shape's piece, with the verdicts on the table vertices tested so far.
-    piece_by_shape = {pf: (piece_for_plane_forest(pf, q_eff, t_eff), {}) for pf in plane}
+    piece_by_shape = {pf: (table.piece(pf), {}) for pf in plane}
     groups: dict[PlaneForest, list[LabeledForest]] = {pf: [] for pf in plane}
     containment_ok = True
     counterexample = None

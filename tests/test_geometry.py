@@ -503,6 +503,10 @@ def test_vertex_table_rejects_other_node_counts():
         table.add(forest)
     with pytest.raises(DimensionError):
         table.texts(forest)
+    with pytest.raises(DimensionError):
+        table.chain_hrep(forest)
+    with pytest.raises(DimensionError):
+        table.piece(next(iter(enumerate_plane_forests(3))))
 
 
 _BUILDERS = [

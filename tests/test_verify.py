@@ -45,7 +45,12 @@ from cayleypoly import geometry, verify, volumes
 from cayleypoly.exact import format_rational
 from cayleypoly.forests import fiber_masks
 from cayleypoly.geometry import family_parameters
-from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_stream
+from cayleypoly.verify import (
+    RationalLCG,
+    _partition_certificate,
+    interior_sample_drawer,
+    interior_sample_stream,
+)
 
 HALF = Fraction(1, 2)
 
@@ -71,7 +76,7 @@ def sample_interior_point(family, n, q, t, rng):
     x = []
     for _ in range(n):
         hi = w * prev - slack * (1 - lowest) if slack else w * prev
-        prev = lo + Fraction(rng.next_numerator(), rng.denominator) * (hi - lo)
+        prev = lo + Fraction(rng.numerators(1)[0], rng.denominator) * (hi - lo)
         lowest = min(lowest, prev)
         x.append(prev)
     return tuple(x)
@@ -256,6 +261,25 @@ def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
             assert scale > 0 and len(numerators) == n
             point = tuple(Fraction(v, scale) for v in numerators)
             assert point == sample_interior_point(family, n, q_eff, t_eff, reference_rng)
+            assert rng.state == reference_rng.state
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 3])
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sample_batches_match_fraction_sampler(family, q, t, seed):
+    # Batches of any sizes, in a row, draw the points the reference draws
+    # one at a time, and leave the generator where the reference leaves it.
+    q_eff, t_eff = family_parameters(family, q, t)
+    for n in range(1, 6):
+        rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
+        draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
+        for size in (1, 2, 7, 1024):
+            columns, scale = draw(size)
+            assert scale > 0 and len(columns) == n and all(len(column) == size for column in columns)
+            for numerators in zip(*columns):
+                point = tuple(Fraction(v, scale) for v in numerators)
+                assert point == sample_interior_point(family, n, q_eff, t_eff, reference_rng)
             assert rng.state == reference_rng.state
 
 
@@ -599,21 +623,22 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
     # of a cut shape's simplex may already have been tested, and passed,
     # in the piece of another shape.
     n = 3
-    build_piece = verify.piece_for_plane_forest
+    build_piece = geometry.VertexTable.piece
     forests = list(enumerate_labeled_forests(n + 1))
     failures = 0
     for cut_shape in enumerate_plane_forests(n + 1):
 
-        def piece(pf, q, t):
-            hrep = build_piece(pf, q, t)
+        def piece(table, pf):
+            hrep = build_piece(table, pf)
             return _cut_x1(hrep, (1 + t) * Fraction(9, 10)) if pf == cut_shape else hrep
 
+        table = geometry.VertexTable(n + 1, q, t)
         bad = [
             f
             for f in forests
-            if not all(piece(f.shape, q, t).contains(v) for v in simplex_for_forest(f, q, t).vertices)
+            if not all(piece(table, f.shape).contains(v) for v in simplex_for_forest(f, q, t).vertices)
         ]
-        monkeypatch.setattr(verify, "piece_for_plane_forest", piece)
+        monkeypatch.setattr(geometry.VertexTable, "piece", piece)
         report = verify_refinement("tutte", n, q, t)
         _assert_reference_verdict(report)
         assert report.checks["vertex_containment"] == {"ok": not bad}
