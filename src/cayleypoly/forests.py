@@ -22,8 +22,8 @@ Conventions used throughout:
   so a `PlaneForest` is held as its walk, and a labeled forest is its
   shape (one `PlaneForest`, shared by every forest of that shape) plus
   the label at each position: enumeration walks each shape once and
-  fills in its labelings, and `nfs` on a graph builds the shape from the
-  graph's walk.
+  expands all its labelings together, one labeling step at a time, and
+  `nfs` on a graph builds the shape from the graph's walk.
 * A cane path starts at a node, climbs at least one step toward the root,
   and ends with a single step down to a child lying strictly to the right
   of (for labeled forests: labeled higher than) the branch it came up on.
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import parse_integer
@@ -426,14 +427,15 @@ def enumerate_labeled_forests(n: int, trees_only: bool = False) -> Iterator[Labe
     significant bit.
 
     Each plane forest on n nodes (plane tree, with trees_only) is walked
-    once, and its labelings share that walk.  Forests with equal labels
+    once, and its labelings share that walk; `_add_labelings` expands
+    them all together, a step at a time.  Forests with equal labels
     by position share one labels tuple: there are at most n! of them,
     against 36961 forests on 7 nodes.  Each labeling is gathered as the
     one int (key * shapes + shape index) * n! + labels index, and these
     are sorted; keys are distinct, so the sort is by key.
 
-    The node count is checked at the call; the walk and the sort run on
-    the first next().
+    The node count is checked at the call; the walks, the labelings and
+    the sort run on the first next().
     """
     if not 1 <= n <= MAX_FOREST_NODES:
         raise ValueError(f"labeled forests need 1..{MAX_FOREST_NODES} nodes, got {n}")
@@ -472,33 +474,68 @@ def _add_labelings(
     position order, so a parent is labeled before its children and a
     component has taken all its labels before the next root takes the
     largest one left.
+
+    All labelings of the shape are expanded together, one step at a time,
+    from states (labels in step order, pool left, key); the pool is sorted,
+    and after k steps every pool has the same size.  A root step appends
+    pool[-1].  A sibling group of g from a pool of m runs through the
+    table `_splits(m, g)` of (chosen, rest) getters, which every shape
+    shares, and adds the parent row's bits of the chosen labels to the
+    key.  The last step always takes the whole pool, so it is folded into
+    the loop that packs each labeling, where one getter per shape puts the
+    labels in position order.  The states of a step keep the order of the
+    states they grew from, so labelings are packed, and `shared` grows,
+    in the order of a depth-first search over the steps.
     """
-    labels = [0] * len(pf.walk)
-    steps: list[tuple[Optional[int], tuple[int, ...]]] = []
+    placed: list[int] = []
+    steps: list[tuple[Optional[int], int]] = []
     for p, kids in enumerate(pf.kids()):
         if pf.walk[p][0] is None:
-            steps.append((None, (p,)))
+            steps.append((None, 1))
+            placed.append(p)
         if kids:
-            steps.append((p, kids))
-
-    def fill(k: int, pool: tuple[int, ...], key: int) -> None:
-        if k == len(steps):
-            labeling = tuple(labels)
-            found.append(key * scale + tail + shared.setdefault(labeling, len(shared)))
-            return
-        parent, group = steps[k]
+            steps.append((placed.index(p), len(kids)))
+            placed += kids
+    by_position = _getter([placed.index(p) for p in range(len(placed))])
+    size = len(placed)
+    states = [((), tuple(range(1, size + 1)), 0)]
+    for parent, group in steps[:-1]:
         if parent is None:
-            labels[group[0]] = pool[-1]
-            fill(k + 1, pool[:-1], key)
-            return
-        row = bit[labels[parent]]
-        for chosen in combinations(pool, len(group)):
-            for p, label in zip(group, chosen):
-                labels[p] = label
-            rest = tuple([x for x in pool if x not in chosen])
-            fill(k + 1, rest, key + sum([row[x] for x in chosen]))
+            states = [(labels + pool[-1:], pool[:-1], key) for labels, pool, key in states]
+        else:
+            splits = _splits(size, group)
+            grown: list[tuple] = []
+            for labels, pool, key in states:
+                row = bit[labels[parent]].__getitem__
+                for chosen, rest in splits:
+                    picked = chosen(pool)
+                    grown.append((labels + picked, rest(pool), key + sum(map(row, picked))))
+            states = grown
+        size -= group
+    parent = steps[-1][0]
+    for labels, pool, key in states:
+        if parent is not None:
+            key += sum(map(bit[labels[parent]].__getitem__, pool))
+        found.append(key * scale + tail + shared.setdefault(by_position(labels + pool), len(shared)))
 
-    fill(0, tuple(range(1, len(labels) + 1)), 0)
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """An itemgetter returning the tuple of the items at these indices,
+    also for one index."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _splits(size: int, group: int) -> tuple[tuple[Callable, Callable], ...]:
+    """The getters (chosen, rest) of each choice of `group` of `size`
+    items, 0 < group < size, in `combinations` order; both keep the
+    items' order.  Built once per (size, group) and shared by every shape."""
+    return tuple(
+        (_getter(chosen), _getter([i for i in range(size) if i not in chosen]))
+        for chosen in combinations(range(size), group)
+    )
 
 
 def count_labeled_forests(n: int) -> int:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact import BivariatePolynomial, clear_denominators, eliminate
-from .forests import LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
+from .forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
 from .geometry import ParameterDomainError, Simplex, VertexTable, family_parameters, get_family
 
 Z_MAX_NODES = 7
@@ -234,8 +234,8 @@ def inversion_enumerator(n: int) -> BivariatePolynomial:
     Equals the Tutte polynomial of K_n evaluated at x = 1, and satisfies
     F_n(t) = t^(n-1) * (this polynomial at y = 1+t).
     """
-    if not 1 <= n <= Z_MAX_NODES:
-        raise ValueError(f"n must be in 1..{Z_MAX_NODES}")
+    if not 1 <= n <= MAX_FOREST_NODES:
+        raise ValueError(f"labeled trees need n in 1..{MAX_FOREST_NODES}, got {n}")
     return BivariatePolynomial(
         ((0, tree_inversions(tree)), 1) for tree in enumerate_labeled_forests(n, trees_only=True)
     )

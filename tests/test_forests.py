@@ -1,5 +1,7 @@
 """Neighbors-first search, cane paths, shapes, and enumeration."""
 
+import collections
+import hashlib
 import itertools
 import math
 import random
@@ -812,3 +814,27 @@ def test_enumeration_walks_each_shape_once(monkeypatch, trees_only):
         for _ in enumerate_labeled_forests(n, trees_only=trees_only):
             pass
         assert len(walks) == (catalan(n - 1) if trees_only else catalan(n))
+
+
+# sha256 of the to_parent_text() lines, each ending in a newline, of
+# enumerate_labeled_forests(8), all forests and trees only.  8 nodes, the
+# forest cap, is the only size whose labeling pools reach 7 labels and
+# whose packed values reach 54 bits; the order reference above stops at
+# 7 nodes.
+_FOREST_CAP_SHA256 = {
+    False: "d1c793689a5fdc75ab23f2b4378c90b51f50862a3e83a7467d42c25a9ceaf959",
+    True: "7e256b0a176c454f125b92bb54076296e1c58355a8d6f6c8cafa00a996e60c70",
+}
+
+
+@pytest.mark.parametrize("trees_only", [False, True])
+def test_enumeration_at_the_forest_cap(trees_only):
+    digest = hashlib.sha256()
+    by_shape = collections.Counter()
+    for f in enumerate_labeled_forests(8, trees_only=trees_only):
+        digest.update(f.to_parent_text().encode() + b"\n")
+        by_shape[f.shape.walk] += 1
+    assert digest.hexdigest() == _FOREST_CAP_SHA256[trees_only]
+    shapes = enumerate_plane_trees(8) if trees_only else enumerate_plane_forests(8)
+    assert by_shape == {pf.walk: pf.labeled_forest_count() for pf in shapes}
+    assert sum(by_shape.values()) == (8**6 if trees_only else 561948)

@@ -241,6 +241,15 @@ def test_inversion_enumerator_small():
     assert inversion_enumerator(3) == P({(0, 0): 2, (0, 1): 1})  # 2 + y
 
 
+def test_inversion_enumerator_is_capped_by_the_forest_cap():
+    # It enumerates labeled trees, so the labeled-forest cap (8) bounds
+    # it, not the graph-sweep cap Z_MAX_NODES.
+    assert inversion_enumerator(1) == P.constant(1)
+    for n in (0, 9):
+        with pytest.raises(ValueError, match=f"labeled trees need n in 1..8, got {n}"):
+            inversion_enumerator(n)
+
+
 def test_inversion_identity_with_connected_gf():
     # t^(n-1) Inv_n(1+t) = F_n(t).
     shift = P.one_plus_t_power(1)
