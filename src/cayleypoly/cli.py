@@ -72,12 +72,28 @@ def _json_chunks(payload) -> Iterator[str]:
     is rendered like the list of its items, and consumed one item at a
     time: each item is one piece, so only the item in hand is held.  A
     value with no iterator inside is one piece.  Strings go through
-    json's own C encoder.  A tuple of strings is rendered once per indent
-    depth and its text reused for every equal tuple at that depth (one
-    memo per call): the rows of simplices and H-reps repeat many times
-    over.
+    json's own C encoder.
+
+    Each value is rendered in one pass, with three shortcuts (the caches
+    live for one call):
+    - Layouts.  The keys of a dict, in insertion order, and its depth find
+      its layout: the keys in sorted order, each with its head text
+      (brace or comma, indent, key, colon), and the closing text.  Records
+      of one kind share one layout, so each key is sorted and encoded
+      once.
+    - Inline scalars.  A field whose value is exactly a str or an int is
+      encoded in the dict's own loop; any other value, True among them,
+      goes through value().
+    - Rows.  A tuple of strings is rendered once per indent depth and its
+      text reused for every equal tuple at that depth: the rows of
+      simplices and H-reps repeat many times over.  A list or tuple of
+      tuples looks each item up in that memo itself, and renders an item
+      with value() only when it misses or cannot be hashed.
+    A streamed item is rendered by one value() call, and its text is split
+    at placeholders only when that call met an iterator.
     """
     memos: defaultdict[int, dict[tuple, str]] = defaultdict(dict)
+    layouts: dict[tuple, tuple[list[tuple[str, str]], str]] = {}
     # The iterators value() met, with their depths, in the order of their
     # placeholders: a NUL, which the encoder escapes inside every string.
     streams: list[tuple[Iterator, int]] = []
@@ -86,14 +102,28 @@ def _json_chunks(payload) -> Iterator[str]:
         if not items:
             return "[]"
         inner = "\n" + "  " * (depth + 1)
-        if type(items[0]) is str:
+        first = type(items[0])
+        if first is str:
             try:
                 body = ("," + inner).join(map(encode_basestring_ascii, items))
             except TypeError:  # not all strings: rendered item by item
                 pass
             else:
                 return "[" + inner + body + inner[:-2] + "]"
-        return "[" + inner + ("," + inner).join([value(x, depth + 1) for x in items]) + inner[:-2] + "]"
+        if first is tuple:
+            # Item by item, never the whole list again: value() of an
+            # iterator registers it.
+            get = memos[depth + 1].get
+            texts = []
+            for x in items:
+                try:
+                    text = get(x)
+                except TypeError:  # unhashable
+                    text = None
+                texts.append(text or value(x, depth + 1))
+        else:
+            texts = [value(x, depth + 1) for x in items]
+        return "[" + inner + ("," + inner).join(texts) + inner[:-2] + "]"
 
     def value(o, depth: int) -> str:
         kind = type(o)
@@ -115,10 +145,30 @@ def _json_chunks(payload) -> Iterator[str]:
         if kind is dict:
             if not o:
                 return "{}"
-            # A key that is not a str fails in sorted() or in the encoder.
-            inner = "\n" + "  " * (depth + 1)
-            entries = (encode_basestring_ascii(k) + ": " + value(o[k], depth + 1) for k in sorted(o))
-            return "{" + inner + ("," + inner).join(entries) + inner[:-2] + "}"
+            key = (tuple(o), depth)
+            layout = layouts.get(key)
+            if layout is None:
+                # A key that is not a str fails in sorted() or in the
+                # encoder, before the layout is cached.
+                inner = "\n" + "  " * (depth + 1)
+                fields = [
+                    (("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", k)
+                    for i, k in enumerate(sorted(o))
+                ]
+                layout = layouts[key] = (fields, inner[:-2] + "}")
+            fields, close = layout
+            parts = []
+            for head, k in fields:
+                v = o[k]
+                kind = type(v)
+                if kind is str:
+                    parts += head, encode_basestring_ascii(v)
+                elif kind is int:
+                    parts += head, int.__repr__(v)
+                else:
+                    parts += head, value(v, depth + 1)
+            parts.append(close)
+            return "".join(parts)
         if kind is int:
             return int.__repr__(o)
         if o is True:
@@ -132,14 +182,10 @@ def _json_chunks(payload) -> Iterator[str]:
             return "\x00"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    def chunks(o, depth: int) -> Iterator[str]:
-        # The text of o is written up to each placeholder, then the items
-        # of its iterator, each joined to its separator so that every
-        # piece pulls exactly one item.
-        text = value(o, depth)
-        if not streams:
-            yield text
-            return
+    def split(text: str) -> Iterator[str]:
+        # text up to each placeholder, then the items of its iterator, each
+        # joined to its separator, so that every piece pulls exactly one
+        # item.
         gaps = text.split("\x00")
         found = streams[:]
         streams.clear()
@@ -148,13 +194,22 @@ def _json_chunks(payload) -> Iterator[str]:
             inner = "\n" + "  " * (at + 1)
             head = "[" + inner
             for item in items:
-                pieces = chunks(item, at + 1)
-                yield head + next(pieces)
-                yield from pieces
+                text = head + value(item, at + 1)
+                if streams:
+                    yield from split(text)
+                else:
+                    yield text
                 head = "," + inner
             yield ("[]" if head[0] == "[" else inner[:-2] + "]") + gap
 
-    return chunks(payload, 0)
+    def chunks(o) -> Iterator[str]:
+        text = value(o, 0)
+        if streams:
+            yield from split(text)
+        else:
+            yield text
+
+    return chunks(payload)
 
 
 def _emit(args, payload: dict | str | Iterable[str]) -> None:

@@ -30,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact import BivariatePolynomial, clear_denominators, eliminate
@@ -253,18 +254,22 @@ def lattice_and_partition_counts(n: int) -> tuple[int, int]:
     integer points of the n-dimensional chain polytope).  Second: the
     total number of partitions of all N in {0..2^n - 1} into parts
     1, 2, 4, ..., 2^(n-1).  The two must agree.
+
+    The chains are counted one layer per coordinate: w_i(v) is the number
+    of chains a_1..a_i with a_i = v, for v in 1..2^i.  a_{i+1} = s needs
+    a_i >= ceil(s/2), so w_{i+1}(2k - 1) = w_{i+1}(2k) = w_i(k) + w_i(k+1)
+    + ..., a suffix sum of layer i.  Each layer costs O(2^i), so the chains
+    cost O(2^n) in all; the partitions, a coin DP over 2^n values with n
+    parts, cost O(n 2^n).
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be in 1..12")
-    # Integer chains, one DP layer per coordinate.
-    ways = {1: 1, 2: 1}
+    ways = [1, 1]  # w_1(1), w_1(2)
     for _ in range(n - 1):
-        nxt: dict[int, int] = {}
-        for value, count in ways.items():
-            for succ in range(1, 2 * value + 1):
-                nxt[succ] = nxt.get(succ, 0) + count
-        ways = nxt
-    lattice_points = sum(ways.values())
+        tails = list(accumulate(reversed(ways)))
+        tails.reverse()
+        ways = [w for w in tails for _ in (0, 1)]
+    lattice_points = sum(ways)
     # Partitions into binary parts, a coin-counting DP.
     limit = (1 << n) - 1
     table = [1] + [0] * limit

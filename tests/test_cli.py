@@ -273,6 +273,29 @@ def test_benchmarked_sizes_keep_their_bytes(capsys, key):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BENCHMARKED_SHA256[key]
 
 
+# sha256 of stdout of the other structure-benchmark commands at their
+# largest sizes there, at (q, t) = (1/2, 1/3), and of cayley1857 at its cap;
+# the golden file stops at cayley1857 --n 6, fvector --n 6 and vertices --n 3.
+_STRUCTURE_SHA256 = {
+    ("cayley1857", "--n", "10"): "bdf8b51d1bab6902e8a4656c9e79ff9270e79c18ea4fea91ea7d11772a5dd7a1",
+    ("cayley1857", "--n", "12"): "c544997b69867168fbbcc45f31dc521ec46cbe1140e49b9f90d9cc09c8cd5dff",
+    ("fvector", "--n", "7"): "0e0a2f445efd794a313fb81ab77b5f29fe0dfee1819fb81a9da7b3fdbfc8bc66",
+    ("vertices", "--family", "cayley", "--n", "7"): "d66222afe08c7689ca5d2cfb1777dd41bfdeafbea5a73f0c736d35522ab676b5",
+    ("vertices", "--family", "gayley", "--n", "7"): "7c3830a5693a7cf401c428db7a1bd5bb5201b339649122a8d95afe7b1726dd19",
+    ("vertices", "--family", "tcayley", "--n", "7"): "273ff16512f4873fb6e10e4bbc4d024181f1112a0575c663d32c177eb311dc01",
+    ("vertices", "--family", "tgayley", "--n", "7"): "d2e0057ba2acacba779d4148d144d341c6390ddec2293e2b84b5afb2d94b7fce",
+    ("vertices", "--family", "tutte", "--n", "7"): "5eb9e075542bdd2892ad36b4081e18386a8584574433c640d832ace4336495dc",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_STRUCTURE_SHA256))
+def test_structure_commands_keep_their_bytes(capsys, argv):
+    qt = () if argv[0] == "cayley1857" else ("--q", "1/2", "--t", "1/3")
+    code, out = run_cli(capsys, *argv, *qt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _STRUCTURE_SHA256[argv]
+
+
 # sha256 of stdout of `volume --n 5` at (q, t) = (1/2, 1/3), the size the
 # symbolic benchmark runs; the golden file stops at n = 3.  None marks the
 # determinant pass, run for tutte only.
@@ -336,6 +359,14 @@ _WRITER_CASES = [
     {"a": ("x", "y"), "b": [("x", "y"), [("x", "y")]], "c": {"d": ("x", "y")}},
     [("1",), (1,), (True,), ("1", 1), ("1", True), ("1", None), ("1", [1]), ("1", ("1",))],
     ("x", ("x", "y"), ["x", ("x", "y")]),
+    # One key set in two insertion orders, at depths 1 and 3: one layout
+    # per (keys, depth).
+    [{"b": 1, "a": "x"}, {"a": "y", "b": 2}, {"c": [{"b": 3, "a": "z"}, {"a": "w", "b": 4}]}],
+    # Fields inlined (str, int) and not (True, None).
+    {"a": True, "b": 1, "c": "1", "d": None},
+    # Rows looked up item by item: str rows, an int row, a row holding a
+    # list (unhashable), an empty row, and one str row at depths 1 and 2.
+    (("1", "2"), (3,), ("1", [2]), (), ("x", "y"), ("1", "2"), [("1", "2"), ("x", "y")]),
 ]
 
 
@@ -401,6 +432,9 @@ _JSON_VALUES = st.recursive(
 @example(obj={"cells": ["\x00", ("\x00", "x")], "x\x00": ("\x00", "x")}, choices=[True, False])
 @example(obj=[], choices=[True])
 @example(obj={"a": [], "b": [[], [[]], ["x", []]]}, choices=[True])
+# A list of rows with an unhashable row after an iterator: each row is
+# rendered once, so each iterator is met once.
+@example(obj=[(), [], [], [None]], choices=[False, True])
 def test_json_writer_renders_iterators_as_lists(obj, choices):
     # The same payload gives the same bytes whether its lists are given as
     # lists or as iterators, at any depth.

@@ -280,10 +280,24 @@ def test_tree_inversions_examples(star3, path3):
 # ----------------------------------------------------------------------
 
 
+def _chains(n: int) -> list[tuple[int, ...]]:
+    """Every integer chain 1 <= a_1 <= 2, 1 <= a_{i+1} <= 2 a_i of length n."""
+    chains = [(1,), (2,)]
+    for _ in range(n - 1):
+        chains = [c + (s,) for c in chains for s in range(1, 2 * c[-1] + 1)]
+    return chains
+
+
 def test_lattice_and_partition_examples():
     assert lattice_and_partition_counts(1) == (2, 2)
     assert lattice_and_partition_counts(2) == (6, 6)
     assert lattice_and_partition_counts(3) == (26, 26)
+    for n in range(1, 7):
+        count = len(_chains(n))
+        assert lattice_and_partition_counts(n) == (count, count)
+    # n = 11 and 12 as a DP over every (a_i, a_{i+1}) pair counts them.
+    assert lattice_and_partition_counts(11) == (77160820913242, 77160820913242)
+    assert lattice_and_partition_counts(12) == (34317392762489766, 34317392762489766)
 
 
 def test_lattice_domain():
