@@ -324,63 +324,3 @@ def eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
         pivots.append(col)
         previous = top[col]
     return pivots, sign
-
-
-# ----------------------------------------------------------------------
-# Random-cluster polynomial -> Tutte polynomial conversion
-# ----------------------------------------------------------------------
-
-
-def tutte_from_z(z: BivariatePolynomial, nodes: int) -> BivariatePolynomial:
-    """Convert the spanning-subgraph sum Z_G(q, t) of a connected graph on
-    `nodes` nodes into its Tutte polynomial T_G(x, y).
-
-    Substitutes q -> (x-1)(y-1) and t -> (y-1), then divides by
-    (y-1)**(nodes-1).  The intermediate Laurent step is handled by working
-    in the variable u = y - 1 and shifting degrees down at the end; a
-    nonzero residue below u**(nodes-1) means the input was not the
-    spanning-subgraph sum of a connected graph.
-
-    In the result the first exponent slot holds x and the second holds y.
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    shift = nodes - 1
-    # Accumulate sum c * (x-1)^dq * u^(dq+dt) as a polynomial in (x, u).
-    in_x_u = BivariatePolynomial.zero()
-    x_minus_1 = BivariatePolynomial.var_q() - 1
-    for (dq, dt), coeff in z.terms():
-        term = (x_minus_1**dq) * BivariatePolynomial.monomial(0, dq + dt, coeff)
-        in_x_u = in_x_u + term
-    shifted: dict[Monomial, Coefficient] = {}
-    for (dx, du), coeff in in_x_u.terms():
-        if du < shift:
-            raise ValueError(
-                "nonzero residue below the cancellation degree: "
-                "input is not the spanning-subgraph sum of a connected graph"
-            )
-        shifted[(dx, du - shift)] = coeff
-    # Substitute u = y - 1 back.
-    y_minus_1 = BivariatePolynomial.var_t() - 1
-    out = BivariatePolynomial.zero()
-    for (dx, du), coeff in sorted(shifted.items()):
-        out += BivariatePolynomial.monomial(dx, 0, coeff) * (y_minus_1**du)
-    return out
-
-
-def z_from_tutte(tutte: BivariatePolynomial, n: int) -> BivariatePolynomial:
-    """Expand t**n * T(1 + q/t, 1 + t) as an exact polynomial in (q, t).
-
-    For the Tutte polynomial of a connected graph on n+1 nodes the x-degree
-    is at most n, so each monomial x**a y**b contributes
-    t**(n-a) * (t+q)**a * (1+t)**b and no negative powers of t occur.
-    """
-    t_plus_q = BivariatePolynomial.var_t() + BivariatePolynomial.var_q()
-    out = BivariatePolynomial.zero()
-    for (a, b), coeff in tutte.terms():
-        if a > n:
-            raise ValueError(f"x-degree {a} exceeds {n}")
-        term = BivariatePolynomial.monomial(0, n - a, coeff)
-        term = term * t_plus_q**a * BivariatePolynomial.one_plus_t_power(b)
-        out += term
-    return out

@@ -193,90 +193,3 @@ def tutte_f_vector(n: int, q, t) -> tuple[int, ...]:
     vs = tutte_vertices(n, q, t)
     hrep = build_hrep("tutte", n, q, t)
     return face_lattice(vs, hrep).f_vector
-
-
-# ----------------------------------------------------------------------
-# Edge/2-face count formulas and their verification
-# ----------------------------------------------------------------------
-
-
-def edge_count_formula(n: int) -> int:
-    """Observed edge count of the 2-parameter polytope: 3(n-1) 2^(n-2) + 1."""
-    return 3 * (n - 1) * 2 ** (n - 2) + 1 if n >= 2 else 0
-
-
-def two_face_count_formula(n: int) -> int:
-    """Observed 2-face count: 2^(n-5) (9 n^2 - 29 n + 38) - 1."""
-    value = Fraction(9 * n * n - 29 * n + 38) * Fraction(2) ** (n - 5) - 1
-    if value.denominator != 1:
-        raise ArithmeticError(f"formula not integral at n={n}")
-    return value.numerator
-
-
-@dataclass(frozen=True)
-class ConjectureRow:
-    n: int
-    q: Fraction
-    t: Fraction
-    edges_computed: int
-    edges_formula: int
-    two_faces_computed: int
-    two_faces_formula: int
-
-    @property
-    def matches(self) -> bool:
-        return (
-            self.edges_computed == self.edges_formula
-            and self.two_faces_computed == self.two_faces_formula
-        )
-
-
-def conjecture_check(n_max: int, samples=((Fraction(1, 2), Fraction(1)),)) -> list[ConjectureRow]:
-    """Compare computed f_1 and f_2 against the closed formulas for n = 2..n_max.
-
-    At n = 2 the polytope is two-dimensional and its single top face is
-    counted as the one 2-face, matching the formula's degenerate value.
-    """
-    rows = []
-    for n in range(2, n_max + 1):
-        for q, t in samples:
-            f = tutte_f_vector(n, q, t)
-            two_faces = f[2] if n >= 3 else 1
-            rows.append(
-                ConjectureRow(
-                    n=n,
-                    q=Fraction(q),
-                    t=Fraction(t),
-                    edges_computed=f[1],
-                    edges_formula=edge_count_formula(n),
-                    two_faces_computed=two_faces,
-                    two_faces_formula=two_face_count_formula(n),
-                )
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Separation certificate
-# ----------------------------------------------------------------------
-
-
-def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
-    """True when no point lies in the convex hull of the others.
-
-    Certificate: for every ordered pair (a, b) some valid inequality is
-    tight at a and strictly positive at b.  If a were a convex combination
-    of the rest with a positive weight on b, that inequality would be
-    tight at a yet positive on the combination.  Equivalently, the
-    contact sets through a meet in a alone.
-    """
-    masks = _contact_masks(vertices.points, hrep)
-    count = len(vertices.points)
-    for a in range(count):
-        meet = (1 << count) - 1
-        for mask in masks:
-            if mask >> a & 1:
-                meet &= mask
-        if meet != 1 << a:
-            return False
-    return True

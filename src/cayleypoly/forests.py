@@ -22,8 +22,7 @@ Conventions used throughout:
   so a `PlaneForest` is held as its walk, and a labeled forest is its
   shape (one `PlaneForest`, shared by every forest of that shape) plus
   the label at each position: enumeration walks each shape once and
-  expands all its labelings together, one labeling step at a time, and
-  `nfs` on a graph builds the shape from the graph's walk.
+  expands all its labelings together, one labeling step at a time.
 * A cane path starts at a node, climbs at least one step toward the root,
   and ends with a single step down to a child lying strictly to the right
   of (for labeled forests: labeled higher than) the branch it came up on.
@@ -44,7 +43,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import parse_integer
-from .graphs import LabeledGraph, pair_index, pair_order
+from .graphs import pair_index, pair_order
 
 MAX_FOREST_NODES = 8
 MAX_PLANE_NODES = 12
@@ -221,18 +220,6 @@ class LabeledForest:
 
     def is_tree(self) -> bool:
         return self.component_count() == 1
-
-
-def nfs(g: LabeledGraph) -> LabeledForest:
-    """The neighbors-first search forest of a labeled graph."""
-    return LabeledForest._walked(graph_walk(g.node_count, g.edge_list()))
-
-
-def cane_paths_from(f: LabeledForest, v: int) -> int:
-    """Number of cane paths starting at node v."""
-    if not 1 <= v <= f.node_count:
-        raise ValueError(f"node {v} not in forest")
-    return f.shape.walk[f.position(v)][1]
 
 
 def alpha(f: LabeledForest) -> int:

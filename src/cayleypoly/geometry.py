@@ -20,23 +20,19 @@ with x_0 = 1, j the node's cane-path count and l the position of its
 component root.  Setting q = 1 recovers the one-parameter constructions,
 and additionally t = 1 the classical ones.
 
-Every cell builder (simplex_for_forest, forest_chain_hrep,
-piece_for_plane_forest) reads one shared exact value table per
-(node count, q, t), kept in a bounded cache after q and t are checked and
-turned into Fractions: 1 - q and the powers (1+t)^k, which every simplex
-vertex refers to rather than copies, and the coordinate form of each
-distinct placement (a node's position, cane exponent and root position,
-read off the NFS walk that a PlaneForest holds) and each distinct chain
-row, built once and shared by every H-rep that has it (so are its
-cleared integer row and its texts).  The table also holds 1 - q
-and the powers cleared to integer numerators over one common scale s,
-and as formatted texts; one column builder writes a simplex from any of
-these value sets (simplex_texts gives its vertices as texts), and a
-VertexTable, one table lookup for many cells, gives simplex vertices
-as texts or interns their integer vertices, each distinct vertex once,
-so a simplex is a tuple of indices into it, and builds chain H-reps and
-pieces (forest_chain_hrep and piece_for_plane_forest build one cell
-from a VertexTable of their own).
+Every cell is built through a VertexTable, one lookup of the exact value
+table shared per (node count, q, t), kept in a bounded cache after q and
+t are checked and turned into Fractions.  The table holds 1 - q and the
+powers (1+t)^k as Fractions, as integer numerators over one common scale
+s and as formatted texts; and the coordinate form of each distinct
+placement (a node's position, cane exponent and root position, read off
+the NFS walk that a PlaneForest holds) and each distinct chain row, built
+once and shared by every H-rep that has it (so are its cleared integer
+row and its texts).  One column builder writes a simplex from the
+numerators or from the texts.  A VertexTable gives simplex vertices as
+texts, or interns their integer vertices, each distinct vertex once, so
+that a simplex is a tuple of indices into it; and it builds chain H-reps
+and pieces.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -126,7 +122,7 @@ class DimensionError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Affine forms, H-representations, simplices
+# Affine forms and H-representations
 # ----------------------------------------------------------------------
 
 
@@ -255,23 +251,6 @@ class HRep:
         }
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """dimension+1 affinely independent points in R^dimension."""
-
-    dimension: int
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != self.dimension + 1:
-            raise DimensionError("a simplex in R^n needs exactly n+1 vertices")
-        if any(len(v) != self.dimension for v in self.vertices):
-            raise DimensionError("vertex dimension mismatch")
-
-    def to_text(self) -> str:
-        return vrep_to_text(self.vertices, self.dimension)
-
-
 def vrep_to_text(points: Iterable[Point], dimension: int) -> str:
     pts = list(points)
     lines = [f"{dimension} {len(pts)}"]
@@ -377,7 +356,7 @@ def _tutte_hrep(n: int, q: Fraction, t: Fraction) -> HRep:
 
 
 # ----------------------------------------------------------------------
-# Simplices of the triangulations
+# Cells: simplices, chain H-reps and pieces
 # ----------------------------------------------------------------------
 
 
@@ -464,10 +443,9 @@ def _value_table(node_count: int, q, t) -> _ValueTable:
 
 def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[tuple, ...]:
     """The vertices of the forest's simplex in the given values: powers[k]
-    stands for (1+t)^k and one_minus_q for 1-q, as the value table's
-    Fractions, its numerators over one scale or its texts.  Each
-    coordinate column is built as three runs, and the vertices are the
-    rows."""
+    stands for (1+t)^k and one_minus_q for 1-q, either the value table's
+    numerators over its one scale or its texts.  Each coordinate column
+    is built as three runs, and the vertices are the rows."""
     labels = f.order
     nodes = len(labels)
     columns: list[tuple] = []
@@ -482,47 +460,28 @@ def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[
     return tuple(zip(*columns)) if columns else ((),)
 
 
-def simplex_for_forest(f: LabeledForest, q, t) -> Simplex:
-    """The simplex attached to a labeled forest on n+1 nodes, in R^n.
+class VertexTable:
+    """The cells of forests on node_count nodes at (q, t), from one lookup
+    of the value table: simplex vertices in integers or as texts, chain
+    H-reps and subdivision pieces.
 
-    Vertices come in closed form: vertex p (p = 1..n+1) puts the chain
-    coordinates of labels below p at their 0-end and the rest at the
-    qt-end.  Concretely, with w = 1+t and r the maximal label of a node's
-    component:
+    The simplex of a labeled forest on n+1 nodes, in R^n, has its vertices
+    in closed form: vertex p (p = 1..n+1) puts the chain coordinates of
+    labels below p at their 0-end and the rest at the qt-end.  Concretely,
+    with w = 1+t and r the maximal label of a node's component:
 
       root at position l:       x_l = 1 if p <= r else 1-q
       non-root at position i:   x_i = w^(j+1) if p <= label,
                                       w^j     if label < p <= r,
                                       1-q     if p > r.
 
-    Every coordinate is one of the value table's Fractions; each column
-    is built as three runs and the vertices are its rows.
-    """
-    table = _value_table(f.node_count, q, t)
-    return Simplex(table.n, _simplex_vertices(f, table.powers, table.one_minus_q))
-
-
-def simplex_texts(f: LabeledForest, q, t) -> tuple[tuple[str, ...], ...]:
-    """The vertices of simplex_for_forest(f, q, t), each coordinate as its
-    `format_rational` text: the value table formats each of its n+3
-    values once, and the columns are built from those texts.  For many
-    forests at one (q, t), `VertexTable.texts` looks the table up once."""
-    return VertexTable(f.node_count, q, t).texts(f)
-
-
-class VertexTable:
-    """The cells of forests on node_count nodes at (q, t), from one lookup
-    of the value table: simplex vertices in integers or as texts, chain
-    H-reps and subdivision pieces.
-
     Every coordinate is a value of the value table, so every vertex is
     integer numerators over the table's one common denominator `scale`.
-    `numerators(f)` gives the vertices of simplex_for_forest(f, q, t) so,
-    and `texts(f)` gives them as simplex_texts does; `add(f)` also interns
-    the numerators into `vertices`, each distinct vertex once in order of
-    first appearance, and gives the simplex as the indices of its
-    vertices, in vertex order.  `chain_hrep(f)` is forest_chain_hrep(f, q,
-    t) and `piece(pf)` is piece_for_plane_forest(pf, q, t).
+    `numerators(f)` gives the vertices so, and `texts(f)` gives them as
+    `format_rational` texts; `add(f)` also interns the numerators into
+    `vertices`, each distinct vertex once in order of first appearance,
+    and gives the simplex as the indices of its vertices, in vertex
+    order, and `point(k)` gives vertex k as Fractions.
     """
 
     __slots__ = ("scale", "vertices", "_values", "_index")
@@ -561,6 +520,9 @@ class VertexTable:
         return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
     def chain_hrep(self, f: LabeledForest) -> HRep:
+        """The defining chain of the forest's simplex, as an H-rep: rows
+        c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
+        node coordinates; c(n+1) is the constant qt."""
         table = self._checked(f.node_count)
         walk = f.shape.walk
         keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
@@ -569,6 +531,12 @@ class VertexTable:
         return HRep(table.n, tuple(rows))
 
     def piece(self, pf: PlaneForest) -> HRep:
+        """The subdivision piece of a plane forest on n+1 nodes, in R^n.
+
+        Per-node chains: for a node with successors v_1..v_k (left to
+        right) in a component rooted at w, 0 <= c(v_1) <= ... <= c(v_k)
+        <= c(w); for the roots w_1..w_m (left to right),
+        0 <= c(w_m) <= ... <= c(w_1) with c(w_1) = qt constant."""
         table = self._checked(pf.node_count())
         keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
         rows: list[AffineForm] = []
@@ -586,31 +554,9 @@ class VertexTable:
         return HRep(table.n, tuple(rows))
 
 
-def forest_chain_hrep(f: LabeledForest, q, t) -> HRep:
-    """The defining chain of the forest's simplex, as an H-representation.
-
-    Rows: c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
-    node coordinates; c(n+1) is the constant qt.  For many forests at one
-    (q, t), `VertexTable.chain_hrep` looks the table up once.
-    """
-    return VertexTable(f.node_count, q, t).chain_hrep(f)
-
-
 # ----------------------------------------------------------------------
-# Subdivision pieces
+# Pieces assembled from products and skew cones
 # ----------------------------------------------------------------------
-
-
-def piece_for_plane_forest(pf: PlaneForest, q, t) -> HRep:
-    """The subdivision piece of a plane forest on n+1 nodes, in R^n.
-
-    Per-node chains: for a node with successors v_1..v_k (left to right)
-    in a component rooted at w,  0 <= c(v_1) <= ... <= c(v_k) <= c(w);
-    for the roots w_1..w_m (left to right),  0 <= c(w_m) <= ... <= c(w_1)
-    with c(w_1) = qt constant.  For many pieces at one (q, t),
-    `VertexTable.piece` looks the table up once.
-    """
-    return VertexTable(pf.node_count(), q, t).piece(pf)
 
 
 def product(a: HRep, b: HRep) -> HRep:
@@ -651,15 +597,15 @@ def piece_for_plane_forest_via_cones(pf: PlaneForest, q, t) -> HRep:
 
     Each D_p is the one-component piece of the p-th plane tree at q = 1
     (its chain coordinates never mention q); the skew cones then reinstate
-    the q-dependence.  Must describe the same point set as the direct
-    construction.
+    the q-dependence.  Must describe the same point set as
+    `VertexTable.piece`.
     """
     q = _check_q(q)
     t = _check_t(t)
     trees = [PlaneForest((tree,)) for tree in pf.trees]
-    current = piece_for_plane_forest(trees[-1], 1, t)
+    current = VertexTable(trees[-1].node_count(), 1, t).piece(trees[-1])
     for tree in reversed(trees[:-1]):
-        current = product(piece_for_plane_forest(tree, 1, t), cone_q(current, q))
+        current = product(VertexTable(tree.node_count(), 1, t).piece(tree), cone_q(current, q))
     return current
 
 

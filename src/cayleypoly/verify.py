@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
 from .faces import cayley_vertices, tutte_vertices
@@ -76,7 +76,6 @@ from .geometry import (
     family_parameters,
     get_family,
     orthoscheme_vertices,
-    piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
 )
 from .graphs import mask_pairs
@@ -231,20 +230,9 @@ def interior_sample_drawer(
     return draw
 
 
-def interior_sample_stream(
-    family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG
-) -> Iterator[tuple[list[int], int]]:
-    """Endless stream of the drawer's points one at a time, each as
-    (numerators, scale): one draw(1) per point, so rng has drawn exactly
-    the points handed out."""
-    draw = interior_sample_drawer(family, n, q, t, rng)
-    while True:
-        columns, scale = draw(1)
-        yield [column[0] for column in columns], scale
-
-
 # ----------------------------------------------------------------------
-# Brute-force vertex enumeration (test oracle, desk scale only): every
+# Brute-force vertex enumeration, the vertex oracle of the
+# specialization and piece-construction jobs (desk scale only): every
 # n-subset of rows, walked as a tree of prefixes pruned at singular ones
 # ----------------------------------------------------------------------
 
@@ -670,9 +658,10 @@ def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> Verif
     _check_job("pieces", n)
     q = Fraction(q)
     t = Fraction(t)
+    table = VertexTable(n + 1, q, t)
     mismatch = None
     for pf in enumerate_plane_forests(n + 1):
-        direct = piece_for_plane_forest(pf, q, t)
+        direct = table.piece(pf)
         combin = piece_for_plane_forest_via_cones(pf, q, t)
         if enumerate_hrep_vertices(direct) != enumerate_hrep_vertices(combin):
             mismatch = {"shape": pf.to_text()}
@@ -783,15 +772,3 @@ def plan(
     if check in ("all", "specializations"):
         _check_specialization_parameters(q, t)
     return [partial(CHECKS[c][2], name, m, q, t, samples, seed) for c, name, m in steps]
-
-
-def run_all(
-    nmax: int,
-    q=Fraction(1, 2),
-    t=Fraction(1),
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> list[VerificationReport]:
-    """Triangulation, subdivision, refinement, specialization and fiber
-    checks for every family and every n up to nmax."""
-    return [job() for job in plan("all", nmax, q=q, t=t, samples=samples, seed=seed)]

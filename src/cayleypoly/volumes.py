@@ -33,9 +33,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import BivariatePolynomial, clear_denominators, eliminate
-from .forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, alpha, enumerate_labeled_forests
-from .geometry import ParameterDomainError, Simplex, VertexTable, family_parameters, get_family
+from .exact import BivariatePolynomial, eliminate
+from .forests import LabeledForest, PlaneForest, alpha
+from .geometry import ParameterDomainError, VertexTable, family_parameters, get_family
 
 Z_MAX_NODES = 7
 
@@ -47,16 +47,6 @@ class DegenerateSimplexError(ValueError):
 # ----------------------------------------------------------------------
 # Determinant volumes
 # ----------------------------------------------------------------------
-
-
-def simplex_volume_scaled(s: Simplex) -> Fraction:
-    """n! times the volume, i.e. |det(v_i - v_0)|: the vertices cleared
-    over one common denominator s go through `integer_volume_scaled`,
-    and the result is divided by s^n."""
-    n = s.dimension
-    entries, scale = clear_denominators([x for v in s.vertices for x in v])
-    vertices = [entries[k * n : (k + 1) * n] for k in range(n + 1)]
-    return Fraction(integer_volume_scaled(vertices), scale**n)
 
 
 def integer_volume_scaled(vertices: Sequence[Sequence[int]]) -> int:
@@ -205,41 +195,6 @@ def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
         f = combine((math.comb(n - 1, j), math.comb(j + 1, 2), r[n - 1 - j]) for j in range(n))
         return BivariatePolynomial(tally_monomials({(0, 0, power): c for power, c in f.items()}))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ----------------------------------------------------------------------
-# Tree inversions
-# ----------------------------------------------------------------------
-
-
-def tree_inversions(tree: LabeledForest) -> int:
-    """Pairs (i, j), i > j, with non-root i an ancestor of j."""
-    if not tree.is_tree():
-        raise ValueError("inversions are defined for trees")
-    root = tree.component_order[0]
-    parent = tree.parent
-    count = 0
-    for j in range(1, tree.node_count + 1):
-        anc = parent.get(j)
-        while anc is not None:
-            if anc > j and anc != root:
-                count += 1
-            anc = parent.get(anc)
-    return count
-
-
-def inversion_enumerator(n: int) -> BivariatePolynomial:
-    """Generating function of labeled trees on n nodes by inversion count.
-
-    Returned in the second exponent slot (read it as a polynomial in y).
-    Equals the Tutte polynomial of K_n evaluated at x = 1, and satisfies
-    F_n(t) = t^(n-1) * (this polynomial at y = 1+t).
-    """
-    if not 1 <= n <= MAX_FOREST_NODES:
-        raise ValueError(f"labeled trees need n in 1..{MAX_FOREST_NODES}, got {n}")
-    return BivariatePolynomial(
-        ((0, tree_inversions(tree)), 1) for tree in enumerate_labeled_forests(n, trees_only=True)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -16,29 +16,31 @@ from cayleypoly import (
     cayley_vertices,
     closed_form_piece_total,
     closed_form_simplex_total,
-    component_count,
-    conjecture_check,
     connected_gf,
-    enumerate_graphs,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     enumerate_plane_trees,
-    inversion_enumerator,
     lattice_and_partition_counts,
-    simplex_for_forest,
-    simplex_volume_scaled,
     tutte_f_vector,
-    tutte_from_z,
     tutte_vertices,
-    vertices_are_extreme,
     verify_fiber,
     verify_subdivision,
     verify_triangulation,
     z_bruteforce,
+)
+from cayleypoly.geometry import VertexTable
+from cayleypoly.volumes import integer_volume_scaled
+
+from oracles import (
+    component_count,
+    conjecture_check,
+    count_connected_graphs,
+    enumerate_graphs,
+    inversion_enumerator,
+    tutte_from_z,
+    vertices_are_extreme,
     z_from_tutte,
 )
-from cayleypoly.graphs import count_connected_graphs
-
 from poly_helpers import compose_t
 
 P = BivariatePolynomial
@@ -58,8 +60,9 @@ def test_criterion_01_connected_graph_volume():
         referee = count_connected_graphs(n + 1)
         trees = list(enumerate_labeled_forests(n + 1, trees_only=True))
         by_alpha = sum(2 ** alpha(t) for t in trees)
+        table = VertexTable(n + 1, 1, 1)
         by_det = sum(
-            simplex_volume_scaled(simplex_for_forest(t, 1, 1)) for t in trees
+            Fraction(integer_volume_scaled(table.numerators(t)), table.scale**n) for t in trees
         )
         by_pieces = sum(
             closed_form_piece_total((pf,)).evaluate(1, 1)
@@ -95,7 +98,8 @@ def test_criterion_03_two_dimensional_anchors(star3):
 
     assert closed_form_simplex_total((star3,)) == P({(0, 2): 1, (0, 3): 1})
     for q, t in ((HALF, Fraction(1)), (THIRD, Fraction(2))):
-        scaled = simplex_volume_scaled(simplex_for_forest(star3, q, t))
+        table = VertexTable(3, q, t)
+        scaled = Fraction(integer_volume_scaled(table.numerators(star3)), table.scale**2)
         assert scaled == t * t * (1 + t)
     rect = PlaneForest.from_degree_sequence([1, 0, 0])
     assert closed_form_piece_total((rect,)) == P({(1, 1): 2})

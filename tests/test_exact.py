@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleypoly import (
-    BivariatePolynomial,
-    format_rational,
-    parse_rational,
-    tutte_from_z,
-    z_from_tutte,
-)
+from cayleypoly import BivariatePolynomial, format_rational, parse_rational
 from cayleypoly.exact import clear_denominators, eliminate, parse_integer
 
+from oracles import count_connected_graphs, tutte_from_z, z_from_tutte
 from poly_helpers import compose_t
 
 P = BivariatePolynomial
@@ -312,7 +307,6 @@ def test_tutte_from_z_rejects_invalid():
 
 def test_tutte_counts_connected_subgraphs():
     # T_{K_n}(1, 2) equals the number of connected graphs on n nodes.
-    from cayleypoly.graphs import count_connected_graphs
     from cayleypoly.volumes import z_bruteforce
 
     for n in range(2, 7):

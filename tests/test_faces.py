@@ -6,20 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from cayleypoly import (
-    build_hrep,
-    cayley_vertices,
-    conjecture_check,
-    edge_count_formula,
-    face_lattice,
-    tutte_f_vector,
-    tutte_vertices,
-    two_face_count_formula,
-    vertices_are_extreme,
-)
+from cayleypoly import build_hrep, cayley_vertices, face_lattice, tutte_f_vector, tutte_vertices
 from cayleypoly.exact import clear_denominators, eliminate
 from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks
 from cayleypoly.geometry import AffineForm, HRep, ParameterDomainError
+
+from oracles import conjecture_check, edge_count_formula, two_face_count_formula, vertices_are_extreme
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

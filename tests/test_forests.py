@@ -10,22 +10,18 @@ import pytest
 
 from cayleypoly import (
     LabeledForest,
-    LabeledGraph,
     PlaneForest,
     alpha,
     cane_edges,
-    cane_paths_from,
     catalan,
-    component_count,
     count_labeled_forests,
-    enumerate_graphs,
     enumerate_labeled_forests,
     enumerate_plane_forests,
     enumerate_plane_trees,
-    nfs,
 )
 from cayleypoly import forests
-from cayleypoly.graphs import partition_pattern
+
+from oracles import LabeledGraph, cane_paths_from, component_count, enumerate_graphs, nfs, partition_pattern
 
 
 # ----------------------------------------------------------------------

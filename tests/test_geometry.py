@@ -14,27 +14,38 @@ from cayleypoly import (
     HRep,
     ParameterDomainError,
     PlaneForest,
+    alpha,
     build_hrep,
     catalan,
     cone_q,
     enumerate_hrep_vertices,
     enumerate_labeled_forests,
     enumerate_plane_forests,
-    forest_chain_hrep,
     get_family,
     orthoscheme_vertices,
-    piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
     product,
-    simplex_for_forest,
-    simplex_volume_scaled,
 )
-from cayleypoly.exact import format_rational
-from cayleypoly.geometry import DimensionError, VertexTable, family_parameters, simplex_texts
+from cayleypoly.exact import clear_denominators, format_rational
+from cayleypoly.geometry import DimensionError, VertexTable, family_parameters, vrep_to_text
 from cayleypoly.volumes import integer_volume_scaled
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+def _points(f, q, t):
+    """The vertices of the forest's simplex as Fractions, in vertex order."""
+    table = VertexTable(f.node_count, q, t)
+    return tuple(table.point(k) for k in table.add(f))
+
+
+def _chain(f, q, t):
+    return VertexTable(f.node_count, q, t).chain_hrep(f)
+
+
+def _piece(pf, q, t):
+    return VertexTable(pf.node_count(), q, t).piece(pf)
 
 
 # ----------------------------------------------------------------------
@@ -112,10 +123,10 @@ def test_family_cells_match_expected_counts(name):
 
 def test_star_simplex_vertices(star3):
     t = Fraction(2)
-    s = simplex_for_forest(star3, 1, t)
     w = 1 + t
-    assert set(s.vertices) == {(1, w), (w, w), (w, w * w)}
-    assert simplex_volume_scaled(s) == t * t * w  # t^2 (1+t)
+    assert set(_points(star3, 1, t)) == {(1, w), (w, w), (w, w * w)}
+    table = VertexTable(3, 1, t)
+    assert Fraction(integer_volume_scaled(table.numerators(star3)), table.scale**2) == t * t * w  # t^2 (1+t)
 
 
 def test_chain_polytope_vertices_appear_in_simplices():
@@ -129,7 +140,7 @@ def test_chain_polytope_vertices_appear_in_simplices():
     }
     seen = set()
     for tree in enumerate_labeled_forests(4, trees_only=True):
-        seen.update(simplex_for_forest(tree, 1, t).vertices)
+        seen.update(_points(tree, 1, t))
     assert expected <= seen
 
 
@@ -164,9 +175,9 @@ def _expected_vertex(row, q, t):
 
 @pytest.mark.parametrize("q,t", [(Fraction(1), Fraction(1)), (THIRD, Fraction(2))])
 def test_worked_forest_vertex_table(worked_forest12, q, t):
-    s = simplex_for_forest(worked_forest12, q, t)
+    vertices = _points(worked_forest12, q, t)
     for p, row in enumerate(WORKED_ROWS):
-        assert s.vertices[p] == _expected_vertex(row, q, t), f"vertex {p + 1}"
+        assert vertices[p] == _expected_vertex(row, q, t), f"vertex {p + 1}"
 
 
 def _walk_coordinates(f):
@@ -187,8 +198,7 @@ def test_chain_solve_pattern():
             coords = _walk_coordinates(f)
             # The table keys a coordinate by (position, j, root position).
             forms = [table.form(coords[k][1:4]) for k in range(1, size + 1)]
-            s = simplex_for_forest(f, q, t)
-            for p, vertex in enumerate(s.vertices, start=1):
+            for p, vertex in enumerate(_points(f, q, t), start=1):
                 for k, form in enumerate(forms, start=1):
                     expected = Fraction(0) if k < p else q * t
                     assert form.evaluate(vertex) == expected
@@ -199,7 +209,7 @@ def test_simplex_vertices_inside_polytope(q, t):
     for n in range(1, 5):
         polytope = build_hrep("tutte", n, q, t)
         for f in enumerate_labeled_forests(n + 1):
-            for v in simplex_for_forest(f, q, t).vertices:
+            for v in _points(f, q, t):
                 assert polytope.contains(v)
 
 
@@ -207,7 +217,7 @@ def test_simplex_vertices_inside_polytope_six_nodes():
     q, t = HALF, Fraction(1)
     polytope = build_hrep("tutte", 5, q, t)
     for f in enumerate_labeled_forests(6):
-        for v in simplex_for_forest(f, q, t).vertices:
+        for v in _points(f, q, t):
             assert polytope.contains(v)
 
 
@@ -219,7 +229,7 @@ def test_order_simplex_map_gives_tree_vertices():
     for tree in enumerate_labeled_forests(4, trees_only=True):
         coords = _walk_coordinates(tree)
         n = tree.node_count - 1
-        expected = simplex_for_forest(tree, 1, t).vertices
+        expected = _points(tree, 1, t)
         for p in range(1, tree.node_count + 1):
             x = [Fraction(0)] * n
             for label in range(1, tree.node_count):
@@ -236,9 +246,7 @@ def test_skew_shift_maps_one_parameter_simplex_to_two_parameter():
     q, t = THIRD, Fraction(2)
     for n in range(2, 6):
         for f in enumerate_labeled_forests(n):
-            base = simplex_for_forest(f, 1, t)
-            target = simplex_for_forest(f, q, t)
-            for v_base, v_target in zip(base.vertices, target.vertices):
+            for v_base, v_target in zip(_points(f, 1, t), _points(f, q, t)):
                 mapped = list(v_base)
                 for i, (_, _, top) in enumerate(f.shape.walk[1:], start=1):
                     x_l = Fraction(1) if top == 0 else v_base[top - 1]
@@ -264,7 +272,7 @@ def test_tree_chain_matches_classical_form(t):
             rows.append(b - a)
         rows.append(AffineForm.constant_form(n, w) - forms[-1])
         classical = HRep(n, tuple(rows))
-        chain = forest_chain_hrep(tree, 1, t)
+        chain = _chain(tree, 1, t)
         assert enumerate_hrep_vertices(classical) == enumerate_hrep_vertices(chain)
 
 
@@ -277,7 +285,7 @@ def test_rectangle_piece():
     # Two-node tree next to a singleton: [1, 1+t] x [1-q, 1].
     pf = PlaneForest.from_degree_sequence([1, 0, 0])
     q, t = HALF, Fraction(1)
-    piece = piece_for_plane_forest(pf, q, t)
+    piece = _piece(pf, q, t)
     verts = set(enumerate_hrep_vertices(piece))
     assert verts == {
         (Fraction(1), HALF), (Fraction(1), Fraction(1)),
@@ -288,7 +296,7 @@ def test_rectangle_piece():
 def test_path_piece_is_cube():
     # A plane path yields independent bounds 1 <= x_i <= 1+t.
     pf = PlaneForest.from_degree_sequence([1, 1, 1, 0])
-    piece = piece_for_plane_forest(pf, 1, Fraction(1))
+    piece = _piece(pf, 1, Fraction(1))
     verts = set(enumerate_hrep_vertices(piece))
     assert verts == {(Fraction(a), Fraction(b), Fraction(c)) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
 
@@ -301,7 +309,7 @@ def test_worked_forest_piece_matches_printed_system(worked_forest12):
     t = Fraction(2)
     w = 1 + t
     pf = worked_forest12.shape
-    piece = piece_for_plane_forest(pf, 1, t)
+    piece = _piece(pf, 1, t)
 
     def printed(x):
         x = (None,) + tuple(x)
@@ -320,7 +328,7 @@ def test_worked_forest_piece_matches_printed_system(worked_forest12):
         )
 
     rng = random.Random(11)
-    points = list(simplex_for_forest(worked_forest12, 1, t).vertices)
+    points = list(_points(worked_forest12, 1, t))
     for _ in range(400):
         base = rng.choice(points[:12])
         jitter = tuple(Fraction(rng.randint(-2, 2), rng.choice([3, 5, 7])) for _ in base)
@@ -337,8 +345,9 @@ def test_piece_counts():
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (THIRD, Fraction(2))])
 def test_piece_combinator_agrees_with_direct(q, t):
     for n in range(1, 4):
+        table = VertexTable(n + 1, q, t)
         for pf in enumerate_plane_forests(n + 1):
-            direct = piece_for_plane_forest(pf, q, t)
+            direct = table.piece(pf)
             combined = piece_for_plane_forest_via_cones(pf, q, t)
             assert enumerate_hrep_vertices(direct) == enumerate_hrep_vertices(combined)
 
@@ -436,16 +445,14 @@ def test_cells_match_per_cell_references(name, q, t):
     fam = get_family(name)
     q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 5):
+        table = VertexTable(n + 1, q_eff, t_eff)
         for f in fam.labeled_cells(n):
-            simplex = simplex_for_forest(f, q_eff, t_eff)
-            assert simplex.vertices == _reference_simplex(f, q_eff, t_eff)
-            assert _all_fractions(x for v in simplex.vertices for x in v)
-            chain = forest_chain_hrep(f, q_eff, t_eff)
+            chain = table.chain_hrep(f)
             assert chain.dimension == n
             assert _rows(chain) == _reference_chain(f, q_eff, t_eff)
             assert _all_fractions(x for c, a in _rows(chain) for x in (c, *a))
         for pf in fam.plane_cells(n):
-            piece = piece_for_plane_forest(pf, q_eff, t_eff)
+            piece = table.piece(pf)
             assert piece.dimension == n
             assert _rows(piece) == _reference_piece(pf, q_eff, t_eff)
             assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
@@ -453,10 +460,13 @@ def test_cells_match_per_cell_references(name, q, t):
 
 def test_simplex_coordinates_are_the_tables_values():
     # At one (n, q, t) every coordinate of every simplex is one of
-    # 1, 1-q and the powers of 1+t: n + 4 objects in all, none per cell.
+    # 1, 1-q and the powers of 1+t, as numerators over the table's scale:
+    # at most n + 4 distinct ints in all.
     q, t = Fraction(37, 101), Fraction(53, 17)
-    simplices = [simplex_for_forest(f, q, t) for f in enumerate_labeled_forests(5)]
-    assert len({id(x) for s in simplices for v in s.vertices for x in v}) <= 4 + 4
+    table = VertexTable(5, q, t)
+    for f in enumerate_labeled_forests(5):
+        table.add(f)
+    assert len({x for v in table.vertices for x in v}) <= 4 + 4
 
 
 _TABLE_CASES = [
@@ -469,19 +479,21 @@ _TABLE_CASES = [
 
 @pytest.mark.parametrize("name,n,q,t", _TABLE_CASES)
 def test_vertex_table_matches_fraction_simplices(name, n, q, t):
-    # The integer table over one scale s is the Fraction simplices: the
-    # same vertices, the same n!-volumes, and n+1 distinct indices each.
+    # The integer table over one scale s is the reference Fraction
+    # simplices: the same vertices, n+1 distinct indices each, and the
+    # n!-volume of the closed form q^(k-1) t^|E| (1+t)^alpha.
     q_eff, t_eff = family_parameters(name, q, t)
     table = VertexTable(n + 1, q_eff, t_eff)
     fraction_vertices = set()
     for f in get_family(name).labeled_cells(n):
-        simplex = simplex_for_forest(f, q_eff, t_eff)
+        reference = _reference_simplex(f, q_eff, t_eff)
         indices = table.add(f)
         assert len(indices) == n + 1 and len(set(indices)) == n + 1
-        assert tuple(table.point(k) for k in indices) == simplex.vertices
+        assert tuple(table.point(k) for k in indices) == reference
         rows = [table.vertices[k] for k in indices]
-        assert Fraction(integer_volume_scaled(rows), table.scale**n) == simplex_volume_scaled(simplex)
-        fraction_vertices.update(simplex.vertices)
+        closed_form = q_eff ** (f.component_count() - 1) * t_eff ** f.edge_count() * (1 + t_eff) ** alpha(f)
+        assert Fraction(integer_volume_scaled(rows), table.scale**n) == closed_form
+        fraction_vertices.update(reference)
     points = [table.point(k) for k in range(len(table.vertices))]
     assert len(set(points)) == len(points)
     assert set(points) == fraction_vertices
@@ -491,9 +503,10 @@ def test_vertex_table_matches_fraction_simplices(name, n, q, t):
 @pytest.mark.parametrize("name,n,q,t", [case for case in _TABLE_CASES if case[1] <= 4])
 def test_simplex_texts_format_the_fraction_simplices(name, n, q, t):
     q_eff, t_eff = family_parameters(name, q, t)
+    table = VertexTable(n + 1, q_eff, t_eff)
     for f in get_family(name).labeled_cells(n):
-        expected = tuple(tuple(map(format_rational, v)) for v in simplex_for_forest(f, q_eff, t_eff).vertices)
-        assert simplex_texts(f, q_eff, t_eff) == expected
+        expected = tuple(tuple(map(format_rational, v)) for v in _reference_simplex(f, q_eff, t_eff))
+        assert table.texts(f) == expected
 
 
 def test_vertex_table_rejects_other_node_counts():
@@ -510,11 +523,11 @@ def test_vertex_table_rejects_other_node_counts():
 
 
 _BUILDERS = [
-    (simplex_for_forest, lambda: next(iter(enumerate_labeled_forests(4))),
-     lambda s: [x for v in s.vertices for x in v]),
-    (forest_chain_hrep, lambda: list(enumerate_labeled_forests(4))[20],
+    (_points, lambda: next(iter(enumerate_labeled_forests(4))),
+     lambda s: [x for v in s for x in v]),
+    (_chain, lambda: list(enumerate_labeled_forests(4))[20],
      lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
-    (piece_for_plane_forest, lambda: list(enumerate_plane_forests(4))[5],
+    (_piece, lambda: list(enumerate_plane_forests(4))[5],
      lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
 ]
 
@@ -535,12 +548,9 @@ def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, f
 
 
 def test_builders_keep_their_domain_checks():
-    f = next(iter(enumerate_labeled_forests(3)))
-    pf = next(iter(enumerate_plane_forests(3)))
-    for build, cell in ((simplex_for_forest, f), (forest_chain_hrep, f), (piece_for_plane_forest, pf)):
-        for q, t in ((0, 1), (2, 1), (HALF, 0), (HALF, -1)):
-            with pytest.raises(ParameterDomainError):
-                build(cell, q, t)
+    for q, t in ((0, 1), (2, 1), (HALF, 0), (HALF, -1)):
+        with pytest.raises(ParameterDomainError):
+            VertexTable(3, q, t)
 
 
 def test_bad_parameters_raise_after_the_table_is_warm():
@@ -548,12 +558,11 @@ def test_bad_parameters_raise_after_the_table_is_warm():
     # raises and is never cached.
     from cayleypoly.geometry import _value_table
 
-    f = next(iter(enumerate_labeled_forests(3)))
     _value_table.cache_clear()
-    simplex_for_forest(f, HALF, 1)
+    VertexTable(3, HALF, 1)
     for q, t in ((2, 1), (0, 1), (HALF, 0), (HALF, -1)):
         with pytest.raises(ParameterDomainError):
-            simplex_for_forest(f, q, t)
+            VertexTable(3, q, t)
     assert _value_table.cache_info().currsize == 1
     assert _value_table(3, 1, 1) is _value_table(3, Fraction(1), Fraction(1))
 
@@ -584,8 +593,6 @@ def test_cone_q_apex():
 def test_cone_volume_lemma_on_rectangle():
     # vol(cone(P)) = vol(P) / (n+1) for a rectangle P, via a hand split of
     # the pyramid into two tetrahedra.
-    from cayleypoly import Simplex
-
     rect = product(_interval(1, 3), _interval(2, 5))  # area 6
     pyramid = cone_q(rect, 1)
     verts = enumerate_hrep_vertices(pyramid)
@@ -593,9 +600,12 @@ def test_cone_volume_lemma_on_rectangle():
     base = [v for v in verts if v != apex]
     assert len(base) == 4
     b00, b01, b10, b11 = sorted(base)
-    scaled = simplex_volume_scaled(Simplex(3, (apex, b00, b01, b10))) + simplex_volume_scaled(
-        Simplex(3, (apex, b01, b10, b11))
-    )
+
+    def scaled_volume(vertices):
+        entries, scale = clear_denominators([x for v in vertices for x in v])
+        return Fraction(integer_volume_scaled([entries[k : k + 3] for k in range(0, 12, 3)]), scale**3)
+
+    scaled = scaled_volume((apex, b00, b01, b10)) + scaled_volume((apex, b01, b10, b11))
     assert scaled / math.factorial(3) == Fraction(6, 3)
 
 
@@ -693,8 +703,7 @@ def test_hrep_text_round_trip():
 
 
 def test_simplex_text_form(star3):
-    s = simplex_for_forest(star3, 1, 1)
-    lines = s.to_text().splitlines()
+    lines = vrep_to_text(_points(star3, 1, 1), 2).splitlines()
     assert lines[0] == "2 3"
     assert len(lines) == 4
 
@@ -734,13 +743,6 @@ def test_hrep_text_rejects_row_count_mismatch():
         HRep.from_text("2 3\n1 0 0\n")  # truncated
     with pytest.raises(ValueError, match="declares 1 rows, found 2"):
         HRep.from_text("2 1\n1 0 0\n0 1 0\n")  # padded
-
-
-def test_simplex_needs_matching_vertex_count():
-    from cayleypoly import Simplex
-
-    with pytest.raises(ValueError):
-        Simplex(2, ((Fraction(0), Fraction(0)),))
 
 
 def test_tutte_inequality_counts_formula():

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleypoly import LabeledGraph, component_count, enumerate_graphs, nfs, pair_index
-from cayleypoly.graphs import (
+from cayleypoly import pair_index
+from cayleypoly.graphs import pair_order
+
+from oracles import (
+    LabeledGraph,
+    component_count,
     count_connected_graphs,
+    enumerate_graphs,
     is_connected,
-    pair_order,
+    nfs,
     partition_pattern,
 )
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,6 @@ from cayleypoly import (
     BivariatePolynomial,
     HRep,
     LabeledForest,
-    LabeledGraph,
     ParameterDomainError,
     PlaneForest,
     build_hrep,
@@ -25,15 +24,10 @@ from cayleypoly import (
     count_labeled_forests,
     enumerate_hrep_vertices,
     enumerate_labeled_forests,
-    forest_chain_hrep,
     get_family,
     enumerate_plane_forests,
-    nfs,
     orthoscheme_vertices,
-    piece_for_plane_forest,
     piece_for_plane_forest_via_cones,
-    run_all,
-    simplex_for_forest,
     verify_fiber,
     verify_piece_constructions,
     verify_refinement,
@@ -44,21 +38,36 @@ from cayleypoly import (
 from cayleypoly import geometry, verify, volumes
 from cayleypoly.exact import format_rational
 from cayleypoly.forests import fiber_masks
-from cayleypoly.geometry import family_parameters
-from cayleypoly.verify import (
-    RationalLCG,
-    _partition_certificate,
-    interior_sample_drawer,
-    interior_sample_stream,
-)
+from cayleypoly.geometry import VertexTable, family_parameters
+from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_drawer, plan
+
+from oracles import LabeledGraph, nfs
 
 HALF = Fraction(1, 2)
+
+
+def _chains(family, n, q, t):
+    """The chain H-reps of the family's triangulation of R^n."""
+    table = VertexTable(n + 1, q, t)
+    return [table.chain_hrep(f) for f in get_family(family).labeled_cells(n)]
+
+
+def _pieces(family, n, q, t):
+    """The pieces of the family's subdivision of R^n."""
+    table = VertexTable(n + 1, q, t)
+    return [table.piece(pf) for pf in get_family(family).plane_cells(n)]
+
+
+def _first_point(draw):
+    """The drawer's next point, as (numerators, scale)."""
+    columns, scale = draw(1)
+    return [column[0] for column in columns], scale
 
 
 def sample_interior_point(family, n, q, t, rng):
     """One exact rational point strictly inside the family polytope, drawn
     coordinate by coordinate in Fraction arithmetic: the reference for
-    interior_sample_stream.
+    interior_sample_drawer.
 
     Coordinates are drawn left to right, each strictly between its lower
     bound and the minimum of its currently active upper bounds.  For the
@@ -119,7 +128,7 @@ def _assert_reference_verdict(report):
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
 def test_passing_verdicts_match_the_reference(q, t):
-    reports = run_all(3, q, t, samples=20)
+    reports = [job() for job in plan("all", 3, q=q, t=t, samples=20)]
     assert {r.kind for r in reports} == set(_REFERENCE_VERDICTS)
     for report in reports:
         assert report.passed
@@ -255,9 +264,9 @@ def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
     q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
-        stream = interior_sample_stream(family, n, q_eff, t_eff, rng)
+        draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
         for _ in range(40):
-            numerators, scale = next(stream)
+            numerators, scale = _first_point(draw)
             assert scale > 0 and len(numerators) == n
             point = tuple(Fraction(v, scale) for v in numerators)
             assert point == sample_interior_point(family, n, q_eff, t_eff, reference_rng)
@@ -284,8 +293,8 @@ def test_sample_batches_match_fraction_sampler(family, q, t, seed):
 
 
 # sha256 of the first 200 (numerators, scale) draws of the integer sample
-# stream at the default seed, for each family and n = 1..5, at (1/2, 1) then
-# (37/101, 53/17): the points every partition certificate classifies.
+# drawer at the default seed, for each family and n = 1..5, at (1/2, 1)
+# then (37/101, 53/17): the points every partition certificate classifies.
 _SAMPLE_STREAM_SHA256 = "bbd4545a18c3360d9d4dc051acbdfe71057713ca0633a907730d850b215dc975"
 
 
@@ -295,9 +304,10 @@ def test_sample_stream_draws_keep_their_bytes():
         for family in FAMILIES:
             q_eff, t_eff = family_parameters(family, q, t)
             for n in range(1, 6):
-                stream = interior_sample_stream(family, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
-                for numerators, scale in islice(stream, 200):
-                    digest.update(f"{family} {n} {numerators} {scale}\n".encode("ascii"))
+                draw = interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
+                columns, scale = draw(200)
+                for numerators in zip(*columns):
+                    digest.update(f"{family} {n} {list(numerators)} {scale}\n".encode("ascii"))
     assert digest.hexdigest() == _SAMPLE_STREAM_SHA256
 
 
@@ -380,7 +390,7 @@ def test_vertex_oracle_matches_fraction_solver(q, t):
             assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
             checked += 1
         for pf in enumerate_plane_forests(n + 1):
-            for piece in (piece_for_plane_forest(pf, q, t), piece_for_plane_forest_via_cones(pf, q, t)):
+            for piece in (VertexTable(n + 1, q, t).piece(pf), piece_for_plane_forest_via_cones(pf, q, t)):
                 vertices = enumerate_hrep_vertices(piece)
                 assert vertices == reference_hrep_vertices(piece)
                 # A full-dimensional piece has more than n vertices; this
@@ -425,7 +435,7 @@ def test_partition_failure_carries_witness():
 
 def test_partition_failure_names_an_uncovered_point():
     # Dropping one simplex leaves its interior in no cell.
-    chains = [forest_chain_hrep(f, HALF, 1) for f in get_family("tutte").labeled_cells(2)]
+    chains = _chains("tutte", 2, HALF, 1)
     result = _partition_certificate("tutte", 2, HALF, Fraction(1), chains[1:], 200, 7)
     assert not result["ok"]
     assert result["failure"]["cells_containing"] == 0
@@ -470,12 +480,11 @@ def _with_constant_row(hrep: HRep, constant: int) -> HRep:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
-    fam = get_family(family)
     q_eff, t_eff = family_parameters(family, q, t)
-    pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in fam.plane_cells(n)]
+    pieces = _pieces(family, n, q_eff, t_eff)
     # At n = 4 the pieces stand in for the simplices, too many cells for
     # the Fraction reference.
-    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(n)] if n < 4 else pieces
+    cells = _chains(family, n, q_eff, t_eff) if n < 4 else pieces
     # Faulty cell lists: one cell missing, one cell twice, and one cell with
     # a zero row, which puts every sample inside that cell on its boundary.
     faulty = [cells[1:], pieces + pieces[:1], [*cells[:-1], _with_constant_row(cells[-1], 0)]]
@@ -490,8 +499,7 @@ def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
 def test_partition_certificate_when_every_sample_is_discarded():
     # Every cell has a zero row, so each sample is on the boundary of the
     # cell holding it: every one of the 60 * samples attempts is discarded.
-    chains = [forest_chain_hrep(f, HALF, 1) for f in get_family("tutte").labeled_cells(2)]
-    cells = [_with_constant_row(chain, 0) for chain in chains]
+    cells = [_with_constant_row(chain, 0) for chain in _chains("tutte", 2, HALF, 1)]
     args = ("tutte", 2, HALF, Fraction(1), cells, 40, 11)
     result = _partition_certificate(*args)
     assert result == _reference_certificate(*args)
@@ -502,8 +510,8 @@ def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch
     # Batches of 8 samples put the failure a few batches in.
     monkeypatch.setattr(verify, "BATCH", 8)
     family, n, q, t = "tutte", 2, HALF, Fraction(1)
-    stream = interior_sample_stream(family, n, q, t, RationalLCG(11))
-    first_x1 = [Fraction(numerators[0], scale) for numerators, scale in islice(stream, 12)]
+    columns, scale = interior_sample_drawer(family, n, q, t, RationalLCG(11))(12)
+    first_x1 = [Fraction(x1, scale) for x1 in columns[0]]
     # The first sample is on the boundary of both halves, so it is
     # discarded; above the largest x_1 of the first 12 samples no cell is
     # left, so a later sample fails, in no cell.
@@ -520,7 +528,7 @@ def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch
 @pytest.mark.parametrize("family", ["tutte", "cayley"])
 def test_partition_certificate_over_more_than_two_batches(family):
     q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
-    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in get_family(family).labeled_cells(2)]
+    cells = _chains(family, 2, q_eff, t_eff)
     args = (family, 2, q_eff, t_eff, cells, 2 * verify.BATCH + 3, 11)
     result = _partition_certificate(*args)
     assert result == _reference_certificate(*args)
@@ -533,7 +541,7 @@ def test_partition_certificate_with_a_constant_row(family, n, constant):
     # A row with no terms has one value at every sample: the cell is
     # unchanged for 1, and empty for -1, which leaves its samples in no cell.
     q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
-    cells = [forest_chain_hrep(f, q_eff, t_eff) for f in get_family(family).labeled_cells(n)]
+    cells = _chains(family, n, q_eff, t_eff)
     cells[1] = _with_constant_row(cells[1], constant)
     args = (family, n, q_eff, t_eff, cells, 200, 11)
     result = _partition_certificate(*args)
@@ -545,9 +553,8 @@ def test_partition_certificate_with_a_constant_row(family, n, constant):
 def test_partition_certificate_at_huge_denominators(family):
     # The widest lanes: (q, t) with four-digit prime denominators at n = 3.
     q_eff, t_eff = family_parameters(family, Fraction(9973, 10007), Fraction(7919, 7907))
-    fam = get_family(family)
-    simplices = [forest_chain_hrep(f, q_eff, t_eff) for f in fam.labeled_cells(3)]
-    pieces = [piece_for_plane_forest(pf, q_eff, t_eff) for pf in fam.plane_cells(3)]
+    simplices = _chains(family, 3, q_eff, t_eff)
+    pieces = _pieces(family, 3, q_eff, t_eff)
     for cells in (simplices, pieces, simplices[1:]):
         args = (family, 3, q_eff, t_eff, cells, 120, 11)
         assert _partition_certificate(*args) == _reference_certificate(*args)
@@ -569,7 +576,7 @@ def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q
     # the boundary of both halves and is discarded.
     q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q_eff, t_eff)
-    numerators, scale = next(interior_sample_stream(family, n, q_eff, t_eff, RationalLCG(11)))
+    numerators, scale = _first_point(interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(11)))
     first_x1 = Fraction(numerators[0], scale)
     generic = (first_x1 + (1 + t_eff)) / 2
     for bound in (generic, first_x1):
@@ -597,10 +604,11 @@ def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, fami
     q_eff, t_eff = family_parameters(family, q, t)
     cut = _cut_x1(build_hrep(family, n, q_eff, t_eff), (1 + t_eff) * Fraction(9, 10))
     forests = list(get_family(family).labeled_cells(n))
+    table = VertexTable(n + 1, q_eff, t_eff)
     f, v = next(
         (f, v)
         for f in forests
-        for v in simplex_for_forest(f, q_eff, t_eff).vertices
+        for v in [table.point(k) for k in table.add(f)]
         if not cut.contains(v)
     )
     expected = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
@@ -636,7 +644,7 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
         bad = [
             f
             for f in forests
-            if not all(piece(table, f.shape).contains(v) for v in simplex_for_forest(f, q, t).vertices)
+            if not all(piece(table, f.shape).contains(table.point(k)) for k in table.add(f))
         ]
         monkeypatch.setattr(geometry.VertexTable, "piece", piece)
         report = verify_refinement("tutte", n, q, t)
@@ -711,13 +719,9 @@ def test_closed_forms_stay_tallies_until_reported(monkeypatch):
         assert len(built) == polynomials
 
 
-def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
+def test_cell_jobs_build_no_fraction_simplex():
     # Triangulation, subdivision and refinement read the integer vertex
-    # table only; a Simplex (Fraction vertices) would raise here.
-    def no_simplex(self):
-        raise AssertionError("a Fraction simplex was built")
-
-    monkeypatch.setattr(geometry.Simplex, "__post_init__", no_simplex)
+    # table, the only simplex builder, at large denominators.
     q, t = Fraction(37, 101), Fraction(53, 17)
     for family in FAMILIES:
         assert verify_triangulation(family, 3, q, t, samples=20).passed
@@ -818,7 +822,7 @@ def test_fiber_certificate_failures_carry_a_forest(monkeypatch, name, wrap, reas
 def test_jobs_that_would_check_nothing_are_domain_errors():
     # Each call below would otherwise pass with no cell, sample or job checked.
     with pytest.raises(ParameterDomainError):
-        run_all(0)
+        plan("all", 0)
     with pytest.raises(ParameterDomainError):
         verify_refinement("tutte", 0)
     with pytest.raises(ParameterDomainError):

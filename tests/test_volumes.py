@@ -11,7 +11,6 @@ from cayleypoly import (
     DegenerateSimplexError,
     LabeledForest,
     PlaneForest,
-    Simplex,
     alpha,
     closed_form_piece_total,
     closed_form_simplex_total,
@@ -21,19 +20,15 @@ from cayleypoly import (
     enumerate_plane_forests,
     family_total_polynomial,
     get_family,
-    inversion_enumerator,
     lattice_and_partition_counts,
     orthoscheme_vertices,
-    simplex_for_forest,
-    simplex_volume_scaled,
-    tree_inversions,
-    tutte_from_z,
     volume_report,
     z_bruteforce,
 )
-from cayleypoly.graphs import partition_pattern
-from cayleypoly.volumes import subgraph_tally
+from cayleypoly.geometry import VertexTable
+from cayleypoly.volumes import integer_volume_scaled, subgraph_tally
 
+from oracles import inversion_enumerator, partition_pattern, tree_inversions, tutte_from_z
 from poly_helpers import compose_t
 
 P = BivariatePolynomial
@@ -46,37 +41,35 @@ THIRD = Fraction(1, 3)
 # ----------------------------------------------------------------------
 
 
-def simplex_volume(s: Simplex) -> Fraction:
-    """|det(v_i - v_0)| / n!."""
-    return simplex_volume_scaled(s) / math.factorial(s.dimension)
+def simplex_volume(vertices) -> Fraction:
+    """|det(v_i - v_0)| / n! of integer vertices."""
+    return Fraction(integer_volume_scaled(vertices), math.factorial(len(vertices) - 1))
 
 
 def test_orthoscheme_volume():
-    orthoscheme = Simplex(2, tuple(orthoscheme_vertices([2, 4])))
+    orthoscheme = [[int(x) for x in v] for v in orthoscheme_vertices([2, 4])]
     assert simplex_volume(orthoscheme) == 4  # the 2-leg orthoscheme
-    assert simplex_volume_scaled(orthoscheme) == 8
+    assert integer_volume_scaled(orthoscheme) == 8
 
 
 def test_unit_simplex_volume():
-    s = Simplex(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert simplex_volume(s) == Fraction(1, 6)
+    assert simplex_volume(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))) == Fraction(1, 6)
 
 
 def test_star_simplex_volume(star3):
-    s = simplex_for_forest(star3, 1, 1)
-    assert simplex_volume_scaled(s) == 2  # 2 = 2^alpha at t = 1
-    assert simplex_volume(s) == 1
+    table = VertexTable(3, 1, 1)
+    scaled = Fraction(integer_volume_scaled(table.numerators(star3)), table.scale**2)
+    assert scaled == 2  # 2 = 2^alpha at t = 1
+    assert scaled / math.factorial(2) == 1
 
 
 def test_degenerate_simplex_rejected():
-    s = Simplex(2, ((0, 0), (1, 1), (2, 2)))
     with pytest.raises(DegenerateSimplexError):
-        simplex_volume(s)
+        simplex_volume(((0, 0), (1, 1), (2, 2)))
 
 
 def test_point_simplex_volume():
-    s = Simplex(0, ((),))
-    assert simplex_volume(s) == 1
+    assert simplex_volume(((),)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +97,9 @@ def test_closed_form_piece_examples():
 def test_determinant_matches_closed_form():
     for params in ((HALF, Fraction(1)), (THIRD, Fraction(2))):
         for n in range(1, 5):
+            table = VertexTable(n + 1, *params)
             for f in enumerate_labeled_forests(n + 1):
-                scaled = simplex_volume_scaled(simplex_for_forest(f, *params))
+                scaled = Fraction(integer_volume_scaled(table.numerators(f)), table.scale**n)
                 assert scaled == closed_form_simplex_total((f,)).evaluate(*params)
 
 
