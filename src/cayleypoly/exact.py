@@ -9,10 +9,14 @@ renamed variable such as y) use the same type with deg_q == 0 throughout.
 
 Linear algebra is in integers only: `clear_denominators` writes rationals
 over one common denominator, and `bareiss_step` is the one fraction-free
-elimination step.  `eliminate` runs it column by column, behind
-`volumes.integer_volume_scaled` (so every simplex volume of `verify` and
-`volume`), and the vertex oracle of `verify` runs it row by row down its
-tree of row subsets.
+elimination step.  `eliminate` runs it column by column, and the vertex
+oracle of `verify` runs it row by row down its tree of row subsets.
+`abs_determinant` takes a sparse matrix (`sparse_difference` rows):
+it expands along rows with a single entry, and hands what is left, if
+anything, to `eliminate`; it is behind `volumes.integer_volume_scaled`
+and `volumes.steps_volume_scaled`, so every simplex volume of `verify`
+and `volume`.  A forest's simplex, taken as the differences of its
+consecutive vertices, expands fully, so that `eliminate` is not reached.
 
 No floating point is used anywhere in this package.
 """
@@ -113,14 +117,6 @@ class BivariatePolynomial:
     @classmethod
     def monomial(cls, deg_q: int, deg_t: int, coeff=1) -> "BivariatePolynomial":
         return cls({(deg_q, deg_t): coeff})
-
-    @classmethod
-    def var_q(cls) -> "BivariatePolynomial":
-        return cls.monomial(1, 0)
-
-    @classmethod
-    def var_t(cls) -> "BivariatePolynomial":
-        return cls.monomial(0, 1)
 
     @classmethod
     def one_plus_t_power(cls, k: int) -> "BivariatePolynomial":
@@ -324,3 +320,54 @@ def eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
         pivots.append(col)
         previous = top[col]
     return pivots, sign
+
+
+def sparse_difference(v, u) -> tuple[tuple[int, int], ...]:
+    """v - u as a sparse row ((i, v_i - u_i), ...), nonzero entries only."""
+    return tuple([(i, x - y) for i, (x, y) in enumerate(zip(v, u)) if x != y])
+
+
+def abs_determinant(rows) -> int:
+    """|det| of a square integer matrix given as sparse rows
+    ((column, entry), ...), nonzero entries only; 0 when it is singular.
+
+    A row with one entry a, in column c, expands the determinant as
+    a times the minor without that row and column (Laplace), so such rows
+    are taken first, pass after pass, each dropping its column from the
+    rows left, until none is left or none has one entry: a row left empty
+    makes the minor, and the matrix, singular.  The rows left, if any, go
+    to `eliminate`.  No row is mutated."""
+    det = 1
+    expanded: set[int] = set()
+    while True:
+        kept = []
+        for row in rows:
+            if len(row) > 1 and expanded:
+                row = [entry for entry in row if entry[0] not in expanded]
+            if len(row) > 1:
+                kept.append(row)
+                continue
+            if not row or row[0][0] in expanded:
+                return 0
+            ((c, a),) = row
+            expanded.add(c)
+            det *= a
+        if len(kept) == len(rows):
+            break
+        rows = kept
+    if not kept:
+        return abs(det)
+    columns = sorted({c for row in kept for c, _ in row})
+    if len(columns) > len(kept):
+        raise ValueError("not a square matrix")
+    position = {c: k for k, c in enumerate(columns)}
+    matrix = []
+    for row in kept:
+        dense = [0] * len(columns)
+        for c, a in row:
+            dense[position[c]] = a
+        matrix.append(dense)
+    pivots, _ = eliminate(matrix)
+    if len(pivots) < len(matrix):
+        return 0
+    return abs(det * matrix[-1][-1])

@@ -206,9 +206,6 @@ class LabeledForest:
         """Component roots, in decreasing label order."""
         return tuple(self.order[r] for r in self.shape.roots)
 
-    def position(self, v: int) -> int:
-        return self.order.index(v)
-
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted((min(v, p), max(v, p)) for v, p in self.parent.items())
 

@@ -24,15 +24,19 @@ Every cell is built through a VertexTable, one lookup of the exact value
 table shared per (node count, q, t), kept in a bounded cache after q and
 t are checked and turned into Fractions.  The table holds 1 - q and the
 powers (1+t)^k as Fractions, as integer numerators over one common scale
-s and as formatted texts; and the coordinate form of each distinct
-placement (a node's position, cane exponent and root position, read off
-the NFS walk that a PlaneForest holds) and each distinct chain row, built
-once and shared by every H-rep that has it (so are its cleared integer
-row and its texts).  One column builder writes a simplex from the
-numerators or from the texts.  A VertexTable gives simplex vertices as
-texts, or interns their integer vertices, each distinct vertex once, so
-that a simplex is a tuple of indices into it; and it builds chain H-reps
-and pieces.
+s and as formatted texts.  It also clears the few scalars of the node
+coordinates once, over one form denominator, so that the coordinate
+form of each placement (a node's position, cane exponent and root
+position, read off the NFS walk that a PlaneForest holds) is a row of
+integers, and so is each chain row, the difference of two such forms.
+Each distinct placement row and chain row is kept once, gcd-reduced to
+a coprime integer row, and shared by every cell that has it; its
+AffineForm, for the H-reps that are printed, is built from the same
+integers.  One column builder writes a simplex from the numerators or
+from the texts.  A VertexTable gives simplex vertices as texts, or
+interns their integer vertices, each distinct vertex once, so that a
+simplex is a tuple of indices into it; and it builds chains and pieces,
+as tuples of the table's integer rows or as H-reps.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -48,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import clear_denominators, format_rational, parse_integer, parse_rational
+from .exact import clear_denominators, format_rational, parse_integer, parse_rational, sparse_difference
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -183,6 +187,21 @@ class AffineForm:
         return AffineForm(Fraction(constant), tuple(coeffs))
 
 
+def rows_contain(
+    rows: Iterable[IntegerRow], numerators: Sequence[int], scale: int, strict: bool = False
+) -> bool:
+    """Every integer row >= 0 (> 0 when strict) at the point
+    (n_1, ..., n_d) / s, for a scale s > 0: each row is evaluated as
+    b s + sum a_i n_i, which has the sign of b + sum a_i x_i."""
+    for b, terms in rows:
+        value = b * scale
+        for i, a in terms:
+            value += a * numerators[i]
+        if value < 0 or (strict and not value):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class HRep:
     """Finite system of affine inequalities form(x) >= 0 in R^dimension."""
@@ -206,16 +225,10 @@ class HRep:
         self, numerators: Sequence[int], scale: int, strict: bool = False
     ) -> bool:
         """`contains` at the point (n_1, ..., n_d) / s, for a scale s > 0,
-        in integers: each row is evaluated as b s + sum a_i n_i."""
+        in integers: `rows_contain` on the integer rows."""
         if len(numerators) != self.dimension:
             raise DimensionError("point dimension mismatch")
-        for b, terms in self.integer_rows:
-            value = b * scale
-            for i, a in terms:
-                value += a * numerators[i]
-            if value < 0 or (strict and not value):
-                return False
-        return True
+        return rows_contain(self.integer_rows, numerators, scale, strict)
 
     def to_text(self) -> str:
         lines = [f"{self.dimension} {len(self.inequalities)}"]
@@ -366,70 +379,117 @@ _VALUE_TABLES = 16
 
 # A node's chain coordinate depends on its placement only, not on its
 # component's maximal label: (position, cane_exponent, root_position), the
-# position being a root when it is its own root position.
+# position being a root when it is its own root position.  A row key is a
+# placement, for its form, or a pair (upper, lower) of placements, for the
+# chain row form(upper) - form(lower).
 _Placement = tuple[int, int, int]
+# An affine form as integers over the table's form scale: (b, ((i, a_i), ...)),
+# the nonzero a_i only, in index order.
+_IntegerForm = tuple[int, tuple[tuple[int, int], ...]]
+_ZERO = Fraction(0)
+
+
+def _coprime(b: int, terms: tuple[tuple[int, int], ...]) -> IntegerRow:
+    """The row divided by the gcd of its entries (1 for a zero row)."""
+    g = math.gcd(b, *(a for _, a in terms)) or 1
+    if g == 1:
+        return b, terms
+    return b // g, tuple((i, a // g) for i, a in terms)
 
 
 class _ValueTable:
-    """The exact values every cell on node_count nodes shares at (q, t):
-    1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1), as Fractions, as
-    integer numerators over their one common denominator `scale` and as
-    their `format_rational` texts, and the coordinate form of each
-    distinct placement and the chain row of each distinct pair of
-    placements, each built on first use."""
+    """The exact values every cell on node_count nodes shares at (q, t).
+
+    For the vertices: 1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1),
+    as Fractions, as integer numerators over their one common denominator
+    `scale` and as their `format_rational` texts.
+
+    For the cells' rows: the few scalars the chain coordinates are made of
+    (qt, t, t(1-q), and per cane exponent j: q/w^j, (1-q)(1-1/w^j) and
+    (1-q)/w^j - 1, w = 1+t), as integer numerators over their one common
+    denominator `form_scale`, so that each placement's coordinate form is
+    an integer form (b, ((i, a_i), ...)) over it and a chain row, the
+    difference of two forms, is one too.  Each row key's integer form, its
+    coprime `IntegerRow` and its `AffineForm` are each built once, on first
+    use; the coprime row equals the form's `AffineForm.integer_row`, as the
+    coprime positive multiple of a form is unique."""
 
     __slots__ = (
         "n", "q", "t", "one_minus_q", "powers", "scale", "int_one_minus_q", "int_powers",
-        "text_one_minus_q", "text_powers", "_forms", "_differences",
+        "text_one_minus_q", "text_powers", "form_scale", "_qt", "_root", "_canes",
+        "_integer_forms", "rows", "_forms",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
         self.n = node_count - 1
         self.q = q
         self.t = t
-        self.one_minus_q = 1 - q
+        mq = self.one_minus_q = 1 - q
         w = 1 + t
         powers = [Fraction(1)]
         for _ in range(node_count + 1):
             powers.append(powers[-1] * w)
         self.powers = tuple(powers)
-        cleared, self.scale = clear_denominators((*powers, self.one_minus_q))
+        cleared, self.scale = clear_denominators((*powers, mq))
         self.int_one_minus_q = cleared.pop()
         self.int_powers = tuple(cleared)
-        self.text_one_minus_q = format_rational(self.one_minus_q)
+        self.text_one_minus_q = format_rational(mq)
         self.text_powers = tuple(map(format_rational, powers))
-        self._forms: dict[_Placement, AffineForm] = {}
-        self._differences: dict[tuple[_Placement, _Placement], AffineForm] = {}
+        # A non-root's cane exponent is at most node_count - 2.
+        canes = [(q / wj, mq - mq / wj, mq / wj - 1) for wj in powers[: node_count - 1]]
+        cleared, self.form_scale = clear_denominators((q * t, t, t * mq, *(x for c in canes for x in c)))
+        (qt, t_int, tmq), flat = cleared[:3], cleared[3:]
+        self._qt = qt
+        self._root = (t_int, -tmq)
+        self._canes = tuple(zip(flat[::3], flat[1::3], flat[2::3]))
+        self._integer_forms: dict = {}
+        self.rows: dict = {}
+        self._forms: dict = {}
 
-    def form(self, key: _Placement) -> AffineForm:
-        """The chain coordinate of a placement as an affine form on R^n."""
-        form = self._forms.get(key)
+    def integer_form(self, key) -> _IntegerForm:
+        """The integer form of a row key over `form_scale`."""
+        form = self._integer_forms.get(key)
         if form is None:
-            form = self._forms[key] = self._build_form(*key)
+            if len(key) == 2:
+                (b, upper), (c, lower) = map(self.integer_form, key)
+                coeffs = dict(upper)
+                for i, a in lower:
+                    coeffs[i] = coeffs.get(i, 0) - a
+                form = (b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a)))
+            else:
+                form = self._placement_form(*key)
+            self._integer_forms[key] = form
         return form
 
-    def difference(self, upper: _Placement, lower: _Placement) -> AffineForm:
-        """The chain row form(upper) - form(lower)."""
-        row = self._differences.get((upper, lower))
+    def _placement_form(self, position: int, j: int, root_position: int) -> _IntegerForm:
+        if position == 0:
+            return self._qt, ()
+        if position == root_position:
+            t, const = self._root
+            return const, ((position - 1, t),)
+        a, const, root_coeff = self._canes[j]
+        if root_position == 0:
+            return const + root_coeff, ((position - 1, a),)  # x_l = 1 collapses into the constant
+        return const, ((root_position - 1, root_coeff), (position - 1, a))
+
+    def row(self, key) -> IntegerRow:
+        """The coprime integer row of a row key."""
+        row = self.rows.get(key)
         if row is None:
-            row = self._differences[upper, lower] = self.form(upper) - self.form(lower)
+            row = self.rows[key] = _coprime(*self.integer_form(key))
         return row
 
-    def _build_form(self, position: int, j: int, root_position: int) -> AffineForm:
-        n, q, t, mq = self.n, self.q, self.t, self.one_minus_q
-        if position == 0:
-            return AffineForm.constant_form(n, q * t)
-        if position == root_position:
-            return AffineForm.linear(n, position, t, -t * mq)
-        wj = self.powers[j]
-        coeffs = [Fraction(0)] * n
-        coeffs[position - 1] = q / wj
-        const = mq - mq / wj
-        if root_position == 0:
-            const += mq / wj - 1  # x_l = 1 collapses into the constant
-        else:
-            coeffs[root_position - 1] += mq / wj - 1
-        return AffineForm(const, tuple(coeffs))
+    def form(self, key) -> AffineForm:
+        """The affine form on R^n of a row key."""
+        form = self._forms.get(key)
+        if form is None:
+            b, terms = self.integer_form(key)
+            d = self.form_scale
+            coeffs = [_ZERO] * self.n
+            for i, a in terms:
+                coeffs[i] = Fraction(a, d)
+            form = self._forms[key] = AffineForm(Fraction(b, d), tuple(coeffs))
+        return form
 
 
 @lru_cache(maxsize=_VALUE_TABLES)
@@ -481,16 +541,29 @@ class VertexTable:
     `format_rational` texts; `add(f)` also interns the numerators into
     `vertices`, each distinct vertex once in order of first appearance,
     and gives the simplex as the indices of its vertices, in vertex
-    order, and `point(k)` gives vertex k as Fractions.
+    order, and `point(k)` gives vertex k as Fractions.  `add` walks from
+    vertex 1, which depends on the shape only, and moves from vertex p to
+    vertex p+1 by the coordinates of label p alone; each (vertex, move)
+    is followed once per table.  `steps(simplex)` gives the differences
+    of consecutive vertices, sparse, for `volumes.steps_volume_scaled`.
+
+    `chain_rows(f)` and `piece_rows(pf)` give a cell as a tuple of the
+    value table's coprime integer rows, shared by every cell that has
+    them; `chain_hrep(f)` and `piece(pf)` give the same cells as H-reps of
+    the table's `AffineForm`s, built from the same integer forms.
     """
 
-    __slots__ = ("scale", "vertices", "_values", "_index")
+    __slots__ = ("scale", "vertices", "_values", "_index", "_shapes", "_move_ids", "_moved", "_steps")
 
     def __init__(self, node_count: int, q, t):
         self._values = _value_table(node_count, q, t)
         self.scale = self._values.scale
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
+        self._shapes: dict[PlaneForest, tuple] = {}
+        self._move_ids: dict[tuple, int] = {}
+        self._moved: dict[tuple[int, int], int] = {}
+        self._steps: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def _checked(self, node_count: int) -> _ValueTable:
         if node_count != self._values.n + 1:
@@ -505,53 +578,127 @@ class VertexTable:
         values = self._checked(f.node_count)
         return _simplex_vertices(f, values.text_powers, values.text_one_minus_q)
 
+    def _intern(self, v: tuple[int, ...]) -> int:
+        k = self._index.get(v)
+        if k is None:
+            k = self._index[v] = len(self.vertices)
+            self.vertices.append(v)
+        return k
+
+    def _shape(self, pf: PlaneForest) -> tuple:
+        """What every forest of a plane shape shares, found once per shape:
+        the placement of each position; the index of vertex 1 of its
+        simplices, which puts every root at 1 and every non-root at
+        w^(j+1); and per position (but 0), the move from vertex p to
+        vertex p+1 when that position holds label p, as (id, changes), the
+        changes being (coordinate, new value) pairs.  A non-root moves its
+        own coordinate to w^j; a root moves its whole component, the
+        positions up to the next root, to 1-q."""
+        shape = self._shapes.get(pf)
+        if shape is None:
+            values = self._checked(pf.node_count())
+            powers, low = values.int_powers, values.int_one_minus_q
+            walk = pf.walk
+            placements = tuple((i, j, top) for i, (_, j, top) in enumerate(walk))
+            first = tuple(powers[0] if up is None else powers[j + 1] for up, j, _ in walk[1:])
+            ends = dict(zip(pf.roots, (*pf.roots[1:], len(walk))))
+            moves = [None]
+            for i, (up, j, _) in enumerate(walk[1:], 1):
+                if up is None:
+                    changes = tuple((c, low) for c in range(i - 1, ends[i] - 1))
+                else:
+                    changes = ((i - 1, powers[j]),)
+                moves.append((self._move_ids.setdefault(changes, len(self._move_ids)), changes))
+            shape = self._shapes[pf] = (placements, self._intern(first), moves)
+        return shape
+
     def add(self, f: LabeledForest) -> tuple[int, ...]:
-        index, vertices = self._index, self.vertices
-        simplex = []
-        for v in self.numerators(f):
-            k = index.setdefault(v, len(vertices))
-            if k == len(vertices):
-                vertices.append(v)
-            simplex.append(k)
+        _, k, moves = self._shape(f.shape)
+        moved, vertices = self._moved, self.vertices
+        simplex = [k]
+        # Position 0 holds label n+1, the last vertex's.
+        for i in sorted(range(1, f.node_count), key=f.order.__getitem__):
+            move_id, changes = moves[i]
+            following = moved.get((k, move_id))
+            if following is None:
+                v = list(vertices[k])
+                for c, x in changes:
+                    v[c] = x
+                following = moved[k, move_id] = self._intern(tuple(v))
+            simplex.append(following)
+            k = following
         return tuple(simplex)
+
+    def steps(self, simplex: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+        """The differences of a simplex's consecutive vertices, given by
+        their indices, as `sparse_difference` rows; each pair of vertices
+        is differenced once per table."""
+        memo, vertices = self._steps, self.vertices
+        steps = []
+        for pair in zip(simplex, simplex[1:]):
+            step = memo.get(pair)
+            if step is None:
+                step = memo[pair] = sparse_difference(vertices[pair[1]], vertices[pair[0]])
+            steps.append(step)
+        return steps
 
     def point(self, k: int) -> Point:
         """Vertex k as Fractions."""
         return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
-    def chain_hrep(self, f: LabeledForest) -> HRep:
-        """The defining chain of the forest's simplex, as an H-rep: rows
-        c(1) >= 0 and c(k+1) - c(k) >= 0 for the label-ordered chain of
-        node coordinates; c(n+1) is the constant qt."""
-        table = self._checked(f.node_count)
-        walk = f.shape.walk
-        keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
-        rows = [table.form(keys[0])]
-        rows.extend(table.difference(upper, lower) for lower, upper in zip(keys, keys[1:]))
-        return HRep(table.n, tuple(rows))
+    def _chain_keys(self, f: LabeledForest) -> list:
+        """The row keys of the forest's chain: c(1) >= 0 and
+        c(k+1) - c(k) >= 0 for the label-ordered chain of node
+        coordinates; c(n+1) is the constant qt."""
+        placements = self._shape(f.shape)[0]
+        keys = [placements[i] for i in sorted(range(f.node_count), key=f.order.__getitem__)]
+        return [keys[0], *zip(keys[1:], keys)]
 
-    def piece(self, pf: PlaneForest) -> HRep:
-        """The subdivision piece of a plane forest on n+1 nodes, in R^n.
+    def _piece_keys(self, pf: PlaneForest) -> list:
+        """The row keys of the plane forest's piece.
 
         Per-node chains: for a node with successors v_1..v_k (left to
         right) in a component rooted at w, 0 <= c(v_1) <= ... <= c(v_k)
         <= c(w); for the roots w_1..w_m (left to right),
         0 <= c(w_m) <= ... <= c(w_1) with c(w_1) = qt constant."""
-        table = self._checked(pf.node_count())
+        self._checked(pf.node_count())
         keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
-        rows: list[AffineForm] = []
+        rows: list = []
         for (_, _, top), kids in zip(pf.walk, pf.kids()):
             if not kids:
                 continue
-            rows.append(table.form(keys[kids[0]]))
-            for a, b in zip(kids, kids[1:]):
-                rows.append(table.difference(keys[b], keys[a]))
-            rows.append(table.difference(keys[top], keys[kids[-1]]))
+            rows.append(keys[kids[0]])
+            rows.extend((keys[b], keys[a]) for a, b in zip(kids, kids[1:]))
+            rows.append((keys[top], keys[kids[-1]]))
         if len(pf.roots) > 1:
-            rows.append(table.form(keys[pf.roots[-1]]))
-            for a, b in zip(pf.roots, pf.roots[1:]):
-                rows.append(table.difference(keys[a], keys[b]))
-        return HRep(table.n, tuple(rows))
+            rows.append(keys[pf.roots[-1]])
+            rows.extend((keys[a], keys[b]) for a, b in zip(pf.roots, pf.roots[1:]))
+        return rows
+
+    def _rows(self, keys: list) -> tuple[IntegerRow, ...]:
+        values = self._values
+        try:
+            return tuple(map(values.rows.__getitem__, keys))
+        except KeyError:  # some row is new: build it
+            return tuple(map(values.row, keys))
+
+    def chain_rows(self, f: LabeledForest) -> tuple[IntegerRow, ...]:
+        """The forest's chain H-rep as the table's coprime integer rows."""
+        return self._rows(self._chain_keys(f))
+
+    def piece_rows(self, pf: PlaneForest) -> tuple[IntegerRow, ...]:
+        """The plane forest's piece as the table's coprime integer rows."""
+        return self._rows(self._piece_keys(pf))
+
+    def chain_hrep(self, f: LabeledForest) -> HRep:
+        """The defining chain of the forest's simplex, as an H-rep in R^n:
+        the forms of `chain_rows`."""
+        return HRep(self._values.n, tuple(map(self._values.form, self._chain_keys(f))))
+
+    def piece(self, pf: PlaneForest) -> HRep:
+        """The subdivision piece of a plane forest on n+1 nodes, as an
+        H-rep in R^n: the forms of `piece_rows`."""
+        return HRep(self._values.n, tuple(map(self._values.form, self._piece_keys(pf))))
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,13 @@ Sampling and membership are in integers.  The sample drawer
 (interior_sample_drawer) draws a batch of points at a time, as integer
 numerators over one positive scale, one list per coordinate: one call to
 the generator for the whole batch, then the coordinate recurrence over
-the whole batch, one coordinate at a time.  Each H-rep clears its rows
-once to coprime integer rows (HRep.integer_rows), so a row shared by
-many cells, up to a positive factor, is one row.  A row's sign at a
-point does not depend on the positive scale the point is written over,
-so the numerators go into the rows as they are.  The partition
+the whole batch, one coordinate at a time.  Each cell is a tuple of
+coprime integer rows, read straight from the value table
+(VertexTable.chain_rows, piece_rows): the table builds each distinct row
+once, in integers, so a row shared by many cells is one row, and no
+Fraction enters a cell.  A row's sign at a point does not depend on the
+positive scale the point is written over, so the numerators go into the
+rows as they are.  The partition
 certificate keeps each hyperplane of all the cells once, as the larger
 of a row and its negation, and classifies each batch of samples
 bit-sliced: each sample is one lane of a few big ints, so one big-int
@@ -29,12 +31,14 @@ Fraction point is built only for a failure report.
 Simplices are in integers too.  A geometry.VertexTable holds the distinct
 simplex vertices of a job as integer numerators over the value table's
 one scale s, and each simplex is the tuple of its vertex indices; the
-job's chain H-reps and pieces come from the same table lookup.  The
-volume sum is the sum of the integer |det| of each simplex's difference
-rows, divided once by s^n; vertex containment tests each table vertex
-once against the polytope (and, in a refinement job, each pair of a
-shape and a table vertex once against the shape's piece), with
-HRep.contains_numerators.
+job's chains and pieces come from the same table lookup.  The volume sum
+is the sum of the integer |det| of each simplex's consecutive vertex
+differences (VertexTable.steps, sparse, each vertex pair differenced
+once), expanded along single-entry rows (exact.abs_determinant), divided
+once by s^n.  Vertex containment tests each table vertex once against
+the polytope (HRep.contains_numerators), and in a refinement job each
+pair of a shape and a table vertex once against the shape's piece rows
+(geometry.rows_contain).
 
 The fiber check generates the NFS fibers instead of sweeping for them:
 each labeled forest F gives the masks of F plus a subset of its cane
@@ -77,6 +81,7 @@ from .geometry import (
     get_family,
     orthoscheme_vertices,
     piece_for_plane_forest_via_cones,
+    rows_contain,
 )
 from .graphs import mask_pairs
 from .volumes import (
@@ -84,9 +89,9 @@ from .volumes import (
     closed_form_simplex_total,
     connected_gf,
     family_total_polynomial,
-    integer_volume_scaled,
     piece_tally,
     simplex_tally,
+    steps_volume_scaled,
     tally_monomials,
     z_bruteforce,
 )
@@ -319,7 +324,7 @@ def _partition_certificate(
     n: int,
     q: Fraction,
     t: Fraction,
-    hreps: list[HRep],
+    cells: list[tuple[IntegerRow, ...]],
     samples: int,
     seed: int,
 ) -> dict:
@@ -327,8 +332,9 @@ def _partition_certificate(
 
     A sample is integer numerators over a positive scale, so a row b + a.x
     is evaluated as b * scale + a.numerators, which has the row's sign.
-    The distinct integer rows of the cells (HRep.integer_rows: coprime,
-    so rows that are positive multiples of each other coincide) lie on
+    Each cell is a tuple of coprime integer rows (VertexTable.chain_rows,
+    piece_rows or HRep.integer_rows), so rows that are positive multiples
+    of each other coincide.  The distinct rows of the cells lie on
     fewer hyperplanes, as two cells on either side of one have it in
     opposite orientations.  Each hyperplane h is kept once, written as the
     larger of a row and its negation, and each distinct row is oriented
@@ -350,15 +356,15 @@ def _partition_certificate(
     where touch & ~out; an accepted one must be in exactly one cell, in
     neither mask, which a pair of ones/twos bitsets counts.  The first
     accepted lane that fails ends the certificate as the one-at-a-time
-    loop would: the counts stop at it, and its cells are those that
-    contain it strictly (HRep.contains_numerators).
+    loop would: the counts stop at it, and its cells are those whose rows
+    contain it strictly (geometry.rows_contain).
     """
     orientation: dict[IntegerRow, int] = {}  # row -> 2h, or 2h + 1 for a negation
     index: dict[IntegerRow, int] = {}  # hyperplane -> h
-    cells = []  # per cell, its rows' orientations
-    for hrep in hreps:
+    oriented_cells = []  # per cell, its rows' orientations
+    for cell in cells:
         rows = []
-        for row in hrep.integer_rows:
+        for row in cell:
             oriented = orientation.get(row)
             if oriented is None:
                 b, terms = row
@@ -366,7 +372,7 @@ def _partition_certificate(
                 h = index.setdefault(hyperplane, len(index))
                 oriented = orientation[row] = 2 * h + (hyperplane != row)
             rows.append(oriented)
-        cells.append(rows)
+        oriented_cells.append(rows)
     hyperplanes = list(index)
     draw = interior_sample_drawer(family, n, q, t, RationalLCG(seed))
     accepted = 0
@@ -398,7 +404,7 @@ def _partition_certificate(
             violated += (every ^ nonnegative, positive)
             zero += (nonnegative ^ positive,) * 2
         boundary = once = twice = 0
-        for rows in cells:
+        for rows in oriented_cells:
             out = touch = 0
             for row in rows:
                 out |= violated[row]
@@ -416,7 +422,7 @@ def _partition_certificate(
             numerators = [column[lane] for column in columns]
             failure = {
                 "point": [format_rational(Fraction(v, scale)) for v in numerators],
-                "cells_containing": sum(h.contains_numerators(numerators, scale, strict=True) for h in hreps),
+                "cells_containing": sum(rows_contain(cell, numerators, scale, strict=True) for cell in cells),
             }
         accepted += kept.bit_count()
         discarded += boundary.bit_count()
@@ -501,7 +507,7 @@ def verify_triangulation(
     forests = list(fam.labeled_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     simplices = [table.add(f) for f in forests]
-    chains = [table.chain_hrep(f) for f in forests]
+    chains = [table.chain_rows(f) for f in forests]
     checks: dict = {}
 
     checks["cell_count"] = {"got": len(simplices), "expected": fam.cell_counts(n)[0]}
@@ -513,8 +519,7 @@ def verify_triangulation(
         bad_vertex = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in table.point(k)]}
     checks["vertex_containment"] = {"ok": bad_vertex is None}
 
-    vertices = table.vertices
-    scaled = sum(integer_volume_scaled([vertices[k] for k in s]) for s in simplices)
+    scaled = sum(steps_volume_scaled(table.steps(s)) for s in simplices)
     total = Fraction(scaled, table.scale**n)
     expected_total = family_total_polynomial(family, n).evaluate(q_eff, t_eff)
     checks["volume_sum"] = {
@@ -543,7 +548,7 @@ def verify_subdivision(
     polytope = build_hrep(family, n, q, t)
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
-    pieces = [table.piece(pf) for pf in plane]
+    pieces = [table.piece_rows(pf) for pf in plane]
     checks: dict = {}
 
     checks["cell_count"] = {"got": len(pieces), "expected": fam.cell_counts(n)[1]}
@@ -578,7 +583,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     # Each shape's piece, with the verdicts on the table vertices tested so far.
-    piece_by_shape = {pf: (table.piece(pf), {}) for pf in plane}
+    piece_by_shape = {pf: (table.piece_rows(pf), {}) for pf in plane}
     groups: dict[PlaneForest, list[LabeledForest]] = {pf: [] for pf in plane}
     containment_ok = True
     counterexample = None
@@ -589,7 +594,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
         simplex = table.add(f)
         for k in simplex:
             if k not in inside:
-                inside[k] = piece.contains_numerators(table.vertices[k], table.scale)
+                inside[k] = rows_contain(piece, table.vertices[k], table.scale)
         if not all(inside[k] for k in simplex):
             containment_ok = False
             counterexample = {"forest": f.to_parent_text(), "shape": pf.to_text()}

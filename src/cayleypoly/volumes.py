@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import BivariatePolynomial, eliminate
+from .exact import BivariatePolynomial, abs_determinant, sparse_difference
 from .forests import LabeledForest, PlaneForest, alpha
 from .geometry import ParameterDomainError, VertexTable, family_parameters, get_family
 
@@ -50,17 +50,26 @@ class DegenerateSimplexError(ValueError):
 
 
 def integer_volume_scaled(vertices: Sequence[Sequence[int]]) -> int:
-    """|det(v_i - v_0)| of integer vertices, by `eliminate`; raises on an
-    affinely dependent vertex set.  A simplex whose vertices are these
-    numerators over a scale s has n! vol equal to this divided by s^n."""
-    v0 = vertices[0]
-    rows = [[x - y for x, y in zip(v, v0)] for v in vertices[1:]]
-    if not rows:
-        return 1
-    pivots, _ = eliminate(rows)
-    if len(pivots) < len(rows):
+    """|det(v_i - v_0)| of integer vertices; raises on an affinely
+    dependent vertex set.  A simplex whose vertices are these numerators
+    over a scale s has n! vol equal to this divided by s^n.
+
+    The rows taken are the consecutive differences v_i - v_{i-1}, which
+    span the same lattice parallelotope up to unimodular row operations
+    and so have the same |det|; here they are sparse (`steps_volume_scaled`)."""
+    if any(len(v) != len(vertices) - 1 for v in vertices):
+        raise ValueError("a simplex in R^n needs n + 1 vertices of n coordinates")
+    return steps_volume_scaled([sparse_difference(v, u) for u, v in zip(vertices, vertices[1:])])
+
+
+def steps_volume_scaled(steps: Sequence[Sequence[tuple[int, int]]]) -> int:
+    """|det| of a simplex's consecutive vertex differences, given as sparse
+    rows (`exact.sparse_difference`), by `abs_determinant`; raises on a
+    singular set (an affinely dependent vertex set)."""
+    volume = abs_determinant(steps)
+    if not volume:
         raise DegenerateSimplexError("affinely dependent vertices")
-    return abs(rows[-1][-1])
+    return volume
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ graphs and the exhaustive sweep over them (with the one union-find,
 `partition_pattern`), the neighbors-first search forest of a graph, cane
 paths counted from one node, the conversion between the spanning-subgraph
 sum Z and the Tutte polynomial, the inversion enumerator of labeled trees,
-the observed edge and 2-face count formulas of the Tutte polytope, and
-the extremality certificate of a vertex set.
+the observed edge and 2-face count formulas of the Tutte polytope, the
+extremality certificate of a vertex set, the chain and piece forms built
+in Fractions node by node, and the simplex volume by elimination of the
+differences to the first vertex.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from cayleypoly import BivariatePolynomial, tutte_f_vector
-from cayleypoly.exact import Coefficient, Monomial, parse_integer
+from cayleypoly.exact import Coefficient, Monomial, eliminate, parse_integer
 from cayleypoly.faces import VertexSet, _contact_masks
-from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, enumerate_labeled_forests, graph_walk
-from cayleypoly.geometry import HRep
+from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enumerate_labeled_forests, graph_walk
+from cayleypoly.geometry import AffineForm, HRep
+from cayleypoly.volumes import DegenerateSimplexError
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
 
 # ----------------------------------------------------------------------
@@ -148,16 +151,31 @@ def nfs(g: LabeledGraph) -> LabeledForest:
     return LabeledForest._walked(graph_walk(g.node_count, g.edge_list()))
 
 
+def position(f: LabeledForest, v: int) -> int:
+    """The NFS position of label v in the forest."""
+    return f.order.index(v)
+
+
 def cane_paths_from(f: LabeledForest, v: int) -> int:
     """Number of cane paths starting at node v."""
     if not 1 <= v <= f.node_count:
         raise ValueError(f"node {v} not in forest")
-    return f.shape.walk[f.position(v)][1]
+    return f.shape.walk[position(f, v)][1]
 
 
 # ----------------------------------------------------------------------
 # Spanning-subgraph sum <-> Tutte polynomial
 # ----------------------------------------------------------------------
+
+
+def var_q() -> BivariatePolynomial:
+    """The polynomial q."""
+    return BivariatePolynomial.monomial(1, 0)
+
+
+def var_t() -> BivariatePolynomial:
+    """The polynomial t."""
+    return BivariatePolynomial.monomial(0, 1)
 
 
 def tutte_from_z(z: BivariatePolynomial, nodes: int) -> BivariatePolynomial:
@@ -177,7 +195,7 @@ def tutte_from_z(z: BivariatePolynomial, nodes: int) -> BivariatePolynomial:
     shift = nodes - 1
     # Accumulate sum c * (x-1)^dq * u^(dq+dt) as a polynomial in (x, u).
     in_x_u = BivariatePolynomial.zero()
-    x_minus_1 = BivariatePolynomial.var_q() - 1
+    x_minus_1 = var_q() - 1
     for (dq, dt), coeff in z.terms():
         term = (x_minus_1**dq) * BivariatePolynomial.monomial(0, dq + dt, coeff)
         in_x_u = in_x_u + term
@@ -190,7 +208,7 @@ def tutte_from_z(z: BivariatePolynomial, nodes: int) -> BivariatePolynomial:
             )
         shifted[(dx, du - shift)] = coeff
     # Substitute u = y - 1 back.
-    y_minus_1 = BivariatePolynomial.var_t() - 1
+    y_minus_1 = var_t() - 1
     out = BivariatePolynomial.zero()
     for (dx, du), coeff in sorted(shifted.items()):
         out += BivariatePolynomial.monomial(dx, 0, coeff) * (y_minus_1**du)
@@ -204,7 +222,7 @@ def z_from_tutte(tutte: BivariatePolynomial, n: int) -> BivariatePolynomial:
     is at most n, so each monomial x**a y**b contributes
     t**(n-a) * (t+q)**a * (1+t)**b and no negative powers of t occur.
     """
-    t_plus_q = BivariatePolynomial.var_t() + BivariatePolynomial.var_q()
+    t_plus_q = var_t() + var_q()
     out = BivariatePolynomial.zero()
     for (a, b), coeff in tutte.terms():
         if a > n:
@@ -335,3 +353,74 @@ def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
         if meet != 1 << a:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Cells in Fractions: chain and piece forms, and simplex volumes
+# ----------------------------------------------------------------------
+
+
+def placement_form(n: int, q: Fraction, t: Fraction, position: int, j: int, root_position: int) -> AffineForm:
+    """The chain coordinate of a node at this position, with cane exponent
+    j and its root at root_position, as a Fraction affine form on R^n."""
+    mq = 1 - q
+    if position == 0:
+        return AffineForm.constant_form(n, q * t)
+    if position == root_position:
+        return AffineForm.linear(n, position, t, -t * mq)
+    wj = (1 + t) ** j
+    coeffs = [Fraction(0)] * n
+    coeffs[position - 1] = q / wj
+    const = mq - mq / wj
+    if root_position == 0:
+        const += mq / wj - 1  # x_l = 1 collapses into the constant
+    else:
+        coeffs[root_position - 1] += mq / wj - 1
+    return AffineForm(const, tuple(coeffs))
+
+
+def _placement_forms(walk, q: Fraction, t: Fraction) -> list[AffineForm]:
+    """The placement form of each position of an NFS walk."""
+    n = len(walk) - 1
+    return [placement_form(n, q, t, i, j, top) for i, (_, j, top) in enumerate(walk)]
+
+
+def chain_forms(f: LabeledForest, q: Fraction, t: Fraction) -> list[AffineForm]:
+    """The forest's chain, form by form: c(1), then c(k+1) - c(k), for the
+    node coordinates c in label order."""
+    forms = _placement_forms(f.shape.walk, q, t)
+    by_label = [forms[i] for i in sorted(range(f.node_count), key=f.order.__getitem__)]
+    return [by_label[0]] + [upper - lower for lower, upper in zip(by_label, by_label[1:])]
+
+
+def piece_forms(pf: PlaneForest, q: Fraction, t: Fraction) -> list[AffineForm]:
+    """The plane forest's piece, form by form: per node with children, the
+    first child's form, the differences along the children and the top
+    of the chain; then, with more than one root, the last root's form and
+    the differences along the roots."""
+    forms = _placement_forms(pf.walk, q, t)
+    rows = []
+    for (_, _, top), kids in zip(pf.walk, pf.kids()):
+        if not kids:
+            continue
+        rows.append(forms[kids[0]])
+        rows.extend(forms[b] - forms[a] for a, b in zip(kids, kids[1:]))
+        rows.append(forms[top] - forms[kids[-1]])
+    if len(pf.roots) > 1:
+        rows.append(forms[pf.roots[-1]])
+        rows.extend(forms[a] - forms[b] for a, b in zip(pf.roots, pf.roots[1:]))
+    return rows
+
+
+def volume_scaled(vertices) -> int:
+    """|det(v_i - v_0)| of integer vertices, by `eliminate` on the dense
+    differences; raises DegenerateSimplexError on an affinely dependent
+    vertex set."""
+    v0 = vertices[0]
+    rows = [[x - y for x, y in zip(v, v0)] for v in vertices[1:]]
+    if not rows:
+        return 1
+    pivots, _ = eliminate(rows)
+    if len(pivots) < len(rows):
+        raise DegenerateSimplexError("affinely dependent vertices")
+    return abs(rows[-1][-1])

@@ -21,7 +21,7 @@ from cayleypoly import (
 )
 from cayleypoly import forests
 
-from oracles import LabeledGraph, cane_paths_from, component_count, enumerate_graphs, nfs, partition_pattern
+from oracles import LabeledGraph, cane_paths_from, component_count, enumerate_graphs, nfs, partition_pattern, position
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +698,7 @@ def test_labeled_forests_match_reference():
             order, coords = _ref_labeled(n, f.parent)
             assert list(f.order) == order
             assert _walk_coordinates(f) == coords
-            assert [f.position(v) for v in order] == list(range(n))
+            assert [position(f, v) for v in order] == list(range(n))
             assert alpha(f) == sum(rec[2] for rec in coords.values())
             for v in range(1, n + 1):
                 assert cane_paths_from(f, v) == coords[v][2]

@@ -30,6 +30,8 @@ from cayleypoly.exact import clear_denominators, format_rational
 from cayleypoly.geometry import DimensionError, VertexTable, family_parameters, vrep_to_text
 from cayleypoly.volumes import integer_volume_scaled
 
+from oracles import chain_forms, piece_forms
+
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
@@ -456,6 +458,28 @@ def test_cells_match_per_cell_references(name, q, t):
             assert piece.dimension == n
             assert _rows(piece) == _reference_piece(pf, q_eff, t_eff)
             assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
+
+
+@pytest.mark.parametrize("q,t", DRAWS)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_integer_rows_match_fraction_forms(name, q, t):
+    # The value table's integer chain and piece rows are the coprime rows
+    # of the forms built node by node in Fractions; the H-reps carry the
+    # same rows, and the vertices the table interns are the column
+    # builder's.
+    fam = get_family(name)
+    q_eff, t_eff = family_parameters(name, q, t)
+    for n in range(1, 5):
+        table = VertexTable(n + 1, q_eff, t_eff)
+        for f in fam.labeled_cells(n):
+            rows = table.chain_rows(f)
+            assert rows == tuple(form.integer_row for form in chain_forms(f, q_eff, t_eff))
+            assert table.chain_hrep(f).integer_rows == rows
+            assert tuple(table.vertices[k] for k in table.add(f)) == table.numerators(f)
+        for pf in fam.plane_cells(n):
+            rows = table.piece_rows(pf)
+            assert rows == tuple(form.integer_row for form in piece_forms(pf, q_eff, t_eff))
+            assert table.piece(pf).integer_rows == rows
 
 
 def test_simplex_coordinates_are_the_tables_values():

@@ -424,10 +424,8 @@ def test_vertex_oracle_skips_singular_subsets():
 def test_partition_failure_carries_witness():
     # Feeding overlapping cells (the polytope twice) must produce a
     # failure report with the offending point attached.
-    from cayleypoly.verify import _partition_certificate
-
     polytope = build_hrep("tutte", 2, HALF, 1)
-    result = _partition_certificate("tutte", 2, HALF, Fraction(1), [polytope, polytope], 20, 7)
+    result = _certify("tutte", 2, HALF, Fraction(1), [polytope, polytope], 20, 7)
     assert not result["ok"]
     assert result["failure"]["cells_containing"] == 2
     assert len(result["failure"]["point"]) == 2
@@ -436,9 +434,15 @@ def test_partition_failure_carries_witness():
 def test_partition_failure_names_an_uncovered_point():
     # Dropping one simplex leaves its interior in no cell.
     chains = _chains("tutte", 2, HALF, 1)
-    result = _partition_certificate("tutte", 2, HALF, Fraction(1), chains[1:], 200, 7)
+    result = _certify("tutte", 2, HALF, Fraction(1), chains[1:], 200, 7)
     assert not result["ok"]
     assert result["failure"]["cells_containing"] == 0
+
+
+def _certify(family, n, q, t, hreps, samples, seed):
+    """_partition_certificate on the H-reps' integer rows, the cells as the
+    jobs pass them."""
+    return _partition_certificate(family, n, q, t, [h.integer_rows for h in hreps], samples, seed)
 
 
 def _reference_certificate(family, n, q, t, hreps, samples, seed):
@@ -490,7 +494,7 @@ def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
     faulty = [cells[1:], pieces + pieces[:1], [*cells[:-1], _with_constant_row(cells[-1], 0)]]
     for hreps in [cells, *faulty] + ([pieces] if n < 4 else []):
         args = (family, n, q_eff, t_eff, hreps, 80, 11)
-        assert _partition_certificate(*args) == _reference_certificate(*args)
+        assert _certify(*args) == _reference_certificate(*args)
 
 
 # The batch edges of the certificate, each against the Fraction reference.
@@ -501,7 +505,7 @@ def test_partition_certificate_when_every_sample_is_discarded():
     # cell holding it: every one of the 60 * samples attempts is discarded.
     cells = [_with_constant_row(chain, 0) for chain in _chains("tutte", 2, HALF, 1)]
     args = ("tutte", 2, HALF, Fraction(1), cells, 40, 11)
-    result = _partition_certificate(*args)
+    result = _certify(*args)
     assert result == _reference_certificate(*args)
     assert result == {"samples": 0, "discarded_non_generic": 2400, "ok": False, "failure": None}
 
@@ -518,7 +522,7 @@ def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch
     below, above = _halves_at_x1(build_hrep(family, n, q, t), first_x1[0])
     cells = [below, _cut_x1(above, max(first_x1))]
     args = (family, n, q, t, cells, 80, 11)
-    result = _partition_certificate(*args)
+    result = _certify(*args)
     assert result == _reference_certificate(*args)
     assert result["discarded_non_generic"] >= 1
     assert result["samples"] > verify.BATCH
@@ -530,7 +534,7 @@ def test_partition_certificate_over_more_than_two_batches(family):
     q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
     cells = _chains(family, 2, q_eff, t_eff)
     args = (family, 2, q_eff, t_eff, cells, 2 * verify.BATCH + 3, 11)
-    result = _partition_certificate(*args)
+    result = _certify(*args)
     assert result == _reference_certificate(*args)
     assert result["ok"] and result["samples"] == 2 * verify.BATCH + 3
 
@@ -544,7 +548,7 @@ def test_partition_certificate_with_a_constant_row(family, n, constant):
     cells = _chains(family, n, q_eff, t_eff)
     cells[1] = _with_constant_row(cells[1], constant)
     args = (family, n, q_eff, t_eff, cells, 200, 11)
-    result = _partition_certificate(*args)
+    result = _certify(*args)
     assert result == _reference_certificate(*args)
     assert result["ok"] is (constant > 0)
 
@@ -557,7 +561,7 @@ def test_partition_certificate_at_huge_denominators(family):
     pieces = _pieces(family, 3, q_eff, t_eff)
     for cells in (simplices, pieces, simplices[1:]):
         args = (family, 3, q_eff, t_eff, cells, 120, 11)
-        assert _partition_certificate(*args) == _reference_certificate(*args)
+        assert _certify(*args) == _reference_certificate(*args)
 
 
 def _halves_at_x1(hrep: HRep, bound: Fraction) -> tuple[HRep, HRep]:
@@ -583,7 +587,7 @@ def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q
         below, above = _halves_at_x1(polytope, bound)
         for cells in ([below, above], [below, below]):
             args = (family, n, q_eff, t_eff, cells, 80, 11)
-            result = _partition_certificate(*args)
+            result = _certify(*args)
             assert result == _reference_certificate(*args)
             assert result["ok"] is (cells[1] is above)
             if bound == first_x1:
@@ -629,24 +633,26 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
     # Cut one shape's piece below the largest x_1: the first forest whose
     # simplex leaves its shape's piece is the Fraction path's.  A vertex
     # of a cut shape's simplex may already have been tested, and passed,
-    # in the piece of another shape.
+    # in the piece of another shape.  The job reads the pieces' integer
+    # rows, so the cut goes in there, as the cut form's integer row.
     n = 3
-    build_piece = geometry.VertexTable.piece
+    bound = (1 + t) * Fraction(9, 10)
+    build_rows = geometry.VertexTable.piece_rows
     forests = list(enumerate_labeled_forests(n + 1))
     failures = 0
     for cut_shape in enumerate_plane_forests(n + 1):
 
-        def piece(table, pf):
-            hrep = build_piece(table, pf)
-            return _cut_x1(hrep, (1 + t) * Fraction(9, 10)) if pf == cut_shape else hrep
+        def piece_rows(table, pf):
+            rows = build_rows(table, pf)
+            if pf != cut_shape:
+                return rows
+            return rows + _cut_x1(HRep(n, ()), bound).integer_rows
 
         table = geometry.VertexTable(n + 1, q, t)
-        bad = [
-            f
-            for f in forests
-            if not all(piece(table, f.shape).contains(table.point(k)) for k in table.add(f))
-        ]
-        monkeypatch.setattr(geometry.VertexTable, "piece", piece)
+        reference = {pf: table.piece(pf) for pf in enumerate_plane_forests(n + 1)}
+        reference[cut_shape] = _cut_x1(reference[cut_shape], bound)
+        bad = [f for f in forests if not all(reference[f.shape].contains(table.point(k)) for k in table.add(f))]
+        monkeypatch.setattr(geometry.VertexTable, "piece_rows", piece_rows)
         report = verify_refinement("tutte", n, q, t)
         _assert_reference_verdict(report)
         assert report.checks["vertex_containment"] == {"ok": not bad}
@@ -719,9 +725,14 @@ def test_closed_forms_stay_tallies_until_reported(monkeypatch):
         assert len(built) == polynomials
 
 
-def test_cell_jobs_build_no_fraction_simplex():
+def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
     # Triangulation, subdivision and refinement read the integer vertex
-    # table, the only simplex builder, at large denominators.
+    # table, the only simplex builder, at large denominators, and their
+    # cells are the table's integer rows: no cell form is built.
+    def no_form(table, key):
+        raise AssertionError(f"a cell job built the form of {key}")
+
+    monkeypatch.setattr(geometry._ValueTable, "form", no_form)
     q, t = Fraction(37, 101), Fraction(53, 17)
     for family in FAMILIES:
         assert verify_triangulation(family, 3, q, t, samples=20).passed

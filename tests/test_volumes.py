@@ -1,6 +1,8 @@
 """Volumes, generating functions, recursion, inversions, and counts."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,10 @@ from cayleypoly import (
     volume_report,
     z_bruteforce,
 )
-from cayleypoly.geometry import VertexTable
-from cayleypoly.volumes import integer_volume_scaled, subgraph_tally
+from cayleypoly.geometry import VertexTable, family_parameters
+from cayleypoly.volumes import integer_volume_scaled, steps_volume_scaled, subgraph_tally
 
-from oracles import inversion_enumerator, partition_pattern, tree_inversions, tutte_from_z
+from oracles import inversion_enumerator, partition_pattern, tree_inversions, tutte_from_z, volume_scaled
 from poly_helpers import compose_t
 
 P = BivariatePolynomial
@@ -70,6 +72,78 @@ def test_degenerate_simplex_rejected():
 
 def test_point_simplex_volume():
     assert simplex_volume(((),)) == 1
+
+
+def _volume_or_raise(volume, vertices):
+    """The volume, or None where it raises DegenerateSimplexError."""
+    try:
+        return volume(vertices)
+    except DegenerateSimplexError:
+        return None
+
+
+def _random_vertices(rng, n, density):
+    """n + 1 random integer vertices in R^n, each coordinate of each step
+    from the previous vertex nonzero with the given probability."""
+    vertices = [tuple(rng.randint(-9, 9) for _ in range(n))]
+    for _ in range(n):
+        step = [rng.choice([-3, -2, -1, 1, 2, 5]) if rng.random() < density else 0 for _ in range(n)]
+        vertices.append(tuple(x + d for x, d in zip(vertices[-1], step)))
+    rng.shuffle(vertices)
+    return vertices
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_determinant_matches_elimination_on_random_vertices(n):
+    # Dense sets go to elimination, sparse ones to the single-entry
+    # expansion and a remainder; either may be singular by chance, and
+    # then both raise.
+    rng = random.Random(f"volume:{n}")
+    outcomes = Counter()
+    for density in (1.0, 0.5, 0.25):
+        for _ in range(60):
+            vertices = _random_vertices(rng, n, density)
+            expected = _volume_or_raise(volume_scaled, vertices)
+            assert _volume_or_raise(integer_volume_scaled, vertices) == expected, vertices
+            outcomes[expected is not None] += 1
+    assert outcomes[True] >= 60
+    assert outcomes[False] >= (0 if n == 0 else 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_determinant_rejects_affinely_dependent_vertices(n):
+    # A repeated vertex, a vertex on the line of two others, and a last
+    # vertex in the affine span of the rest.
+    rng = random.Random(f"dependent:{n}")
+    for _ in range(40):
+        vertices = _random_vertices(rng, n, rng.choice([1.0, 0.5]))
+        a, b, c = (rng.randrange(n + 1) for _ in range(3))
+        dependent = [
+            vertices[:n] + [vertices[a % n]],
+            vertices[:n] + [tuple(2 * x - y for x, y in zip(vertices[a % n], vertices[b % n]))],
+            vertices[:n]
+            + [tuple(x + y - z for x, y, z in zip(vertices[a % n], vertices[b % n], vertices[c % n]))],
+        ]
+        for points in dependent:
+            rng.shuffle(points)
+            for volume in (volume_scaled, integer_volume_scaled):
+                with pytest.raises(DegenerateSimplexError):
+                    volume(points)
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_determinant_matches_elimination_on_every_simplex(name, q, t):
+    # Every simplex of the family's triangulation, from its vertices and
+    # from the vertex table's memoised steps.
+    q_eff, t_eff = family_parameters(name, q, t)
+    for n in range(1, 5):
+        table = VertexTable(n + 1, q_eff, t_eff)
+        for f in get_family(name).labeled_cells(n):
+            vertices = table.numerators(f)
+            expected = volume_scaled(vertices)
+            assert integer_volume_scaled(vertices) == expected
+            assert steps_volume_scaled(table.steps(table.add(f))) == expected
 
 
 # ----------------------------------------------------------------------
