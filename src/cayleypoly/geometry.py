@@ -397,6 +397,14 @@ def _coprime(b: int, terms: tuple[tuple[int, int], ...]) -> IntegerRow:
     return b // g, tuple((i, a // g) for i, a in terms)
 
 
+def _cached(cache: dict, build, keys: Sequence) -> tuple:
+    """cache[key] for each key, built by build(key) where missing."""
+    try:
+        return tuple(map(cache.__getitem__, keys))
+    except KeyError:
+        return tuple(map(build, keys))
+
+
 class _ValueTable:
     """The exact values every cell on node_count nodes shares at (q, t).
 
@@ -417,7 +425,7 @@ class _ValueTable:
     __slots__ = (
         "n", "q", "t", "one_minus_q", "powers", "scale", "int_one_minus_q", "int_powers",
         "text_one_minus_q", "text_powers", "form_scale", "_qt", "_root", "_canes",
-        "_integer_forms", "rows", "_forms",
+        "_integer_forms", "_rows", "_forms",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
@@ -443,7 +451,7 @@ class _ValueTable:
         self._root = (t_int, -tmq)
         self._canes = tuple(zip(flat[::3], flat[1::3], flat[2::3]))
         self._integer_forms: dict = {}
-        self.rows: dict = {}
+        self._rows: dict = {}
         self._forms: dict = {}
 
     def integer_form(self, key) -> _IntegerForm:
@@ -474,9 +482,9 @@ class _ValueTable:
 
     def row(self, key) -> IntegerRow:
         """The coprime integer row of a row key."""
-        row = self.rows.get(key)
+        row = self._rows.get(key)
         if row is None:
-            row = self.rows[key] = _coprime(*self.integer_form(key))
+            row = self._rows[key] = _coprime(*self.integer_form(key))
         return row
 
     def form(self, key) -> AffineForm:
@@ -490,6 +498,14 @@ class _ValueTable:
                 coeffs[i] = Fraction(a, d)
             form = self._forms[key] = AffineForm(Fraction(b, d), tuple(coeffs))
         return form
+
+    def rows(self, keys: Sequence) -> tuple[IntegerRow, ...]:
+        """The rows of these row keys, the known ones in one pass."""
+        return _cached(self._rows, self.row, keys)
+
+    def forms(self, keys: Sequence) -> tuple[AffineForm, ...]:
+        """The forms of these row keys, the known ones in one pass."""
+        return _cached(self._forms, self.form, keys)
 
 
 @lru_cache(maxsize=_VALUE_TABLES)
@@ -675,30 +691,23 @@ class VertexTable:
             rows.extend((keys[a], keys[b]) for a, b in zip(pf.roots, pf.roots[1:]))
         return rows
 
-    def _rows(self, keys: list) -> tuple[IntegerRow, ...]:
-        values = self._values
-        try:
-            return tuple(map(values.rows.__getitem__, keys))
-        except KeyError:  # some row is new: build it
-            return tuple(map(values.row, keys))
-
     def chain_rows(self, f: LabeledForest) -> tuple[IntegerRow, ...]:
         """The forest's chain H-rep as the table's coprime integer rows."""
-        return self._rows(self._chain_keys(f))
+        return self._values.rows(self._chain_keys(f))
 
     def piece_rows(self, pf: PlaneForest) -> tuple[IntegerRow, ...]:
         """The plane forest's piece as the table's coprime integer rows."""
-        return self._rows(self._piece_keys(pf))
+        return self._values.rows(self._piece_keys(pf))
 
     def chain_hrep(self, f: LabeledForest) -> HRep:
         """The defining chain of the forest's simplex, as an H-rep in R^n:
         the forms of `chain_rows`."""
-        return HRep(self._values.n, tuple(map(self._values.form, self._chain_keys(f))))
+        return HRep(self._values.n, self._values.forms(self._chain_keys(f)))
 
     def piece(self, pf: PlaneForest) -> HRep:
         """The subdivision piece of a plane forest on n+1 nodes, as an
         H-rep in R^n: the forms of `piece_rows`."""
-        return HRep(self._values.n, tuple(map(self._values.form, self._piece_keys(pf))))
+        return HRep(self._values.n, self._values.forms(self._piece_keys(pf)))
 
 
 # ----------------------------------------------------------------------

@@ -730,9 +730,10 @@ def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
     # table, the only simplex builder, at large denominators, and their
     # cells are the table's integer rows: no cell form is built.
     def no_form(table, key):
-        raise AssertionError(f"a cell job built the form of {key}")
+        raise AssertionError(f"a cell job read the form of {key}")
 
     monkeypatch.setattr(geometry._ValueTable, "form", no_form)
+    monkeypatch.setattr(geometry._ValueTable, "forms", no_form)
     q, t = Fraction(37, 101), Fraction(53, 17)
     for family in FAMILIES:
         assert verify_triangulation(family, 3, q, t, samples=20).passed
