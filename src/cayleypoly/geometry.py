@@ -23,8 +23,8 @@ and additionally t = 1 the classical ones.
 Every cell is built through a VertexTable, one lookup of the exact value
 table shared per (node count, q, t), kept in a bounded cache after q and
 t are checked and turned into Fractions.  The table holds 1 - q and the
-powers (1+t)^k as Fractions, as integer numerators over one common scale
-s and as formatted texts.  It also clears the few scalars of the node
+powers (1+t)^k as integer numerators over one common scale s and as
+formatted texts.  It also clears the few scalars of the node
 coordinates once, over one form denominator, so that the coordinate
 form of each placement (a node's position, cane exponent and root
 position, read off the NFS walk that a PlaneForest holds) is a row of
@@ -65,6 +65,14 @@ from .forests import (
 
 Point = tuple[Fraction, ...]
 IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _coprime(b: int, terms: tuple[tuple[int, int], ...]) -> IntegerRow:
+    """The row divided by the gcd of its entries (1 for a zero row)."""
+    g = math.gcd(b, *(a for _, a in terms)) or 1
+    if g == 1:
+        return b, terms
+    return b // g, tuple((i, a // g) for i, a in terms)
 
 
 class ParameterDomainError(ValueError):
@@ -152,10 +160,8 @@ class AffineForm:
         a_i only, with b + sum a_i x_i a positive multiple of the form:
         same sign everywhere, and equal for forms that are positive
         multiples of each other.  Cleared once, on first use."""
-        ints, _ = clear_denominators((self.constant, *self.coefficients))
-        g = math.gcd(*ints) or 1
-        b, *coeffs = (c // g for c in ints)
-        return b, tuple((i, a) for i, a in enumerate(coeffs) if a)
+        (b, *coeffs), _ = clear_denominators((self.constant, *self.coefficients))
+        return _coprime(b, tuple((i, a) for i, a in enumerate(coeffs) if a))
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -383,18 +389,13 @@ _VALUE_TABLES = 16
 # placement, for its form, or a pair (upper, lower) of placements, for the
 # chain row form(upper) - form(lower).
 _Placement = tuple[int, int, int]
-# An affine form as integers over the table's form scale: (b, ((i, a_i), ...)),
-# the nonzero a_i only, in index order.
-_IntegerForm = tuple[int, tuple[tuple[int, int], ...]]
 _ZERO = Fraction(0)
 
 
-def _coprime(b: int, terms: tuple[tuple[int, int], ...]) -> IntegerRow:
-    """The row divided by the gcd of its entries (1 for a zero row)."""
-    g = math.gcd(b, *(a for _, a in terms)) or 1
-    if g == 1:
-        return b, terms
-    return b // g, tuple((i, a // g) for i, a in terms)
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """`format_rational` of numerator/denominator, given in lowest terms
+    with a positive denominator."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def _cached(cache: dict, build, keys: Sequence) -> tuple:
@@ -409,12 +410,12 @@ class _ValueTable:
     """The exact values every cell on node_count nodes shares at (q, t).
 
     For the vertices: 1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1),
-    as Fractions, as integer numerators over their one common denominator
-    `scale` and as their `format_rational` texts.
+    as integer numerators over their one common denominator `scale` and
+    as their `format_rational` texts.
 
     For the cells' rows: the few scalars the chain coordinates are made of
     (qt, t, t(1-q), and per cane exponent j: q/w^j, (1-q)(1-1/w^j) and
-    (1-q)/w^j - 1, w = 1+t), as integer numerators over their one common
+    (1-q)/w^j - 1, w = 1+t), as integer numerators over one common
     denominator `form_scale`, so that each placement's coordinate form is
     an integer form (b, ((i, a_i), ...)) over it and a chain row, the
     difference of two forms, is one too.  Each row key's integer form, its
@@ -423,39 +424,42 @@ class _ValueTable:
     coprime positive multiple of a form is unique."""
 
     __slots__ = (
-        "n", "q", "t", "one_minus_q", "powers", "scale", "int_one_minus_q", "int_powers",
-        "text_one_minus_q", "text_powers", "form_scale", "_qt", "_root", "_canes",
-        "_integer_forms", "_rows", "_forms",
+        "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers",
+        "form_scale", "_qt", "_root", "_canes", "_integer_forms", "_rows", "_forms",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
         self.n = node_count - 1
-        self.q = q
-        self.t = t
-        mq = self.one_minus_q = 1 - q
-        w = 1 + t
-        powers = [Fraction(1)]
-        for _ in range(node_count + 1):
-            powers.append(powers[-1] * w)
-        self.powers = tuple(powers)
-        cleared, self.scale = clear_denominators((*powers, mq))
-        self.int_one_minus_q = cleared.pop()
-        self.int_powers = tuple(cleared)
-        self.text_one_minus_q = format_rational(mq)
-        self.text_powers = tuple(map(format_rational, powers))
-        # A non-root's cane exponent is at most node_count - 2.
-        canes = [(q / wj, mq - mq / wj, mq / wj - 1) for wj in powers[: node_count - 1]]
-        cleared, self.form_scale = clear_denominators((q * t, t, t * mq, *(x for c in canes for x in c)))
-        (qt, t_int, tmq), flat = cleared[:3], cleared[3:]
-        self._qt = qt
-        self._root = (t_int, -tmq)
-        self._canes = tuple(zip(flat[::3], flat[1::3], flat[2::3]))
+        # q = a/b, t = c/d and w = 1 + t = e/d, each in lowest terms (a
+        # common factor of e and d would divide c), so 1 - q = (b-a)/b and
+        # w^k = e^k/d^k are in lowest terms too: every value is read off
+        # as integers, with no Fraction arithmetic.
+        a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
+        e = c + d
+        top = node_count + 1
+        self.scale = scale = math.lcm(d**top, b)
+        self.int_powers = tuple(e**k * (scale // d**k) for k in range(top + 1))
+        self.int_one_minus_q = (b - a) * (scale // b)
+        self.text_powers = tuple(_ratio_text(e**k, d**k) for k in range(top + 1))
+        self.text_one_minus_q = _ratio_text(b - a, b)
+        # The form scalars over the one denominator b d e^J, J the largest
+        # cane exponent of a non-root (node_count - 2): qt, t, t(1-q) and,
+        # per cane exponent j, q/w^j, (1-q)(1-1/w^j) and (1-q)/w^j - 1.
+        last = max(node_count - 2, 0)
+        self.form_scale = b * d * e**last
+        self._qt = a * c * e**last
+        self._root = (b * c * e**last, -c * (b - a) * e**last)
+        self._canes = tuple(
+            (a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f)
+            for j, f in ((j, e ** (last - j)) for j in range(node_count - 1))
+        )
         self._integer_forms: dict = {}
         self._rows: dict = {}
         self._forms: dict = {}
 
-    def integer_form(self, key) -> _IntegerForm:
-        """The integer form of a row key over `form_scale`."""
+    def integer_form(self, key) -> IntegerRow:
+        """The form of a row key as integers over `form_scale`:
+        (b, ((i, a_i), ...)), the nonzero a_i only, in index order."""
         form = self._integer_forms.get(key)
         if form is None:
             if len(key) == 2:
@@ -469,7 +473,7 @@ class _ValueTable:
             self._integer_forms[key] = form
         return form
 
-    def _placement_form(self, position: int, j: int, root_position: int) -> _IntegerForm:
+    def _placement_form(self, position: int, j: int, root_position: int) -> IntegerRow:
         if position == 0:
             return self._qt, ()
         if position == root_position:

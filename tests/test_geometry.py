@@ -384,55 +384,6 @@ def _reference_simplex(f, q, t):
     return tuple(vertices)
 
 
-def _reference_form(coord, n, q, t):
-    """(constant, coefficients) of a node's chain coordinate, from its
-    (is_root, position, cane exponent, root position, ...)."""
-    is_root, position, j, root_position = coord[:4]
-    if position == 0:
-        return q * t, (Fraction(0),) * n
-    coeffs = [Fraction(0)] * n
-    if is_root:
-        coeffs[position - 1] = t
-        return -t * (1 - q), tuple(coeffs)
-    wj = (1 + t) ** j
-    coeffs[position - 1] = q / wj
-    const = (1 - q) - (1 - q) / wj
-    if root_position == 0:
-        const += (1 - q) / wj - 1
-    else:
-        coeffs[root_position - 1] += (1 - q) / wj - 1
-    return const, tuple(coeffs)
-
-
-def _minus(a, b):
-    return a[0] - b[0], tuple(x - y for x, y in zip(a[1], b[1]))
-
-
-def _reference_chain(f, q, t):
-    n = f.node_count - 1
-    coords = _walk_coordinates(f)
-    forms = [_reference_form(coords[label], n, q, t) for label in range(1, f.node_count + 1)]
-    return [forms[0]] + [_minus(hi, lo) for lo, hi in zip(forms, forms[1:])]
-
-
-def _reference_piece(pf, q, t):
-    n = pf.node_count() - 1
-    coords = [(up is None, i, j, top) for i, (up, j, top) in enumerate(pf.walk)]
-    forms = [_reference_form(coord, n, q, t) for coord in coords]
-    root_positions = pf.roots
-    rows = []
-    for u, kids in enumerate(pf.kids()):
-        if not kids:
-            continue
-        rows.append(forms[kids[0]])
-        rows.extend(_minus(forms[b], forms[a]) for a, b in zip(kids, kids[1:]))
-        rows.append(_minus(forms[coords[u][3]], forms[kids[-1]]))
-    if len(root_positions) > 1:
-        rows.append(forms[root_positions[-1]])
-        rows.extend(_minus(forms[a], forms[b]) for a, b in zip(root_positions, root_positions[1:]))
-    return rows
-
-
 def _rows(hrep):
     return [(form.constant, form.coefficients) for form in hrep.inequalities]
 
@@ -444,42 +395,28 @@ def _all_fractions(values):
 @pytest.mark.parametrize("q,t", DRAWS)
 @pytest.mark.parametrize("name", FAMILIES)
 def test_cells_match_per_cell_references(name, q, t):
+    # The H-reps' forms are those built node by node in Fractions, and the
+    # value table's integer chain and piece rows are their coprime rows;
+    # the vertices the table interns are the column builder's.
     fam = get_family(name)
     q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 5):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in fam.labeled_cells(n):
             chain = table.chain_hrep(f)
+            reference = chain_forms(f, q_eff, t_eff)
             assert chain.dimension == n
-            assert _rows(chain) == _reference_chain(f, q_eff, t_eff)
+            assert list(chain.inequalities) == reference
             assert _all_fractions(x for c, a in _rows(chain) for x in (c, *a))
-        for pf in fam.plane_cells(n):
-            piece = table.piece(pf)
-            assert piece.dimension == n
-            assert _rows(piece) == _reference_piece(pf, q_eff, t_eff)
-            assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
-
-
-@pytest.mark.parametrize("q,t", DRAWS)
-@pytest.mark.parametrize("name", FAMILIES)
-def test_integer_rows_match_fraction_forms(name, q, t):
-    # The value table's integer chain and piece rows are the coprime rows
-    # of the forms built node by node in Fractions; the H-reps carry the
-    # same rows, and the vertices the table interns are the column
-    # builder's.
-    fam = get_family(name)
-    q_eff, t_eff = family_parameters(name, q, t)
-    for n in range(1, 5):
-        table = VertexTable(n + 1, q_eff, t_eff)
-        for f in fam.labeled_cells(n):
-            rows = table.chain_rows(f)
-            assert rows == tuple(form.integer_row for form in chain_forms(f, q_eff, t_eff))
-            assert table.chain_hrep(f).integer_rows == rows
+            assert table.chain_rows(f) == tuple(form.integer_row for form in reference)
             assert tuple(table.vertices[k] for k in table.add(f)) == table.numerators(f)
         for pf in fam.plane_cells(n):
-            rows = table.piece_rows(pf)
-            assert rows == tuple(form.integer_row for form in piece_forms(pf, q_eff, t_eff))
-            assert table.piece(pf).integer_rows == rows
+            piece = table.piece(pf)
+            reference = piece_forms(pf, q_eff, t_eff)
+            assert piece.dimension == n
+            assert list(piece.inequalities) == reference
+            assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
+            assert table.piece_rows(pf) == tuple(form.integer_row for form in reference)
 
 
 def test_simplex_coordinates_are_the_tables_values():
