@@ -449,10 +449,11 @@ class _ValueTable:
         self.form_scale = b * d * e**last
         self._qt = a * c * e**last
         self._root = (b * c * e**last, -c * (b - a) * e**last)
-        self._canes = tuple(
-            (a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f)
-            for j, f in ((j, e ** (last - j)) for j in range(node_count - 1))
-        )
+        canes = []
+        for j in range(node_count - 1):
+            f = e ** (last - j)
+            canes.append((a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f))
+        self._canes = tuple(canes)
         self._integer_forms: dict = {}
         self._rows: dict = {}
         self._forms: dict = {}
@@ -606,20 +607,18 @@ class VertexTable:
         return k
 
     def _shape(self, pf: PlaneForest) -> tuple:
-        """What every forest of a plane shape shares, found once per shape:
-        the placement of each position; the index of vertex 1 of its
-        simplices, which puts every root at 1 and every non-root at
-        w^(j+1); and per position (but 0), the move from vertex p to
-        vertex p+1 when that position holds label p, as (id, changes), the
-        changes being (coordinate, new value) pairs.  A non-root moves its
-        own coordinate to w^j; a root moves its whole component, the
-        positions up to the next root, to 1-q."""
+        """What the simplices of a plane shape's forests share, found once
+        per shape: the index of their vertex 1, which puts every root at 1
+        and every non-root at w^(j+1); and per position (but 0), the move
+        from vertex p to vertex p+1 when that position holds label p, as
+        (id, changes), the changes being (coordinate, new value) pairs.  A
+        non-root moves its own coordinate to w^j; a root moves its whole
+        component, the positions up to the next root, to 1-q."""
         shape = self._shapes.get(pf)
         if shape is None:
             values = self._checked(pf.node_count())
             powers, low = values.int_powers, values.int_one_minus_q
             walk = pf.walk
-            placements = tuple((i, j, top) for i, (_, j, top) in enumerate(walk))
             first = tuple(powers[0] if up is None else powers[j + 1] for up, j, _ in walk[1:])
             ends = dict(zip(pf.roots, (*pf.roots[1:], len(walk))))
             moves = [None]
@@ -629,11 +628,11 @@ class VertexTable:
                 else:
                     changes = ((i - 1, powers[j]),)
                 moves.append((self._move_ids.setdefault(changes, len(self._move_ids)), changes))
-            shape = self._shapes[pf] = (placements, self._intern(first), moves)
+            shape = self._shapes[pf] = (self._intern(first), moves)
         return shape
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
-        _, k, moves = self._shape(f.shape)
+        k, moves = self._shape(f.shape)
         moved, vertices = self._moved, self.vertices
         simplex = [k]
         # Position 0 holds label n+1, the last vertex's.
@@ -670,8 +669,9 @@ class VertexTable:
         """The row keys of the forest's chain: c(1) >= 0 and
         c(k+1) - c(k) >= 0 for the label-ordered chain of node
         coordinates; c(n+1) is the constant qt."""
-        placements = self._shape(f.shape)[0]
-        keys = [placements[i] for i in sorted(range(f.node_count), key=f.order.__getitem__)]
+        self._checked(f.node_count)
+        walk = f.shape.walk
+        keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
         return [keys[0], *zip(keys[1:], keys)]
 
     def _piece_keys(self, pf: PlaneForest) -> list:
