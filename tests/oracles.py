@@ -22,8 +22,8 @@ from cayleypoly.exact import Coefficient, Monomial, eliminate, parse_integer
 from cayleypoly.faces import VertexSet, _contact_masks
 from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enumerate_labeled_forests, graph_walk
 from cayleypoly.geometry import AffineForm, HRep
-from cayleypoly.volumes import DegenerateSimplexError
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
+from cayleypoly.volumes import DegenerateSimplexError
 
 # ----------------------------------------------------------------------
 # Labeled graphs
