@@ -13,10 +13,10 @@ elimination step.  `eliminate` runs it column by column, and the vertex
 oracle of `verify` runs it row by row down its tree of row subsets.
 `abs_determinant` takes a sparse matrix (`sparse_difference` rows):
 it expands along rows with a single entry, and hands what is left, if
-anything, to `eliminate`; it is behind `volumes.integer_volume_scaled`
-and `volumes.steps_volume_scaled`, so every simplex volume of `verify`
-and `volume`.  A forest's simplex, taken as the differences of its
-consecutive vertices, expands fully, so that `eliminate` is not reached.
+anything, to `eliminate`; it is behind `volumes.steps_volume_scaled`,
+so every simplex volume of `verify` and `volume`.  A forest's simplex,
+taken as the differences of its consecutive vertices, expands fully, so
+that `eliminate` is not reached.
 
 No floating point is used anywhere in this package.
 """

@@ -32,11 +32,12 @@ integers, and so is each chain row, the difference of two such forms.
 Each distinct placement row and chain row is kept once, gcd-reduced to
 a coprime integer row, and shared by every cell that has it; its
 AffineForm, for the H-reps that are printed, is built from the same
-integers.  One column builder writes a simplex from the numerators or
-from the texts.  A VertexTable gives simplex vertices as texts, or
+integers.  One column builder writes every simplex, from the numerators
+or from the texts.  A VertexTable gives simplex vertices as texts, or
 interns their integer vertices, each distinct vertex once, so that a
-simplex is a tuple of indices into it; and it builds chains and pieces,
-as tuples of the table's integer rows or as H-reps.
+simplex is a tuple of indices into it, and differences each pair of
+consecutive vertices once for the volumes; and it builds chains and
+pieces, as tuples of the table's integer rows or as H-reps.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -418,14 +419,15 @@ class _ValueTable:
     (1-q)/w^j - 1, w = 1+t), as integer numerators over one common
     denominator `form_scale`, so that each placement's coordinate form is
     an integer form (b, ((i, a_i), ...)) over it and a chain row, the
-    difference of two forms, is one too.  Each row key's integer form, its
-    coprime `IntegerRow` and its `AffineForm` are each built once, on first
-    use; the coprime row equals the form's `AffineForm.integer_row`, as the
-    coprime positive multiple of a form is unique."""
+    difference of two forms, is one too.  Each placement's integer form is
+    kept, and each row key's coprime `IntegerRow` and `AffineForm` are
+    built once, on first use, from the integer form; the coprime row
+    equals the form's `AffineForm.integer_row`, as the coprime positive
+    multiple of a form is unique."""
 
     __slots__ = (
         "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers",
-        "form_scale", "_qt", "_root", "_canes", "_integer_forms", "_rows", "_forms",
+        "form_scale", "_qt", "_root", "_canes", "_placements", "_rows", "_forms",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
@@ -454,24 +456,23 @@ class _ValueTable:
             f = e ** (last - j)
             canes.append((a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f))
         self._canes = tuple(canes)
-        self._integer_forms: dict = {}
+        self._placements: dict[_Placement, IntegerRow] = {}
         self._rows: dict = {}
         self._forms: dict = {}
 
     def integer_form(self, key) -> IntegerRow:
         """The form of a row key as integers over `form_scale`:
-        (b, ((i, a_i), ...)), the nonzero a_i only, in index order."""
-        form = self._integer_forms.get(key)
+        (b, ((i, a_i), ...)), the nonzero a_i only, in index order.  A
+        pair's form is worked out from its two kept placement forms."""
+        if len(key) == 2:
+            (b, upper), (c, lower) = map(self.integer_form, key)
+            coeffs = dict(upper)
+            for i, a in lower:
+                coeffs[i] = coeffs.get(i, 0) - a
+            return b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a))
+        form = self._placements.get(key)
         if form is None:
-            if len(key) == 2:
-                (b, upper), (c, lower) = map(self.integer_form, key)
-                coeffs = dict(upper)
-                for i, a in lower:
-                    coeffs[i] = coeffs.get(i, 0) - a
-                form = (b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a)))
-            else:
-                form = self._placement_form(*key)
-            self._integer_forms[key] = form
+            form = self._placements[key] = self._placement_form(*key)
         return form
 
     def _placement_form(self, position: int, j: int, root_position: int) -> IntegerRow:
@@ -562,11 +563,9 @@ class VertexTable:
     `format_rational` texts; `add(f)` also interns the numerators into
     `vertices`, each distinct vertex once in order of first appearance,
     and gives the simplex as the indices of its vertices, in vertex
-    order, and `point(k)` gives vertex k as Fractions.  `add` walks from
-    vertex 1, which depends on the shape only, and moves from vertex p to
-    vertex p+1 by the coordinates of label p alone; each (vertex, move)
-    is followed once per table.  `steps(simplex)` gives the differences
-    of consecutive vertices, sparse, for `volumes.steps_volume_scaled`.
+    order, and `point(k)` gives vertex k as Fractions.  `steps(simplex)`
+    gives the differences of consecutive vertices, sparse, for
+    `volumes.steps_volume_scaled`.
 
     `chain_rows(f)` and `piece_rows(pf)` give a cell as a tuple of the
     value table's coprime integer rows, shared by every cell that has
@@ -574,16 +573,13 @@ class VertexTable:
     the table's `AffineForm`s, built from the same integer forms.
     """
 
-    __slots__ = ("scale", "vertices", "_values", "_index", "_shapes", "_move_ids", "_moved", "_steps")
+    __slots__ = ("scale", "vertices", "_values", "_index", "_steps")
 
     def __init__(self, node_count: int, q, t):
         self._values = _value_table(node_count, q, t)
         self.scale = self._values.scale
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
-        self._shapes: dict[PlaneForest, tuple] = {}
-        self._move_ids: dict[tuple, int] = {}
-        self._moved: dict[tuple[int, int], int] = {}
         self._steps: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def _checked(self, node_count: int) -> _ValueTable:
@@ -599,53 +595,14 @@ class VertexTable:
         values = self._checked(f.node_count)
         return _simplex_vertices(f, values.text_powers, values.text_one_minus_q)
 
-    def _intern(self, v: tuple[int, ...]) -> int:
-        k = self._index.get(v)
-        if k is None:
-            k = self._index[v] = len(self.vertices)
-            self.vertices.append(v)
-        return k
-
-    def _shape(self, pf: PlaneForest) -> tuple:
-        """What the simplices of a plane shape's forests share, found once
-        per shape: the index of their vertex 1, which puts every root at 1
-        and every non-root at w^(j+1); and per position (but 0), the move
-        from vertex p to vertex p+1 when that position holds label p, as
-        (id, changes), the changes being (coordinate, new value) pairs.  A
-        non-root moves its own coordinate to w^j; a root moves its whole
-        component, the positions up to the next root, to 1-q."""
-        shape = self._shapes.get(pf)
-        if shape is None:
-            values = self._checked(pf.node_count())
-            powers, low = values.int_powers, values.int_one_minus_q
-            walk = pf.walk
-            first = tuple(powers[0] if up is None else powers[j + 1] for up, j, _ in walk[1:])
-            ends = dict(zip(pf.roots, (*pf.roots[1:], len(walk))))
-            moves = [None]
-            for i, (up, j, _) in enumerate(walk[1:], 1):
-                if up is None:
-                    changes = tuple((c, low) for c in range(i - 1, ends[i] - 1))
-                else:
-                    changes = ((i - 1, powers[j]),)
-                moves.append((self._move_ids.setdefault(changes, len(self._move_ids)), changes))
-            shape = self._shapes[pf] = (self._intern(first), moves)
-        return shape
-
     def add(self, f: LabeledForest) -> tuple[int, ...]:
-        k, moves = self._shape(f.shape)
-        moved, vertices = self._moved, self.vertices
-        simplex = [k]
-        # Position 0 holds label n+1, the last vertex's.
-        for i in sorted(range(1, f.node_count), key=f.order.__getitem__):
-            move_id, changes = moves[i]
-            following = moved.get((k, move_id))
-            if following is None:
-                v = list(vertices[k])
-                for c, x in changes:
-                    v[c] = x
-                following = moved[k, move_id] = self._intern(tuple(v))
-            simplex.append(following)
-            k = following
+        index, vertices = self._index, self.vertices
+        simplex = []
+        for v in self.numerators(f):
+            k = index.setdefault(v, len(vertices))
+            if k == len(vertices):
+                vertices.append(v)
+            simplex.append(k)
         return tuple(simplex)
 
     def steps(self, simplex: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import BivariatePolynomial, abs_determinant, sparse_difference
+from .exact import BivariatePolynomial, abs_determinant
 from .forests import LabeledForest, PlaneForest, alpha
 from .geometry import ParameterDomainError, VertexTable, family_parameters, get_family
 
@@ -49,23 +49,15 @@ class DegenerateSimplexError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def integer_volume_scaled(vertices: Sequence[Sequence[int]]) -> int:
-    """|det(v_i - v_0)| of integer vertices; raises on an affinely
-    dependent vertex set.  A simplex whose vertices are these numerators
-    over a scale s has n! vol equal to this divided by s^n.
-
-    The rows taken are the consecutive differences v_i - v_{i-1}, which
-    span the same lattice parallelotope up to unimodular row operations
-    and so have the same |det|; here they are sparse (`steps_volume_scaled`)."""
-    if any(len(v) != len(vertices) - 1 for v in vertices):
-        raise ValueError("a simplex in R^n needs n + 1 vertices of n coordinates")
-    return steps_volume_scaled([sparse_difference(v, u) for u, v in zip(vertices, vertices[1:])])
-
-
 def steps_volume_scaled(steps: Sequence[Sequence[tuple[int, int]]]) -> int:
-    """|det| of a simplex's consecutive vertex differences, given as sparse
-    rows (`exact.sparse_difference`), by `abs_determinant`; raises on a
-    singular set (an affinely dependent vertex set)."""
+    """|det| of a simplex's consecutive vertex differences v_i - v_{i-1},
+    given as sparse rows (`exact.sparse_difference`), by `abs_determinant`;
+    raises on a singular set (an affinely dependent vertex set).
+
+    These rows span the same lattice parallelotope as v_i - v_0 up to
+    unimodular row operations, and so have the same |det|; for a forest's
+    simplex they are sparse.  A simplex whose vertices are integer
+    numerators over a scale s has n! vol equal to this divided by s^n."""
     volume = abs_determinant(steps)
     if not volume:
         raise DegenerateSimplexError("affinely dependent vertices")
@@ -295,9 +287,9 @@ def volume_report(
 
     The graph sweep runs over K_{n+1}, so n is capped at Z_MAX_NODES - 1
     before any cell is enumerated.  The determinant pass enumerates the
-    cells a second time, and sums each simplex's
-    `integer_volume_scaled` on the value table's numerators over one scale
-    s, divided once by s^n.
+    cells a second time, and sums each simplex's `steps_volume_scaled` on
+    the vertex table's memoised steps, integers over one scale s, divided
+    once by s^n.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -308,7 +300,7 @@ def volume_report(
     det_total = None
     if with_determinant:
         table = VertexTable(n + 1, q_eff, t_eff)
-        total = sum(integer_volume_scaled(table.numerators(f)) for f in fam.labeled_cells(n))
+        total = sum(steps_volume_scaled(table.steps(table.add(f))) for f in fam.labeled_cells(n))
         det_total = Fraction(total, table.scale**n)
     return VolumeReport(
         family=family,

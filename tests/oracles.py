@@ -8,7 +8,8 @@ sum Z and the Tutte polynomial, the inversion enumerator of labeled trees,
 the observed edge and 2-face count formulas of the Tutte polytope, the
 extremality certificate of a vertex set, the chain and piece forms built
 in Fractions node by node, and the simplex volume by elimination of the
-differences to the first vertex.
+differences to the first vertex, and by the package's expansion of the
+consecutive differences.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from fractions import Fraction
 from typing import Iterator
 
 from cayleypoly import BivariatePolynomial, tutte_f_vector
-from cayleypoly.exact import Coefficient, Monomial, eliminate, parse_integer
+from cayleypoly.exact import Coefficient, Monomial, eliminate, parse_integer, sparse_difference
 from cayleypoly.faces import VertexSet, _contact_masks
 from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enumerate_labeled_forests, graph_walk
 from cayleypoly.geometry import AffineForm, HRep
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
-from cayleypoly.volumes import DegenerateSimplexError
+from cayleypoly.volumes import DegenerateSimplexError, steps_volume_scaled
 
 # ----------------------------------------------------------------------
 # Labeled graphs
@@ -424,3 +425,12 @@ def volume_scaled(vertices) -> int:
     if len(pivots) < len(rows):
         raise DegenerateSimplexError("affinely dependent vertices")
     return abs(rows[-1][-1])
+
+
+def integer_volume_scaled(vertices) -> int:
+    """|det(v_i - v_0)| of integer vertices, by `steps_volume_scaled` on
+    their consecutive differences; raises DegenerateSimplexError on an
+    affinely dependent vertex set."""
+    if any(len(v) != len(vertices) - 1 for v in vertices):
+        raise ValueError("a simplex in R^n needs n + 1 vertices of n coordinates")
+    return steps_volume_scaled([sparse_difference(v, u) for u, v in zip(vertices, vertices[1:])])

@@ -29,13 +29,13 @@ from cayleypoly import (
     z_bruteforce,
 )
 from cayleypoly.geometry import VertexTable
-from cayleypoly.volumes import integer_volume_scaled
 
 from oracles import (
     component_count,
     conjecture_check,
     count_connected_graphs,
     enumerate_graphs,
+    integer_volume_scaled,
     inversion_enumerator,
     tutte_from_z,
     vertices_are_extreme,

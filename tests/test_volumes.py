@@ -28,9 +28,16 @@ from cayleypoly import (
     z_bruteforce,
 )
 from cayleypoly.geometry import VertexTable, family_parameters
-from cayleypoly.volumes import integer_volume_scaled, steps_volume_scaled, subgraph_tally
+from cayleypoly.volumes import steps_volume_scaled, subgraph_tally
 
-from oracles import inversion_enumerator, partition_pattern, tree_inversions, tutte_from_z, volume_scaled
+from oracles import (
+    integer_volume_scaled,
+    inversion_enumerator,
+    partition_pattern,
+    tree_inversions,
+    tutte_from_z,
+    volume_scaled,
+)
 from poly_helpers import compose_t
 
 P = BivariatePolynomial
