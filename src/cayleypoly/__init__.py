@@ -18,7 +18,6 @@ from .forests import (
 )
 from .geometry import (
     FAMILIES,
-    AffineForm,
     Family,
     HRep,
     ParameterDomainError,

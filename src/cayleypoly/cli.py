@@ -328,18 +328,13 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 # runs before they return.
 
 
-def _row_texts(form) -> list[str]:
-    """A row of a family H-rep as texts.  Not AffineForm.texts, which
-    caches them on the form, and a list, which the JSON writer does not
-    memoize: these rows are written once each, so nothing keeps them."""
-    return [format_rational(form.constant), *map(format_rational, form.coefficients)]
-
-
 def _cmd_hrep(args) -> tuple[dict | Iterable[str], int]:
     hrep = build_hrep(args.family, args.n, args.q, args.t)
-    rows = map(_row_texts, hrep.inequalities)
+    # Lists, which the JSON writer does not memoize: each row is written
+    # once, so nothing keeps it.
+    rows = hrep.texts()
     if args.format == "text":
-        header = f"{hrep.dimension} {len(hrep.inequalities)}\n"
+        header = f"{hrep.dimension} {len(hrep.forms)}\n"
         return chain((header,), (" ".join(row) + "\n" for row in rows)), 0
     q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     return {
@@ -378,15 +373,23 @@ def _cmd_pieces(args) -> tuple[dict | Iterable[str], int]:
     fam = get_family(args.family)
     plane = fam.plane_cells(args.n)  # checks the node cap before the count is computed
     count = fam.cell_counts(args.n)[1]
-    piece = VertexTable(args.n + 1, q_eff, t_eff).piece
-    entries = ((pf.to_text(), piece(pf)) for pf in _counted(plane, count, "pieces"))
+    n = args.n
+    # Tuples, shared by the pieces that have a row, which the JSON writer
+    # renders once each.
+    texts = VertexTable(n + 1, q_eff, t_eff).piece_texts
+    entries = ((pf.to_text(), texts(pf)) for pf in _counted(plane, count, "pieces"))
     if args.format == "text":
-        return (f"plane_forest {name}\n{hrep.to_text()}" for name, hrep in entries), 0
+        return (
+            f"plane_forest {name}\n{n} {len(rows)}\n" + "".join([" ".join(row) + "\n" for row in rows])
+            for name, rows in entries
+        ), 0
     return {
         "family": args.family,
-        "n": args.n,
+        "n": n,
         "count": count,
-        "pieces": ({"plane_forest": name, "hrep": h.to_json_obj()} for name, h in entries),
+        "pieces": (
+            {"plane_forest": name, "hrep": {"dimension": n, "inequalities": rows}} for name, rows in entries
+        ),
     }, 0
 
 

@@ -9,9 +9,10 @@ than G and the empty set (Ziegler, Lectures on Polytopes, 2.2).  So each
 level of faces comes from the one above, and the level is the dimension.
 Contacts are found in integers: the vertices are cleared over one common
 denominator and each coprime row of `HRep.integer_rows` is evaluated on
-the numerators; only a violation is re-evaluated as a Fraction, to
-report its exact amount.  Contact sets, and every face through to the
-returned lattice, are int bitmasks over the vertex indices.
+the numerators; only a violation is evaluated on the H-rep's own form,
+over its scale, to report its exact amount as one Fraction.  Contact
+sets, and every face through to the returned lattice, are int bitmasks
+over the vertex indices.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def _contact_masks(points, hrep: HRep) -> list[int]:
     In integers: with the points cleared over one common denominator s to
     (n_1, ..., n_d) / s, each coprime row of hrep.integer_rows is
     evaluated as b s + sum a_i n_i, a positive multiple of the form's
-    value.  A violation is reported with its exact amount.
+    value.  A violation is reported with its exact amount, read off the
+    un-reduced form over the H-rep's scale.
     """
     n = hrep.dimension
     if any(len(p) != n for p in points):
@@ -144,7 +146,8 @@ def _contact_masks(points, hrep: HRep) -> list[int]:
             for i, a in terms:
                 value += a * p[i]
             if value < 0:
-                amount = hrep.inequalities[k].evaluate(points[idx])
+                c, raw = hrep.forms[k]
+                amount = Fraction(c * scale + sum(a * p[i] for i, a in raw), hrep.scale * scale)
                 raise InconsistentGeometryError(f"point {idx} violates an inequality by {amount}")
             if not value:
                 mask |= 1 << idx

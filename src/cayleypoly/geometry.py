@@ -20,6 +20,13 @@ with x_0 = 1, j the node's cane-path count and l the position of its
 component root.  Setting q = 1 recovers the one-parameter constructions,
 and additionally t = 1 the classical ones.
 
+Every H-rep, of a family polytope, a piece or a cone, holds its forms in
+one format: integers (b, ((i, a_i), ...)) over one positive scale of the
+H-rep, for the form (b + sum a_i x_{i+1}) / scale.  The builders read q
+and t as numerators and denominators and write the forms in integers;
+a membership test, the vertex oracle and the face lattice read each
+form's coprime multiple, and `form_texts` prints a form's entries.
+
 Every cell is built through a VertexTable, one lookup of the exact value
 table shared per (node count, q, t), kept in a bounded cache after q and
 t are checked and turned into Fractions.  The table holds 1 - q and the
@@ -27,17 +34,16 @@ powers (1+t)^k as integer numerators over one common scale s and as
 formatted texts.  It also clears the few scalars of the node
 coordinates once, over one form denominator, so that the coordinate
 form of each placement (a node's position, cane exponent and root
-position, read off the NFS walk that a PlaneForest holds) is a row of
-integers, and so is each chain row, the difference of two such forms.
-Each distinct placement row and chain row is kept once, gcd-reduced to
-a coprime integer row, and shared by every cell that has it; its
-AffineForm, for the H-reps that are printed, is built from the same
-integers.  One column builder writes every simplex, from the numerators
-or from the texts.  A VertexTable gives simplex vertices as texts, or
-interns their integer vertices, each distinct vertex once, so that a
-simplex is a tuple of indices into it, and differences each pair of
-consecutive vertices once for the volumes; and it builds chains and
-pieces, as tuples of the table's integer rows or as H-reps.
+position, read off the NFS walk that a PlaneForest holds) is an integer
+form, and so is each chain row, the difference of two such forms.  Each
+distinct placement and chain row is kept once, as its integer form, its
+coprime row and its texts, and shared by every cell that has it.  One
+column builder writes every simplex, from the numerators or from the
+texts.  A VertexTable gives simplex vertices as texts, or interns their
+integer vertices, each distinct vertex once, so that a simplex is a
+tuple of indices into it, and differences each pair of consecutive
+vertices once for the volumes; and it builds chains and pieces, as
+tuples of the table's coprime rows, and pieces as H-reps or texts.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import clear_denominators, format_rational, parse_integer, parse_rational, sparse_difference
+from .exact import clear_denominators, format_rational, sparse_difference
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -135,63 +141,32 @@ class DimensionError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Affine forms and H-representations
+# H-representations
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """constant + sum(coefficients[i] * x_{i+1}), evaluated exactly."""
+def _scaled_text(a: int, scale: int) -> str:
+    """`format_rational` of a / scale, for a scale > 0."""
+    g = math.gcd(a, scale)
+    return _ratio_text(a // g, scale // g)
 
-    constant: Fraction
-    coefficients: tuple[Fraction, ...]
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.coefficients):
-            raise DimensionError("point/form dimension mismatch")
-        total = self.constant
-        for a, x in zip(self.coefficients, point):
-            if a:
-                total += a * x
-        return total
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """`format_rational` of numerator/denominator, given in lowest terms
+    with a positive denominator."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
-    @cached_property
-    def integer_row(self) -> IntegerRow:
-        """The form as coprime integers (b, ((i, a_i), ...)), the nonzero
-        a_i only, with b + sum a_i x_i a positive multiple of the form:
-        same sign everywhere, and equal for forms that are positive
-        multiples of each other.  Cleared once, on first use."""
-        (b, *coeffs), _ = clear_denominators((self.constant, *self.coefficients))
-        return _coprime(b, tuple((i, a) for i, a in enumerate(coeffs) if a))
 
-    @cached_property
-    def texts(self) -> tuple[str, ...]:
-        """The constant and the coefficients as `format_rational` texts,
-        formatted once, on first use."""
-        return (format_rational(self.constant), *map(format_rational, self.coefficients))
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            self.constant + other.constant,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            self.constant - other.constant,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    @staticmethod
-    def constant_form(dimension: int, value) -> "AffineForm":
-        return AffineForm(Fraction(value), (Fraction(0),) * dimension)
-
-    @staticmethod
-    def linear(dimension: int, index: int, coeff=1, constant=0) -> "AffineForm":
-        """constant + coeff * x_index (index is 1-based)."""
-        coeffs = [Fraction(0)] * dimension
-        coeffs[index - 1] = Fraction(coeff)
-        return AffineForm(Fraction(constant), tuple(coeffs))
+def form_texts(form: IntegerRow, scale: int, width: int) -> list[str]:
+    """The form (b + sum a_i x_{i+1}) / scale as the `format_rational`
+    texts of its constant and its width coefficients, "0" for an entry
+    that the form does not hold."""
+    b, terms = form
+    texts = ["0"] * (width + 1)
+    texts[0] = _scaled_text(b, scale)
+    for i, a in terms:
+        texts[i + 1] = _scaled_text(a, scale)
+    return texts
 
 
 def rows_contain(
@@ -211,18 +186,24 @@ def rows_contain(
 
 @dataclass(frozen=True)
 class HRep:
-    """Finite system of affine inequalities form(x) >= 0 in R^dimension."""
+    """Finite system of affine inequalities form(x) >= 0 in R^dimension.
+
+    Each form is integers (b, ((i, a_i), ...)) over the one positive
+    `scale` of the H-rep: the form (b + sum a_i x_{i+1}) / scale, with
+    its nonzero a_i only, in index order."""
 
     dimension: int
-    inequalities: tuple[AffineForm, ...]
+    scale: int
+    forms: tuple[IntegerRow, ...]
 
     @cached_property
     def integer_rows(self) -> tuple[IntegerRow, ...]:
-        """Each inequality's `AffineForm.integer_row`, so H-reps that share
-        forms share their clearing."""
-        if any(len(form.coefficients) != self.dimension for form in self.inequalities):
+        """Each form as coprime integers, a positive multiple of it: same
+        sign everywhere, and equal for forms that are positive multiples
+        of each other."""
+        if any(terms and terms[-1][0] >= self.dimension for _, terms in self.forms):
             raise DimensionError("form dimension mismatch")
-        return tuple(form.integer_row for form in self.inequalities)
+        return tuple(_coprime(b, terms) for b, terms in self.forms)
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
         """Every form >= 0 at point (> 0 when strict)."""
@@ -237,38 +218,10 @@ class HRep:
             raise DimensionError("point dimension mismatch")
         return rows_contain(self.integer_rows, numerators, scale, strict)
 
-    def to_text(self) -> str:
-        lines = [f"{self.dimension} {len(self.inequalities)}"]
-        lines.extend(" ".join(form.texts) for form in self.inequalities)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "HRep":
-        lines = [line for line in text.splitlines() if line.strip()]
-        header = lines[0].split() if lines else []
-        if len(header) != 2:
-            raise ValueError("expected the header line 'dimension rows'")
-        try:
-            dim, count = (parse_integer(x) for x in header)
-        except ValueError:
-            raise ValueError(f"bad header {lines[0].strip()!r}: expected 'dimension rows'") from None
-        if dim < 0:
-            raise ValueError(f"header declares dimension {dim}, expected one >= 0")
-        if len(lines) - 1 != count:
-            raise ValueError(f"header declares {count} rows, found {len(lines) - 1}")
-        forms = []
-        for line in lines[1:]:
-            values = [parse_rational(x) for x in line.split()]
-            if len(values) != dim + 1:
-                raise ValueError("row width mismatch")
-            forms.append(AffineForm(values[0], tuple(values[1:])))
-        return cls(dim, tuple(forms))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "inequalities": [form.texts for form in self.inequalities],
-        }
+    def texts(self) -> Iterator[list[str]]:
+        """Each form's `form_texts`, one list per row, made as it is read."""
+        scale, width = self.scale, self.dimension
+        return (form_texts(form, scale, width) for form in self.forms)
 
 
 def vrep_to_text(points: Iterable[Point], dimension: int) -> str:
@@ -314,8 +267,8 @@ def family_parameters(family: str, q=None, t=None) -> tuple[Fraction, Fraction]:
 # Largest dimension of a family polytope built whole: the tutte H-rep has
 # n(n+1)/2 + 1 rows of n coefficients, growing as n^3.  At n = 100 that
 # is 6.75 MB of JSON (1.06 MB of text); the `hrep` command holds the
-# 5051 forms, about 4 MB, and writes the rows one at a time, at 20 MB of
-# peak RSS in either format.
+# 5051 sparse integer forms, about 0.9 MB, and writes the rows one at a
+# time, at 18 MB of peak RSS in either format.
 MAX_DIMENSION = 100
 
 
@@ -338,41 +291,38 @@ def build_hrep(family: str, n: int, q=None, t=None) -> HRep:
 
 
 def _chain_hrep_lower_one(n: int, t: Fraction) -> HRep:
-    """1 <= x_i <= (1+t) x_{i-1} with x_0 = 1."""
-    w = 1 + t
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(AffineForm.linear(n, i, 1, -1))  # x_i - 1 >= 0
-        if i == 1:
-            rows.append(AffineForm.linear(n, 1, -1, w))  # (1+t) - x_1 >= 0
-        else:
-            upper = AffineForm.linear(n, i - 1, w) - AffineForm.linear(n, i, 1)
-            rows.append(upper)
-    return HRep(n, tuple(rows))
+    """1 <= x_i <= (1+t) x_{i-1} with x_0 = 1, over d: t = c/d and
+    1+t = e/d."""
+    d = t.denominator
+    e = t.numerator + d
+    forms = []
+    for i in range(n):  # the rows of x_{i+1}
+        forms.append((-d, ((i, d),)))  # x_i - 1 >= 0
+        forms.append((e, ((0, -d),)) if i == 0 else (0, ((i - 1, e), (i, -d))))  # (1+t) x_{i-1} - x_i >= 0
+    return HRep(n, d, tuple(forms))
 
 
 def _tutte_hrep(n: int, q: Fraction, t: Fraction) -> HRep:
-    """q x_i <= q(1+t) x_{i-1} - t(1-q)(1-x_{j-1}) for j <= i, plus x_n >= 1-q."""
-    w = 1 + t
-    rows = []
+    """q x_i <= q(1+t) x_{i-1} - t(1-q)(1-x_{j-1}) for j <= i, plus
+    x_n >= 1-q, over b d: q = a/b, t = c/d and 1+t = e/d, so that q(1+t),
+    t(1-q) and q are a e, c (b-a) and a d."""
+    a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
+    qw, slack, qd = a * (c + d), c * (b - a), a * d
+    forms = []
     for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            # q(1+t) x_{i-1} - t(1-q)(1 - x_{j-1}) - q x_i >= 0, x_0 = 1.
-            coeffs = [Fraction(0)] * n
-            const = Fraction(0)
-            if i == 1:
-                const += q * w
-            else:
-                coeffs[i - 2] += q * w
-            const -= t * (1 - q)
-            if j == 1:
-                const += t * (1 - q)
-            else:
-                coeffs[j - 2] += t * (1 - q)
-            coeffs[i - 1] -= q
-            rows.append(AffineForm(const, tuple(coeffs)))
-    rows.append(AffineForm.linear(n, n, 1, -(1 - q)))
-    return HRep(n, tuple(rows))
+        # q(1+t) x_{i-1} - t(1-q)(1 - x_{j-1}) - q x_i >= 0, x_0 = 1; x_k
+        # is index k - 1, and t(1-q) = 0 at q = 1 is left out.
+        lowest = ((i - 1, -qd),)
+        if i == 1:
+            forms.append((qw, lowest))
+            continue
+        upper = ((i - 2, qw),)
+        forms.append((0, upper + lowest))  # j = 1: the t(1-q) terms cancel
+        for j in range(2, i):
+            forms.append((-slack, (((j - 2, slack),) if slack else ()) + upper + lowest))
+        forms.append((-slack, ((i - 2, qw + slack),) + lowest))  # j = i: one x_{i-1} entry
+    forms.append((-(b - a) * d, ((n - 1, b * d),)))
+    return HRep(n, b * d, tuple(forms))
 
 
 # ----------------------------------------------------------------------
@@ -389,14 +339,6 @@ _VALUE_TABLES = 16
 # position being a root when it is its own root position.  A row key is a
 # placement, for its form, or a pair (upper, lower) of placements, for the
 # chain row form(upper) - form(lower).
-_Placement = tuple[int, int, int]
-_ZERO = Fraction(0)
-
-
-def _ratio_text(numerator: int, denominator: int) -> str:
-    """`format_rational` of numerator/denominator, given in lowest terms
-    with a positive denominator."""
-    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def _cached(cache: dict, build, keys: Sequence) -> tuple:
@@ -419,15 +361,15 @@ class _ValueTable:
     (1-q)/w^j - 1, w = 1+t), as integer numerators over one common
     denominator `form_scale`, so that each placement's coordinate form is
     an integer form (b, ((i, a_i), ...)) over it and a chain row, the
-    difference of two forms, is one too.  Each placement's integer form is
-    kept, and each row key's coprime `IntegerRow` and `AffineForm` are
-    built once, on first use, from the integer form; the coprime row
-    equals the form's `AffineForm.integer_row`, as the coprime positive
-    multiple of a form is unique."""
+    difference of two forms, is one too.  Each row key's integer form is
+    kept, a pair's worked out from its two kept placement forms, and so
+    are its coprime `IntegerRow`, for the membership tests, and its
+    `form_texts`, for the pieces that are printed; each is built once, on
+    first use, and shared by every cell that has the key."""
 
     __slots__ = (
         "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers",
-        "form_scale", "_qt", "_root", "_canes", "_placements", "_rows", "_forms",
+        "form_scale", "_qt", "_root", "_canes", "_forms", "_rows", "_texts",
     )
 
     def __init__(self, node_count: int, q: Fraction, t: Fraction):
@@ -456,23 +398,24 @@ class _ValueTable:
             f = e ** (last - j)
             canes.append((a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f))
         self._canes = tuple(canes)
-        self._placements: dict[_Placement, IntegerRow] = {}
-        self._rows: dict = {}
         self._forms: dict = {}
+        self._rows: dict = {}
+        self._texts: dict = {}
 
     def integer_form(self, key) -> IntegerRow:
         """The form of a row key as integers over `form_scale`:
-        (b, ((i, a_i), ...)), the nonzero a_i only, in index order.  A
-        pair's form is worked out from its two kept placement forms."""
-        if len(key) == 2:
-            (b, upper), (c, lower) = map(self.integer_form, key)
-            coeffs = dict(upper)
-            for i, a in lower:
-                coeffs[i] = coeffs.get(i, 0) - a
-            return b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a))
-        form = self._placements.get(key)
+        (b, ((i, a_i), ...)), the nonzero a_i only, in index order."""
+        form = self._forms.get(key)
         if form is None:
-            form = self._placements[key] = self._placement_form(*key)
+            if len(key) == 2:
+                (b, upper), (c, lower) = map(self.integer_form, key)
+                coeffs = dict(upper)
+                for i, a in lower:
+                    coeffs[i] = coeffs.get(i, 0) - a
+                form = b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a))
+            else:
+                form = self._placement_form(*key)
+            self._forms[key] = form
         return form
 
     def _placement_form(self, position: int, j: int, root_position: int) -> IntegerRow:
@@ -493,25 +436,20 @@ class _ValueTable:
             row = self._rows[key] = _coprime(*self.integer_form(key))
         return row
 
-    def form(self, key) -> AffineForm:
-        """The affine form on R^n of a row key."""
-        form = self._forms.get(key)
-        if form is None:
-            b, terms = self.integer_form(key)
-            d = self.form_scale
-            coeffs = [_ZERO] * self.n
-            for i, a in terms:
-                coeffs[i] = Fraction(a, d)
-            form = self._forms[key] = AffineForm(Fraction(b, d), tuple(coeffs))
-        return form
+    def text(self, key) -> tuple[str, ...]:
+        """The `form_texts` of a row key, as a tuple."""
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = tuple(form_texts(self.integer_form(key), self.form_scale, self.n))
+        return text
 
     def rows(self, keys: Sequence) -> tuple[IntegerRow, ...]:
         """The rows of these row keys, the known ones in one pass."""
         return _cached(self._rows, self.row, keys)
 
-    def forms(self, keys: Sequence) -> tuple[AffineForm, ...]:
-        """The forms of these row keys, the known ones in one pass."""
-        return _cached(self._forms, self.form, keys)
+    def texts(self, keys: Sequence) -> tuple[tuple[str, ...], ...]:
+        """The texts of these row keys, the known ones in one pass."""
+        return _cached(self._texts, self.text, keys)
 
 
 @lru_cache(maxsize=_VALUE_TABLES)
@@ -544,8 +482,8 @@ def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[
 
 class VertexTable:
     """The cells of forests on node_count nodes at (q, t), from one lookup
-    of the value table: simplex vertices in integers or as texts, chain
-    H-reps and subdivision pieces.
+    of the value table: simplex vertices in integers or as texts, chains
+    and subdivision pieces.
 
     The simplex of a labeled forest on n+1 nodes, in R^n, has its vertices
     in closed form: vertex p (p = 1..n+1) puts the chain coordinates of
@@ -569,8 +507,8 @@ class VertexTable:
 
     `chain_rows(f)` and `piece_rows(pf)` give a cell as a tuple of the
     value table's coprime integer rows, shared by every cell that has
-    them; `chain_hrep(f)` and `piece(pf)` give the same cells as H-reps of
-    the table's `AffineForm`s, built from the same integer forms.
+    them; `piece(pf)` gives the piece as an H-rep of the table's integer
+    forms, and `piece_texts(pf)` as their texts.
     """
 
     __slots__ = ("scale", "vertices", "_values", "_index", "_steps")
@@ -660,15 +598,17 @@ class VertexTable:
         """The plane forest's piece as the table's coprime integer rows."""
         return self._values.rows(self._piece_keys(pf))
 
-    def chain_hrep(self, f: LabeledForest) -> HRep:
-        """The defining chain of the forest's simplex, as an H-rep in R^n:
-        the forms of `chain_rows`."""
-        return HRep(self._values.n, self._values.forms(self._chain_keys(f)))
-
     def piece(self, pf: PlaneForest) -> HRep:
         """The subdivision piece of a plane forest on n+1 nodes, as an
-        H-rep in R^n: the forms of `piece_rows`."""
-        return HRep(self._values.n, self._values.forms(self._piece_keys(pf)))
+        H-rep in R^n: the integer forms of `piece_rows`, over the table's
+        `form_scale`."""
+        values = self._values
+        return HRep(values.n, values.form_scale, tuple(map(values.integer_form, self._piece_keys(pf))))
+
+    def piece_texts(self, pf: PlaneForest) -> tuple[tuple[str, ...], ...]:
+        """The rows of `piece(pf)` as `form_texts`, each distinct row's
+        tuple shared by every piece that has it."""
+        return self._values.texts(self._piece_keys(pf))
 
 
 # ----------------------------------------------------------------------
@@ -676,12 +616,17 @@ class VertexTable:
 # ----------------------------------------------------------------------
 
 
+def _rescaled(forms: Iterable[IntegerRow], factor: int, shift: int) -> list[IntegerRow]:
+    """The forms times factor, each index moved up by shift."""
+    return [(b * factor, tuple((i + shift, a * factor) for i, a in terms)) for b, terms in forms]
+
+
 def product(a: HRep, b: HRep) -> HRep:
-    """Cartesian product; b's variables are shifted after a's."""
-    dim = a.dimension + b.dimension
-    rows = [AffineForm(f.constant, f.coefficients + (Fraction(0),) * b.dimension) for f in a.inequalities]
-    rows += [AffineForm(f.constant, (Fraction(0),) * a.dimension + f.coefficients) for f in b.inequalities]
-    return HRep(dim, tuple(rows))
+    """Cartesian product; b's variables are shifted after a's.  The forms
+    are over the lcm of the two scales."""
+    scale = math.lcm(a.scale, b.scale)
+    forms = _rescaled(a.forms, scale // a.scale, 0) + _rescaled(b.forms, scale // b.scale, a.dimension)
+    return HRep(a.dimension + b.dimension, scale, tuple(forms))
 
 
 def cone_q(p: HRep, q) -> HRep:
@@ -693,20 +638,23 @@ def cone_q(p: HRep, q) -> HRep:
     b (x_0 - 1 + q) + sum_i a_i (q x_i - (1-q)(1-x_0)) >= 0,
     which for bounded P describes the closed cone exactly.  At q = 1 the
     apex is the origin and x lies in x_0 * P.
+
+    With q = u/v, the forms are over v times P's scale: a form
+    (c + sum a_i y_i) / s of P, with S = sum a_i, becomes
+    -(v-u)(c + S) + (v c + (v-u) S) x_0 + sum_i u a_i x_i.
     """
     q = _check_q(q)
-    dim = p.dimension + 1
-    rows = [
-        AffineForm.linear(dim, 1, 1, -(1 - q)),  # x_0 >= 1-q
-        AffineForm.linear(dim, 1, -1, 1),  # x_0 <= 1
+    u, v = q.numerator, q.denominator
+    scale = v * p.scale
+    forms = [
+        (-(v - u) * p.scale, ((0, scale),)),  # x_0 >= 1-q
+        (scale, ((0, -scale),)),  # x_0 <= 1
     ]
-    for form in p.inequalities:
-        s = sum(form.coefficients, Fraction(0))
-        const = form.constant * (q - 1) - (1 - q) * s
-        coeffs = [form.constant + (1 - q) * s]
-        coeffs.extend(q * a for a in form.coefficients)
-        rows.append(AffineForm(const, tuple(coeffs)))
-    return HRep(dim, tuple(rows))
+    for c, terms in p.forms:
+        total = sum(a for _, a in terms)
+        x0 = v * c + (v - u) * total
+        forms.append((-(v - u) * (c + total), (((0, x0),) if x0 else ()) + tuple((i + 1, u * a) for i, a in terms)))
+    return HRep(p.dimension + 1, scale, tuple(forms))
 
 
 def piece_for_plane_forest_via_cones(pf: PlaneForest, q, t) -> HRep:

@@ -6,23 +6,35 @@ graphs and the exhaustive sweep over them (with the one union-find,
 paths counted from one node, the conversion between the spanning-subgraph
 sum Z and the Tutte polynomial, the inversion enumerator of labeled trees,
 the observed edge and 2-face count formulas of the Tutte polytope, the
-extremality certificate of a vertex set, the chain and piece forms built
-in Fractions node by node, and the simplex volume by elimination of the
-differences to the first vertex, and by the package's expansion of the
-consecutive differences.
+extremality certificate of a vertex set, Fraction affine forms with the
+H-rep text form and the family, product and cone H-reps built from them,
+the chain and piece forms built in Fractions node by node, and the
+simplex volume by elimination of the differences to the first vertex,
+and by the package's expansion of the consecutive differences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from cayleypoly import BivariatePolynomial, tutte_f_vector
-from cayleypoly.exact import Coefficient, Monomial, eliminate, parse_integer, sparse_difference
+from cayleypoly.exact import (
+    Coefficient,
+    Monomial,
+    clear_denominators,
+    eliminate,
+    format_rational,
+    parse_integer,
+    parse_rational,
+    sparse_difference,
+)
 from cayleypoly.faces import VertexSet, _contact_masks
 from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enumerate_labeled_forests, graph_walk
-from cayleypoly.geometry import AffineForm, HRep
+from cayleypoly.geometry import DimensionError, HRep, IntegerRow, _check_q
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
 from cayleypoly.volumes import DegenerateSimplexError, steps_volume_scaled
 
@@ -354,6 +366,183 @@ def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
         if meet != 1 << a:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Fraction affine forms and the H-reps built from them
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """constant + sum(coefficients[i] * x_{i+1}), evaluated exactly."""
+
+    constant: Fraction
+    coefficients: tuple[Fraction, ...]
+
+    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != len(self.coefficients):
+            raise DimensionError("point/form dimension mismatch")
+        total = self.constant
+        for a, x in zip(self.coefficients, point):
+            if a:
+                total += a * x
+        return total
+
+    @cached_property
+    def integer_row(self) -> IntegerRow:
+        """The form as coprime integers (b, ((i, a_i), ...)), the nonzero
+        a_i only, cleared from the Fractions."""
+        (b, *coeffs), _ = clear_denominators((self.constant, *self.coefficients))
+        terms = tuple((i, a) for i, a in enumerate(coeffs) if a)
+        g = math.gcd(b, *(a for _, a in terms)) or 1
+        return b // g, tuple((i, a // g) for i, a in terms)
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The constant and the coefficients as `format_rational` texts."""
+        return (format_rational(self.constant), *map(format_rational, self.coefficients))
+
+    def __add__(self, other: "AffineForm") -> "AffineForm":
+        return AffineForm(
+            self.constant + other.constant,
+            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
+        )
+
+    def __sub__(self, other: "AffineForm") -> "AffineForm":
+        return AffineForm(
+            self.constant - other.constant,
+            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
+        )
+
+    @staticmethod
+    def constant_form(dimension: int, value) -> "AffineForm":
+        return AffineForm(Fraction(value), (Fraction(0),) * dimension)
+
+    @staticmethod
+    def linear(dimension: int, index: int, coeff=1, constant=0) -> "AffineForm":
+        """constant + coeff * x_index (index is 1-based)."""
+        coeffs = [Fraction(0)] * dimension
+        coeffs[index - 1] = Fraction(coeff)
+        return AffineForm(Fraction(constant), tuple(coeffs))
+
+
+def hrep_from_forms(dimension: int, forms: Sequence[AffineForm]) -> HRep:
+    """The H-rep of these Fraction forms, as integer forms over their least
+    common denominator."""
+    if any(len(form.coefficients) != dimension for form in forms):
+        raise DimensionError("form dimension mismatch")
+    values = [x for form in forms for x in (form.constant, *form.coefficients)]
+    numerators, scale = clear_denominators(values) if values else ([], 1)
+    width = dimension + 1
+    rows = []
+    for k in range(0, len(numerators), width):
+        b, *coeffs = numerators[k : k + width]
+        rows.append((b, tuple((i, a) for i, a in enumerate(coeffs) if a)))
+    return HRep(dimension, scale, tuple(rows))
+
+
+def hrep_forms(hrep: HRep) -> tuple[AffineForm, ...]:
+    """The H-rep's integer forms read back as Fraction forms."""
+    forms = []
+    for b, terms in hrep.forms:
+        coeffs = [Fraction(0)] * hrep.dimension
+        for i, a in terms:
+            coeffs[i] = Fraction(a, hrep.scale)
+        forms.append(AffineForm(Fraction(b, hrep.scale), tuple(coeffs)))
+    return tuple(forms)
+
+
+def hrep_to_text(hrep: HRep) -> str:
+    """The H-rep as the `hrep --format text` command writes it: the header
+    'dimension rows', then one line of texts per row."""
+    lines = [f"{hrep.dimension} {len(hrep.forms)}", *(" ".join(row) for row in hrep.texts())]
+    return "\n".join(lines) + "\n"
+
+
+def hrep_from_text(text: str) -> HRep:
+    """The H-rep of `hrep_to_text`'s form, each entry an exact rational."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    header = lines[0].split() if lines else []
+    if len(header) != 2:
+        raise ValueError("expected the header line 'dimension rows'")
+    try:
+        dim, count = (parse_integer(x) for x in header)
+    except ValueError:
+        raise ValueError(f"bad header {lines[0].strip()!r}: expected 'dimension rows'") from None
+    if dim < 0:
+        raise ValueError(f"header declares dimension {dim}, expected one >= 0")
+    if len(lines) - 1 != count:
+        raise ValueError(f"header declares {count} rows, found {len(lines) - 1}")
+    forms = []
+    for line in lines[1:]:
+        values = [parse_rational(x) for x in line.split()]
+        if len(values) != dim + 1:
+            raise ValueError("row width mismatch")
+        forms.append(AffineForm(values[0], tuple(values[1:])))
+    return hrep_from_forms(dim, forms)
+
+
+def chain_hrep_forms(n: int, t: Fraction) -> list[AffineForm]:
+    """1 <= x_i <= (1+t) x_{i-1} with x_0 = 1, in Fractions: the
+    connected families' H-rep."""
+    w = 1 + t
+    rows = []
+    for i in range(1, n + 1):
+        rows.append(AffineForm.linear(n, i, 1, -1))  # x_i - 1 >= 0
+        if i == 1:
+            rows.append(AffineForm.linear(n, 1, -1, w))  # (1+t) - x_1 >= 0
+        else:
+            rows.append(AffineForm.linear(n, i - 1, w) - AffineForm.linear(n, i, 1))
+    return rows
+
+
+def tutte_hrep_forms(n: int, q: Fraction, t: Fraction) -> list[AffineForm]:
+    """q x_i <= q(1+t) x_{i-1} - t(1-q)(1-x_{j-1}) for j <= i, plus
+    x_n >= 1-q, in Fractions: the other families' H-rep."""
+    w = 1 + t
+    rows = []
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            # q(1+t) x_{i-1} - t(1-q)(1 - x_{j-1}) - q x_i >= 0, x_0 = 1.
+            coeffs = [Fraction(0)] * n
+            const = Fraction(0)
+            if i == 1:
+                const += q * w
+            else:
+                coeffs[i - 2] += q * w
+            const -= t * (1 - q)
+            if j == 1:
+                const += t * (1 - q)
+            else:
+                coeffs[j - 2] += t * (1 - q)
+            coeffs[i - 1] -= q
+            rows.append(AffineForm(const, tuple(coeffs)))
+    rows.append(AffineForm.linear(n, n, 1, -(1 - q)))
+    return rows
+
+
+def product_forms(a: Sequence[AffineForm], a_dim: int, b: Sequence[AffineForm], b_dim: int) -> list[AffineForm]:
+    """The forms of the Cartesian product, b's variables shifted after a's."""
+    rows = [AffineForm(f.constant, f.coefficients + (Fraction(0),) * b_dim) for f in a]
+    rows += [AffineForm(f.constant, (Fraction(0),) * a_dim + f.coefficients) for f in b]
+    return rows
+
+
+def cone_q_forms(p: Sequence[AffineForm], dimension: int, q) -> list[AffineForm]:
+    """The forms of the skew cone with apex (1-q, ..., 1-q) and base
+    {1} x P: 1-q <= x_0 <= 1, and each row b + a.y of P as
+    b (x_0 - 1 + q) + sum_i a_i (q x_i - (1-q)(1-x_0))."""
+    q = _check_q(q)
+    dim = dimension + 1
+    rows = [AffineForm.linear(dim, 1, 1, -(1 - q)), AffineForm.linear(dim, 1, -1, 1)]
+    for form in p:
+        s = sum(form.coefficients, Fraction(0))
+        const = form.constant * (q - 1) - (1 - q) * s
+        coeffs = [form.constant + (1 - q) * s]
+        coeffs.extend(q * a for a in form.coefficients)
+        rows.append(AffineForm(const, tuple(coeffs)))
+    return rows
 
 
 # ----------------------------------------------------------------------

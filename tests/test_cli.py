@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from cayleypoly import cli, geometry, verify, volumes
 from cayleypoly.cli import main
 from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
-from cayleypoly.geometry import MAX_DIMENSION, Family, HRep, build_hrep
+from cayleypoly.geometry import MAX_DIMENSION, Family, build_hrep
 from cayleypoly.volumes import DegenerateSimplexError
+
+from oracles import hrep_from_text, hrep_to_text
 
 
 def run_cli(capsys, *argv):
@@ -56,9 +58,10 @@ def test_hrep_text_round_trip(capsys):
         capsys, "hrep", "--family", "tutte", "--n", "3", "--q", "1/2", "--t", "1", "--format", "text"
     )
     assert code == 0
-    hrep = HRep.from_text(out)
+    hrep = hrep_from_text(out)
     assert hrep.dimension == 3
-    assert len(hrep.inequalities) == 7
+    assert len(hrep.forms) == 7
+    assert hrep_to_text(hrep) == out
 
 
 def test_simplices_count(capsys):
@@ -271,6 +274,33 @@ def test_benchmarked_sizes_keep_their_bytes(capsys, key):
     code, out = run_cli(capsys, command, "--family", family, "--n", n, "--q", "1/2", "--t", "1/3", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BENCHMARKED_SHA256[key]
+
+
+# sha256 of stdout of `hrep --n 100`, the largest dimension, at
+# (q, t) = (37/101, 53/17) for every family and at (1/2, 1) for tutte; the
+# golden file holds hrep at n = 3 only.
+_HREP_N100_SHA256 = {
+    ("cayley", "37/101", "53/17", "json"): "2d327c4962845ec1a05483d2ed10b3b07141269a435b450150777115a81800f6",
+    ("cayley", "37/101", "53/17", "text"): "6756d84229c80f797266594fe008c367bbeb39e8ca11cce02222e406bda94c77",
+    ("gayley", "37/101", "53/17", "json"): "3794e83943ab7fcc335139b418733f9cb9c4edcad26fc358efef898a3c48af70",
+    ("gayley", "37/101", "53/17", "text"): "93e067419313f05ec26a4c98f7dd8c120e216f1ea5298885945f1880fdcecaea",
+    ("tcayley", "37/101", "53/17", "json"): "68342514563ceb0101f574d704863da7a4c059f8166a47a7be9d4fefa066e7e6",
+    ("tcayley", "37/101", "53/17", "text"): "4570561bdbdc9d6738a3edd2cf4adc3614a16a3d75b9190fc332a376c31a05ed",
+    ("tgayley", "37/101", "53/17", "json"): "734af5079942b9365cfe930d6103b180e0d32dcdd9c4c2e9c8684d22e72b507b",
+    ("tgayley", "37/101", "53/17", "text"): "14a8be2aa12bddd4276f7b62d2b8ba4f64f658a8aed05b2108c57ea4650d989b",
+    ("tutte", "37/101", "53/17", "json"): "68640f26c993b1a27492d27fcbd4585c34e664a4ffe3e9b34331711e9eb72195",
+    ("tutte", "37/101", "53/17", "text"): "202561a497fca566481e2b9f482b22a48e1a95913d3779dec84b5aac99864de2",
+    ("tutte", "1/2", "1", "json"): "eb7c7535c6fce6c40f231b0ed58d754f48000129718f2852fff8a95f60e43499",
+    ("tutte", "1/2", "1", "text"): "29d665ca42b020d240454cefa11d1cfc687a78e09a0e11232d5c378d47085910",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_HREP_N100_SHA256))
+def test_hrep_n100_keeps_its_bytes(capsys, key):
+    family, q, t, fmt = key
+    code, out = run_cli(capsys, "hrep", "--family", family, "--n", "100", "--q", q, "--t", t, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _HREP_N100_SHA256[key]
 
 
 # sha256 of stdout of the other structure-benchmark commands at their
@@ -701,7 +731,7 @@ def test_dimension_cap(monkeypatch, capsys, argv):
         code, out = run_cli(capsys, *argv, str(MAX_DIMENSION))
         assert code == 0 and json.loads(out)["count"] == MAX_DIMENSION + 1
     else:
-        assert len(build_hrep(argv[2], MAX_DIMENSION).inequalities) > MAX_DIMENSION
+        assert len(build_hrep(argv[2], MAX_DIMENSION).forms) > MAX_DIMENSION
 
 
 @pytest.mark.parametrize(

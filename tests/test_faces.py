@@ -9,9 +9,17 @@ import pytest
 from cayleypoly import build_hrep, cayley_vertices, face_lattice, tutte_f_vector, tutte_vertices
 from cayleypoly.exact import clear_denominators, eliminate
 from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks
-from cayleypoly.geometry import AffineForm, HRep, ParameterDomainError
+from cayleypoly.geometry import ParameterDomainError
 
-from oracles import conjecture_check, edge_count_formula, two_face_count_formula, vertices_are_extreme
+from oracles import (
+    AffineForm,
+    conjecture_check,
+    edge_count_formula,
+    hrep_forms,
+    hrep_from_forms,
+    two_face_count_formula,
+    vertices_are_extreme,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -234,8 +242,8 @@ def test_face_lattice_ignores_redundant_rows():
     for n in range(2, 6):
         vs = tutte_vertices(n, q, t)
         hrep = build_hrep("tutte", n, q, t)
-        rows = hrep.inequalities
-        padded = HRep(n, (*rows, rows[0] + rows[-1], rows[1] + rows[2], AffineForm.constant_form(n, 0)))
+        rows = hrep_forms(hrep)
+        padded = hrep_from_forms(n, (*rows, rows[0] + rows[-1], rows[1] + rows[2], AffineForm.constant_form(n, 0)))
         lattice = face_lattice(vs, hrep)
         assert len(lattice.faces_by_dim[n - 1]) == len(rows)
         assert face_lattice(vs, padded) == lattice == _rank_face_lattice(vs, padded)
@@ -249,7 +257,7 @@ def test_face_lattice_rejects_outside_point(point):
     good = tutte_vertices(2, HALF, 1).points
     bad = VertexSet((*good, point), (*("ok",) * len(good), "bogus"))
     # The first violated inequality, in H-rep order, by its exact amount.
-    amount = next(v for v in (form.evaluate(point) for form in hrep.inequalities) if v < 0)
+    amount = next(v for v in (form.evaluate(point) for form in hrep_forms(hrep)) if v < 0)
     with pytest.raises(InconsistentGeometryError, match=re.escape(f"point 4 violates an inequality by {amount}")):
         face_lattice(bad, hrep)
     with pytest.raises(InconsistentGeometryError, match=re.escape(f"by {amount}")):
@@ -260,7 +268,7 @@ def _fraction_contact_masks(points, hrep):
     """Per inequality, the points where Fraction evaluation gives 0."""
     return [
         sum(1 << i for i, p in enumerate(points) if form.evaluate(p) == 0)
-        for form in hrep.inequalities
+        for form in hrep_forms(hrep)
     ]
 
 
@@ -279,7 +287,7 @@ def test_integer_contacts_match_fraction_evaluation(q, t):
 
 def _pairwise_extreme(points, hrep):
     """The pairwise certificate, evaluated in Fractions."""
-    values = [[form.evaluate(p) for p in points] for form in hrep.inequalities]
+    values = [[form.evaluate(p) for p in points] for form in hrep_forms(hrep)]
     return all(
         any(row[a] == 0 and row[b] > 0 for row in values)
         for a in range(len(points))

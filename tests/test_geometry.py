@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cayleypoly import (
     FAMILIES,
-    AffineForm,
     Family,
     HRep,
     ParameterDomainError,
@@ -27,9 +26,22 @@ from cayleypoly import (
     product,
 )
 from cayleypoly.exact import clear_denominators, format_rational
-from cayleypoly.geometry import DimensionError, VertexTable, family_parameters, vrep_to_text
+from cayleypoly.geometry import MAX_DIMENSION, DimensionError, VertexTable, family_parameters, vrep_to_text
 
-from oracles import chain_forms, integer_volume_scaled, piece_forms
+from oracles import (
+    AffineForm,
+    chain_forms,
+    chain_hrep_forms,
+    cone_q_forms,
+    hrep_forms,
+    hrep_from_forms,
+    hrep_from_text,
+    hrep_to_text,
+    integer_volume_scaled,
+    piece_forms,
+    product_forms,
+    tutte_hrep_forms,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -42,7 +54,8 @@ def _points(f, q, t):
 
 
 def _chain(f, q, t):
-    return VertexTable(f.node_count, q, t).chain_hrep(f)
+    """The forest's chain as an H-rep of the table's coprime rows."""
+    return HRep(f.node_count - 1, 1, VertexTable(f.node_count, q, t).chain_rows(f))
 
 
 def _piece(pf, q, t):
@@ -60,8 +73,73 @@ def test_cayley_segment():
 
 
 def test_tutte_inequality_count():
-    assert len(build_hrep("tutte", 3, HALF, 1).inequalities) == 7
-    assert len(build_hrep("tutte", 5, HALF, 1).inequalities) == 16
+    assert len(build_hrep("tutte", 3, HALF, 1).forms) == 7
+    assert len(build_hrep("tutte", 5, HALF, 1).forms) == 16
+
+
+def _reference_hrep_forms(name, n, q, t):
+    """The family's H-rep built in Fractions, form by form."""
+    q_eff, t_eff = family_parameters(name, q, t)
+    if get_family(name).connected:
+        return chain_hrep_forms(n, t_eff)
+    return tutte_hrep_forms(n, q_eff, t_eff)
+
+
+def _assert_forms_format(hrep):
+    """Each form holds int entries only, nonzero coefficients only, at
+    increasing indices below the dimension, over a positive int scale."""
+    assert type(hrep.scale) is int and hrep.scale > 0
+    for b, terms in hrep.forms:
+        assert type(b) is int
+        assert all(type(a) is int and a for _, a in terms)
+        indices = [i for i, _ in terms]
+        assert indices == sorted(set(indices)) and all(0 <= i < hrep.dimension for i in indices)
+
+
+def _assert_matches_forms(hrep, reference):
+    """The H-rep's coprime rows and texts are those of the Fraction forms."""
+    _assert_forms_format(hrep)
+    assert hrep.integer_rows == tuple(form.integer_row for form in reference)
+    assert [tuple(row) for row in hrep.texts()] == [form.texts for form in reference]
+
+
+# Every family at a small- and a large-denominator draw, and tutte at q = 1,
+# where t(1-q) = 0 is left out of every row.
+_HREP_CASES = [(name, q, t) for name in FAMILIES for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)))]
+_HREP_CASES += [("tutte", Fraction(1), Fraction(1)), ("tutte", Fraction(1), Fraction(53, 17))]
+
+
+@pytest.mark.parametrize("name,q,t", _HREP_CASES)
+def test_family_hreps_match_fraction_references(name, q, t):
+    for n in (*range(1, 9), MAX_DIMENSION):
+        hrep = build_hrep(name, n, q, t)
+        assert hrep.dimension == n
+        _assert_matches_forms(hrep, _reference_hrep_forms(name, n, q, t))
+
+
+def _reference_cones_forms(pf, q, t):
+    """piece_for_plane_forest_via_cones in Fractions: the q = 1 pieces of
+    the trees, from the last, each taken in product with the skew cone
+    over the assembly so far."""
+    trees = [PlaneForest((tree,)) for tree in pf.trees]
+    current, size = piece_forms(trees[-1], Fraction(1), t), trees[-1].node_count() - 1
+    for tree in reversed(trees[:-1]):
+        dim = tree.node_count() - 1
+        current = product_forms(piece_forms(tree, Fraction(1), t), dim, cone_q_forms(current, size, q), size + 1)
+        size += dim + 1
+    return current
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)), (Fraction(1), Fraction(2))])
+def test_cones_assembly_matches_fraction_reference(q, t):
+    checked = 0
+    for nodes in range(1, 6):
+        for pf in enumerate_plane_forests(nodes):
+            hrep = piece_for_plane_forest_via_cones(pf, q, t)
+            assert hrep.dimension == nodes - 1
+            _assert_matches_forms(hrep, _reference_cones_forms(pf, q, t))
+            checked += 1
+    assert checked == sum(catalan(nodes) for nodes in range(1, 6))
 
 
 def test_tutte_equals_gayley_at_one_one():
@@ -192,17 +270,21 @@ def test_chain_solve_pattern():
     # Vertex p zeroes the chain coordinates below p and saturates the rest.
     from cayleypoly.geometry import _value_table
 
+    # The coordinate forms are integers over the value table's form_scale
+    # and the vertices integers over the vertex table's scale.
     q, t = THIRD, Fraction(2)
     for size in (2, 3, 4, 5):
-        table = _value_table(size, q, t)
+        values = _value_table(size, q, t)
+        table = VertexTable(size, q, t)
         for f in enumerate_labeled_forests(size):
             coords = _walk_coordinates(f)
             # The table keys a coordinate by (position, j, root position).
-            forms = [table.form(coords[k][1:4]) for k in range(1, size + 1)]
-            for p, vertex in enumerate(_points(f, q, t), start=1):
-                for k, form in enumerate(forms, start=1):
+            forms = [values.integer_form(coords[k][1:4]) for k in range(1, size + 1)]
+            for p, vertex in enumerate(table.numerators(f), start=1):
+                for k, (b, terms) in enumerate(forms, start=1):
+                    value = b * table.scale + sum(a * vertex[i] for i, a in terms)
                     expected = Fraction(0) if k < p else q * t
-                    assert form.evaluate(vertex) == expected
+                    assert Fraction(value, values.form_scale * table.scale) == expected
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (THIRD, Fraction(2)), (Fraction(1), Fraction(1))])
@@ -272,7 +354,7 @@ def test_tree_chain_matches_classical_form(t):
         for a, b in zip(forms, forms[1:]):
             rows.append(b - a)
         rows.append(AffineForm.constant_form(n, w) - forms[-1])
-        classical = HRep(n, tuple(rows))
+        classical = hrep_from_forms(n, rows)
         chain = _chain(tree, 1, t)
         assert enumerate_hrep_vertices(classical) == enumerate_hrep_vertices(chain)
 
@@ -383,37 +465,40 @@ def _reference_simplex(f, q, t):
     return tuple(vertices)
 
 
-def _rows(hrep):
-    return [(form.constant, form.coefficients) for form in hrep.inequalities]
+def _entries(hrep):
+    """Every constant and coefficient of the H-rep's integer forms."""
+    return [x for b, terms in hrep.forms for x in (b, *(a for _, a in terms))]
 
 
 def _all_fractions(values):
     return all(type(x) is Fraction for x in values)
 
 
+def _all_ints(values):
+    return all(type(x) is int for x in values)
+
+
 @pytest.mark.parametrize("q,t", DRAWS)
 @pytest.mark.parametrize("name", FAMILIES)
 def test_cells_match_per_cell_references(name, q, t):
-    # The H-reps' forms are those built node by node in Fractions, and the
-    # value table's integer chain and piece rows are their coprime rows.
+    # The pieces' integer forms are those built node by node in Fractions,
+    # their texts are the Fraction forms' texts, and the value table's
+    # integer chain and piece rows are the forms' coprime rows.
     fam = get_family(name)
     q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 5):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in fam.labeled_cells(n):
-            chain = table.chain_hrep(f)
             reference = chain_forms(f, q_eff, t_eff)
-            assert chain.dimension == n
-            assert list(chain.inequalities) == reference
-            assert _all_fractions(x for c, a in _rows(chain) for x in (c, *a))
             assert table.chain_rows(f) == tuple(form.integer_row for form in reference)
         for pf in fam.plane_cells(n):
             piece = table.piece(pf)
             reference = piece_forms(pf, q_eff, t_eff)
             assert piece.dimension == n
-            assert list(piece.inequalities) == reference
-            assert _all_fractions(x for c, a in _rows(piece) for x in (c, *a))
-            assert table.piece_rows(pf) == tuple(form.integer_row for form in reference)
+            assert list(hrep_forms(piece)) == reference
+            assert _all_ints(_entries(piece))
+            assert table.piece_texts(pf) == tuple(form.texts for form in reference)
+            assert table.piece_rows(pf) == piece.integer_rows == tuple(form.integer_row for form in reference)
 
 
 def test_simplex_coordinates_are_the_tables_values():
@@ -475,26 +560,27 @@ def test_vertex_table_rejects_other_node_counts():
     with pytest.raises(DimensionError):
         table.texts(forest)
     with pytest.raises(DimensionError):
-        table.chain_hrep(forest)
+        table.chain_rows(forest)
     with pytest.raises(DimensionError):
         table.piece(next(iter(enumerate_plane_forests(3))))
+    with pytest.raises(DimensionError):
+        table.piece_texts(next(iter(enumerate_plane_forests(3))))
 
 
 _BUILDERS = [
     (_points, lambda: next(iter(enumerate_labeled_forests(4))),
-     lambda s: [x for v in s for x in v]),
-    (_chain, lambda: list(enumerate_labeled_forests(4))[20],
-     lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
-    (_piece, lambda: list(enumerate_plane_forests(4))[5],
-     lambda h: [x for c, a in _rows(h) for x in (c, *a)]),
+     lambda s: [x for v in s for x in v], _all_fractions),
+    (_chain, lambda: list(enumerate_labeled_forests(4))[20], _entries, _all_ints),
+    (_piece, lambda: list(enumerate_plane_forests(4))[5], _entries, _all_ints),
 ]
 
 
-@pytest.mark.parametrize("builder,cell,values", _BUILDERS)
+@pytest.mark.parametrize("builder,cell,values,typed", _BUILDERS)
 @pytest.mark.parametrize("first,second", [((1, 1), (Fraction(1), Fraction(1))), ((Fraction(1), Fraction(1)), (1, 1))])
-def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, first, second):
+def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, typed, first, second):
     # The table stores q and t as checked Fractions, so the call order
-    # cannot leak an int into a later call's values.
+    # cannot leak an int into a later call's points, nor a Fraction into
+    # a later call's integer forms.
     from cayleypoly.geometry import _value_table
 
     _value_table.cache_clear()
@@ -502,7 +588,7 @@ def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, f
     b = builder(cell(), *second)
     assert a == b
     assert values(a) == values(b)
-    assert _all_fractions(values(a)) and _all_fractions(values(b))
+    assert typed(values(a)) and typed(values(b))
 
 
 def test_builders_keep_their_domain_checks():
@@ -531,7 +617,7 @@ def test_bad_parameters_raise_after_the_table_is_warm():
 
 
 def _interval(lo, hi) -> HRep:
-    return HRep(1, (AffineForm.linear(1, 1, 1, -lo), AffineForm.linear(1, 1, -1, hi)))
+    return hrep_from_forms(1, (AffineForm.linear(1, 1, 1, -lo), AffineForm.linear(1, 1, -1, hi)))
 
 
 def test_cone_over_segment():
@@ -616,13 +702,13 @@ def hrep_with_point(draw):
     forms.append(form(st.fractions(min_value=-3, max_value=Fraction(-1, 4), max_denominator=4)))
     forms.append(AffineForm.constant_form(d, 0))
     order = draw(st.permutations(range(len(forms))))
-    hrep = HRep(d, tuple(forms[k] for k in order))
+    hrep = hrep_from_forms(d, [forms[k] for k in order])
     point = tuple(draw(grid_coordinate) for _ in range(d))
     return hrep, point, (order.index(source), order.index(multiple))
 
 
 def _fraction_contains(hrep, point, strict):
-    values = [f.evaluate(point) for f in hrep.inequalities]
+    values = [f.evaluate(point) for f in hrep_forms(hrep)]
     return all(v > 0 for v in values) if strict else all(v >= 0 for v in values)
 
 
@@ -632,12 +718,12 @@ def test_integer_contains_matches_fraction_reference(case, strict):
     hrep, point, (row, multiple) = case
     assert hrep.contains(point, strict) == _fraction_contains(hrep, point, strict)
     # The zero row makes every strict test fail; without it strict can hold.
-    nonzero = HRep(hrep.dimension, tuple(f for f in hrep.inequalities if f.constant or any(f.coefficients)))
+    nonzero = hrep_from_forms(hrep.dimension, [f for f in hrep_forms(hrep) if f.constant or any(f.coefficients)])
     assert nonzero.contains(point, strict) == _fraction_contains(nonzero, point, strict)
     # Positive multiples clear to one coprime row, and every row keeps its sign.
     rows = hrep.integer_rows
     assert rows[row] == rows[multiple]
-    for (b, terms), form in zip(rows, hrep.inequalities):
+    for (b, terms), form in zip(rows, hrep_forms(hrep)):
         assert all(a for _, a in terms)
         assert math.gcd(b, *(a for _, a in terms)) in (0, 1)
         value = b + sum(a * point[i] for i, a in terms)
@@ -646,7 +732,7 @@ def test_integer_contains_matches_fraction_reference(case, strict):
 
 
 def test_integer_rows_are_coprime_and_keep_signs():
-    hrep = HRep(2, (
+    hrep = hrep_from_forms(2, (
         AffineForm(Fraction(-3, 2), (Fraction(3, 4), Fraction(0))),
         AffineForm(Fraction(6), (Fraction(-9), Fraction(3, 5))),
         AffineForm.constant_form(2, 0),
@@ -654,10 +740,18 @@ def test_integer_rows_are_coprime_and_keep_signs():
     assert hrep.integer_rows == ((-2, ((0, 1),)), (10, ((0, -15), (1, 1))), (0, ()))
 
 
+def test_integer_rows_reject_an_entry_beyond_the_dimension():
+    with pytest.raises(DimensionError, match="form dimension mismatch"):
+        HRep(2, 1, ((0, ((0, 1),)), (1, ((2, -1),)))).integer_rows
+    with pytest.raises(DimensionError, match="point dimension mismatch"):
+        HRep(2, 1, ((0, ((1, 1),)),)).contains_numerators([1], 1)
+
+
 def test_hrep_text_round_trip():
     hrep = build_hrep("tutte", 3, HALF, Fraction(2))
-    again = HRep.from_text(hrep.to_text())
-    assert again == hrep
+    again = hrep_from_text(hrep_to_text(hrep))
+    assert again.dimension == hrep.dimension
+    assert hrep_forms(again) == hrep_forms(hrep)
 
 
 def test_simplex_text_form(star3):
@@ -668,42 +762,42 @@ def test_simplex_text_form(star3):
 
 def test_hrep_text_rejects_non_ascii_digits():
     with pytest.raises(ValueError, match="not an exact rational"):
-        HRep.from_text("1 1\n\u0663 1\n")
+        hrep_from_text("1 1\n\u0663 1\n")
 
 
 def test_hrep_text_rejects_bad_row_width():
     with pytest.raises(ValueError):
-        HRep.from_text("2 1\n1 2\n")
+        hrep_from_text("2 1\n1 2\n")
 
 
 @pytest.mark.parametrize("text", ["", "2\n"])
 def test_hrep_text_rejects_missing_header(text):
     with pytest.raises(ValueError, match="^expected the header line 'dimension rows'$"):
-        HRep.from_text(text)
+        hrep_from_text(text)
 
 
 def test_hrep_text_names_a_bad_header():
     with pytest.raises(ValueError, match="^bad header 'a 1': expected 'dimension rows'$"):
-        HRep.from_text("a 1\n1 2")
+        hrep_from_text("a 1\n1 2")
 
 
 @pytest.mark.parametrize("header", ["\u0661 1", "1_0 0", "1 \u0661"])
 def test_hrep_text_header_takes_ascii_digits_only(header):
     # int() alone would read these as dimension 1, dimension 10 and one row.
     with pytest.raises(ValueError, match=f"^bad header '{header}': expected 'dimension rows'$"):
-        HRep.from_text(f"{header}\n0 1")
+        hrep_from_text(f"{header}\n0 1")
 
 
 def test_hrep_text_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="header declares dimension -1"):
-        HRep.from_text("-1 0")
+        hrep_from_text("-1 0")
     with pytest.raises(ValueError, match="declares 3 rows, found 1"):
-        HRep.from_text("2 3\n1 0 0\n")  # truncated
+        hrep_from_text("2 3\n1 0 0\n")  # truncated
     with pytest.raises(ValueError, match="declares 1 rows, found 2"):
-        HRep.from_text("2 1\n1 0 0\n0 1 0\n")  # padded
+        hrep_from_text("2 1\n1 0 0\n0 1 0\n")  # padded
 
 
 def test_tutte_inequality_counts_formula():
     for n in range(1, 7):
         hrep = build_hrep("tutte", n, HALF, 1)
-        assert len(hrep.inequalities) == 1 + n * (n + 1) // 2
+        assert len(hrep.forms) == 1 + n * (n + 1) // 2

@@ -8,7 +8,6 @@ import cayleypoly
 # attributes once anything imports them.  A name joins or leaves the
 # surface only together with this list.
 PUBLIC_NAMES = [
-    "AffineForm",
     "BivariatePolynomial",
     "DegenerateSimplexError",
     "FAMILIES",

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cayleypoly import (
     FAMILIES,
-    AffineForm,
     BivariatePolynomial,
     HRep,
     LabeledForest,
@@ -41,15 +40,16 @@ from cayleypoly.forests import fiber_masks
 from cayleypoly.geometry import VertexTable, family_parameters
 from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_drawer, plan
 
-from oracles import LabeledGraph, nfs
+from oracles import AffineForm, LabeledGraph, hrep_forms, hrep_from_forms, nfs
 
 HALF = Fraction(1, 2)
 
 
 def _chains(family, n, q, t):
-    """The chain H-reps of the family's triangulation of R^n."""
+    """The chain H-reps of the family's triangulation of R^n: the table's
+    coprime chain rows, over scale 1."""
     table = VertexTable(n + 1, q, t)
-    return [table.chain_hrep(f) for f in get_family(family).labeled_cells(n)]
+    return [HRep(n, 1, table.chain_rows(f)) for f in get_family(family).labeled_cells(n)]
 
 
 def _pieces(family, n, q, t):
@@ -341,9 +341,10 @@ def reference_hrep_vertices(hrep):
     forms taken tight is solved, and a solution is kept when every form is
     >= 0 at it."""
     found = set()
-    for subset in combinations(hrep.inequalities, hrep.dimension):
+    forms = hrep_forms(hrep)
+    for subset in combinations(forms, hrep.dimension):
         x = solve_linear_system([f.coefficients for f in subset], [-f.constant for f in subset])
-        if x is not None and all(f.evaluate(x) >= 0 for f in hrep.inequalities):
+        if x is not None and all(f.evaluate(x) >= 0 for f in forms):
             found.add(x)
     return tuple(sorted(found))
 
@@ -371,7 +372,7 @@ def small_integer_hreps(draw):
 @example((1, []))
 def test_vertex_oracle_matches_fraction_solver_on_random_hreps(case):
     n, rows = case
-    hrep = HRep(n, tuple(AffineForm(Fraction(b), tuple(map(Fraction, a))) for b, *a in rows))
+    hrep = hrep_from_forms(n, [AffineForm(Fraction(b), tuple(map(Fraction, a))) for b, *a in rows])
     assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
 
 
@@ -415,7 +416,7 @@ def test_vertex_oracle_skips_singular_subsets():
         AffineForm.linear(2, 2, -1, 2),
         AffineForm(Fraction(3), (Fraction(-1), Fraction(-1))),
     )
-    hrep = HRep(2, forms)
+    hrep = hrep_from_forms(2, forms)
     vertices = enumerate_hrep_vertices(hrep)
     assert vertices == reference_hrep_vertices(hrep)
     assert vertices == tuple(sorted((Fraction(a), Fraction(b)) for a, b in ((0, 0), (2, 0), (0, 2), (2, 1), (1, 2))))
@@ -456,7 +457,7 @@ def _reference_certificate(family, n, q, t, hreps, samples, seed):
         point = sample_interior_point(family, n, q, t, rng)
         statuses = []
         for hrep in hreps:
-            lowest = min(form.evaluate(point) for form in hrep.inequalities)
+            lowest = min(form.evaluate(point) for form in hrep_forms(hrep))
             statuses.append(-1 if lowest < 0 else 0 if lowest == 0 else 1)
         if 0 in statuses:
             discarded += 1
@@ -477,7 +478,7 @@ def _with_constant_row(hrep: HRep, constant: int) -> HRep:
     """The H-rep with the extra row constant >= 0: it holds everywhere for
     a positive constant, is zero everywhere for 0 (every point is on the
     cell's boundary) and fails everywhere for a negative one."""
-    return HRep(hrep.dimension, hrep.inequalities + (AffineForm.constant_form(hrep.dimension, constant),))
+    return hrep_from_forms(hrep.dimension, hrep_forms(hrep) + (AffineForm.constant_form(hrep.dimension, constant),))
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
@@ -569,7 +570,7 @@ def _halves_at_x1(hrep: HRep, bound: Fraction) -> tuple[HRep, HRep]:
     have in opposite orientations."""
     n = hrep.dimension
     below, above = (AffineForm.linear(n, 1, sign, -sign * bound) for sign in (-1, 1))
-    return HRep(n, hrep.inequalities + (below,)), HRep(n, hrep.inequalities + (above,))
+    return hrep_from_forms(n, hrep_forms(hrep) + (below,)), hrep_from_forms(n, hrep_forms(hrep) + (above,))
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
@@ -596,7 +597,7 @@ def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q
 
 def _cut_x1(hrep: HRep, bound: Fraction) -> HRep:
     """The H-rep with the extra row bound - x_1 >= 0."""
-    return HRep(hrep.dimension, hrep.inequalities + (AffineForm.linear(hrep.dimension, 1, -1, bound),))
+    return hrep_from_forms(hrep.dimension, hrep_forms(hrep) + (AffineForm.linear(hrep.dimension, 1, -1, bound),))
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
@@ -646,7 +647,7 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
             rows = build_rows(table, pf)
             if pf != cut_shape:
                 return rows
-            return rows + _cut_x1(HRep(n, ()), bound).integer_rows
+            return rows + _cut_x1(HRep(n, 1, ()), bound).integer_rows
 
         table = geometry.VertexTable(n + 1, q, t)
         reference = {pf: table.piece(pf) for pf in enumerate_plane_forests(n + 1)}
@@ -728,12 +729,17 @@ def test_closed_forms_stay_tallies_until_reported(monkeypatch):
 def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
     # Triangulation, subdivision and refinement read the integer vertex
     # table, the only simplex builder, at large denominators, and their
-    # cells are the table's integer rows: no cell form is built.
-    def no_form(table, key):
-        raise AssertionError(f"a cell job read the form of {key}")
+    # cells are the table's coprime rows: no cell H-rep and no text is
+    # built.
+    def no_cell(*args):
+        raise AssertionError(f"a cell job built an H-rep or a text from {args[1:]}")
 
-    monkeypatch.setattr(geometry._ValueTable, "form", no_form)
-    monkeypatch.setattr(geometry._ValueTable, "forms", no_form)
+    monkeypatch.setattr(geometry.VertexTable, "piece", no_cell)
+    monkeypatch.setattr(geometry.VertexTable, "piece_texts", no_cell)
+    monkeypatch.setattr(geometry._ValueTable, "text", no_cell)
+    monkeypatch.setattr(geometry._ValueTable, "texts", no_cell)
+    monkeypatch.setattr(geometry.HRep, "texts", no_cell)
+    monkeypatch.setattr(geometry, "form_texts", no_cell)
     q, t = Fraction(37, 101), Fraction(53, 17)
     for family in FAMILIES:
         assert verify_triangulation(family, 3, q, t, samples=20).passed
