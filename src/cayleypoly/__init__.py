@@ -24,7 +24,6 @@ from .geometry import (
     build_hrep,
     cone_q,
     get_family,
-    orthoscheme_vertices,
     piece_for_plane_forest_via_cones,
     product,
 )
@@ -32,10 +31,9 @@ from .graphs import pair_index
 from .faces import (
     FaceLattice,
     VertexSet,
-    cayley_vertices,
     face_lattice,
     tutte_f_vector,
-    tutte_vertices,
+    vertex_set,
 )
 from .verify import (
     VerificationReport,

@@ -37,17 +37,14 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .exact import format_rational, parse_rational
-from .faces import InconsistentGeometryError, cayley_vertices, tutte_f_vector, tutte_vertices
+from .faces import InconsistentGeometryError, chain_vertices, tutte_f_vector
 from .geometry import (
     FAMILIES,
     ParameterDomainError,
     VertexTable,
     build_hrep,
-    check_dimension,
     family_parameters,
     get_family,
-    orthoscheme_vertices,
-    vrep_to_text,
 )
 from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
 from .volumes import (
@@ -434,27 +431,15 @@ def _cmd_fvector(args) -> tuple[dict | str, int]:
 
 
 def _cmd_vertices(args) -> tuple[dict | str, int]:
-    q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    fam = get_family(args.family)
-    if fam.q is None:
-        vs = tutte_vertices(args.n, q_eff, t_eff)
-        points, provenance = vs.points, vs.provenance
-    elif fam.connected:
-        vs = cayley_vertices(args.n, t_eff)
-        points, provenance = vs.points, vs.provenance
-    else:
-        check_dimension(args.n)
-        lengths = [(1 + t_eff) ** k for k in range(1, args.n + 1)]
-        points = tuple(orthoscheme_vertices(lengths))
-        provenance = tuple(f"prefix={k}" for k in range(args.n + 1))
+    _, points, provenance = chain_vertices(args.family, args.n, args.q, args.t, texts=True)
     if args.format == "text":
-        return vrep_to_text(points, args.n), 0
+        return "".join([f"{args.n} {len(points)}\n", *(" ".join(p) + "\n" for p in points)]), 0
     return {
         "family": args.family,
         "n": args.n,
         "count": len(points),
-        "points": [[format_rational(x) for x in p] for p in points],
-        "provenance": list(provenance),
+        "points": points,
+        "provenance": provenance,
     }, 0
 
 

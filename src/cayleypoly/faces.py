@@ -1,5 +1,10 @@
 """Closed-form vertex sets, vertex-facet incidence, and f-vectors.
 
+Every vertex of the five family polytopes is a binary chain point whose
+coordinates, 1, 1-q and powers (1+t)^k, are values of the geometry value
+table: one builder writes them as its numerators over its one scale, or
+as its texts.
+
 The face lattice comes from vertex-facet incidences alone, with no linear
 algebra (Kaibel & Pfetsch, CGTA 23 (2002)).  For a full-dimensional
 polytope P with a complete H-rep, two facts suffice: a facet of P is an
@@ -7,21 +12,29 @@ inclusion-maximal nonempty proper contact set of its rows, and a facet of
 a d-face G is an inclusion-maximal meet G & F with a facet F of P, other
 than G and the empty set (Ziegler, Lectures on Polytopes, 2.2).  So each
 level of faces comes from the one above, and the level is the dimension.
-Contacts are found in integers: the vertices are cleared over one common
-denominator and each coprime row of `HRep.integer_rows` is evaluated on
-the numerators; only a violation is evaluated on the H-rep's own form,
-over its scale, to report its exact amount as one Fraction.  Contact
-sets, and every face through to the returned lattice, are int bitmasks
-over the vertex indices.
+Contacts are found in integers: each coprime row of `HRep.integer_rows`
+is evaluated on the vertex set's numerators over its scale; only a
+violation is evaluated on the H-rep's own form, over both scales, to
+report its exact amount as one Fraction.  Contact sets, and every face
+through to the returned lattice, are int bitmasks over the vertex
+indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .exact import clear_denominators
-from .geometry import HRep, ParameterDomainError, Point, build_hrep
+from .geometry import (
+    HRep,
+    ParameterDomainError,
+    _value_table,
+    build_hrep,
+    check_dimension,
+    family_parameters,
+    get_family,
+)
 
 FVECTOR_MAX_N = 8
 # Largest n of a 2^n-point vertex set: 4096 points, under a second and a
@@ -35,7 +48,11 @@ VERTICES_MAX_N = 12
 
 @dataclass(frozen=True)
 class VertexSet:
-    points: tuple[Point, ...]
+    """Points as integer numerators over one positive scale: point k is
+    points[k] / scale, named by provenance[k]."""
+
+    scale: int
+    points: tuple[tuple[int, ...], ...]
     provenance: tuple[str, ...]
 
     def __post_init__(self):
@@ -43,62 +60,57 @@ class VertexSet:
             raise ValueError("vertex set contains duplicate points")
 
 
-def _binary_chain_point(n: int, choose_upper: int, t: Fraction) -> list[Fraction]:
-    """x_i = (1+t) x_{i-1} when bit i-1 is set, else 1 (x_0 = 1)."""
-    w = 1 + t
-    x: list[Fraction] = []
-    prev = Fraction(1)
-    for i in range(1, n + 1):
-        prev = w * prev if choose_upper >> (i - 1) & 1 else Fraction(1)
-        x.append(prev)
-    return x
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > VERTICES_MAX_N:
-        raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")
-
-
-def cayley_vertices(n: int, t) -> VertexSet:
-    """The 2^n vertices given by the binary choice x_i in {1, (1+t) x_{i-1}}."""
-    _check_vertex_count(n)
-    t = Fraction(t)
-    if t <= 0:
-        raise ParameterDomainError("t must be positive")
+def _chain_points(n: int, masks: Iterable[int], powers: Sequence, floor) -> tuple[tuple, ...]:
+    """The binary chain point of each mask: x_i = (1+t)^k after a run of k
+    set bits ending at bit i-1 (k = 0: bit i-1 unset), and the floor after
+    the mask's last set bit.  powers[k] stands for (1+t)^k and floor for 1
+    or 1-q, in the value table's numerators or its texts."""
     points = []
-    provenance = []
-    for mask in range(1 << n):
-        points.append(tuple(_binary_chain_point(n, mask, t)))
-        provenance.append(_mask_name(mask, n))
-    return VertexSet(tuple(points), tuple(provenance))
+    for mask in masks:
+        top = mask.bit_length()
+        x = []
+        run = 0
+        for i in range(top):
+            run = run + 1 if mask >> i & 1 else 0
+            x.append(powers[run])
+        points.append((*x, *(floor,) * (n - top)))
+    return tuple(points)
 
 
-def tutte_vertices(n: int, q, t) -> VertexSet:
-    """The 2^n vertices: binary chain points with the maximal suffix of
-    coordinates equal to 1 replaced by 1-q (all-ones becomes all 1-q)."""
-    _check_vertex_count(n)
-    q = Fraction(q)
-    t = Fraction(t)
-    if not 0 < q < 1:
-        raise ParameterDomainError("q must lie strictly between 0 and 1")
-    if t <= 0:
-        raise ParameterDomainError("t must be positive")
-    points = []
-    provenance = []
-    for mask in range(1 << n):
-        x = _binary_chain_point(n, mask, t)
-        i = n
-        while i > 0 and x[i - 1] == 1:
-            x[i - 1] = 1 - q
-            i -= 1
-        points.append(tuple(x))
-        provenance.append(_mask_name(mask, n))
-    return VertexSet(tuple(points), tuple(provenance))
+def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> tuple:
+    """The vertices of the family polytope in R^n as (scale, points,
+    provenance), each point integer numerators over scale or, with texts,
+    `format_rational` texts.  The floor is 1 for cayley and tcayley, 1-q
+    for the others.  cayley, tcayley and tutte (0 < q < 1) take all 2^n
+    masks, named S={...}; gayley and tgayley (1-q = 0) the prefix masks
+    2^k - 1, named prefix=k: the orthoscheme with legs (1+t)^k."""
+    fam = get_family(family)
+    q, t = family_parameters(family, q, t)
+    if fam.connected or fam.q is None:
+        if n > VERTICES_MAX_N:
+            raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")
+        if q == 1 and not fam.connected:
+            raise ParameterDomainError("q must lie strictly between 0 and 1")
+        masks = range(1 << n)
+        # names[mask] lists the mask's set bits, 1-based: bit i - 1 doubles
+        # the list, its new half the masks that have the bit.
+        names = [""]
+        for i in range(1, n + 1):
+            names += [f"{name},{i}" if name else str(i) for name in names]
+        provenance = tuple(f"S={{{name}}}" for name in names)
+    else:
+        check_dimension(n)
+        masks = [(1 << k) - 1 for k in range(n + 1)]
+        provenance = tuple(f"prefix={k}" for k in range(n + 1))
+    values = _value_table(n + 1, q, t)
+    powers = values.text_powers if texts else values.int_powers
+    floor = powers[0] if fam.connected else (values.text_one_minus_q if texts else values.int_one_minus_q)
+    return values.scale, _chain_points(n, masks, powers, floor), provenance
 
 
-def _mask_name(mask: int, n: int) -> str:
-    inside = ",".join(str(i) for i in range(1, n + 1) if mask >> (i - 1) & 1)
-    return "S={" + inside + "}"
+def vertex_set(family: str, n: int, q=None, t=None) -> VertexSet:
+    """The `chain_vertices` of the family polytope in R^n as a VertexSet."""
+    return VertexSet(*chain_vertices(family, n, q, t))
 
 
 # ----------------------------------------------------------------------
@@ -123,25 +135,24 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
-def _contact_masks(points, hrep: HRep) -> list[int]:
+def _contact_masks(vertices: VertexSet, hrep: HRep) -> list[int]:
     """Per inequality, the bitmask of the points where it is tight.
 
-    In integers: with the points cleared over one common denominator s to
-    (n_1, ..., n_d) / s, each coprime row of hrep.integer_rows is
-    evaluated as b s + sum a_i n_i, a positive multiple of the form's
-    value.  A violation is reported with its exact amount, read off the
-    un-reduced form over the H-rep's scale.
+    In integers: with the points (n_1, ..., n_d) / s over the vertex
+    set's scale s, each coprime row of hrep.integer_rows is evaluated as
+    b s + sum a_i n_i, a positive multiple of the form's value.  A
+    violation is reported with its exact amount, read off the un-reduced
+    form over the H-rep's scale.
     """
     n = hrep.dimension
+    points, scale = vertices.points, vertices.scale
     if any(len(p) != n for p in points):
         raise InconsistentGeometryError("vertex dimension mismatch")
-    coordinates, scale = clear_denominators([x for p in points for x in p])
-    int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
     masks = []
     for k, (b, terms) in enumerate(hrep.integer_rows):
         constant = b * scale
         mask = 0
-        for idx, p in enumerate(int_points):
+        for idx, p in enumerate(points):
             value = constant
             for i, a in terms:
                 value += a * p[i]
@@ -174,7 +185,7 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
     """
     n = hrep.dimension
     full = (1 << len(vertices.points)) - 1
-    contacts = {m for m in _contact_masks(vertices.points, hrep) if m and m != full}
+    contacts = {m for m in _contact_masks(vertices, hrep) if m and m != full}
     facet_masks = tuple(sorted(_maximal(contacts)))
     faces_by_dim = {n - 1: facet_masks}
     for d in range(n - 1, 0, -1):
@@ -190,9 +201,12 @@ def face_lattice(vertices: VertexSet, hrep: HRep) -> FaceLattice:
 
 
 def tutte_f_vector(n: int, q, t) -> tuple[int, ...]:
-    """f-vector of T_n(q, t); the face-lattice closure is exponential in n."""
+    """f-vector of T_n(q, t), 0 < q < 1; the face-lattice closure is
+    exponential in n."""
     if n > FVECTOR_MAX_N:
         raise ParameterDomainError(f"f-vectors are desk scale: n <= {FVECTOR_MAX_N}")
-    vs = tutte_vertices(n, q, t)
-    hrep = build_hrep("tutte", n, q, t)
-    return face_lattice(vs, hrep).f_vector
+    if not 0 < Fraction(q) < 1:
+        raise ParameterDomainError("q must lie strictly between 0 and 1")
+    if Fraction(t) <= 0:
+        raise ParameterDomainError("t must be positive")
+    return face_lattice(vertex_set("tutte", n, q, t), build_hrep("tutte", n, q, t)).f_vector

@@ -44,6 +44,9 @@ integer vertices, each distinct vertex once, so that a simplex is a
 tuple of indices into it, and differences each pair of consecutive
 vertices once for the volumes; and it builds chains and pieces, as
 tuples of the table's coprime rows, and pieces as H-reps or texts.
+The closed-form vertex sets of the five families (faces.chain_vertices)
+read the same table: each of their coordinates, 1, 1 - q or a power
+(1+t)^k, is one of its values, as a numerator over s or as a text.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -59,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import clear_denominators, format_rational, sparse_difference
+from .exact import sparse_difference
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -70,7 +73,6 @@ from .forests import (
     enumerate_plane_trees,
 )
 
-Point = tuple[Fraction, ...]
 IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
 
 
@@ -205,15 +207,11 @@ class HRep:
             raise DimensionError("form dimension mismatch")
         return tuple(_coprime(b, terms) for b, terms in self.forms)
 
-    def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
-        """Every form >= 0 at point (> 0 when strict)."""
-        return self.contains_numerators(*clear_denominators(point), strict)
-
     def contains_numerators(
         self, numerators: Sequence[int], scale: int, strict: bool = False
     ) -> bool:
-        """`contains` at the point (n_1, ..., n_d) / s, for a scale s > 0,
-        in integers: `rows_contain` on the integer rows."""
+        """Every form >= 0 (> 0 when strict) at the point (n_1, ..., n_d) / s,
+        for a scale s > 0, in integers: `rows_contain` on the integer rows."""
         if len(numerators) != self.dimension:
             raise DimensionError("point dimension mismatch")
         return rows_contain(self.integer_rows, numerators, scale, strict)
@@ -222,14 +220,6 @@ class HRep:
         """Each form's `form_texts`, one list per row, made as it is read."""
         scale, width = self.scale, self.dimension
         return (form_texts(form, scale, width) for form in self.forms)
-
-
-def vrep_to_text(points: Iterable[Point], dimension: int) -> str:
-    pts = list(points)
-    lines = [f"{dimension} {len(pts)}"]
-    for v in pts:
-        lines.append(" ".join(format_rational(x) for x in v))
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +546,7 @@ class VertexTable:
             steps.append(step)
         return steps
 
-    def point(self, k: int) -> Point:
+    def point(self, k: int) -> tuple[Fraction, ...]:
         """Vertex k as Fractions."""
         return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
@@ -672,18 +662,3 @@ def piece_for_plane_forest_via_cones(pf: PlaneForest, q, t) -> HRep:
     for tree in reversed(trees[:-1]):
         current = product(VertexTable(tree.node_count(), 1, t).piece(tree), cone_q(current, q))
     return current
-
-
-# ----------------------------------------------------------------------
-# Orthoschemes
-# ----------------------------------------------------------------------
-
-
-def orthoscheme_vertices(lengths: Sequence[Fraction]) -> list[Point]:
-    """Prefix points (l_1, ..., l_k, 0, ..., 0) for k = 0..n."""
-    lengths = [Fraction(x) for x in lengths]
-    n = len(lengths)
-    points = []
-    for k in range(n + 1):
-        points.append(tuple(lengths[:k]) + (Fraction(0),) * (n - k))
-    return points

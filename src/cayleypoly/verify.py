@@ -56,10 +56,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
-from .faces import cayley_vertices, tutte_vertices
+from .faces import VertexSet, vertex_set
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -74,12 +74,10 @@ from .geometry import (
     HRep,
     IntegerRow,
     ParameterDomainError,
-    Point,
     VertexTable,
     build_hrep,
     family_parameters,
     get_family,
-    orthoscheme_vertices,
     piece_for_plane_forest_via_cones,
     rows_contain,
 )
@@ -242,9 +240,24 @@ def interior_sample_drawer(
 # ----------------------------------------------------------------------
 
 
-def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
-    """All vertices of a (bounded) H-rep, each n-subset of its rows taken
-    tight; intended for small n only.
+VertexKey = tuple[tuple[int, ...], int]
+
+
+def vertex_key(numerators: Sequence[int], scale: int) -> VertexKey:
+    """The point (n_1, ..., n_d) / scale, scale > 0, as gcd-reduced integers
+    (numerators, denominator): one key per point, whatever its scale."""
+    g = math.gcd(scale, *numerators)
+    return tuple(v // g for v in numerators), scale // g
+
+
+def vertex_keys(vertices: VertexSet) -> tuple[VertexKey, ...]:
+    """The sorted `vertex_key`s of a vertex set, as the vertex oracle gives them."""
+    return tuple(sorted(vertex_key(p, vertices.scale) for p in vertices.points))
+
+
+def enumerate_hrep_vertices(hrep: HRep) -> tuple[VertexKey, ...]:
+    """All vertices of a (bounded) H-rep, as their sorted `vertex_key`s,
+    each n-subset of its rows taken tight; intended for small n only.
 
     Each coprime row of `HRep.integer_rows` is written once as
     [a_1, ..., a_n, b].  The n-subsets are walked depth first in index
@@ -255,19 +268,18 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
     the prefix, since they are all singular.  So each leaf is a
     nonsingular subset in echelon form, with last pivot D = +-det; back
     substitution gives its point as integer numerators over D, each
-    division exact (Cramer's rule).  A point is kept once, as gcd-reduced
-    numerators over a positive denominator, and tested once against the
-    H-rep; Fractions are built for the distinct vertices only."""
+    division exact (Cramer's rule).  A point is kept once, as its key,
+    and tested once against the H-rep; no Fraction is built."""
     n = hrep.dimension
     if n == 0:
-        return ((),)
+        return (((), 1),)
     augmented = []
     for b, terms in hrep.integer_rows:
         row = [0] * n + [b]
         for i, a in terms:
             row[i] = a
         augmented.append(row)
-    points: dict[tuple[tuple[int, ...], int], bool] = {}
+    points: dict[VertexKey, bool] = {}
 
     def walk(rows: list[list[int]], pivots: list[tuple[list[int], int]], previous: int) -> None:
         # Each row left has taken its step against every (pivot row, pivot
@@ -286,13 +298,12 @@ def enumerate_hrep_vertices(hrep: HRep) -> tuple[Point, ...]:
                 x[c] = -(row[n] * d + sum(a * v for a, v in zip(row, x))) // row[c]
             if d < 0:
                 d, x = -d, [-v for v in x]
-            g = math.gcd(d, *x)
-            key = (tuple(v // g for v in x), d // g)
+            key = vertex_key(x, d)
             if key not in points:
                 points[key] = hrep.contains_numerators(*key)
 
     walk([row for row in augmented if any(row[:n])], [], 1)
-    return tuple(sorted(tuple(Fraction(v, d) for v in x) for (x, d), inside in points.items() if inside))
+    return tuple(sorted(key for key, inside in points.items() if inside))
 
 
 # ----------------------------------------------------------------------
@@ -631,15 +642,15 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
 
     tutte11 = enumerate_hrep_vertices(build_hrep("tutte", n, 1, 1))
     gayley = enumerate_hrep_vertices(build_hrep("gayley", n))
-    ortho = tuple(sorted(orthoscheme_vertices([Fraction(2) ** k for k in range(1, n + 1)])))
+    ortho = vertex_keys(vertex_set("gayley", n))
     checks["tutte_q1_t1_is_gayley"] = {"ok": tutte11 == gayley == ortho}
 
     tcayley = enumerate_hrep_vertices(build_hrep("tcayley", n, t=t))
-    closed = tuple(sorted(cayley_vertices(n, t).points))
+    closed = vertex_keys(vertex_set("tcayley", n, t=t))
     checks["tcayley_vertices_closed_form"] = {"ok": tcayley == closed}
 
     qt_vertices = enumerate_hrep_vertices(build_hrep("tutte", n, q, t))
-    closed_qt = tuple(sorted(tutte_vertices(n, q, t).points))
+    closed_qt = vertex_keys(vertex_set("tutte", n, q, t))
     checks["tutte_vertices_closed_form"] = {"ok": qt_vertices == closed_qt}
 
     z = z_bruteforce(n + 1)

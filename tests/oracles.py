@@ -6,11 +6,13 @@ graphs and the exhaustive sweep over them (with the one union-find,
 paths counted from one node, the conversion between the spanning-subgraph
 sum Z and the Tutte polynomial, the inversion enumerator of labeled trees,
 the observed edge and 2-face count formulas of the Tutte polytope, the
-extremality certificate of a vertex set, Fraction affine forms with the
-H-rep text form and the family, product and cone H-reps built from them,
-the chain and piece forms built in Fractions node by node, and the
-simplex volume by elimination of the differences to the first vertex,
-and by the package's expansion of the consecutive differences.
+extremality certificate of a vertex set, Fraction points read from and
+written to the package's integer forms (vertex sets, vertex keys and
+membership), Fraction affine forms with the H-rep text form and the
+family, product and cone H-reps built from them, the chain and piece
+forms built in Fractions node by node, and the simplex volume by
+elimination of the differences to the first vertex, and by the
+package's expansion of the consecutive differences.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from cayleypoly.faces import VertexSet, _contact_masks
 from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enumerate_labeled_forests, graph_walk
 from cayleypoly.geometry import DimensionError, HRep, IntegerRow, _check_q
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
+from cayleypoly.verify import vertex_key
 from cayleypoly.volumes import DegenerateSimplexError, steps_volume_scaled
 
 # ----------------------------------------------------------------------
@@ -343,6 +346,40 @@ def conjecture_check(n_max: int, samples=((Fraction(1, 2), Fraction(1)),)) -> li
 
 
 # ----------------------------------------------------------------------
+# Fraction points and the integer forms of the package
+# ----------------------------------------------------------------------
+
+
+def fraction_points(vertices) -> tuple[tuple[Fraction, ...], ...]:
+    """A VertexSet's points, or `enumerate_hrep_vertices`' keys, as
+    Fraction points, in their order."""
+    if isinstance(vertices, VertexSet):
+        return tuple(tuple(Fraction(x, vertices.scale) for x in p) for p in vertices.points)
+    return tuple(tuple(Fraction(x, d) for x in p) for p, d in vertices)
+
+
+def vertex_set_of(points, provenance=None) -> VertexSet:
+    """Fraction points as a VertexSet over their least common denominator,
+    each named "p" unless names are given."""
+    points = tuple(points)
+    d = len(points[0]) if points else 0
+    coordinates, scale = clear_denominators([x for p in points for x in p])
+    rows = tuple(tuple(coordinates[k * d : (k + 1) * d]) for k in range(len(points)))
+    return VertexSet(scale, rows, provenance or ("p",) * len(points))
+
+
+def point_keys(points) -> tuple:
+    """Fraction points as their sorted `vertex_key`s, the form the vertex
+    oracle gives."""
+    return tuple(sorted(vertex_key(*clear_denominators(p)) for p in points))
+
+
+def contains(hrep: HRep, point, strict: bool = False) -> bool:
+    """`HRep.contains_numerators` at a Fraction point."""
+    return hrep.contains_numerators(*clear_denominators(point), strict)
+
+
+# ----------------------------------------------------------------------
 # Extremality certificate
 # ----------------------------------------------------------------------
 
@@ -356,7 +393,7 @@ def vertices_are_extreme(vertices: VertexSet, hrep: HRep) -> bool:
     tight at a yet positive on the combination.  Equivalently, the
     contact sets through a meet in a alone.
     """
-    masks = _contact_masks(vertices.points, hrep)
+    masks = _contact_masks(vertices, hrep)
     count = len(vertices.points)
     for a in range(count):
         meet = (1 << count) - 1

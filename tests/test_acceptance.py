@@ -13,7 +13,6 @@ from cayleypoly import (
     alpha,
     build_hrep,
     catalan,
-    cayley_vertices,
     closed_form_piece_total,
     closed_form_simplex_total,
     connected_gf,
@@ -22,7 +21,7 @@ from cayleypoly import (
     enumerate_plane_trees,
     lattice_and_partition_counts,
     tutte_f_vector,
-    tutte_vertices,
+    vertex_set,
     verify_fiber,
     verify_subdivision,
     verify_triangulation,
@@ -33,8 +32,10 @@ from cayleypoly.geometry import VertexTable
 from oracles import (
     component_count,
     conjecture_check,
+    contains,
     count_connected_graphs,
     enumerate_graphs,
+    fraction_points,
     integer_volume_scaled,
     inversion_enumerator,
     tutte_from_z,
@@ -130,22 +131,22 @@ def test_criterion_05_vertex_theorems():
     w = 1 + w_t
     q = THIRD
     mq = 1 - q
-    assert set(tutte_vertices(3, q, w_t).points) == {
+    assert set(fraction_points(vertex_set("tutte", 3, q, w_t))) == {
         (w, w**2, w**3), (w, w**2, mq), (w, 1, w), (w, mq, mq),
         (1, w, w**2), (1, w, mq), (1, 1, w), (mq, mq, mq),
     }
-    assert set(cayley_vertices(3, w_t).points) == {
+    assert set(fraction_points(vertex_set("tcayley", 3, t=w_t))) == {
         (w, w**2, w**3), (w, w**2, 1), (w, 1, w), (w, 1, 1),
         (1, w, w**2), (1, w, 1), (1, 1, w), (1, 1, 1),
     }
     for n in range(1, 7):
-        vs = tutte_vertices(n, HALF, 1)
+        vs = vertex_set("tutte", n, HALF, 1)
         assert len(set(vs.points)) == 2**n
         hrep = build_hrep("tutte", n, HALF, 1)
-        assert all(hrep.contains(p) for p in vs.points)
+        assert all(contains(hrep, p) for p in fraction_points(vs))
     for n in range(1, 5):
         assert vertices_are_extreme(
-            tutte_vertices(n, HALF, 1), build_hrep("tutte", n, HALF, 1)
+            vertex_set("tutte", n, HALF, 1), build_hrep("tutte", n, HALF, 1)
         )
     _report(5, "2^n vertices, printed tables, extremality")
 

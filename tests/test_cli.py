@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayleypoly import cli, geometry, verify, volumes
+from cayleypoly import cli, faces, geometry, verify, volumes
 from cayleypoly.cli import main
 from cayleypoly.faces import FVECTOR_MAX_N, VERTICES_MAX_N, InconsistentGeometryError
 from cayleypoly.geometry import MAX_DIMENSION, Family, build_hrep
@@ -324,6 +324,74 @@ def test_structure_commands_keep_their_bytes(capsys, argv):
     code, out = run_cli(capsys, *argv, *qt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _STRUCTURE_SHA256[argv]
+
+
+# sha256 of stdout of `vertices` at (q, t) = (37/101, 53/17), in both
+# formats, at n = 7 and at each family's cap: n = 12 for the 2^n-point sets
+# (VERTICES_MAX_N) and n = 100 for the gayley families (MAX_DIMENSION).
+_VERTICES_SHA256 = {
+    ("cayley", 7, "json"): "d66222afe08c7689ca5d2cfb1777dd41bfdeafbea5a73f0c736d35522ab676b5",
+    ("cayley", 7, "text"): "9ae487073fdb242a1683f2cf9f712382d7332fbb8e8838af6c507129619e7a92",
+    ("cayley", 12, "json"): "22c34017e3e3a126caa6936a5af52bf5a13b850cf6307de866d74281f6a75bdc",
+    ("cayley", 12, "text"): "39d1a69c5cb2c69ce765323bf5fd4cab5972324a06129c6f6c8903327e676b57",
+    ("gayley", 7, "json"): "7c3830a5693a7cf401c428db7a1bd5bb5201b339649122a8d95afe7b1726dd19",
+    ("gayley", 7, "text"): "1abae19e99a859fb32be3c9d96d2ddbfa278f73846d5f4e3799969f9e5959763",
+    ("gayley", 100, "json"): "840af736169376dec83c780a78df39c2e86bd9f8357ace0ff90caffae5218991",
+    ("gayley", 100, "text"): "68c65c6c099383ca64faf81e5372c5c6774eee58a4c76072d9cd23d249d642d6",
+    ("tcayley", 7, "json"): "79a09ca370b10f44646b1f8a7188085b136be505bf0ee9e1f35ac94c3cc68cd7",
+    ("tcayley", 7, "text"): "e41309bca92054a3fb0ad0d581b87e8d9934a03d43d179c34802f98e8db5c38d",
+    ("tcayley", 12, "json"): "c5c0f86d0ebbf77d78c106386dd9a6119bb794363ce097d74477eee308434769",
+    ("tcayley", 12, "text"): "49d1ed476914116c8e377df2b9c03081cf9b48dc71555371fef1f6d1832e5859",
+    ("tgayley", 7, "json"): "46f3ed8102125b6cb91845c15ccc736e3a3699afe7e5f08bedf8a77f7c55be49",
+    ("tgayley", 7, "text"): "613ae7a7b462e7937505e2e5bd9326f869201f258789d7a4d7073bd3f0837a84",
+    ("tgayley", 100, "json"): "45b913c8a535941f22f708400ad42273e9fe52228a5d80e4405381a82bd39b9c",
+    ("tgayley", 100, "text"): "bee7e0f3c2d9056564e3fa9df8530c5031d31d1be4c6b09f0d7b83db07ffa8a4",
+    ("tutte", 7, "json"): "ceb3845fa53f2e91fcb7b14cb3a5c7e3bcf6bafc6bff7d194842c94d30b2c664",
+    ("tutte", 7, "text"): "b3b202c4e843f39290b0c39e98c5a2e61181ea561ffdfdd75dacaa7efcd7be5b",
+    ("tutte", 12, "json"): "7d109ad491fdc3e558f5f600371303efbb7d34a04cc76d2c8ca98921261ddf1f",
+    ("tutte", 12, "text"): "6789b5f363ec0d8ef2d0091f18caea8fe95b8c2044e1a4168364685e3ccc83e4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_VERTICES_SHA256, key=str))
+def test_vertices_keep_their_bytes(capsys, key):
+    family, n, fmt = key
+    argv = ["vertices", "--family", family, "--n", str(n), "--q", "37/101", "--t", "53/17", "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _VERTICES_SHA256[key]
+    # The pins above the first size are at the family's cap.
+    assert n in (7, MAX_DIMENSION if family.endswith("gayley") else VERTICES_MAX_N)
+
+
+def test_vertices_text_form(capsys):
+    # A header "dimension count", then one point a line.
+    code, out = run_cli(capsys, "vertices", "--family", "tutte", "--n", "2", "--format", "text")
+    assert code == 0
+    assert out == "2 4\n1/2 1/2\n2 1/2\n1 2\n2 4\n"
+    code, out = run_cli(capsys, "vertices", "--family", "gayley", "--n", "2", "--format", "text")
+    assert code == 0
+    assert out == "2 3\n0 0\n2 0\n2 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["fvector", "--n", "3", "--q", "0"], "q must lie strictly between 0 and 1"),
+        (["fvector", "--n", "3", "--q", "1"], "q must lie strictly between 0 and 1"),
+        (["fvector", "--n", "3", "--t", "0"], "t must be positive"),
+        (["vertices", "--family", "tutte", "--n", "3", "--q", "0"], "q must lie in (0, 1], got 0"),
+        (["vertices", "--family", "tutte", "--n", "3", "--q", "1"], "q must lie strictly between 0 and 1"),
+        (["vertices", "--family", "tcayley", "--n", "3", "--t", "0"], "t must be positive, got 0"),
+    ],
+)
+def test_vertex_parameter_messages(capsys, argv, message):
+    # fvector checks 0 < q < 1 and t > 0 itself; vertices reads the family's
+    # parameter domain first, then q < 1 for the tutte vertex theorem.
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parameter domain violation: {message}\n"
 
 
 # sha256 of stdout of `volume --n 5` at (q, t) = (1/2, 1/3), the size the
@@ -719,7 +787,7 @@ def test_dimension_cap(monkeypatch, capsys, argv):
     def built(*args, **kwargs):
         raise AssertionError("built before the size cap")
 
-    monkeypatch.setattr(cli, "orthoscheme_vertices", built)
+    monkeypatch.setattr(faces, "_chain_points", built)
     monkeypatch.setattr(geometry, "family_parameters", built)
     code = main([*argv, str(MAX_DIMENSION + 1)])
     assert code == 3

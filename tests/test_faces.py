@@ -6,18 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from cayleypoly import build_hrep, cayley_vertices, face_lattice, tutte_f_vector, tutte_vertices
-from cayleypoly.exact import clear_denominators, eliminate
-from cayleypoly.faces import FaceLattice, InconsistentGeometryError, VertexSet, _contact_masks
+from cayleypoly import FAMILIES, build_hrep, enumerate_hrep_vertices, face_lattice, tutte_f_vector, vertex_set
+from cayleypoly.exact import clear_denominators, eliminate, format_rational
+from cayleypoly.faces import FaceLattice, InconsistentGeometryError, _contact_masks, chain_vertices
 from cayleypoly.geometry import ParameterDomainError
+from cayleypoly.verify import vertex_keys
 
 from oracles import (
     AffineForm,
     conjecture_check,
+    contains,
     edge_count_formula,
+    fraction_points,
     hrep_forms,
     hrep_from_forms,
     two_face_count_formula,
+    vertex_set_of,
     vertices_are_extreme,
 )
 
@@ -44,8 +48,8 @@ F_VECTORS = {
 def test_cayley_vertex_table():
     t = Fraction(2)
     w = 1 + t
-    vs = cayley_vertices(3, t)
-    assert set(vs.points) == {
+    vs = vertex_set("tcayley", 3, t=t)
+    assert set(fraction_points(vs)) == {
         (w, w**2, w**3), (w, w**2, 1), (w, 1, w), (w, 1, 1),
         (1, w, w**2), (1, w, 1), (1, 1, w), (1, 1, 1),
     }
@@ -53,15 +57,15 @@ def test_cayley_vertex_table():
 
 
 def test_cayley_vertices_one_dim():
-    vs = cayley_vertices(1, Fraction(3))
-    assert set(vs.points) == {(Fraction(1),), (Fraction(4),)}
+    vs = vertex_set("tcayley", 1, t=Fraction(3))
+    assert set(fraction_points(vs)) == {(Fraction(1),), (Fraction(4),)}
 
 
 def test_tutte_vertex_table():
     q, t = THIRD, Fraction(2)
     w, mq = 1 + t, 1 - q
-    vs = tutte_vertices(3, q, t)
-    assert set(vs.points) == {
+    vs = vertex_set("tutte", 3, q, t)
+    assert set(fraction_points(vs)) == {
         (w, w**2, w**3), (w, w**2, mq), (w, 1, w), (w, mq, mq),
         (1, w, w**2), (1, w, mq), (1, 1, w), (mq, mq, mq),
     }
@@ -69,8 +73,8 @@ def test_tutte_vertex_table():
 
 def test_tutte_vertices_trailing_replacement():
     q, t = HALF, Fraction(1)
-    vs = tutte_vertices(4, q, t)
-    by_name = dict(zip(vs.provenance, vs.points))
+    vs = vertex_set("tutte", 4, q, t)
+    by_name = dict(zip(vs.provenance, fraction_points(vs)))
     w, mq = 2, HALF
     assert by_name["S={}"] == (mq, mq, mq, mq)
     assert by_name["S={1,3}"] == (w, 1, w, mq)
@@ -79,7 +83,7 @@ def test_tutte_vertices_trailing_replacement():
 
 def test_vertex_counts_and_distinctness():
     for n in range(1, 7):
-        vs = tutte_vertices(n, HALF, 1)
+        vs = vertex_set("tutte", n, HALF, 1)
         assert len(vs.points) == 2**n
         assert len(set(vs.points)) == 2**n
 
@@ -87,20 +91,20 @@ def test_vertex_counts_and_distinctness():
 def test_vertices_satisfy_hrep():
     for n in range(1, 7):
         hrep = build_hrep("tutte", n, HALF, 1)
-        for p in tutte_vertices(n, HALF, 1).points:
-            assert hrep.contains(p)
+        for p in fraction_points(vertex_set("tutte", n, HALF, 1)):
+            assert contains(hrep, p)
         tchain = build_hrep("tcayley", n, t=2)
-        for p in cayley_vertices(n, Fraction(2)).points:
-            assert tchain.contains(p)
+        for p in fraction_points(vertex_set("tcayley", n, t=Fraction(2))):
+            assert contains(tchain, p)
 
 
 def test_vertex_parameter_domains():
     with pytest.raises(ParameterDomainError):
-        tutte_vertices(2, 1, 1)  # q = 1 excluded for the vertex theorem
+        vertex_set("tutte", 2, 1, 1)  # q = 1 excluded for the vertex theorem
     with pytest.raises(ParameterDomainError):
-        tutte_vertices(2, HALF, 0)
+        vertex_set("tutte", 2, HALF, 0)
     with pytest.raises(ParameterDomainError):
-        cayley_vertices(2, 0)
+        vertex_set("tcayley", 2, t=0)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +132,7 @@ def test_f_vector_parameter_independence():
 
 
 def test_face_lattice_structure():
-    vs = tutte_vertices(3, HALF, 1)
+    vs = vertex_set("tutte", 3, HALF, 1)
     hrep = build_hrep("tutte", 3, HALF, 1)
     lattice = face_lattice(vs, hrep)
     assert lattice.f_vector == (8, 13, 7)
@@ -143,7 +147,7 @@ def test_face_lattice_at_n9():
     # No command reaches n = 9 (FVECTOR_MAX_N caps tutte_f_vector), but
     # face_lattice itself has no cap.
     q, t = Fraction(37, 101), Fraction(53, 17)
-    lattice = face_lattice(tutte_vertices(9, q, t), build_hrep("tutte", 9, q, t))
+    lattice = face_lattice(vertex_set("tutte", 9, q, t), build_hrep("tutte", 9, q, t))
     f = lattice.f_vector
     assert f == (512, 3073, 8095, 12130, 11255, 6597, 2381, 487, 46)
     assert f[1] == edge_count_formula(9)
@@ -165,7 +169,7 @@ def test_chain_polytope_is_a_combinatorial_cube():
     # only for n <= 2; from n = 3 on the face lattices genuinely differ
     # (12 edges and 6 facets versus 13 and 7 at n = 3).
     for n in range(1, 5):
-        vs = cayley_vertices(n, Fraction(2))
+        vs = vertex_set("tcayley", n, t=Fraction(2))
         hrep = build_hrep("tcayley", n, t=2)
         f = face_lattice(vs, hrep).f_vector
         cube = tuple(math.comb(n, k) * 2 ** (n - k) for k in range(n))
@@ -178,8 +182,8 @@ def _rank_face_lattice(vertices, hrep):
     dimension n-1, faces their intersection closure, each face ranked by
     `eliminate` on its integer vertex differences."""
     n = hrep.dimension
-    points = vertices.points
-    contact_masks = _contact_masks(points, hrep)
+    contact_masks = _contact_masks(vertices, hrep)
+    points = fraction_points(vertices)
     coordinates, _ = clear_denominators([x for p in points for x in p])
     int_points = [coordinates[i * n : (i + 1) * n] for i in range(len(points))]
 
@@ -221,7 +225,7 @@ def _rank_face_lattice(vertices, hrep):
 )
 def test_face_lattice_matches_rank_reference(q, t):
     for n in range(1, 8):
-        vs = tutte_vertices(n, q, t)
+        vs = vertex_set("tutte", n, q, t)
         hrep = build_hrep("tutte", n, q, t)
         assert face_lattice(vs, hrep) == _rank_face_lattice(vs, hrep)
 
@@ -229,7 +233,7 @@ def test_face_lattice_matches_rank_reference(q, t):
 @pytest.mark.parametrize("t", [Fraction(2), Fraction(53, 17)])
 def test_cube_face_lattice_matches_rank_reference(t):
     for n in range(1, 6):
-        vs = cayley_vertices(n, t)
+        vs = vertex_set("tcayley", n, t=t)
         hrep = build_hrep("tcayley", n, t=t)
         assert face_lattice(vs, hrep) == _rank_face_lattice(vs, hrep)
 
@@ -240,7 +244,7 @@ def test_face_lattice_ignores_redundant_rows():
     # vertex.  Neither may be taken for a facet.
     q, t = Fraction(37, 101), Fraction(53, 17)
     for n in range(2, 6):
-        vs = tutte_vertices(n, q, t)
+        vs = vertex_set("tutte", n, q, t)
         hrep = build_hrep("tutte", n, q, t)
         rows = hrep_forms(hrep)
         padded = hrep_from_forms(n, (*rows, rows[0] + rows[-1], rows[1] + rows[2], AffineForm.constant_form(n, 0)))
@@ -254,8 +258,8 @@ def test_face_lattice_ignores_redundant_rows():
 )
 def test_face_lattice_rejects_outside_point(point):
     hrep = build_hrep("tutte", 2, HALF, 1)
-    good = tutte_vertices(2, HALF, 1).points
-    bad = VertexSet((*good, point), (*("ok",) * len(good), "bogus"))
+    good = fraction_points(vertex_set("tutte", 2, HALF, 1))
+    bad = vertex_set_of((*good, point), (*("ok",) * len(good), "bogus"))
     # The first violated inequality, in H-rep order, by its exact amount.
     amount = next(v for v in (form.evaluate(point) for form in hrep_forms(hrep)) if v < 0)
     with pytest.raises(InconsistentGeometryError, match=re.escape(f"point 4 violates an inequality by {amount}")):
@@ -276,12 +280,13 @@ def _fraction_contact_masks(points, hrep):
 def test_integer_contacts_match_fraction_evaluation(q, t):
     for n in range(1, 6):
         hrep = build_hrep("tutte", n, q, t)
-        points = tutte_vertices(n, q, t).points
-        masks = _contact_masks(points, hrep)
+        vs = vertex_set("tutte", n, q, t)
+        points = fraction_points(vs)
+        masks = _contact_masks(vs, hrep)
         assert masks == _fraction_contact_masks(points, hrep)
         # The interior: midpoints of vertex pairs touch fewer hyperplanes.
         mids = tuple({tuple((a + b) / 2 for a, b in zip(points[i], points[-1 - i])) for i in range(len(points))})
-        masks = _contact_masks(mids, hrep)
+        masks = _contact_masks(vertex_set_of(mids), hrep)
         assert masks == _fraction_contact_masks(mids, hrep)
 
 
@@ -300,12 +305,12 @@ def test_extreme_points_certificate_matches_pairwise_reference():
     q, t = Fraction(37, 101), Fraction(53, 17)
     for n in range(1, 5):
         hrep = build_hrep("tutte", n, q, t)
-        points = tutte_vertices(n, q, t).points
+        points = fraction_points(vertex_set("tutte", n, q, t))
         mid = tuple((a + b) / 2 for a, b in zip(points[0], points[-1]))
         for candidate in (points, (*points, mid), points[: len(points) // 2], (mid,)):
-            vs = VertexSet(candidate, ("p",) * len(candidate))
+            vs = vertex_set_of(candidate)
             assert vertices_are_extreme(vs, hrep) == _pairwise_extreme(candidate, hrep)
-        assert not vertices_are_extreme(VertexSet((*points, mid), ("p",) * (len(points) + 1)), hrep)
+        assert not vertices_are_extreme(vertex_set_of((*points, mid)), hrep)
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +336,21 @@ def test_conjecture_check_small():
 
 def test_extreme_points_certificate():
     for n in range(1, 5):
-        vs = tutte_vertices(n, HALF, 1)
+        vs = vertex_set("tutte", n, HALF, 1)
         hrep = build_hrep("tutte", n, HALF, 1)
         assert vertices_are_extreme(vs, hrep)
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_vertices_are_the_hrep_vertices(family, q, t):
+    # The one chain-vertex builder against the vertex oracle on the H-rep,
+    # in keys, and its texts against its numerators.
+    for n in range(1, 6):
+        vs = vertex_set(family, n, q, t)
+        assert vertex_keys(vs) == enumerate_hrep_vertices(build_hrep(family, n, q, t))
+        scale, texts, provenance = chain_vertices(family, n, q, t, texts=True)
+        assert (scale, provenance) == (vs.scale, vs.provenance)
+        assert len(texts) == len(vs.points)
+        for numerators, row in zip(vs.points, texts):
+            assert row == tuple(format_rational(Fraction(x, scale)) for x in numerators)

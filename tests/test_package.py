@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "build_hrep",
     "cane_edges",
     "catalan",
-    "cayley_vertices",
     "closed_form_piece_total",
     "closed_form_simplex_total",
     "cone_q",
@@ -39,19 +38,18 @@ PUBLIC_NAMES = [
     "format_rational",
     "get_family",
     "lattice_and_partition_counts",
-    "orthoscheme_vertices",
     "pair_index",
     "parse_rational",
     "piece_for_plane_forest_via_cones",
     "product",
     "tutte_f_vector",
-    "tutte_vertices",
     "verify_fiber",
     "verify_piece_constructions",
     "verify_refinement",
     "verify_specializations",
     "verify_subdivision",
     "verify_triangulation",
+    "vertex_set",
     "volume_report",
     "z_bruteforce",
 ]

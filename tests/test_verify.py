@@ -25,7 +25,6 @@ from cayleypoly import (
     enumerate_labeled_forests,
     get_family,
     enumerate_plane_forests,
-    orthoscheme_vertices,
     piece_for_plane_forest_via_cones,
     verify_fiber,
     verify_piece_constructions,
@@ -40,7 +39,7 @@ from cayleypoly.forests import fiber_masks
 from cayleypoly.geometry import VertexTable, family_parameters
 from cayleypoly.verify import RationalLCG, _partition_certificate, interior_sample_drawer, plan
 
-from oracles import AffineForm, LabeledGraph, hrep_forms, hrep_from_forms, nfs
+from oracles import AffineForm, LabeledGraph, contains, hrep_forms, hrep_from_forms, nfs, point_keys
 
 HALF = Fraction(1, 2)
 
@@ -254,7 +253,7 @@ def test_interior_sampler_stays_strictly_inside():
         q_eff = HALF if family == "tutte" else Fraction(1)
         for _ in range(50):
             p = sample_interior_point(family, 3, q_eff, Fraction(1), rng)
-            assert hrep.contains(p, strict=True)
+            assert contains(hrep, p, strict=True)
 
 
 @pytest.mark.parametrize("seed", [7, 11, 20240605, 2**64 + 3])
@@ -339,7 +338,7 @@ def solve_linear_system(a_rows, b_vec):
 def reference_hrep_vertices(hrep):
     """enumerate_hrep_vertices in Fraction arithmetic: each n-subset of
     forms taken tight is solved, and a solution is kept when every form is
-    >= 0 at it."""
+    >= 0 at it.  Gives Fraction points; compare them through `point_keys`."""
     found = set()
     forms = hrep_forms(hrep)
     for subset in combinations(forms, hrep.dimension):
@@ -373,12 +372,12 @@ def small_integer_hreps(draw):
 def test_vertex_oracle_matches_fraction_solver_on_random_hreps(case):
     n, rows = case
     hrep = hrep_from_forms(n, [AffineForm(Fraction(b), tuple(map(Fraction, a))) for b, *a in rows])
-    assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
+    assert enumerate_hrep_vertices(hrep) == point_keys(reference_hrep_vertices(hrep))
 
 
 def test_hrep_vertex_oracle_on_orthoscheme():
     hrep = build_hrep("gayley", 3)
-    expected = tuple(sorted(orthoscheme_vertices([2, 4, 8])))
+    expected = point_keys([(0, 0, 0), (2, 0, 0), (2, 4, 0), (2, 4, 8)])
     assert enumerate_hrep_vertices(hrep) == expected
 
 
@@ -388,12 +387,12 @@ def test_vertex_oracle_matches_fraction_solver(q, t):
     for n in (1, 2, 3):
         for family in FAMILIES:
             hrep = build_hrep(family, n, q, t)
-            assert enumerate_hrep_vertices(hrep) == reference_hrep_vertices(hrep)
+            assert enumerate_hrep_vertices(hrep) == point_keys(reference_hrep_vertices(hrep))
             checked += 1
         for pf in enumerate_plane_forests(n + 1):
             for piece in (VertexTable(n + 1, q, t).piece(pf), piece_for_plane_forest_via_cones(pf, q, t)):
                 vertices = enumerate_hrep_vertices(piece)
-                assert vertices == reference_hrep_vertices(piece)
+                assert vertices == point_keys(reference_hrep_vertices(piece))
                 # A full-dimensional piece has more than n vertices; this
                 # keeps two empty vertex sets from comparing equal.
                 assert len(vertices) > n
@@ -418,8 +417,8 @@ def test_vertex_oracle_skips_singular_subsets():
     )
     hrep = hrep_from_forms(2, forms)
     vertices = enumerate_hrep_vertices(hrep)
-    assert vertices == reference_hrep_vertices(hrep)
-    assert vertices == tuple(sorted((Fraction(a), Fraction(b)) for a, b in ((0, 0), (2, 0), (0, 2), (2, 1), (1, 2))))
+    assert vertices == point_keys(reference_hrep_vertices(hrep))
+    assert vertices == point_keys((Fraction(a), Fraction(b)) for a, b in ((0, 0), (2, 0), (0, 2), (2, 1), (1, 2)))
 
 
 def test_partition_failure_carries_witness():
@@ -614,7 +613,7 @@ def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, fami
         (f, v)
         for f in forests
         for v in [table.point(k) for k in table.add(f)]
-        if not cut.contains(v)
+        if not contains(cut, v)
     )
     expected = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
     monkeypatch.setattr(verify, "build_hrep", lambda *args: cut)
@@ -652,7 +651,7 @@ def test_refinement_containment_failure_matches_fraction_reference(monkeypatch, 
         table = geometry.VertexTable(n + 1, q, t)
         reference = {pf: table.piece(pf) for pf in enumerate_plane_forests(n + 1)}
         reference[cut_shape] = _cut_x1(reference[cut_shape], bound)
-        bad = [f for f in forests if not all(reference[f.shape].contains(table.point(k)) for k in table.add(f))]
+        bad = [f for f in forests if not all(contains(reference[f.shape], table.point(k)) for k in table.add(f))]
         monkeypatch.setattr(geometry.VertexTable, "piece_rows", piece_rows)
         report = verify_refinement("tutte", n, q, t)
         _assert_reference_verdict(report)

@@ -23,7 +23,7 @@ from cayleypoly import (
     family_total_polynomial,
     get_family,
     lattice_and_partition_counts,
-    orthoscheme_vertices,
+    vertex_set,
     volume_report,
     z_bruteforce,
 )
@@ -31,6 +31,7 @@ from cayleypoly.geometry import VertexTable, family_parameters
 from cayleypoly.volumes import steps_volume_scaled, subgraph_tally
 
 from oracles import (
+    fraction_points,
     integer_volume_scaled,
     inversion_enumerator,
     partition_pattern,
@@ -56,7 +57,9 @@ def simplex_volume(vertices) -> Fraction:
 
 
 def test_orthoscheme_volume():
-    orthoscheme = [[int(x) for x in v] for v in orthoscheme_vertices([2, 4])]
+    # The gayley vertices at n = 2: the orthoscheme with legs 2 and 4.
+    orthoscheme = [[int(x) for x in v] for v in fraction_points(vertex_set("gayley", 2))]
+    assert orthoscheme == [[0, 0], [2, 0], [2, 4]]
     assert simplex_volume(orthoscheme) == 4  # the 2-leg orthoscheme
     assert integer_volume_scaled(orthoscheme) == 8
 
