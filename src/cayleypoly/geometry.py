@@ -493,7 +493,9 @@ class VertexTable:
     and gives the simplex as the indices of its vertices, in vertex
     order, and `point(k)` gives vertex k as Fractions.  `steps(simplex)`
     gives the differences of consecutive vertices, sparse, for
-    `volumes.steps_volume_scaled`.
+    `volumes.steps_volume_scaled`: the step from vertex p to p+1 is the
+    first to move the coordinate of the node labelled p, so the steps
+    are triangular in vertex order.
 
     `chain_rows(f)` and `piece_rows(pf)` give a cell as a tuple of the
     value table's coprime integer rows, shared by every cell that has

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import BivariatePolynomial, abs_determinant
+from .exact import BivariatePolynomial
 from .forests import LabeledForest, PlaneForest, alpha
 from .geometry import ParameterDomainError, VertexTable, family_parameters, get_family
 
@@ -41,7 +41,8 @@ Z_MAX_NODES = 7
 
 
 class DegenerateSimplexError(ValueError):
-    """The vertex set is affinely dependent (zero volume)."""
+    """The vertex set is affinely dependent (zero volume), or its vertex
+    steps are not triangular in vertex order (`steps_volume_scaled`)."""
 
 
 # ----------------------------------------------------------------------
@@ -50,18 +51,43 @@ class DegenerateSimplexError(ValueError):
 
 
 def steps_volume_scaled(steps: Sequence[Sequence[tuple[int, int]]]) -> int:
-    """|det| of a simplex's consecutive vertex differences v_i - v_{i-1},
-    given as sparse rows (`exact.sparse_difference`), by `abs_determinant`;
-    raises on a singular set (an affinely dependent vertex set).
+    """|det| of a simplex's consecutive vertex differences v_p - v_{p-1},
+    given as sparse rows (`exact.sparse_difference`), in one ordered pass:
+    step k, less the pivot columns of the steps before it, must have
+    exactly one entry left, its pivot, and |det| is the product of the
+    pivots.
 
-    These rows span the same lattice parallelotope as v_i - v_0 up to
-    unimodular row operations, and so have the same |det|; for a forest's
-    simplex they are sparse.  A simplex whose vertices are integer
-    numerators over a scale s has n! vol equal to this divided by s^n."""
-    volume = abs_determinant(steps)
-    if not volume:
-        raise DegenerateSimplexError("affinely dependent vertices")
-    return volume
+    Proof.  Let step k's one new entry a_k sit in column c_k.  Row k is
+    then zero outside c_1..c_k, so with its columns taken in the order
+    c_1..c_n the matrix is lower triangular, and det = +-prod a_k.  A
+    step with no new entry lies, with the steps before it, in the span
+    of fewer coordinates than there are rows: the set is singular.  A
+    step with two new entries is not decided by this pass, and is
+    rejected as well.  Either raises DegenerateSimplexError.
+
+    A forest's simplex (`geometry.VertexTable`) always passes: the step
+    from vertex p to p+1 moves the coordinate of the node labelled p,
+    from (1+t)^(j+1) to (1+t)^j for a non-root, entry -t(1+t)^j, and
+    from 1 to 1-q for a root, entry -q; a root's step also takes each
+    non-root of its component from (1+t)^j to 1-q, but their labels are
+    below the root's, so their columns are earlier steps'.  The pivots
+    give the volume lemma, q^(k-1) t^|E| (1+t)^alpha.
+
+    The consecutive differences are a unitriangular transform of the
+    v_p - v_0, so they have the same determinant.  A simplex whose
+    vertices are integer numerators over a scale s has n! vol equal to
+    this divided by s^n."""
+    volume, used = 1, set()
+    for step in steps:
+        if len(step) > 1:
+            step = [entry for entry in step if entry[0] not in used]
+        if len(step) != 1 or step[0][0] in used:
+            moved = f"{len(step)} new columns" if len(step) > 1 else "no new column (a singular set)"
+            raise DegenerateSimplexError(f"vertex steps not triangular: step {len(used) + 1} moves {moved}")
+        ((column, pivot),) = step
+        used.add(column)
+        volume *= pivot
+    return abs(volume)
 
 
 # ----------------------------------------------------------------------

@@ -655,8 +655,10 @@ def volume_scaled(vertices) -> int:
 
 def integer_volume_scaled(vertices) -> int:
     """|det(v_i - v_0)| of integer vertices, by `steps_volume_scaled` on
-    their consecutive differences; raises DegenerateSimplexError on an
-    affinely dependent vertex set."""
+    their consecutive differences, which must be triangular in the given
+    order (a forest's simplex in vertex order is); raises
+    DegenerateSimplexError otherwise.  `volume_scaled` takes any vertex
+    set."""
     if any(len(v) != len(vertices) - 1 for v in vertices):
         raise ValueError("a simplex in R^n needs n + 1 vertices of n coordinates")
     return steps_volume_scaled([sparse_difference(v, u) for u, v in zip(vertices, vertices[1:])])

@@ -43,6 +43,7 @@ from oracles import (
     point_keys,
     product_forms,
     tutte_hrep_forms,
+    volume_scaled,
 )
 
 HALF = Fraction(1, 2)
@@ -650,7 +651,7 @@ def test_cone_volume_lemma_on_rectangle():
 
     def scaled_volume(vertices):
         entries, scale = clear_denominators([x for v in vertices for x in v])
-        return Fraction(integer_volume_scaled([entries[k : k + 3] for k in range(0, 12, 3)]), scale**3)
+        return Fraction(volume_scaled([entries[k : k + 3] for k in range(0, 12, 3)]), scale**3)
 
     scaled = scaled_volume((apex, b00, b01, b10)) + scaled_volume((apex, b01, b10, b11))
     assert scaled / math.factorial(3) == Fraction(6, 3)

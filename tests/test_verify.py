@@ -224,6 +224,27 @@ def test_specializations_check_the_sweep_against_the_recursion(monkeypatch):
     assert report.checks["z_q0_coefficient_is_connected_gf"] == {"ok": False}
 
 
+def test_specializations_run_the_vertex_oracle_three_times(monkeypatch):
+    # tutte at (1, 1) and gayley are one H-rep, so the oracle runs on
+    # gayley, tcayley and tutte only.
+    calls = []
+    oracle = verify.enumerate_hrep_vertices
+    monkeypatch.setattr(verify, "enumerate_hrep_vertices", lambda hrep: calls.append(hrep) or oracle(hrep))
+    assert verify_specializations(3).passed
+    assert len(calls) == 3
+
+
+def test_specializations_compare_the_tutte_and_gayley_hreps(monkeypatch):
+    build = verify.build_hrep
+
+    def other_tutte(family, n, q=None, t=None):
+        return build(family, n, HALF, t) if (family, q, t) == ("tutte", 1, 1) else build(family, n, q, t)
+
+    monkeypatch.setattr(verify, "build_hrep", other_tutte)
+    report = verify_specializations(2)
+    assert report.checks["tutte_q1_t1_is_gayley"] == {"ok": False}
+
+
 def test_piece_constructions():
     for n in (1, 2, 3):
         assert verify_piece_constructions(n).passed

@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -84,61 +83,74 @@ def test_point_simplex_volume():
     assert simplex_volume(((),)) == 1
 
 
-def _volume_or_raise(volume, vertices):
-    """The volume, or None where it raises DegenerateSimplexError."""
-    try:
-        return volume(vertices)
-    except DegenerateSimplexError:
-        return None
+def _triangular_steps(rng, n, density):
+    """n random sparse steps in R^n, triangular in row order up to a
+    column permutation: step k has a nonzero pivot in column columns[k],
+    entries in the columns of the steps before it with the given
+    probability, and no other entry.  Returns the steps, the columns and
+    the pivots."""
+    columns = rng.sample(range(n), n)
+    pivots = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n)]
+    steps = []
+    for k, (column, pivot) in enumerate(zip(columns, pivots)):
+        entries = {c: rng.choice([-4, -1, 1, 3]) for c in columns[:k] if rng.random() < density}
+        entries[column] = pivot
+        steps.append(tuple(sorted(entries.items())))
+    return steps, columns, pivots
 
 
-def _random_vertices(rng, n, density):
-    """n + 1 random integer vertices in R^n, each coordinate of each step
-    from the previous vertex nonzero with the given probability."""
-    vertices = [tuple(rng.randint(-9, 9) for _ in range(n))]
-    for _ in range(n):
-        step = [rng.choice([-3, -2, -1, 1, 2, 5]) if rng.random() < density else 0 for _ in range(n)]
-        vertices.append(tuple(x + d for x, d in zip(vertices[-1], step)))
-    rng.shuffle(vertices)
+def _vertices_of_steps(rng, n, steps):
+    """A random first vertex and the vertices its steps lead to."""
+    vertices = [[rng.randint(-9, 9) for _ in range(n)]]
+    for step in steps:
+        vertex = list(vertices[-1])
+        for c, a in step:
+            vertex[c] += a
+        vertices.append(vertex)
     return vertices
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_determinant_matches_elimination_on_random_vertices(n):
-    # Dense sets go to elimination, sparse ones to the single-entry
-    # expansion and a remainder; either may be singular by chance, and
-    # then both raise.
-    rng = random.Random(f"volume:{n}")
-    outcomes = Counter()
-    for density in (1.0, 0.5, 0.25):
-        for _ in range(60):
-            vertices = _random_vertices(rng, n, density)
-            expected = _volume_or_raise(volume_scaled, vertices)
-            assert _volume_or_raise(integer_volume_scaled, vertices) == expected, vertices
-            outcomes[expected is not None] += 1
-    assert outcomes[True] >= 60
-    assert outcomes[False] >= (0 if n == 0 else 1)
+def test_steps_volume_matches_elimination_on_triangular_steps(n):
+    # The product of the pivots is the dense |det|, from the steps and
+    # from the vertices they lead to.
+    rng = random.Random(f"triangular:{n}")
+    for density in (1.0, 0.5, 0.0):
+        for _ in range(40):
+            steps, _, pivots = _triangular_steps(rng, n, density)
+            vertices = _vertices_of_steps(rng, n, steps)
+            expected = volume_scaled(vertices)
+            assert expected == abs(math.prod(pivots))
+            assert steps_volume_scaled(steps) == expected, steps
+            assert integer_volume_scaled(vertices) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_determinant_rejects_affinely_dependent_vertices(n):
-    # A repeated vertex, a vertex on the line of two others, and a last
-    # vertex in the affine span of the rest.
-    rng = random.Random(f"dependent:{n}")
+def test_steps_volume_rejects_a_step_with_no_new_column(n):
+    # A step inside the columns of the steps before it, or no step at
+    # all (a repeated vertex), makes a singular set, which both raise on.
+    rng = random.Random(f"no-new-column:{n}")
     for _ in range(40):
-        vertices = _random_vertices(rng, n, rng.choice([1.0, 0.5]))
-        a, b, c = (rng.randrange(n + 1) for _ in range(3))
-        dependent = [
-            vertices[:n] + [vertices[a % n]],
-            vertices[:n] + [tuple(2 * x - y for x, y in zip(vertices[a % n], vertices[b % n]))],
-            vertices[:n]
-            + [tuple(x + y - z for x, y, z in zip(vertices[a % n], vertices[b % n], vertices[c % n]))],
-        ]
-        for points in dependent:
-            rng.shuffle(points)
-            for volume in (volume_scaled, integer_volume_scaled):
-                with pytest.raises(DegenerateSimplexError):
-                    volume(points)
+        steps, columns, _ = _triangular_steps(rng, n, rng.choice([1.0, 0.5]))
+        k = rng.randrange(n)
+        steps[k] = tuple(sorted((c, rng.choice([-2, 1, 3])) for c in columns[:k] if rng.random() < 0.7))
+        vertices = _vertices_of_steps(rng, n, steps)
+        for volume, argument in ((steps_volume_scaled, steps), (volume_scaled, vertices)):
+            with pytest.raises(DegenerateSimplexError):
+                volume(argument)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_steps_volume_rejects_a_step_with_two_new_columns(n):
+    # Step k takes the pivot column of a later step as well, which the
+    # one ordered pass does not decide: it raises, whatever the |det|.
+    rng = random.Random(f"two-new-columns:{n}")
+    for _ in range(40):
+        steps, columns, _ = _triangular_steps(rng, n, rng.choice([1.0, 0.5, 0.0]))
+        k = rng.randrange(n - 1)
+        steps[k] = tuple(sorted(steps[k] + ((rng.choice(columns[k + 1 :]), 1),)))
+        with pytest.raises(DegenerateSimplexError, match="not triangular"):
+            steps_volume_scaled(steps)
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
@@ -147,13 +159,34 @@ def test_determinant_matches_elimination_on_every_simplex(name, q, t):
     # Every simplex of the family's triangulation, from its vertices and
     # from the vertex table's memoised steps.
     q_eff, t_eff = family_parameters(name, q, t)
-    for n in range(1, 5):
+    for n in range(1, 6):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in get_family(name).labeled_cells(n):
             vertices = table.numerators(f)
             expected = volume_scaled(vertices)
             assert integer_volume_scaled(vertices) == expected
             assert steps_volume_scaled(table.steps(table.add(f))) == expected
+
+
+@pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_forest_steps_are_triangular_with_the_lemma_pivots(name, q, t):
+    # The step from vertex p to p+1 leaves one new column, that of the
+    # node labelled p at position i (column i - 1), and its entry is
+    # -t(1+t)^j s for a non-root at cane exponent j and -q s for a root,
+    # s the table scale: the factors of q^(k-1) t^|E| (1+t)^alpha.
+    q_eff, t_eff = family_parameters(name, q, t)
+    for n in range(1, 6):
+        table = VertexTable(n + 1, q_eff, t_eff)
+        for f in get_family(name).labeled_cells(n):
+            position = {label: i for i, label in enumerate(f.order)}
+            used = set()
+            for p, step in enumerate(table.steps(table.add(f)), 1):
+                i = position[p]
+                up, j, _ = f.shape.walk[i]
+                pivot = -q_eff if up is None else -t_eff * (1 + t_eff) ** j
+                assert [(c, a) for c, a in step if c not in used] == [(i - 1, pivot * table.scale)], (f, p)
+                used.add(i - 1)
 
 
 # ----------------------------------------------------------------------
