@@ -1,9 +1,9 @@
 """Closed-form vertex sets, vertex-facet incidence, and f-vectors.
 
 Every vertex of the five family polytopes is a binary chain point whose
-coordinates, 1, 1-q and powers (1+t)^k, are values of the geometry value
-table: one builder writes them as its numerators over its one scale, or
-as its texts.
+coordinates, 1, 1-q and powers (1+t)^k, are values of a
+geometry.VertexTable: one builder writes them as the table's numerators
+over its one scale, or as its texts.
 
 The face lattice comes from vertex-facet incidences alone, with no linear
 algebra (Kaibel & Pfetsch, CGTA 23 (2002)).  For a full-dimensional
@@ -29,9 +29,10 @@ from typing import Iterable, Sequence
 from .geometry import (
     HRep,
     ParameterDomainError,
-    _value_table,
+    VertexTable,
     build_hrep,
     check_dimension,
+    check_open_q,
     family_parameters,
     get_family,
 )
@@ -64,7 +65,7 @@ def _chain_points(n: int, masks: Iterable[int], powers: Sequence, floor) -> tupl
     """The binary chain point of each mask: x_i = (1+t)^k after a run of k
     set bits ending at bit i-1 (k = 0: bit i-1 unset), and the floor after
     the mask's last set bit.  powers[k] stands for (1+t)^k and floor for 1
-    or 1-q, in the value table's numerators or its texts."""
+    or 1-q, in a VertexTable's numerators or its texts."""
     points = []
     for mask in masks:
         top = mask.bit_length()
@@ -89,8 +90,8 @@ def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> 
     if fam.connected or fam.q is None:
         if n > VERTICES_MAX_N:
             raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")
-        if q == 1 and not fam.connected:
-            raise ParameterDomainError("q must lie strictly between 0 and 1")
+        if not fam.connected:
+            check_open_q(q)
         masks = range(1 << n)
         # names[mask] lists the mask's set bits, 1-based: bit i - 1 doubles
         # the list, its new half the masks that have the bit.
@@ -102,7 +103,7 @@ def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> 
         check_dimension(n)
         masks = [(1 << k) - 1 for k in range(n + 1)]
         provenance = tuple(f"prefix={k}" for k in range(n + 1))
-    values = _value_table(n + 1, q, t)
+    values = VertexTable(n + 1, q, t)
     powers = values.text_powers if texts else values.int_powers
     floor = powers[0] if fam.connected else (values.text_one_minus_q if texts else values.int_one_minus_q)
     return values.scale, _chain_points(n, masks, powers, floor), provenance
@@ -205,8 +206,7 @@ def tutte_f_vector(n: int, q, t) -> tuple[int, ...]:
     exponential in n."""
     if n > FVECTOR_MAX_N:
         raise ParameterDomainError(f"f-vectors are desk scale: n <= {FVECTOR_MAX_N}")
-    if not 0 < Fraction(q) < 1:
-        raise ParameterDomainError("q must lie strictly between 0 and 1")
+    check_open_q(q)
     if Fraction(t) <= 0:
         raise ParameterDomainError("t must be positive")
     return face_lattice(vertex_set("tutte", n, q, t), build_hrep("tutte", n, q, t)).f_vector

@@ -27,26 +27,20 @@ and t as numerators and denominators and write the forms in integers;
 a membership test, the vertex oracle and the face lattice read each
 form's coprime multiple, and `form_texts` prints a form's entries.
 
-Every cell is built through a VertexTable, one lookup of the exact value
-table shared per (node count, q, t), kept in a bounded cache after q and
-t are checked and turned into Fractions.  The table holds 1 - q and the
-powers (1+t)^k as integer numerators over one common scale s and as
-formatted texts.  It also clears the few scalars of the node
-coordinates once, over one form denominator, so that the coordinate
-form of each placement (a node's position, cane exponent and root
-position, read off the NFS walk that a PlaneForest holds) is an integer
-form, and so is each chain row, the difference of two such forms.  Each
-distinct placement and chain row is kept once, as its integer form, its
-coprime row and its texts, and shared by every cell that has it.  One
-column builder writes every simplex, from the numerators or from the
-texts.  A VertexTable gives simplex vertices as texts, or interns their
-integer vertices, each distinct vertex once, so that a simplex is a
-tuple of indices into it, and differences each pair of consecutive
-vertices once for the volumes; and it builds chains and pieces, as
-tuples of the table's coprime rows, and pieces as H-reps or texts.
-The closed-form vertex sets of the five families (faces.chain_vertices)
-read the same table: each of their coordinates, 1, 1 - q or a power
-(1+t)^k, is one of its values, as a numerator over s or as a text.
+Every cell is built through a VertexTable, made per call after q and t
+are checked, and never cached: a table interns the vertices it is given,
+and at t = 1 cayley, gayley, tcayley and tgayley share one (node count,
+q, t).  The table holds 1 - q and the powers (1+t)^k as integer
+numerators over one common scale s and as texts, and works out the
+coordinate form of each placement (a node's position, cane exponent and
+root position, read off the NFS walk that a PlaneForest holds) on its
+first lookup, as an integer form over one form denominator; a chain row
+is the difference of two such forms.  Each distinct placement and chain
+row is kept once, as its integer form, its coprime row and its texts,
+and shared by every cell of the table that has it.  The closed-form
+vertex sets of the five families (faces.chain_vertices) read a table of
+their own: each coordinate, 1, 1 - q or a power (1+t)^k, is one of its
+values, as a numerator over s or as a text.
 
 All geometry here is at fixed rational parameter values; symbolic claims
 live in the volumes module as closed-form polynomials.  Comparison of
@@ -59,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import sparse_difference
@@ -241,6 +235,12 @@ def _check_q(q) -> Fraction:
     return q
 
 
+def check_open_q(q) -> None:
+    """Reject a q outside (0, 1), where the tutte vertex formula fails."""
+    if not 0 < Fraction(q) < 1:
+        raise ParameterDomainError("q must lie strictly between 0 and 1")
+
+
 def family_parameters(family: str, q=None, t=None) -> tuple[Fraction, Fraction]:
     """Effective (q, t) for a family; fixed values override the arguments."""
     fam = get_family(family)
@@ -320,10 +320,6 @@ def _tutte_hrep(n: int, q: Fraction, t: Fraction) -> HRep:
 # ----------------------------------------------------------------------
 
 
-# Value tables live this many (node count, q, t) keys: one CLI call or
-# verify job uses one or two, a verify sweep a handful.
-_VALUE_TABLES = 16
-
 # A node's chain coordinate depends on its placement only, not on its
 # component's maximal label: (position, cane_exponent, root_position), the
 # position being a root when it is its own root position.  A row key is a
@@ -339,121 +335,9 @@ def _cached(cache: dict, build, keys: Sequence) -> tuple:
         return tuple(map(build, keys))
 
 
-class _ValueTable:
-    """The exact values every cell on node_count nodes shares at (q, t).
-
-    For the vertices: 1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1),
-    as integer numerators over their one common denominator `scale` and
-    as their `format_rational` texts.
-
-    For the cells' rows: the few scalars the chain coordinates are made of
-    (qt, t, t(1-q), and per cane exponent j: q/w^j, (1-q)(1-1/w^j) and
-    (1-q)/w^j - 1, w = 1+t), as integer numerators over one common
-    denominator `form_scale`, so that each placement's coordinate form is
-    an integer form (b, ((i, a_i), ...)) over it and a chain row, the
-    difference of two forms, is one too.  Each row key's integer form is
-    kept, a pair's worked out from its two kept placement forms, and so
-    are its coprime `IntegerRow`, for the membership tests, and its
-    `form_texts`, for the pieces that are printed; each is built once, on
-    first use, and shared by every cell that has the key."""
-
-    __slots__ = (
-        "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers",
-        "form_scale", "_qt", "_root", "_canes", "_forms", "_rows", "_texts",
-    )
-
-    def __init__(self, node_count: int, q: Fraction, t: Fraction):
-        self.n = node_count - 1
-        # q = a/b, t = c/d and w = 1 + t = e/d, each in lowest terms (a
-        # common factor of e and d would divide c), so 1 - q = (b-a)/b and
-        # w^k = e^k/d^k are in lowest terms too: every value is read off
-        # as integers, with no Fraction arithmetic.
-        a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
-        e = c + d
-        top = node_count + 1
-        self.scale = scale = math.lcm(d**top, b)
-        self.int_powers = tuple(e**k * (scale // d**k) for k in range(top + 1))
-        self.int_one_minus_q = (b - a) * (scale // b)
-        self.text_powers = tuple(_ratio_text(e**k, d**k) for k in range(top + 1))
-        self.text_one_minus_q = _ratio_text(b - a, b)
-        # The form scalars over the one denominator b d e^J, J the largest
-        # cane exponent of a non-root (node_count - 2): qt, t, t(1-q) and,
-        # per cane exponent j, q/w^j, (1-q)(1-1/w^j) and (1-q)/w^j - 1.
-        last = max(node_count - 2, 0)
-        self.form_scale = b * d * e**last
-        self._qt = a * c * e**last
-        self._root = (b * c * e**last, -c * (b - a) * e**last)
-        canes = []
-        for j in range(node_count - 1):
-            f = e ** (last - j)
-            canes.append((a * d ** (j + 1) * f, (b - a) * (e**j - d**j) * d * f, ((b - a) * d**j - b * e**j) * d * f))
-        self._canes = tuple(canes)
-        self._forms: dict = {}
-        self._rows: dict = {}
-        self._texts: dict = {}
-
-    def integer_form(self, key) -> IntegerRow:
-        """The form of a row key as integers over `form_scale`:
-        (b, ((i, a_i), ...)), the nonzero a_i only, in index order."""
-        form = self._forms.get(key)
-        if form is None:
-            if len(key) == 2:
-                (b, upper), (c, lower) = map(self.integer_form, key)
-                coeffs = dict(upper)
-                for i, a in lower:
-                    coeffs[i] = coeffs.get(i, 0) - a
-                form = b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a))
-            else:
-                form = self._placement_form(*key)
-            self._forms[key] = form
-        return form
-
-    def _placement_form(self, position: int, j: int, root_position: int) -> IntegerRow:
-        if position == 0:
-            return self._qt, ()
-        if position == root_position:
-            t, const = self._root
-            return const, ((position - 1, t),)
-        a, const, root_coeff = self._canes[j]
-        if root_position == 0:
-            return const + root_coeff, ((position - 1, a),)  # x_l = 1 collapses into the constant
-        return const, ((root_position - 1, root_coeff), (position - 1, a))
-
-    def row(self, key) -> IntegerRow:
-        """The coprime integer row of a row key."""
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = _coprime(*self.integer_form(key))
-        return row
-
-    def text(self, key) -> tuple[str, ...]:
-        """The `form_texts` of a row key, as a tuple."""
-        text = self._texts.get(key)
-        if text is None:
-            text = self._texts[key] = tuple(form_texts(self.integer_form(key), self.form_scale, self.n))
-        return text
-
-    def rows(self, keys: Sequence) -> tuple[IntegerRow, ...]:
-        """The rows of these row keys, the known ones in one pass."""
-        return _cached(self._rows, self.row, keys)
-
-    def texts(self, keys: Sequence) -> tuple[tuple[str, ...], ...]:
-        """The texts of these row keys, the known ones in one pass."""
-        return _cached(self._texts, self.text, keys)
-
-
-@lru_cache(maxsize=_VALUE_TABLES)
-def _value_table(node_count: int, q, t) -> _ValueTable:
-    """The shared table of (node_count, q, t).  q and t are checked here,
-    on a cache miss only, so a bad value raises and is never cached.
-    lru_cache compares keys with ==, and hash(1) == hash(Fraction(1)), so
-    equal parameters of different types share one entry."""
-    return _ValueTable(node_count, _check_q(q), _check_t(t))
-
-
 def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[tuple, ...]:
     """The vertices of the forest's simplex in the given values: powers[k]
-    stands for (1+t)^k and one_minus_q for 1-q, either the value table's
+    stands for (1+t)^k and one_minus_q for 1-q, either a VertexTable's
     numerators over its one scale or its texts.  Each coordinate column
     is built as three runs, and the vertices are the rows."""
     labels = f.order
@@ -471,9 +355,14 @@ def _simplex_vertices(f: LabeledForest, powers: Sequence, one_minus_q) -> tuple[
 
 
 class VertexTable:
-    """The cells of forests on node_count nodes at (q, t), from one lookup
-    of the value table: simplex vertices in integers or as texts, chains
-    and subdivision pieces.
+    """The cells of forests on node_count nodes at (q, t), from the few
+    exact values they share: simplex vertices in integers or as texts,
+    chains and subdivision pieces.
+
+    The values are 1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1),
+    as integer numerators over their one common denominator `scale`
+    (`int_one_minus_q`, `int_powers`) and as their `format_rational`
+    texts (`text_one_minus_q`, `text_powers`).
 
     The simplex of a labeled forest on n+1 nodes, in R^n, has its vertices
     in closed form: vertex p (p = 1..n+1) puts the chain coordinates of
@@ -485,45 +374,71 @@ class VertexTable:
                                       w^j     if label < p <= r,
                                       1-q     if p > r.
 
-    Every coordinate is a value of the value table, so every vertex is
-    integer numerators over the table's one common denominator `scale`.
-    `numerators(f)` gives the vertices so, and `texts(f)` gives them as
-    `format_rational` texts; `add(f)` also interns the numerators into
-    `vertices`, each distinct vertex once in order of first appearance,
-    and gives the simplex as the indices of its vertices, in vertex
-    order, and `point(k)` gives vertex k as Fractions.  `steps(simplex)`
-    gives the differences of consecutive vertices, sparse, for
-    `volumes.steps_volume_scaled`: the step from vertex p to p+1 is the
-    first to move the coordinate of the node labelled p, so the steps
-    are triangular in vertex order.
+    Every coordinate is one of the values, so every vertex is integer
+    numerators over `scale`.  `numerators(f)` gives the vertices so, and
+    `texts(f)` gives them as texts; `add(f)` also interns the numerators
+    into `vertices`, each distinct vertex once in order of first
+    appearance, and gives the simplex as the indices of its vertices, in
+    vertex order, and `point(k)` gives vertex k as Fractions.
+    `steps(simplex)` gives the differences of consecutive vertices,
+    sparse, for `volumes.steps_volume_scaled`: the step from vertex p to
+    p+1 is the first to move the coordinate of the node labelled p, so
+    the steps are triangular in vertex order.
 
-    `chain_rows(f)` and `piece_rows(pf)` give a cell as a tuple of the
-    value table's coprime integer rows, shared by every cell that has
-    them; `piece(pf)` gives the piece as an H-rep of the table's integer
-    forms, and `piece_texts(pf)` as their texts.
+    The cells' rows are integer forms over one form denominator
+    `form_scale`.  Each placement's coordinate form is worked out from
+    q = a/b, t = c/d and 1+t = e/d on its first lookup, and a chain row,
+    the difference of two placement forms, from their kept forms.  Each
+    row key's integer form, its coprime `IntegerRow` and its
+    `form_texts` are built once and shared by every cell of the table
+    that has the key.  `chain_rows(f)` and `piece_rows(pf)` give a cell
+    as a tuple of coprime rows; `piece(pf)` gives the piece as an H-rep
+    of the integer forms, and `piece_texts(pf)` as their texts.
     """
 
-    __slots__ = ("scale", "vertices", "_values", "_index", "_steps")
+    __slots__ = (
+        "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers", "form_scale",
+        "vertices", "_parameters", "_forms", "_rows", "_texts", "_index", "_steps",
+    )
 
     def __init__(self, node_count: int, q, t):
-        self._values = _value_table(node_count, q, t)
-        self.scale = self._values.scale
+        q, t = _check_q(q), _check_t(t)
+        self.n = node_count - 1
+        # q = a/b, t = c/d and w = 1 + t = e/d, each in lowest terms (a
+        # common factor of e and d would divide c), so 1 - q = (b-a)/b and
+        # w^k = e^k/d^k are in lowest terms too: every value is read off
+        # as integers, with no Fraction arithmetic.
+        a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
+        e = c + d
+        top = node_count + 1
+        self.scale = scale = math.lcm(d**top, b)
+        self.int_powers = tuple(e**k * (scale // d**k) for k in range(top + 1))
+        self.int_one_minus_q = (b - a) * (scale // b)
+        self.text_powers = tuple(_ratio_text(e**k, d**k) for k in range(top + 1))
+        self.text_one_minus_q = _ratio_text(b - a, b)
+        # The forms are over b d e^J, J the largest cane exponent of a
+        # non-root (node_count - 2).
+        last = max(node_count - 2, 0)
+        self.form_scale = b * d * e**last
+        self._parameters = a, b, c, d, e, last
+        self._forms: dict = {}
+        self._rows: dict = {}
+        self._texts: dict = {}
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
         self._steps: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
-    def _checked(self, node_count: int) -> _ValueTable:
-        if node_count != self._values.n + 1:
+    def _check_nodes(self, node_count: int) -> None:
+        if node_count != self.n + 1:
             raise DimensionError("forest/table node count mismatch")
-        return self._values
 
     def numerators(self, f: LabeledForest) -> tuple[tuple[int, ...], ...]:
-        values = self._checked(f.node_count)
-        return _simplex_vertices(f, values.int_powers, values.int_one_minus_q)
+        self._check_nodes(f.node_count)
+        return _simplex_vertices(f, self.int_powers, self.int_one_minus_q)
 
     def texts(self, f: LabeledForest) -> tuple[tuple[str, ...], ...]:
-        values = self._checked(f.node_count)
-        return _simplex_vertices(f, values.text_powers, values.text_one_minus_q)
+        self._check_nodes(f.node_count)
+        return _simplex_vertices(f, self.text_powers, self.text_one_minus_q)
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
         index, vertices = self._index, self.vertices
@@ -552,11 +467,59 @@ class VertexTable:
         """Vertex k as Fractions."""
         return tuple(Fraction(x, self.scale) for x in self.vertices[k])
 
+    def _form(self, key) -> IntegerRow:
+        """The form of a row key as integers over `form_scale`:
+        (b, ((i, a_i), ...)), the nonzero a_i only, in index order."""
+        form = self._forms.get(key)
+        if form is None:
+            if len(key) == 2:
+                (b, upper), (c, lower) = map(self._form, key)
+                coeffs = dict(upper)
+                for i, a in lower:
+                    coeffs[i] = coeffs.get(i, 0) - a
+                form = b - c, tuple(sorted((i, a) for i, a in coeffs.items() if a))
+            else:
+                form = self._placement_form(*key)
+            self._forms[key] = form
+        return form
+
+    def _placement_form(self, position: int, j: int, root_position: int) -> IntegerRow:
+        """The node coordinate of a placement: qt at position 0,
+        t x_l - t(1-q) at a root, and at a non-root
+        (q/w^j) x_i + (1-q)(1-1/w^j) + ((1-q)/w^j - 1) x_l, w = 1+t."""
+        a, b, c, d, e, last = self._parameters
+        if position == 0:
+            return a * c * e**last, ()
+        if position == root_position:
+            f = c * e**last
+            return -(b - a) * f, ((position - 1, b * f),)
+        f = d * e ** (last - j)
+        coeff = a * d**j * f
+        const = (b - a) * (e**j - d**j) * f
+        root_coeff = ((b - a) * d**j - b * e**j) * f
+        if root_position == 0:
+            return const + root_coeff, ((position - 1, coeff),)  # x_l = 1 collapses into the constant
+        return const, ((root_position - 1, root_coeff), (position - 1, coeff))
+
+    def _row(self, key) -> IntegerRow:
+        """The coprime integer row of a row key."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = _coprime(*self._form(key))
+        return row
+
+    def _text(self, key) -> tuple[str, ...]:
+        """The `form_texts` of a row key, as a tuple."""
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = tuple(form_texts(self._form(key), self.form_scale, self.n))
+        return text
+
     def _chain_keys(self, f: LabeledForest) -> list:
         """The row keys of the forest's chain: c(1) >= 0 and
         c(k+1) - c(k) >= 0 for the label-ordered chain of node
         coordinates; c(n+1) is the constant qt."""
-        self._checked(f.node_count)
+        self._check_nodes(f.node_count)
         walk = f.shape.walk
         keys = [(i, walk[i][1], walk[i][2]) for i in sorted(range(f.node_count), key=f.order.__getitem__)]
         return [keys[0], *zip(keys[1:], keys)]
@@ -568,7 +531,7 @@ class VertexTable:
         right) in a component rooted at w, 0 <= c(v_1) <= ... <= c(v_k)
         <= c(w); for the roots w_1..w_m (left to right),
         0 <= c(w_m) <= ... <= c(w_1) with c(w_1) = qt constant."""
-        self._checked(pf.node_count())
+        self._check_nodes(pf.node_count())
         keys = [(i, j, top) for i, (_, j, top) in enumerate(pf.walk)]
         rows: list = []
         for (_, _, top), kids in zip(pf.walk, pf.kids()):
@@ -584,23 +547,22 @@ class VertexTable:
 
     def chain_rows(self, f: LabeledForest) -> tuple[IntegerRow, ...]:
         """The forest's chain H-rep as the table's coprime integer rows."""
-        return self._values.rows(self._chain_keys(f))
+        return _cached(self._rows, self._row, self._chain_keys(f))
 
     def piece_rows(self, pf: PlaneForest) -> tuple[IntegerRow, ...]:
         """The plane forest's piece as the table's coprime integer rows."""
-        return self._values.rows(self._piece_keys(pf))
+        return _cached(self._rows, self._row, self._piece_keys(pf))
 
     def piece(self, pf: PlaneForest) -> HRep:
         """The subdivision piece of a plane forest on n+1 nodes, as an
-        H-rep in R^n: the integer forms of `piece_rows`, over the table's
+        H-rep in R^n: the integer forms of `piece_rows`, over
         `form_scale`."""
-        values = self._values
-        return HRep(values.n, values.form_scale, tuple(map(values.integer_form, self._piece_keys(pf))))
+        return HRep(self.n, self.form_scale, tuple(map(self._form, self._piece_keys(pf))))
 
     def piece_texts(self, pf: PlaneForest) -> tuple[tuple[str, ...], ...]:
         """The rows of `piece(pf)` as `form_texts`, each distinct row's
         tuple shared by every piece that has it."""
-        return self._values.texts(self._piece_keys(pf))
+        return _cached(self._texts, self._text, self._piece_keys(pf))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ Sampling and membership are in integers.  The sample drawer
 numerators over one positive scale, one list per coordinate: one call to
 the generator for the whole batch, then the coordinate recurrence over
 the whole batch, one coordinate at a time.  Each cell is a tuple of
-coprime integer rows, read straight from the value table
+coprime integer rows, read straight from the job's vertex table
 (VertexTable.chain_rows, piece_rows): the table builds each distinct row
 once, in integers, so a row shared by many cells is one row, and no
 Fraction enters a cell.  A row's sign at a point does not depend on the
@@ -29,9 +29,9 @@ negative, a row zero), and the cells classify every sample at once.  A
 Fraction point is built only for a failure report.
 
 Simplices are in integers too.  A geometry.VertexTable holds the distinct
-simplex vertices of a job as integer numerators over the value table's
-one scale s, and each simplex is the tuple of its vertex indices; the
-job's chains and pieces come from the same table lookup.  The volume sum
+simplex vertices of a job as integer numerators over its one scale s,
+and each simplex is the tuple of its vertex indices; the job's chains
+and pieces come from the same table.  The volume sum
 is the sum of the integer |det| of each simplex's consecutive vertex
 differences (VertexTable.steps, sparse, each vertex pair differenced
 once), which are triangular in vertex order, so that each |det| is
@@ -77,6 +77,7 @@ from .geometry import (
     ParameterDomainError,
     VertexTable,
     build_hrep,
+    check_open_q,
     family_parameters,
     get_family,
     piece_for_plane_forest_via_cones,
@@ -499,8 +500,7 @@ def _check_specialization_parameters(q, t) -> None:
     """The (q, t) of the specialization job: t of the tcayley polytope, q
     of the tutte polytope, and q < 1 of the tutte vertex formula."""
     family_parameters("tcayley", t=t)
-    if family_parameters("tutte", q, t)[0] == 1:
-        raise ParameterDomainError("q must lie strictly between 0 and 1")
+    check_open_q(family_parameters("tutte", q, t)[0])
 
 
 def verify_triangulation(

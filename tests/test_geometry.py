@@ -25,6 +25,7 @@ from cayleypoly import (
     product,
 )
 from cayleypoly.exact import clear_denominators, format_rational
+from cayleypoly.forests import MAX_PLANE_NODES
 from cayleypoly.geometry import MAX_DIMENSION, DimensionError, VertexTable, family_parameters
 
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     hrep_to_text,
     integer_volume_scaled,
     piece_forms,
+    placement_form,
     point_keys,
     product_forms,
     tutte_hrep_forms,
@@ -272,23 +274,20 @@ def _walk_coordinates(f):
 
 def test_chain_solve_pattern():
     # Vertex p zeroes the chain coordinates below p and saturates the rest.
-    from cayleypoly.geometry import _value_table
-
-    # The coordinate forms are integers over the value table's form_scale
-    # and the vertices integers over the vertex table's scale.
+    # The coordinate forms are integers over the table's form_scale and
+    # the vertices integers over its scale.
     q, t = THIRD, Fraction(2)
     for size in (2, 3, 4, 5):
-        values = _value_table(size, q, t)
         table = VertexTable(size, q, t)
         for f in enumerate_labeled_forests(size):
             coords = _walk_coordinates(f)
             # The table keys a coordinate by (position, j, root position).
-            forms = [values.integer_form(coords[k][1:4]) for k in range(1, size + 1)]
+            forms = [table._form(coords[k][1:4]) for k in range(1, size + 1)]
             for p, vertex in enumerate(table.numerators(f), start=1):
                 for k, (b, terms) in enumerate(forms, start=1):
                     value = b * table.scale + sum(a * vertex[i] for i, a in terms)
                     expected = Fraction(0) if k < p else q * t
-                    assert Fraction(value, values.form_scale * table.scale) == expected
+                    assert Fraction(value, table.form_scale * table.scale) == expected
 
 
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (THIRD, Fraction(2)), (Fraction(1), Fraction(1))])
@@ -440,7 +439,7 @@ def test_piece_combinator_agrees_with_direct(q, t):
 
 
 # ----------------------------------------------------------------------
-# Shared value table: per-cell Fraction references
+# Vertex table: per-cell Fraction references
 # ----------------------------------------------------------------------
 
 DRAWS = [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))]
@@ -486,7 +485,7 @@ def _all_ints(values):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_cells_match_per_cell_references(name, q, t):
     # The pieces' integer forms are those built node by node in Fractions,
-    # their texts are the Fraction forms' texts, and the value table's
+    # their texts are the Fraction forms' texts, and the table's
     # integer chain and piece rows are the forms' coprime rows.
     fam = get_family(name)
     q_eff, t_eff = family_parameters(name, q, t)
@@ -503,6 +502,20 @@ def test_cells_match_per_cell_references(name, q, t):
             assert _all_ints(_entries(piece))
             assert table.piece_texts(pf) == tuple(form.texts for form in reference)
             assert table.piece_rows(pf) == piece.integer_rows == tuple(form.integer_row for form in reference)
+
+
+@pytest.mark.parametrize("q,t", [*DRAWS, (Fraction(1), Fraction(53, 17))])
+def test_placement_forms_match_the_reference(q, t):
+    # Every placement up to the plane-forest node cap: the global root,
+    # each root, and each non-root at position i with cane exponent
+    # j <= N - 2 and root position l < i, read back in Fractions.
+    for nodes in range(2, MAX_PLANE_NODES + 1):
+        n = nodes - 1
+        table = VertexTable(nodes, q, t)
+        keys = [(0, 0, 0), *((i, 0, i) for i in range(1, nodes))]
+        keys += [(i, j, l) for i in range(1, nodes) for j in range(nodes - 1) for l in range(i)]
+        forms = hrep_forms(HRep(n, table.form_scale, tuple(map(table._form, keys))))
+        assert list(forms) == [placement_form(n, q, t, *key) for key in keys]
 
 
 def test_simplex_coordinates_are_the_tables_values():
@@ -582,12 +595,9 @@ _BUILDERS = [
 @pytest.mark.parametrize("builder,cell,values,typed", _BUILDERS)
 @pytest.mark.parametrize("first,second", [((1, 1), (Fraction(1), Fraction(1))), ((Fraction(1), Fraction(1)), (1, 1))])
 def test_int_and_fraction_parameters_share_typed_values(builder, cell, values, typed, first, second):
-    # The table stores q and t as checked Fractions, so the call order
+    # The table reads q and t as checked Fractions, so the call order
     # cannot leak an int into a later call's points, nor a Fraction into
     # a later call's integer forms.
-    from cayleypoly.geometry import _value_table
-
-    _value_table.cache_clear()
     a = builder(cell(), *first)
     b = builder(cell(), *second)
     assert a == b
@@ -599,20 +609,6 @@ def test_builders_keep_their_domain_checks():
     for q, t in ((0, 1), (2, 1), (HALF, 0), (HALF, -1)):
         with pytest.raises(ParameterDomainError):
             VertexTable(3, q, t)
-
-
-def test_bad_parameters_raise_after_the_table_is_warm():
-    # q and t are checked on a table miss only; a bad value always misses,
-    # raises and is never cached.
-    from cayleypoly.geometry import _value_table
-
-    _value_table.cache_clear()
-    VertexTable(3, HALF, 1)
-    for q, t in ((2, 1), (0, 1), (HALF, 0), (HALF, -1)):
-        with pytest.raises(ParameterDomainError):
-            VertexTable(3, q, t)
-    assert _value_table.cache_info().currsize == 1
-    assert _value_table(3, 1, 1) is _value_table(3, Fraction(1), Fraction(1))
 
 
 # ----------------------------------------------------------------------

@@ -756,8 +756,7 @@ def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
 
     monkeypatch.setattr(geometry.VertexTable, "piece", no_cell)
     monkeypatch.setattr(geometry.VertexTable, "piece_texts", no_cell)
-    monkeypatch.setattr(geometry._ValueTable, "text", no_cell)
-    monkeypatch.setattr(geometry._ValueTable, "texts", no_cell)
+    monkeypatch.setattr(geometry.VertexTable, "_text", no_cell)
     monkeypatch.setattr(geometry.HRep, "texts", no_cell)
     monkeypatch.setattr(geometry, "form_texts", no_cell)
     q, t = Fraction(37, 101), Fraction(53, 17)
