@@ -903,6 +903,35 @@ def test_verify_specialization_parameters_precede_every_job(monkeypatch, capsys,
     assert captured.err == f"parameter domain violation: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("simplices --family tutte --n 2 --q 0 --t 0", "parameter domain violation: q must lie in (0, 1], got 0"),
+        ("verify --check triangulation --family tutte --n 2 --q 0 --t 0",
+         "parameter domain violation: q must lie in (0, 1], got 0"),
+        ("verify --check pieces --n 2 --q 0 --t 0", "parameter domain violation: q must lie in (0, 1], got 0"),
+        ("pieces --family tutte --n 2 --q 2 --t -1", "parameter domain violation: q must lie in (0, 1], got 2"),
+        ("verify --check refinement --family tutte --n 2 --q 2 --t 0",
+         "parameter domain violation: q must lie in (0, 1], got 2"),
+        # The parameters are checked before the vertex-set cap n <= 12.
+        ("vertices --family tutte --n 13 --q 1 --t 0", "parameter domain violation: t must be positive, got 0"),
+        # The graph-sweep cap is checked before the parameters.
+        ("volume --family tutte --n 7 --q 0 --t 0", "error: volume needs n in 1..6 (graphs on n+1 nodes), got 7"),
+        # The dimension is checked before the parameters.
+        ("hrep --family tutte --n 101 --q 2 --t 0", "parameter domain violation: polytopes are desk scale: n <= 100"),
+        ("verify --check specializations --n 2 --q 1 --t 0", "parameter domain violation: t must be positive, got 0"),
+        ("verify --check specializations --n 2 --q 1 --t 1",
+         "parameter domain violation: q must lie strictly between 0 and 1"),
+    ],
+)
+def test_parameter_checks_keep_their_order_and_messages(capsys, argv, message):
+    # Where a call breaks two checks, the message names the one checked first.
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{message}\n"
+
+
 _PARSE_PATHS = [
     ["--help"],
     [],

@@ -421,6 +421,22 @@ def test_vertex_oracle_matches_fraction_solver(q, t):
     assert checked == 57
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # One tree: no cone is built, so only the parameter check rejects q.
+        (lambda: piece_for_plane_forest_via_cones(PlaneForest.from_text("1,0"), 0, 0), "q must lie in (0, 1], got 0"),
+        (lambda: piece_for_plane_forest_via_cones(PlaneForest.from_text("0,0"), 0, 0), "q must lie in (0, 1], got 0"),
+        (lambda: verify_piece_constructions(2, 0, 0), "q must lie in (0, 1], got 0"),
+        (lambda: verify_specializations(2, 1, 0), "t must be positive, got 0"),
+    ],
+)
+def test_library_parameter_checks_keep_their_messages(call, message):
+    with pytest.raises(ParameterDomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_vertex_oracle_skips_singular_subsets():
     # The square [0, 2]^2 with its corner (2, 2) cut by x + y <= 3, given
     # with a duplicate row, a positive multiple of a row and a redundant
