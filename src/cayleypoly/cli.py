@@ -44,7 +44,6 @@ from .geometry import (
     VertexTable,
     build_hrep,
     family_parameters,
-    get_family,
 )
 from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
 from .volumes import (
@@ -333,7 +332,7 @@ def _cmd_hrep(args) -> tuple[dict | Iterable[str], int]:
     if args.format == "text":
         header = f"{hrep.dimension} {len(hrep.forms)}\n"
         return chain((header,), (" ".join(row) + "\n" for row in rows)), 0
-    q_eff, t_eff = family_parameters(args.family, args.q, args.t)
+    _, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     return {
         "family": args.family,
         "n": args.n,
@@ -344,9 +343,8 @@ def _cmd_hrep(args) -> tuple[dict | Iterable[str], int]:
 
 
 def _cmd_simplices(args) -> tuple[dict | Iterable[str], int]:
-    q_eff, t_eff = family_parameters(args.family, args.q, args.t)
+    fam, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     n = args.n
-    fam = get_family(args.family)
     cells = fam.labeled_cells(n)  # checks the node cap before the count is computed
     count = fam.cell_counts(n)[0]
     forests = _counted(cells, count, "simplices")
@@ -366,8 +364,7 @@ def _cmd_simplices(args) -> tuple[dict | Iterable[str], int]:
 
 
 def _cmd_pieces(args) -> tuple[dict | Iterable[str], int]:
-    q_eff, t_eff = family_parameters(args.family, args.q, args.t)
-    fam = get_family(args.family)
+    fam, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     plane = fam.plane_cells(args.n)  # checks the node cap before the count is computed
     count = fam.cell_counts(args.n)[1]
     n = args.n

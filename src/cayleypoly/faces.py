@@ -34,7 +34,6 @@ from .geometry import (
     check_dimension,
     check_open_q,
     family_parameters,
-    get_family,
 )
 
 FVECTOR_MAX_N = 8
@@ -85,8 +84,7 @@ def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> 
     for the others.  cayley, tcayley and tutte (0 < q < 1) take all 2^n
     masks, named S={...}; gayley and tgayley (1-q = 0) the prefix masks
     2^k - 1, named prefix=k: the orthoscheme with legs (1+t)^k."""
-    fam = get_family(family)
-    q, t = family_parameters(family, q, t)
+    fam, q, t = family_parameters(family, q, t)
     if fam.connected or fam.q is None:
         if n > VERTICES_MAX_N:
             raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")

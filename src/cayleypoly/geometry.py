@@ -112,8 +112,18 @@ class Family(NamedTuple):
             return (n + 1) ** (n - 1), catalan(n)
         return count_labeled_forests(n + 1), catalan(n + 1)
 
+    def chain_bounds(self, q: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        """The polytope's chain at its effective (q, t) as (lo, w, slack):
+        lo <= x_i <= w x_{i-1} - slack (1 - min(x_0, ..., x_{i-1})), x_0 = 1,
+        the tightest of the tutte rows over j <= i, with lo = 1-q, w = 1+t
+        and slack t(1-q)/q (0 at q = 1: the (t-)Gayley chain).  A connected
+        family has lo = 1 and slack 0."""
+        if self.connected:
+            return _ONE, 1 + t, _ZERO
+        return 1 - q, 1 + t, t * (1 - q) / q
 
-_ONE = Fraction(1)
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _FAMILY_TABLE = (
     Family("cayley", True, _ONE, _ONE),
     Family("gayley", False, _ONE, _ONE),
@@ -241,12 +251,13 @@ def check_open_q(q) -> None:
         raise ParameterDomainError("q must lie strictly between 0 and 1")
 
 
-def family_parameters(family: str, q=None, t=None) -> tuple[Fraction, Fraction]:
-    """Effective (q, t) for a family; fixed values override the arguments."""
+def family_parameters(family: str, q=None, t=None) -> tuple[Family, Fraction, Fraction]:
+    """The family's record and its effective (q, t): a fixed value overrides
+    the argument, and a free one (1 when None) is checked, q before t."""
     fam = get_family(family)
     q_eff = fam.q if fam.q is not None else _check_q(1 if q is None else q)
     t_eff = fam.t if fam.t is not None else _check_t(1 if t is None else t)
-    return q_eff, t_eff
+    return fam, q_eff, t_eff
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +283,9 @@ def check_dimension(n: int) -> None:
 
 def build_hrep(family: str, n: int, q=None, t=None) -> HRep:
     """H-representation of the named family's polytope in R^n."""
-    fam = get_family(family)
+    get_family(family)  # an unknown family is named before a bad n
     check_dimension(n)
-    q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     if fam.connected:
         return _chain_hrep_lower_one(n, t_eff)
     return _tutte_hrep(n, q_eff, t_eff)
@@ -619,8 +630,7 @@ def piece_for_plane_forest_via_cones(pf: PlaneForest, q, t) -> HRep:
     the q-dependence.  Must describe the same point set as
     `VertexTable.piece`.
     """
-    q = _check_q(q)
-    t = _check_t(t)
+    _, q, t = family_parameters("tutte", q, t)
     trees = [PlaneForest((tree,)) for tree in pf.trees]
     current = VertexTable(trees[-1].node_count(), 1, t).piece(trees[-1])
     for tree in reversed(trees[:-1]):

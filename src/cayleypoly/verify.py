@@ -181,12 +181,9 @@ def interior_sample_drawer(
     integer numerator over the one positive scale.
 
     Coordinates are drawn left to right, each strictly between its lower
-    bound and the minimum of its currently active upper bounds.  For the
-    Tutte system that minimum over j <= i is
-    (1+t) x_{i-1} - (t(1-q)/q) (1 - min(x_0, ..., x_{i-1})),  x_0 = 1,
-    with lower bound 1-q; at q = 1 this is the (t-)Gayley chain
-    0 <= x_i <= (1+t) x_{i-1}.  A connected family has lower bound 1 and
-    upper bound (1+t) x_{i-1}.  A draw k/m places x_i at lo + (k/m)(hi - lo).
+    bound lo and its upper bound hi = w x_{i-1} - slack (1 - min(x_0, ...,
+    x_{i-1})), the family's `Family.chain_bounds` at (q, t).  A draw k/m
+    places x_i at lo + (k/m)(hi - lo).
 
     The arithmetic is in integers.  One base denominator D turns
     w = 1+t, lo and slack = t(1-q)/q into the integers w_d, lo_d, slack_d
@@ -207,10 +204,7 @@ def interior_sample_drawer(
     above over the whole batch at once; M is kept only where slack_d is
     nonzero, the only case that reads it.
     """
-    connected = get_family(family).connected
-    w = 1 + t
-    lo = Fraction(1) if connected else 1 - q
-    slack = 0 if connected or q == 1 else t * (1 - q) / q
+    lo, w, slack = get_family(family).chain_bounds(q, t)
     (w_d, lo_d, slack_d), base = clear_denominators((w, lo, slack))
     m = rng.denominator
     step = m * base
@@ -496,11 +490,13 @@ def _check_job(check: str, n: int, samples: int = 1) -> None:
         raise ParameterDomainError("samples must be >= 1")
 
 
-def _check_specialization_parameters(q, t) -> None:
-    """The (q, t) of the specialization job: t of the tcayley polytope, q
-    of the tutte polytope, and q < 1 of the tutte vertex formula."""
+def _check_specialization_parameters(q, t) -> tuple[Fraction, Fraction]:
+    """The checked (q, t) of the specialization job: t of the tcayley
+    polytope, q of the tutte polytope, and q < 1 of the tutte vertex formula."""
     family_parameters("tcayley", t=t)
-    check_open_q(family_parameters("tutte", q, t)[0])
+    _, q, t = family_parameters("tutte", q, t)
+    check_open_q(q)
+    return q, t
 
 
 def verify_triangulation(
@@ -513,8 +509,7 @@ def verify_triangulation(
 ) -> VerificationReport:
     """Check the simplicial decomposition of one family polytope."""
     _check_job("triangulation", n, samples)
-    fam = get_family(family)
-    q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
     forests = list(fam.labeled_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
@@ -555,8 +550,7 @@ def verify_subdivision(
 ) -> VerificationReport:
     """Check the coarse subdivision of one family polytope."""
     _check_job("subdivision", n, samples)
-    fam = get_family(family)
-    q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q, t)
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
@@ -589,8 +583,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
     """Each simplex sits inside the piece of its plane shape; each shape has
     its count of forests, whose simplex tally equals its piece's tally."""
     _check_job("refinement", n)
-    fam = get_family(family)
-    q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     forests = list(fam.labeled_cells(n))
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
@@ -636,9 +629,7 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
     _check_job("specializations", n)
-    _check_specialization_parameters(q, t)
-    q = Fraction(q)
-    t = Fraction(t)
+    q, t = _check_specialization_parameters(q, t)
     checks: dict = {}
 
     # Equal H-reps have equal vertices, so the oracle runs on gayley only.
@@ -675,8 +666,7 @@ def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> Verificat
 def verify_piece_constructions(n: int, q=Fraction(1, 2), t=Fraction(1)) -> VerificationReport:
     """Direct piece inequalities agree with the product/cone assembly."""
     _check_job("pieces", n)
-    q = Fraction(q)
-    t = Fraction(t)
+    _, q, t = family_parameters("tutte", q, t)
     table = VertexTable(n + 1, q, t)
     mismatch = None
     for pf in enumerate_plane_forests(n + 1):

@@ -321,8 +321,7 @@ def volume_report(
         raise ParameterDomainError("n must be >= 1")
     if n >= Z_MAX_NODES:
         raise ValueError(f"volume needs n in 1..{Z_MAX_NODES - 1} (graphs on n+1 nodes), got {n}")
-    fam = get_family(family)
-    q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     det_total = None
     if with_determinant:
         table = VertexTable(n + 1, q_eff, t_eff)

@@ -84,7 +84,7 @@ def test_tutte_inequality_count():
 
 def _reference_hrep_forms(name, n, q, t):
     """The family's H-rep built in Fractions, form by form."""
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     if get_family(name).connected:
         return chain_hrep_forms(n, t_eff)
     return tutte_hrep_forms(n, q_eff, t_eff)
@@ -147,6 +147,58 @@ def test_cones_assembly_matches_fraction_reference(q, t):
     assert checked == sum(catalan(nodes) for nodes in range(1, 6))
 
 
+# A small- and a large-denominator draw, and q = 1 at t != 1.
+_THREE_DRAWS = [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17)), (Fraction(1), Fraction(53, 17))]
+
+
+def _chain_bound_rows(fam, n, q, t):
+    """The family's H-rep in R^n written from `Family.chain_bounds` at its
+    effective (q, t), as coprime rows: x_i >= lo and w x_{i-1} >= x_i for
+    a connected family; else w x_{i-1} - slack (1 - x_{j-1}) >= x_i for
+    each j <= i, and then x_n >= lo.  Each row is given as its entries
+    (k, a), for a x_k with x_0 = 1."""
+    lo, w, slack = fam.chain_bounds(q, t)
+
+    def row(*entries):
+        form = [Fraction(0)] * (n + 1)
+        for k, a in entries:
+            form[k] += a
+        return AffineForm(form[0], tuple(form[1:])).integer_row
+
+    rows = []
+    for i in range(1, n + 1):
+        if fam.connected:
+            rows += [row((i, 1), (0, -lo)), row((i - 1, w), (i, -1))]
+        else:
+            rows += [row((i - 1, w), (0, -slack), (j - 1, slack), (i, -1)) for j in range(1, i + 1)]
+    return rows if fam.connected else rows + [row((n, 1), (0, -lo))]
+
+
+@pytest.mark.parametrize("q,t", _THREE_DRAWS)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_hreps_are_their_chain_bounds(name, q, t):
+    # The builders' rows, in order, are the chain of the family record.
+    fam, q_eff, t_eff = family_parameters(name, q, t)
+    for n in range(1, 7):
+        assert list(build_hrep(name, n, q, t).integer_rows) == _chain_bound_rows(fam, n, q_eff, t_eff)
+
+
+@pytest.mark.parametrize("q,t", _THREE_DRAWS)
+def test_cones_assembly_is_the_direct_piece_and_root_floors(q, t):
+    # The assembled piece's rows are the direct piece's rows, each with its
+    # multiplicity, and x_l >= 1-q at each root position l other than the
+    # first and the last: a missing or changed cone row breaks the equality.
+    checked = 0
+    for nodes in range(1, 9):
+        table = VertexTable(nodes, q, t)
+        for pf in enumerate_plane_forests(nodes):
+            floors = [AffineForm.linear(nodes - 1, l, 1, q - 1).integer_row for l in pf.roots[1:-1]]
+            assembled = piece_for_plane_forest_via_cones(pf, q, t).integer_rows
+            assert sorted(assembled) == sorted([*table.piece_rows(pf), *floors]), pf.to_text()
+            checked += 1
+    assert checked == sum(catalan(nodes) for nodes in range(1, 9))
+
+
 def test_tutte_equals_gayley_at_one_one():
     for n in (1, 2, 3):
         tutte = enumerate_hrep_vertices(build_hrep("tutte", n, 1, 1))
@@ -176,9 +228,9 @@ def test_parameter_domains():
 
 
 def test_family_parameters_fixed_values():
-    assert family_parameters("cayley", HALF, 7) == (1, 1)
-    assert family_parameters("tgayley", HALF, 3) == (1, 3)
-    assert family_parameters("tutte", HALF, 3) == (HALF, 3)
+    assert family_parameters("cayley", HALF, 7)[1:] == (1, 1)
+    assert family_parameters("tgayley", HALF, 3)[1:] == (1, 3)
+    assert family_parameters("tutte", HALF, 3)[1:] == (HALF, 3)
 
 
 def test_family_table():
@@ -488,7 +540,7 @@ def test_cells_match_per_cell_references(name, q, t):
     # their texts are the Fraction forms' texts, and the table's
     # integer chain and piece rows are the forms' coprime rows.
     fam = get_family(name)
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 5):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in fam.labeled_cells(n):
@@ -542,7 +594,7 @@ def test_vertex_table_matches_fraction_simplices(name, n, q, t):
     # The integer table over one scale s is the reference Fraction
     # simplices: the same vertices, n+1 distinct indices each, and the
     # n!-volume of the closed form q^(k-1) t^|E| (1+t)^alpha.
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     table = VertexTable(n + 1, q_eff, t_eff)
     fraction_vertices = set()
     for f in get_family(name).labeled_cells(n):
@@ -562,7 +614,7 @@ def test_vertex_table_matches_fraction_simplices(name, n, q, t):
 
 @pytest.mark.parametrize("name,n,q,t", [case for case in _TABLE_CASES if case[1] <= 4])
 def test_simplex_texts_format_the_fraction_simplices(name, n, q, t):
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     table = VertexTable(n + 1, q_eff, t_eff)
     for f in get_family(name).labeled_cells(n):
         expected = tuple(tuple(map(format_rational, v)) for v in _reference_simplex(f, q_eff, t_eff))

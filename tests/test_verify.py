@@ -281,7 +281,7 @@ def test_interior_sampler_stays_strictly_inside():
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
-    q_eff, t_eff = family_parameters(family, q, t)
+    _, q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
         draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
@@ -299,7 +299,7 @@ def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
 def test_sample_batches_match_fraction_sampler(family, q, t, seed):
     # Batches of any sizes, in a row, draw the points the reference draws
     # one at a time, and leave the generator where the reference leaves it.
-    q_eff, t_eff = family_parameters(family, q, t)
+    _, q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
         draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
@@ -322,7 +322,7 @@ def test_sample_stream_draws_keep_their_bytes():
     digest = hashlib.sha256()
     for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))):
         for family in FAMILIES:
-            q_eff, t_eff = family_parameters(family, q, t)
+            _, q_eff, t_eff = family_parameters(family, q, t)
             for n in range(1, 6):
                 draw = interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
                 columns, scale = draw(200)
@@ -521,7 +521,7 @@ def _with_constant_row(hrep: HRep, constant: int) -> HRep:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_partition_certificate_matches_per_cell_reference(family, n, q, t):
-    q_eff, t_eff = family_parameters(family, q, t)
+    _, q_eff, t_eff = family_parameters(family, q, t)
     pieces = _pieces(family, n, q_eff, t_eff)
     # At n = 4 the pieces stand in for the simplices, too many cells for
     # the Fraction reference.
@@ -568,7 +568,7 @@ def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch
 
 @pytest.mark.parametrize("family", ["tutte", "cayley"])
 def test_partition_certificate_over_more_than_two_batches(family):
-    q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
+    _, q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
     cells = _chains(family, 2, q_eff, t_eff)
     args = (family, 2, q_eff, t_eff, cells, 2 * verify.BATCH + 3, 11)
     result = _certify(*args)
@@ -581,7 +581,7 @@ def test_partition_certificate_over_more_than_two_batches(family):
 def test_partition_certificate_with_a_constant_row(family, n, constant):
     # A row with no terms has one value at every sample: the cell is
     # unchanged for 1, and empty for -1, which leaves its samples in no cell.
-    q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
+    _, q_eff, t_eff = family_parameters(family, HALF, Fraction(1))
     cells = _chains(family, n, q_eff, t_eff)
     cells[1] = _with_constant_row(cells[1], constant)
     args = (family, n, q_eff, t_eff, cells, 200, 11)
@@ -593,7 +593,7 @@ def test_partition_certificate_with_a_constant_row(family, n, constant):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_partition_certificate_at_huge_denominators(family):
     # The widest lanes: (q, t) with four-digit prime denominators at n = 3.
-    q_eff, t_eff = family_parameters(family, Fraction(9973, 10007), Fraction(7919, 7907))
+    _, q_eff, t_eff = family_parameters(family, Fraction(9973, 10007), Fraction(7919, 7907))
     simplices = _chains(family, 3, q_eff, t_eff)
     pieces = _pieces(family, 3, q_eff, t_eff)
     for cells in (simplices, pieces, simplices[1:]):
@@ -615,7 +615,7 @@ def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q
     # Cut at a generic bound, the two halves tile the polytope; one half
     # twice overlaps.  Cut through the first sample, that sample lies on
     # the boundary of both halves and is discarded.
-    q_eff, t_eff = family_parameters(family, q, t)
+    _, q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q_eff, t_eff)
     numerators, scale = _first_point(interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(11)))
     first_x1 = Fraction(numerators[0], scale)
@@ -642,7 +642,7 @@ def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, fami
     # Cut P below its largest x_1, so some table vertices leave it: the
     # counterexample is the first forest and vertex in enumeration order,
     # as the Fraction simplices give it.
-    q_eff, t_eff = family_parameters(family, q, t)
+    _, q_eff, t_eff = family_parameters(family, q, t)
     cut = _cut_x1(build_hrep(family, n, q_eff, t_eff), (1 + t_eff) * Fraction(9, 10))
     forests = list(get_family(family).labeled_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)

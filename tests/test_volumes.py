@@ -158,7 +158,7 @@ def test_steps_volume_rejects_a_step_with_two_new_columns(n):
 def test_determinant_matches_elimination_on_every_simplex(name, q, t):
     # Every simplex of the family's triangulation, from its vertices and
     # from the vertex table's memoised steps.
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 6):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in get_family(name).labeled_cells(n):
@@ -175,7 +175,7 @@ def test_forest_steps_are_triangular_with_the_lemma_pivots(name, q, t):
     # node labelled p at position i (column i - 1), and its entry is
     # -t(1+t)^j s for a non-root at cane exponent j and -q s for a root,
     # s the table scale: the factors of q^(k-1) t^|E| (1+t)^alpha.
-    q_eff, t_eff = family_parameters(name, q, t)
+    _, q_eff, t_eff = family_parameters(name, q, t)
     for n in range(1, 6):
         table = VertexTable(n + 1, q_eff, t_eff)
         for f in get_family(name).labeled_cells(n):
