@@ -42,7 +42,7 @@ from .geometry import (
     FAMILIES,
     ParameterDomainError,
     VertexTable,
-    build_hrep,
+    check_dimension,
     family_parameters,
 )
 from .verify import CHECKS, DEFAULT_SAMPLES, DEFAULT_SEED, plan
@@ -325,14 +325,15 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _cmd_hrep(args) -> tuple[dict | Iterable[str], int]:
-    hrep = build_hrep(args.family, args.n, args.q, args.t)
+    check_dimension(args.n)
+    fam, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
+    hrep = fam.hrep(args.n, q_eff, t_eff)
     # Lists, which the JSON writer does not memoize: each row is written
     # once, so nothing keeps it.
     rows = hrep.texts()
     if args.format == "text":
         header = f"{hrep.dimension} {len(hrep.forms)}\n"
         return chain((header,), (" ".join(row) + "\n" for row in rows)), 0
-    _, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
     return {
         "family": args.family,
         "n": args.n,

@@ -85,6 +85,8 @@ def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> 
     masks, named S={...}; gayley and tgayley (1-q = 0) the prefix masks
     2^k - 1, named prefix=k: the orthoscheme with legs (1+t)^k."""
     fam, q, t = family_parameters(family, q, t)
+    if n < 1:
+        raise ParameterDomainError("n must be >= 1")
     if fam.connected or fam.q is None:
         if n > VERTICES_MAX_N:
             raise ParameterDomainError(f"vertex sets are desk scale: n <= {VERTICES_MAX_N}")

@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import sparse_difference
+from .exact import BivariatePolynomial, sparse_difference
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -121,6 +121,15 @@ class Family(NamedTuple):
         if self.connected:
             return _ONE, 1 + t, _ZERO
         return 1 - q, 1 + t, t * (1 - q) / q
+
+    def hrep(self, n: int, q: Fraction, t: Fraction) -> HRep:
+        """The polytope's H-rep in R^n, for an n and an effective (q, t) already checked."""
+        return _chain_hrep_lower_one(n, t) if self.connected else _tutte_hrep(n, q, t)
+
+    def specialize(self, poly: BivariatePolynomial) -> BivariatePolynomial:
+        """A volume polynomial of the Tutte polytope (Z_{K_{n+1}} or a closed-form
+        total) as the family's own: its q^0 part if connected, at the fixed q and t."""
+        return (poly.restrict_q_power(0) if self.connected else poly).substitute(q=self.q, t=self.t)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -286,9 +295,7 @@ def build_hrep(family: str, n: int, q=None, t=None) -> HRep:
     get_family(family)  # an unknown family is named before a bad n
     check_dimension(n)
     fam, q_eff, t_eff = family_parameters(family, q, t)
-    if fam.connected:
-        return _chain_hrep_lower_one(n, t_eff)
-    return _tutte_hrep(n, q_eff, t_eff)
+    return fam.hrep(n, q_eff, t_eff)
 
 
 def _chain_hrep_lower_one(n: int, t: Fraction) -> HRep:

@@ -72,6 +72,7 @@ from .forests import (
 )
 from .geometry import (
     FAMILIES,
+    Family,
     HRep,
     IntegerRow,
     ParameterDomainError,
@@ -79,7 +80,6 @@ from .geometry import (
     build_hrep,
     check_open_q,
     family_parameters,
-    get_family,
     piece_for_plane_forest_via_cones,
     rows_contain,
 )
@@ -173,7 +173,7 @@ class RationalLCG:
 
 
 def interior_sample_drawer(
-    family: str, n: int, q: Fraction, t: Fraction, rng: RationalLCG
+    fam: Family, n: int, q: Fraction, t: Fraction, rng: RationalLCG
 ) -> Callable[[int], tuple[list[list[int]], int]]:
     """The batch drawer of exact points strictly inside the family
     polytope: draw(size) draws the next size points and gives them as
@@ -204,7 +204,7 @@ def interior_sample_drawer(
     above over the whole batch at once; M is kept only where slack_d is
     nonzero, the only case that reads it.
     """
-    lo, w, slack = get_family(family).chain_bounds(q, t)
+    lo, w, slack = fam.chain_bounds(q, t)
     (w_d, lo_d, slack_d), base = clear_denominators((w, lo, slack))
     m = rng.denominator
     step = m * base
@@ -327,7 +327,7 @@ def _lane_signs(value: int, ones: int, width: int, lanes: int) -> tuple[int, int
 
 
 def _partition_certificate(
-    family: str,
+    fam: Family,
     n: int,
     q: Fraction,
     t: Fraction,
@@ -381,7 +381,7 @@ def _partition_certificate(
             rows.append(oriented)
         oriented_cells.append(rows)
     hyperplanes = list(index)
-    draw = interior_sample_drawer(family, n, q, t, RationalLCG(seed))
+    draw = interior_sample_drawer(fam, n, q, t, RationalLCG(seed))
     accepted = 0
     discarded = 0
     failure = None
@@ -510,7 +510,7 @@ def verify_triangulation(
     """Check the simplicial decomposition of one family polytope."""
     _check_job("triangulation", n, samples)
     fam, q_eff, t_eff = family_parameters(family, q, t)
-    polytope = build_hrep(family, n, q, t)
+    polytope = fam.hrep(n, q_eff, t_eff)
     forests = list(fam.labeled_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     simplices = [table.add(f) for f in forests]
@@ -528,14 +528,14 @@ def verify_triangulation(
 
     scaled = sum(steps_volume_scaled(table.steps(s)) for s in simplices)
     total = Fraction(scaled, table.scale**n)
-    expected_total = family_total_polynomial(family, n).evaluate(q_eff, t_eff)
+    expected_total = family_total_polynomial(fam, n).evaluate(q_eff, t_eff)
     checks["volume_sum"] = {
         "got": format_rational(total),
         "expected": format_rational(expected_total),
         "ok": total == expected_total,
     }
 
-    checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, chains, samples, seed)
+    checks["sampling"] = _partition_certificate(fam, n, q_eff, t_eff, chains, samples, seed)
     counterexample = bad_vertex or checks["sampling"]["failure"]
     return VerificationReport("triangulation", family, n, q_eff, t_eff, seed, checks, counterexample)
 
@@ -551,7 +551,7 @@ def verify_subdivision(
     """Check the coarse subdivision of one family polytope."""
     _check_job("subdivision", n, samples)
     fam, q_eff, t_eff = family_parameters(family, q, t)
-    polytope = build_hrep(family, n, q, t)
+    polytope = fam.hrep(n, q_eff, t_eff)
     plane = list(fam.plane_cells(n))
     table = VertexTable(n + 1, q_eff, t_eff)
     pieces = [table.piece_rows(pf) for pf in plane]
@@ -559,8 +559,8 @@ def verify_subdivision(
 
     checks["cell_count"] = {"got": len(pieces), "expected": fam.cell_counts(n)[1]}
 
-    closed_total = closed_form_piece_total(plane).substitute(q=fam.q, t=fam.t)
-    expected_total = family_total_polynomial(family, n)
+    closed_total = fam.specialize(closed_form_piece_total(plane))
+    expected_total = family_total_polynomial(fam, n)
     checks["volume_sum"] = {
         "got": closed_total.to_json_obj(),
         "expected": expected_total.to_json_obj(),
@@ -573,7 +573,7 @@ def verify_subdivision(
         table.add(f)
     checks["vertex_containment"] = {"ok": not _vertices_outside(polytope, table)}
 
-    checks["sampling"] = _partition_certificate(family, n, q_eff, t_eff, pieces, samples, seed)
+    checks["sampling"] = _partition_certificate(fam, n, q_eff, t_eff, pieces, samples, seed)
     return VerificationReport(
         "subdivision", family, n, q_eff, t_eff, seed, checks, checks["sampling"]["failure"]
     )

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact import BivariatePolynomial
 from .forests import LabeledForest, PlaneForest, alpha
-from .geometry import ParameterDomainError, VertexTable, family_parameters, get_family
+from .geometry import Family, ParameterDomainError, VertexTable, family_parameters
 
 Z_MAX_NODES = 7
 
@@ -266,19 +266,9 @@ def lattice_and_partition_counts(n: int) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 
 
-def family_total_polynomial(family: str, n: int) -> BivariatePolynomial:
-    """n! vol of the family polytope as a polynomial, from the graph sweep.
-
-    Z_{K_{n+1}}(q, t), cut to its q^0 (connected-graph) part for a
-    connected family, at the family's fixed q and t: Z itself for tutte,
-    a polynomial in t for tgayley and tcayley, a constant for gayley and
-    cayley.
-    """
-    fam = get_family(family)
-    z = z_bruteforce(n + 1)
-    if fam.connected:
-        z = z.restrict_q_power(0)
-    return z.substitute(q=fam.q, t=fam.t)
+def family_total_polynomial(fam: Family, n: int) -> BivariatePolynomial:
+    """n! vol of the family polytope: the graph sweep's Z_{K_{n+1}}, `Family.specialize`d."""
+    return fam.specialize(z_bruteforce(n + 1))
 
 
 @dataclass(frozen=True)
@@ -332,8 +322,8 @@ def volume_report(
         n=n,
         q=q_eff if with_determinant else None,
         t=t_eff if with_determinant else None,
-        by_closed_form=closed_form_simplex_total(fam.labeled_cells(n)).substitute(q=fam.q, t=fam.t),
-        by_graph_sum=family_total_polynomial(family, n),
-        by_pieces=closed_form_piece_total(fam.plane_cells(n)).substitute(q=fam.q, t=fam.t),
+        by_closed_form=fam.specialize(closed_form_simplex_total(fam.labeled_cells(n))),
+        by_graph_sum=family_total_polynomial(fam, n),
+        by_pieces=fam.specialize(closed_form_piece_total(fam.plane_cells(n))),
         by_determinant=det_total,
     )

@@ -107,6 +107,17 @@ def test_vertex_parameter_domains():
         vertex_set("tcayley", 2, t=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_vertex_sets_need_n_at_least_one(family, n):
+    # One message for every family, whichever branch of masks it takes.
+    with pytest.raises(ParameterDomainError, match=r"^n must be >= 1$"):
+        vertex_set(family, n, HALF, 1)
+    if family == "tutte":
+        with pytest.raises(ParameterDomainError, match=r"^n must be >= 1$"):
+            tutte_f_vector(n, HALF, 1)
+
+
 # ----------------------------------------------------------------------
 # Face lattice
 # ----------------------------------------------------------------------

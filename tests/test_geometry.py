@@ -24,6 +24,7 @@ from cayleypoly import (
     piece_for_plane_forest_via_cones,
     product,
 )
+from cayleypoly import cli, faces, geometry, verify, volumes
 from cayleypoly.exact import clear_denominators, format_rational
 from cayleypoly.forests import MAX_PLANE_NODES
 from cayleypoly.geometry import MAX_DIMENSION, DimensionError, VertexTable, family_parameters
@@ -251,6 +252,41 @@ def test_family_cells_match_expected_counts(name):
         assert sum(1 for _ in fam.plane_cells(n)) == pieces
         if fam.connected:
             assert all(f.is_tree() for f in fam.labeled_cells(n))
+
+
+def _hrep_command(*flags):
+    def run(name):
+        assert cli.main(["hrep", "--family", name, "--n", "2", *flags]) == 0
+
+    return run
+
+
+# Each entry point below takes a family name and passes the record down.
+_ONE_LOOKUP_CALLS = {
+    "verify_triangulation": lambda name: verify.verify_triangulation(name, 2, HALF, 2, samples=10),
+    "verify_subdivision": lambda name: verify.verify_subdivision(name, 2, HALF, 2, samples=10),
+    "verify_refinement": lambda name: verify.verify_refinement(name, 2, HALF, 2),
+    "volume_report": lambda name: volumes.volume_report(name, 2, HALF, 2),
+    "hrep json": _hrep_command("--q", "1/2", "--t", "2"),
+    "hrep text": _hrep_command("--format", "text"),
+}
+
+
+@pytest.mark.parametrize("call", _ONE_LOOKUP_CALLS)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_each_entry_point_looks_its_family_up_once(monkeypatch, capsys, name, call):
+    # Every binding of get_family is counted, also one a module does not hold now.
+    looked_up = []
+    lookup = geometry.get_family
+
+    def counted(family):
+        looked_up.append(family)
+        return lookup(family)
+
+    for module in (geometry, verify, volumes, faces, cli):
+        monkeypatch.setattr(module, "get_family", counted, raising=False)
+    _ONE_LOOKUP_CALLS[call](name)
+    assert looked_up == [name]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""The public surface of the package: the names `import cayleypoly` gives."""
+"""The package as a whole: the names `import cayleypoly` gives, and the
+standard-library-only rule of its modules."""
 
+import ast
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import cayleypoly
@@ -62,3 +66,20 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_modules_import_only_the_standard_library():
+    # numpy, sympy and the like may be installed where the tests run; a
+    # module of the package that imported one would still pass there.
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "cayleypoly").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {name}"

@@ -281,10 +281,10 @@ def test_interior_sampler_stays_strictly_inside():
 @pytest.mark.parametrize("q,t", [(HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
-    _, q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
-        draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
+        draw = interior_sample_drawer(fam, n, q_eff, t_eff, rng)
         for _ in range(40):
             numerators, scale = _first_point(draw)
             assert scale > 0 and len(numerators) == n
@@ -299,10 +299,10 @@ def test_integer_stream_matches_fraction_sampler(family, q, t, seed):
 def test_sample_batches_match_fraction_sampler(family, q, t, seed):
     # Batches of any sizes, in a row, draw the points the reference draws
     # one at a time, and leave the generator where the reference leaves it.
-    _, q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         rng, reference_rng = RationalLCG(seed), RationalLCG(seed)
-        draw = interior_sample_drawer(family, n, q_eff, t_eff, rng)
+        draw = interior_sample_drawer(fam, n, q_eff, t_eff, rng)
         for size in (1, 2, 7, 1024):
             columns, scale = draw(size)
             assert scale > 0 and len(columns) == n and all(len(column) == size for column in columns)
@@ -322,9 +322,9 @@ def test_sample_stream_draws_keep_their_bytes():
     digest = hashlib.sha256()
     for q, t in ((HALF, Fraction(1)), (Fraction(37, 101), Fraction(53, 17))):
         for family in FAMILIES:
-            _, q_eff, t_eff = family_parameters(family, q, t)
+            fam, q_eff, t_eff = family_parameters(family, q, t)
             for n in range(1, 6):
-                draw = interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
+                draw = interior_sample_drawer(fam, n, q_eff, t_eff, RationalLCG(verify.DEFAULT_SEED))
                 columns, scale = draw(200)
                 for numerators in zip(*columns):
                     digest.update(f"{family} {n} {list(numerators)} {scale}\n".encode("ascii"))
@@ -479,7 +479,7 @@ def test_partition_failure_names_an_uncovered_point():
 def _certify(family, n, q, t, hreps, samples, seed):
     """_partition_certificate on the H-reps' integer rows, the cells as the
     jobs pass them."""
-    return _partition_certificate(family, n, q, t, [h.integer_rows for h in hreps], samples, seed)
+    return _partition_certificate(get_family(family), n, q, t, [h.integer_rows for h in hreps], samples, seed)
 
 
 def _reference_certificate(family, n, q, t, hreps, samples, seed):
@@ -551,7 +551,7 @@ def test_partition_certificate_fails_in_a_later_batch_after_discards(monkeypatch
     # Batches of 8 samples put the failure a few batches in.
     monkeypatch.setattr(verify, "BATCH", 8)
     family, n, q, t = "tutte", 2, HALF, Fraction(1)
-    columns, scale = interior_sample_drawer(family, n, q, t, RationalLCG(11))(12)
+    columns, scale = interior_sample_drawer(get_family(family), n, q, t, RationalLCG(11))(12)
     first_x1 = [Fraction(x1, scale) for x1 in columns[0]]
     # The first sample is on the boundary of both halves, so it is
     # discarded; above the largest x_1 of the first 12 samples no cell is
@@ -615,9 +615,9 @@ def test_partition_certificate_on_a_hyperplane_in_both_orientations(family, n, q
     # Cut at a generic bound, the two halves tile the polytope; one half
     # twice overlaps.  Cut through the first sample, that sample lies on
     # the boundary of both halves and is discarded.
-    _, q_eff, t_eff = family_parameters(family, q, t)
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     polytope = build_hrep(family, n, q_eff, t_eff)
-    numerators, scale = _first_point(interior_sample_drawer(family, n, q_eff, t_eff, RationalLCG(11)))
+    numerators, scale = _first_point(interior_sample_drawer(fam, n, q_eff, t_eff, RationalLCG(11)))
     first_x1 = Fraction(numerators[0], scale)
     generic = (first_x1 + (1 + t_eff)) / 2
     for bound in (generic, first_x1):
@@ -653,7 +653,7 @@ def test_vertex_containment_failure_matches_fraction_reference(monkeypatch, fami
         if not contains(cut, v)
     )
     expected = {"forest": f.to_parent_text(), "vertex": [format_rational(x) for x in v]}
-    monkeypatch.setattr(verify, "build_hrep", lambda *args: cut)
+    monkeypatch.setattr(geometry.Family, "hrep", lambda self, *args: cut)
     report = verify_triangulation(family, n, q, t, samples=20)
     assert not report.passed
     _assert_reference_verdict(report)

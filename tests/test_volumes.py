@@ -307,10 +307,10 @@ def test_z_domain():
 
 
 def test_family_totals():
-    assert family_total_polynomial("gayley", 2) == P.constant(8)
-    assert family_total_polynomial("cayley", 3) == P.constant(38)
-    assert family_total_polynomial("tgayley", 2) == P.one_plus_t_power(3)
-    assert family_total_polynomial("tcayley", 2) == P({(0, 2): 3, (0, 3): 1})
+    assert family_total_polynomial(get_family("gayley"), 2) == P.constant(8)
+    assert family_total_polynomial(get_family("cayley"), 3) == P.constant(38)
+    assert family_total_polynomial(get_family("tgayley"), 2) == P.one_plus_t_power(3)
+    assert family_total_polynomial(get_family("tcayley"), 2) == P({(0, 2): 3, (0, 3): 1})
 
 
 # ----------------------------------------------------------------------
