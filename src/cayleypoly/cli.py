@@ -429,7 +429,8 @@ def _cmd_fvector(args) -> tuple[dict | str, int]:
 
 
 def _cmd_vertices(args) -> tuple[dict | str, int]:
-    _, points, provenance = chain_vertices(args.family, args.n, args.q, args.t, texts=True)
+    fam, q_eff, t_eff = family_parameters(args.family, args.q, args.t)
+    _, points, provenance = chain_vertices(fam, args.n, q_eff, t_eff, texts=True)
     if args.format == "text":
         return "".join([f"{args.n} {len(points)}\n", *(" ".join(p) + "\n" for p in points)]), 0
     return {

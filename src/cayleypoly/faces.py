@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import (
+    Family,
     HRep,
     ParameterDomainError,
     VertexTable,
-    build_hrep,
     check_dimension,
     check_open_q,
     family_parameters,
@@ -77,14 +77,13 @@ def _chain_points(n: int, masks: Iterable[int], powers: Sequence, floor) -> tupl
     return tuple(points)
 
 
-def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> tuple:
-    """The vertices of the family polytope in R^n as (scale, points,
-    provenance), each point integer numerators over scale or, with texts,
-    `format_rational` texts.  The floor is 1 for cayley and tcayley, 1-q
-    for the others.  cayley, tcayley and tutte (0 < q < 1) take all 2^n
-    masks, named S={...}; gayley and tgayley (1-q = 0) the prefix masks
-    2^k - 1, named prefix=k: the orthoscheme with legs (1+t)^k."""
-    fam, q, t = family_parameters(family, q, t)
+def chain_vertices(fam: Family, n: int, q: Fraction, t: Fraction, texts: bool = False) -> tuple:
+    """The family polytope's vertices in R^n at a checked effective (q, t),
+    as (scale, points, provenance), each point integer numerators over scale
+    or, with texts, `format_rational` texts.  The floor is 1 for cayley and
+    tcayley, 1-q for the others.  cayley, tcayley and tutte (0 < q < 1) take
+    all 2^n masks, named S={...}; gayley and tgayley (1-q = 0) the prefix
+    masks 2^k - 1, named prefix=k: the orthoscheme with legs (1+t)^k."""
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
     if fam.connected or fam.q is None:
@@ -110,8 +109,9 @@ def chain_vertices(family: str, n: int, q=None, t=None, texts: bool = False) -> 
 
 
 def vertex_set(family: str, n: int, q=None, t=None) -> VertexSet:
-    """The `chain_vertices` of the family polytope in R^n as a VertexSet."""
-    return VertexSet(*chain_vertices(family, n, q, t))
+    """The `chain_vertices` of the named family's polytope in R^n as a VertexSet."""
+    fam, q_eff, t_eff = family_parameters(family, q, t)
+    return VertexSet(*chain_vertices(fam, n, q_eff, t_eff))
 
 
 # ----------------------------------------------------------------------
@@ -209,4 +209,5 @@ def tutte_f_vector(n: int, q, t) -> tuple[int, ...]:
     check_open_q(q)
     if Fraction(t) <= 0:
         raise ParameterDomainError("t must be positive")
-    return face_lattice(vertex_set("tutte", n, q, t), build_hrep("tutte", n, q, t)).f_vector
+    fam, q, t = family_parameters("tutte", q, t)
+    return face_lattice(VertexSet(*chain_vertices(fam, n, q, t)), fam.hrep(n, q, t)).f_vector

@@ -123,7 +123,9 @@ class Family(NamedTuple):
         return 1 - q, 1 + t, t * (1 - q) / q
 
     def hrep(self, n: int, q: Fraction, t: Fraction) -> HRep:
-        """The polytope's H-rep in R^n, for an n and an effective (q, t) already checked."""
+        """The polytope's H-rep in R^n at a checked n and effective (q, t).  At q = 1
+        the tutte rows for j < i coincide, leaving n + 1 distinct of C(n+1, 2) + 1
+        forms; they are kept as generated, since the `hrep` command's bytes are pinned."""
         return _chain_hrep_lower_one(n, t) if self.connected else _tutte_hrep(n, q, t)
 
     def specialize(self, poly: BivariatePolynomial) -> BivariatePolynomial:

@@ -60,7 +60,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .exact import BivariatePolynomial, bareiss_step, clear_denominators, format_rational
-from .faces import VertexSet, vertex_set
+from .faces import VertexSet, chain_vertices
 from .forests import (
     LabeledForest,
     PlaneForest,
@@ -77,9 +77,9 @@ from .geometry import (
     IntegerRow,
     ParameterDomainError,
     VertexTable,
-    build_hrep,
     check_open_q,
     family_parameters,
+    get_family,
     piece_for_plane_forest_via_cones,
     rows_contain,
 )
@@ -490,13 +490,13 @@ def _check_job(check: str, n: int, samples: int = 1) -> None:
         raise ParameterDomainError("samples must be >= 1")
 
 
-def _check_specialization_parameters(q, t) -> tuple[Fraction, Fraction]:
-    """The checked (q, t) of the specialization job: t of the tcayley
-    polytope, q of the tutte polytope, and q < 1 of the tutte vertex formula."""
-    family_parameters("tcayley", t=t)
-    _, q, t = family_parameters("tutte", q, t)
+def _check_specialization_parameters(q, t) -> tuple[Family, Family, Fraction, Fraction]:
+    """The specialization job's tcayley and tutte records and checked (q, t):
+    t of the tcayley polytope, q of the tutte one, and q < 1 of its vertex formula."""
+    tcayley = family_parameters("tcayley", t=t)[0]
+    tutte, q, t = family_parameters("tutte", q, t)
     check_open_q(q)
-    return q, t
+    return tcayley, tutte, q, t
 
 
 def verify_triangulation(
@@ -629,23 +629,19 @@ def verify_refinement(family: str, n: int, q=None, t=None) -> VerificationReport
 def verify_specializations(n: int, q=Fraction(1, 2), t=Fraction(2)) -> VerificationReport:
     """Fixed-parameter specializations tie the five families together."""
     _check_job("specializations", n)
-    q, t = _check_specialization_parameters(q, t)
+    tcayley, tutte, q, t = _check_specialization_parameters(q, t)
+    gayley = get_family("gayley")
     checks: dict = {}
 
+    def oracle_is_closed_form(fam: Family, q: Fraction, t: Fraction) -> bool:
+        hrep_vertices = enumerate_hrep_vertices(fam.hrep(n, q, t))
+        return hrep_vertices == vertex_keys(VertexSet(*chain_vertices(fam, n, q, t)))
+
     # Equal H-reps have equal vertices, so the oracle runs on gayley only.
-    gayley = build_hrep("gayley", n)
-    ortho = vertex_keys(vertex_set("gayley", n))
-    checks["tutte_q1_t1_is_gayley"] = {
-        "ok": build_hrep("tutte", n, 1, 1) == gayley and enumerate_hrep_vertices(gayley) == ortho
-    }
-
-    tcayley = enumerate_hrep_vertices(build_hrep("tcayley", n, t=t))
-    closed = vertex_keys(vertex_set("tcayley", n, t=t))
-    checks["tcayley_vertices_closed_form"] = {"ok": tcayley == closed}
-
-    qt_vertices = enumerate_hrep_vertices(build_hrep("tutte", n, q, t))
-    closed_qt = vertex_keys(vertex_set("tutte", n, q, t))
-    checks["tutte_vertices_closed_form"] = {"ok": qt_vertices == closed_qt}
+    same = tutte.hrep(n, gayley.q, gayley.t) == gayley.hrep(n, gayley.q, gayley.t)
+    checks["tutte_q1_t1_is_gayley"] = {"ok": same and oracle_is_closed_form(gayley, gayley.q, gayley.t)}
+    checks["tcayley_vertices_closed_form"] = {"ok": oracle_is_closed_form(tcayley, tcayley.q, t)}
+    checks["tutte_vertices_closed_form"] = {"ok": oracle_is_closed_form(tutte, q, t)}
 
     z = z_bruteforce(n + 1)
     connected = connected_gf(n + 1, "recursion")

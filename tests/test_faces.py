@@ -9,7 +9,7 @@ import pytest
 from cayleypoly import FAMILIES, build_hrep, enumerate_hrep_vertices, face_lattice, tutte_f_vector, vertex_set
 from cayleypoly.exact import clear_denominators, eliminate, format_rational
 from cayleypoly.faces import FaceLattice, InconsistentGeometryError, _contact_masks, chain_vertices
-from cayleypoly.geometry import ParameterDomainError
+from cayleypoly.geometry import ParameterDomainError, family_parameters
 from cayleypoly.verify import vertex_keys
 
 from oracles import (
@@ -357,10 +357,11 @@ def test_extreme_points_certificate():
 def test_closed_form_vertices_are_the_hrep_vertices(family, q, t):
     # The one chain-vertex builder against the vertex oracle on the H-rep,
     # in keys, and its texts against its numerators.
+    fam, q_eff, t_eff = family_parameters(family, q, t)
     for n in range(1, 6):
         vs = vertex_set(family, n, q, t)
         assert vertex_keys(vs) == enumerate_hrep_vertices(build_hrep(family, n, q, t))
-        scale, texts, provenance = chain_vertices(family, n, q, t, texts=True)
+        scale, texts, provenance = chain_vertices(fam, n, q_eff, t_eff, texts=True)
         assert (scale, provenance) == (vs.scale, vs.provenance)
         assert len(texts) == len(vs.points)
         for numerators, row in zip(vs.points, texts):

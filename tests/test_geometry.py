@@ -215,6 +215,25 @@ def test_gayley_is_orthoscheme():
         assert enumerate_hrep_vertices(hrep) == point_keys(prefixes)
 
 
+@pytest.mark.parametrize(
+    "name,q,t,counts",
+    [
+        ("gayley", None, None, {3: (7, 4), 12: (79, 13)}),
+        ("tgayley", None, Fraction(53, 17), {3: (7, 4), 12: (79, 13)}),
+        ("tutte", HALF, 1, {3: (7, 7), 12: (79, 79)}),
+        ("tutte", Fraction(37, 101), Fraction(53, 17), {3: (7, 7), 12: (79, 79)}),
+        ("cayley", None, None, {3: (6, 6), 12: (24, 24)}),
+        ("tcayley", None, Fraction(53, 17), {3: (6, 6), 12: (24, 24)}),
+    ],
+)
+def test_hrep_form_counts(name, q, t, counts):
+    # At q = 1 the tutte rows for j < i coincide: C(n+1, 2) + 1 forms, n + 1
+    # of them distinct.  They are kept as generated, since `hrep` prints them.
+    for n, expected in counts.items():
+        forms = build_hrep(name, n, q, t).forms
+        assert (len(forms), len(set(forms))) == expected
+
+
 def test_parameter_domains():
     with pytest.raises(ParameterDomainError):
         build_hrep("tutte", 2, 2, 1)  # q > 1
@@ -254,9 +273,9 @@ def test_family_cells_match_expected_counts(name):
             assert all(f.is_tree() for f in fam.labeled_cells(n))
 
 
-def _hrep_command(*flags):
+def _command(command, *flags):
     def run(name):
-        assert cli.main(["hrep", "--family", name, "--n", "2", *flags]) == 0
+        assert cli.main([command, "--family", name, "--n", "2", *flags]) == 0
 
     return run
 
@@ -267,26 +286,46 @@ _ONE_LOOKUP_CALLS = {
     "verify_subdivision": lambda name: verify.verify_subdivision(name, 2, HALF, 2, samples=10),
     "verify_refinement": lambda name: verify.verify_refinement(name, 2, HALF, 2),
     "volume_report": lambda name: volumes.volume_report(name, 2, HALF, 2),
-    "hrep json": _hrep_command("--q", "1/2", "--t", "2"),
-    "hrep text": _hrep_command("--format", "text"),
+    "hrep json": _command("hrep", "--q", "1/2", "--t", "2"),
+    "hrep text": _command("hrep", "--format", "text"),
+    "vertices json": _command("vertices", "--q", "1/2", "--t", "2"),
+    "vertices text": _command("vertices", "--q", "37/101", "--t", "53/17", "--format", "text"),
+    "vertex_set": lambda name: faces.vertex_set(name, 2, HALF, 2),
 }
 
 
-@pytest.mark.parametrize("call", _ONE_LOOKUP_CALLS)
-@pytest.mark.parametrize("name", FAMILIES)
-def test_each_entry_point_looks_its_family_up_once(monkeypatch, capsys, name, call):
-    # Every binding of get_family is counted, also one a module does not hold now.
-    looked_up = []
+@pytest.fixture
+def looked_up(monkeypatch):
+    """The names passed to get_family, through every module's binding,
+    also one a module does not hold now."""
+    names = []
     lookup = geometry.get_family
 
     def counted(family):
-        looked_up.append(family)
+        names.append(family)
         return lookup(family)
 
     for module in (geometry, verify, volumes, faces, cli):
         monkeypatch.setattr(module, "get_family", counted, raising=False)
+    return names
+
+
+@pytest.mark.parametrize("call", _ONE_LOOKUP_CALLS)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_each_entry_point_looks_its_family_up_once(looked_up, capsys, name, call):
     _ONE_LOOKUP_CALLS[call](name)
     assert looked_up == [name]
+
+
+def test_fvector_looks_tutte_up_once(looked_up, capsys):
+    # The vertex set and the H-rep come from one record.
+    assert cli.main(["fvector", "--n", "3", "--q", "37/101", "--t", "53/17"]) == 0
+    assert looked_up == ["tutte"]
+
+
+def test_specializations_look_each_family_up_once(looked_up):
+    assert verify.verify_specializations(3).passed
+    assert sorted(looked_up) == ["gayley", "tcayley", "tutte"]
 
 
 # ----------------------------------------------------------------------

@@ -234,15 +234,35 @@ def test_specializations_run_the_vertex_oracle_three_times(monkeypatch):
     assert len(calls) == 3
 
 
+def _failed_checks(report):
+    return [key for key, check in report.checks.items() if check != {"ok": True}]
+
+
 def test_specializations_compare_the_tutte_and_gayley_hreps(monkeypatch):
-    build = verify.build_hrep
+    build = geometry.Family.hrep
 
-    def other_tutte(family, n, q=None, t=None):
-        return build(family, n, HALF, t) if (family, q, t) == ("tutte", 1, 1) else build(family, n, q, t)
+    def other_tutte(fam, n, q, t):
+        return build(fam, n, HALF, t) if (fam.name, q, t) == ("tutte", 1, 1) else build(fam, n, q, t)
 
-    monkeypatch.setattr(verify, "build_hrep", other_tutte)
+    monkeypatch.setattr(geometry.Family, "hrep", other_tutte)
     report = verify_specializations(2)
     assert report.checks["tutte_q1_t1_is_gayley"] == {"ok": False}
+    assert _failed_checks(report) == ["tutte_q1_t1_is_gayley"]
+
+
+@pytest.mark.parametrize("family", ["tcayley", "tutte"])
+def test_specializations_compare_each_closed_form_with_the_oracle(monkeypatch, family):
+    # One closed-form point dropped for this family only fails its check only.
+    build = verify.chain_vertices
+
+    def one_point_short(fam, n, q, t, texts=False):
+        scale, points, provenance = build(fam, n, q, t, texts)
+        return (scale, points[1:], provenance[1:]) if fam.name == family else (scale, points, provenance)
+
+    monkeypatch.setattr(verify, "chain_vertices", one_point_short)
+    report = verify_specializations(3)
+    assert report.checks[f"{family}_vertices_closed_form"] == {"ok": False}
+    assert _failed_checks(report) == [f"{family}_vertices_closed_form"]
 
 
 def test_piece_constructions():
