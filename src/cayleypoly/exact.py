@@ -10,8 +10,8 @@ renamed variable such as y) use the same type with deg_q == 0 throughout.
 Linear algebra is in integers only: `clear_denominators` writes rationals
 over one common denominator, and `bareiss_step` is the one fraction-free
 elimination step.  The vertex oracle of `verify` runs it row by row
-down its tree of row subsets; `eliminate`, which runs it column by
-column, is the tests' dense reference.
+down its tree of row subsets; the tests' dense reference runs it column
+by column.
 `sparse_difference` writes a simplex's vertex steps as sparse rows for
 `volumes.steps_volume_scaled`, which needs no elimination: a forest's
 steps are triangular in vertex order.
@@ -288,36 +288,6 @@ def bareiss_step(rows: list[list[int]], top: list[int], col: int, previous: int)
             row = [pivot * a // previous for a in row]
         stepped.append(row)
     return stepped
-
-
-def eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gaussian elimination of integer rows, in place.
-
-    Column by column, a row with a nonzero entry is swapped up to become
-    pivot row k (its column is pivots[k]); every row below it takes one
-    `bareiss_step` against rows[k].  Stops at full rank.  The last
-    pivot is then sign * the determinant of the pivot minor.  The lists in
-    `rows` are replaced, never mutated.
-    """
-    pivots: list[int] = []
-    sign = 1
-    previous = 1
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        k = len(pivots)
-        if k == len(rows):
-            break
-        found = next((r for r in range(k, len(rows)) if rows[r][col]), None)
-        if found is None:
-            continue
-        if found != k:
-            rows[k], rows[found] = rows[found], rows[k]
-            sign = -sign
-        top = rows[k]
-        rows[k + 1 :] = bareiss_step(rows[k + 1 :], top, col, previous)
-        pivots.append(col)
-        previous = top[col]
-    return pivots, sign
 
 
 def sparse_difference(v, u) -> tuple[tuple[int, int], ...]:

@@ -103,8 +103,8 @@ def chain_vertices(fam: Family, n: int, q: Fraction, t: Fraction, texts: bool = 
         masks = [(1 << k) - 1 for k in range(n + 1)]
         provenance = tuple(f"prefix={k}" for k in range(n + 1))
     values = VertexTable(n + 1, q, t)
-    powers = values.text_powers if texts else values.int_powers
-    floor = powers[0] if fam.connected else (values.text_one_minus_q if texts else values.int_one_minus_q)
+    powers, one_minus_q = values.text_values() if texts else (values.int_powers, values.int_one_minus_q)
+    floor = powers[0] if fam.connected else one_minus_q
     return values.scale, _chain_points(n, masks, powers, floor), provenance
 
 

@@ -382,7 +382,8 @@ class VertexTable:
     The values are 1 - q and the powers (1+t)^0 .. (1+t)^(node_count+1),
     as integer numerators over their one common denominator `scale`
     (`int_one_minus_q`, `int_powers`) and as their `format_rational`
-    texts (`text_one_minus_q`, `text_powers`).
+    texts (`text_values()`), formatted on first use: only `texts(f)` and
+    text vertex sets read them.
 
     The simplex of a labeled forest on n+1 nodes, in R^n, has its vertices
     in closed form: vertex p (p = 1..n+1) puts the chain coordinates of
@@ -417,8 +418,8 @@ class VertexTable:
     """
 
     __slots__ = (
-        "n", "scale", "int_one_minus_q", "int_powers", "text_one_minus_q", "text_powers", "form_scale",
-        "vertices", "_parameters", "_forms", "_rows", "_texts", "_index", "_steps",
+        "n", "scale", "int_one_minus_q", "int_powers", "form_scale", "vertices",
+        "_parameters", "_text_values", "_forms", "_rows", "_texts", "_index", "_steps",
     )
 
     def __init__(self, node_count: int, q, t):
@@ -434,19 +435,26 @@ class VertexTable:
         self.scale = scale = math.lcm(d**top, b)
         self.int_powers = tuple(e**k * (scale // d**k) for k in range(top + 1))
         self.int_one_minus_q = (b - a) * (scale // b)
-        self.text_powers = tuple(_ratio_text(e**k, d**k) for k in range(top + 1))
-        self.text_one_minus_q = _ratio_text(b - a, b)
         # The forms are over b d e^J, J the largest cane exponent of a
         # non-root (node_count - 2).
         last = max(node_count - 2, 0)
         self.form_scale = b * d * e**last
         self._parameters = a, b, c, d, e, last
+        self._text_values: Optional[tuple[tuple[str, ...], str]] = None
         self._forms: dict = {}
         self._rows: dict = {}
         self._texts: dict = {}
         self.vertices: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
         self._steps: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def text_values(self) -> tuple[tuple[str, ...], str]:
+        """The powers' texts and 1 - q's, formatted on the first call."""
+        if self._text_values is None:
+            a, b, _, d, e, _ = self._parameters
+            powers = tuple(_ratio_text(e**k, d**k) for k in range(self.n + 3))
+            self._text_values = powers, _ratio_text(b - a, b)
+        return self._text_values
 
     def _check_nodes(self, node_count: int) -> None:
         if node_count != self.n + 1:
@@ -458,7 +466,7 @@ class VertexTable:
 
     def texts(self, f: LabeledForest) -> tuple[tuple[str, ...], ...]:
         self._check_nodes(f.node_count)
-        return _simplex_vertices(f, self.text_powers, self.text_one_minus_q)
+        return _simplex_vertices(f, *self.text_values())
 
     def add(self, f: LabeledForest) -> tuple[int, ...]:
         index, vertices = self._index, self.vertices

@@ -19,9 +19,12 @@ is reduced to (components, edges).  Each subgraph is counted exactly
 once, components of equal size together through the binomials.  No
 connected-graph count or recursion formula enters this oracle.
 
-Closed forms are tallies {(a, b, k): c} of terms c q^a t^b (1+t)^k, and
-the connected-graph recursion holds its r_k in powers of 1+t; a tally is
-expanded into a BivariatePolynomial once, for a reported result.
+Closed forms are tallies {(a, b, k): c} of terms c q^a t^b (1+t)^k; a
+tally is expanded into a BivariatePolynomial once, for a reported result.
+The connected-graph recursion packs each r_k into one int, its
+coefficients in powers of 1+t as signed digits, so a factor of 1+t is a
+shift; F_n is unpacked once and taken to powers of t by Horner's rule on
+another packed int.
 """
 
 from __future__ import annotations
@@ -136,6 +139,34 @@ def closed_form_piece_total(plane_forests: Iterable[PlaneForest]) -> BivariatePo
 
 
 # ----------------------------------------------------------------------
+# Packed integers
+# ----------------------------------------------------------------------
+
+
+def _digits(value: int, width: int, signed: bool) -> list[int]:
+    """The base-2^width digits of value, lowest first: unsigned in
+    [0, 2^width), or signed, balanced in [-2^(width-1), 2^(width-1)).
+    The list may end in zeros.
+
+    A polynomial packed into one int is its value at x = 2^width
+    (Kronecker substitution).  Int arithmetic is exact, so sums, products
+    and shifts of packed polynomials stay packed, however their digits
+    overlap on the way.  The digits read back are the coefficients when
+    each coefficient lies in the digit range: an expansion with digits in
+    2^width consecutive integers is unique, so no digit has carried.
+    Signed digits are read as unsigned ones after adding 2^(width-1) at
+    every digit, and may need one digit more (6 is 1, -2, -2 in balanced
+    base 4).
+    """
+    count = abs(value).bit_length() // width + (2 if signed else 1)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    if signed:
+        value += int(format(half, "b") * count, 2)
+    digits = [(value >> width * e) & mask for e in range(count)]
+    return [d - half for d in digits] if signed else digits
+
+
+# ----------------------------------------------------------------------
 # Spanning-subgraph sweep
 # ----------------------------------------------------------------------
 
@@ -146,9 +177,8 @@ def subgraph_tally(n: int) -> dict[tuple[int, int], int]:
     if not 1 <= n <= Z_MAX_NODES:
         raise ValueError(f"n must be in 1..{Z_MAX_NODES}")
     # Counts by edge number e are packed into one int, digit e at bit w*e.
-    # Every coefficient, partial products included, is nonnegative and
-    # counts distinct subgraphs of K_n, so it is at most 2^C(n,2) < 2^w:
-    # no digit carries into the next.
+    # Every count is nonnegative and counts distinct subgraphs of K_n, so
+    # it is at most 2^C(n,2) < 2^w: `_digits` reads it back.
     w = math.comb(n, 2) + 1
     # (1+x)^s - 1 at x = 2^w: the stars of a new node that join a component of size s.
     joins = [((1 << w) + 1) ** s - 1 for s in range(n)]
@@ -174,8 +204,8 @@ def subgraph_tally(n: int) -> dict[tuple[int, int], int]:
         by_components[len(sizes)] += counts
     tally: dict[tuple[int, int], int] = {}
     for k, counts in by_components.items():
-        for e in range(counts.bit_length() // w + 1):
-            if count := (counts >> w * e) & ((1 << w) - 1):
+        for e, count in enumerate(_digits(counts, w, signed=False)):
+            if count:
                 tally[k, e] = count
     return tally
 
@@ -188,6 +218,21 @@ def z_bruteforce(n: int) -> BivariatePolynomial:
     return BivariatePolynomial({(k - 1, e): c for (k, e), c in tally.items()})
 
 
+def _recursion_width(n: int) -> int:
+    """The digit width W of `connected_gf`'s packed recursion on n nodes.
+
+    B_0 = 1, B_k = sum_{j=1..k} C(k,j) B_{k-j} bounds the l1 norm of r_k
+    in powers of 1+t: a factor (1+t)^m only moves coefficients, so
+    ||r_k||_1 <= sum_j C(k,j) ||r_{k-j}||_1.  So F_n's l1 norm is at most
+    L = sum_{j=0..n-1} C(n-1,j) B_{n-1-j}, and W = bits(L) + 2 keeps each
+    of its coefficients d at |d| <= L < 2^(W-2), inside the signed digits.
+    """
+    bounds = [1]
+    for k in range(1, n):
+        bounds.append(sum(math.comb(k, j) * bounds[k - j] for j in range(1, k + 1)))
+    return sum(math.comb(n - 1, j) * bounds[n - 1 - j] for j in range(n)).bit_length() + 2
+
+
 def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     """Edge generating function of connected labeled graphs on n nodes.
 
@@ -196,8 +241,11 @@ def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     recursion:  the alternating-sum recurrence
         r_0 = 1,  r_k = -sum_{j=1..k} C(k,j) (1+t)^C(j,2) r_{k-j},
         F_n = sum_{j=0..n-1} C(n-1,j) (1+t)^C(j+1,2) r_{n-1-j}
-    valid for n up to 30, with each r_k held in powers of 1+t (a factor
-    (1+t)^C(j,2) shifts them) and F_n expanded once.  Both modes agree on
+    valid for n up to 30.  Each r_k is one int, its coefficients in powers
+    of 1+t as signed digits of `_recursion_width(n)` bits, so a factor
+    (1+t)^C(j,2) is a left shift.  F_n's digits are read once and taken to
+    powers of t by Horner's rule at t = 2^w, w = C(n,2) + 1, whose digits
+    are the connected-graph counts by edge number.  Both modes agree on
     their common range.
     """
     if mode == "bruteforce":
@@ -208,19 +256,17 @@ def connected_gf(n: int, mode: str = "bruteforce") -> BivariatePolynomial:
     if mode == "recursion":
         if not 1 <= n <= 30:
             raise ValueError("recursion mode supported for 1 <= n <= 30")
-
-        def combine(terms) -> Counter:
-            # The sum of weight (1+t)^shift r_i, each in powers of 1+t.
-            out = Counter()
-            for weight, shift, r_i in terms:
-                out.update({power + shift: weight * c for power, c in r_i.items()})
-            return out
-
-        r = [{0: 1}]
+        width = _recursion_width(n)
+        r = [1]
         for k in range(1, n):
-            r.append(combine((-math.comb(k, j), math.comb(j, 2), r[k - j]) for j in range(1, k + 1)))
-        f = combine((math.comb(n - 1, j), math.comb(j + 1, 2), r[n - 1 - j]) for j in range(n))
-        return BivariatePolynomial(tally_monomials({(0, 0, power): c for power, c in f.items()}))
+            r.append(-sum((math.comb(k, j) * r[k - j]) << width * math.comb(j, 2) for j in range(1, k + 1)))
+        f = sum((math.comb(n - 1, j) * r[n - 1 - j]) << width * math.comb(j + 1, 2) for j in range(n))
+        # Horner in 1+t = 2^w + 1.  Each count is at most 2^C(n,2) < 2^w.
+        w = math.comb(n, 2) + 1
+        packed = 0
+        for c in reversed(_digits(f, width, signed=True)):
+            packed += (packed << w) + c
+        return BivariatePolynomial(((0, e), c) for e, c in enumerate(_digits(packed, w, signed=False)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -4,20 +4,23 @@ Each one checks something the package computes another way: labeled
 graphs and the exhaustive sweep over them (with the one union-find,
 `partition_pattern`), the neighbors-first search forest of a graph, cane
 paths counted from one node, the conversion between the spanning-subgraph
-sum Z and the Tutte polynomial, the inversion enumerator of labeled trees,
+sum Z and the Tutte polynomial, the connected-graph recursion on dicts of
+powers of 1+t, the inversion enumerator of labeled trees,
 the observed edge and 2-face count formulas of the Tutte polytope, the
 extremality certificate of a vertex set, Fraction points read from and
 written to the package's integer forms (vertex sets, vertex keys and
 membership), Fraction affine forms with the H-rep text form and the
 family, product and cone H-reps built from them, the chain and piece
-forms built in Fractions node by node, and the simplex volume by
-elimination of the differences to the first vertex, and by the
-package's expansion of the consecutive differences.
+forms built in Fractions node by node, and dense fraction-free
+elimination, with the simplex volume by elimination of the differences
+to the first vertex, and by the package's expansion of the consecutive
+differences.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,8 +30,8 @@ from cayleypoly import BivariatePolynomial, tutte_f_vector
 from cayleypoly.exact import (
     Coefficient,
     Monomial,
+    bareiss_step,
     clear_denominators,
-    eliminate,
     format_rational,
     parse_integer,
     parse_rational,
@@ -39,7 +42,7 @@ from cayleypoly.forests import MAX_FOREST_NODES, LabeledForest, PlaneForest, enu
 from cayleypoly.geometry import DimensionError, HRep, IntegerRow, _check_q
 from cayleypoly.graphs import MAX_NODES, mask_pairs, pair_index
 from cayleypoly.verify import vertex_key
-from cayleypoly.volumes import DegenerateSimplexError, steps_volume_scaled
+from cayleypoly.volumes import DegenerateSimplexError, steps_volume_scaled, tally_monomials
 
 # ----------------------------------------------------------------------
 # Labeled graphs
@@ -247,6 +250,34 @@ def z_from_tutte(tutte: BivariatePolynomial, n: int) -> BivariatePolynomial:
         term = term * t_plus_q**a * BivariatePolynomial.one_plus_t_power(b)
         out += term
     return out
+
+
+# ----------------------------------------------------------------------
+# Connected graphs by the recursion in powers of 1+t
+# ----------------------------------------------------------------------
+
+
+def connected_gf_powers(n: int) -> Counter:
+    """F_n(t) as {k: coefficient of (1+t)^k}, by the recursion of
+    `volumes.connected_gf` with each r_k a dict of powers of 1+t, summed
+    term by term."""
+
+    def combine(terms) -> Counter:
+        # The sum of weight (1+t)^shift r_i, each in powers of 1+t.
+        out = Counter()
+        for weight, shift, r_i in terms:
+            out.update({power + shift: weight * c for power, c in r_i.items()})
+        return out
+
+    r = [{0: 1}]
+    for k in range(1, n):
+        r.append(combine((-math.comb(k, j), math.comb(j, 2), r[k - j]) for j in range(1, k + 1)))
+    return combine((math.comb(n - 1, j), math.comb(j + 1, 2), r[n - 1 - j]) for j in range(n))
+
+
+def connected_gf_reference(n: int) -> BivariatePolynomial:
+    """F_n(t) from `connected_gf_powers`, expanded by `tally_monomials`."""
+    return BivariatePolynomial(tally_monomials({(0, 0, k): c for k, c in connected_gf_powers(n).items()}))
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +614,7 @@ def cone_q_forms(p: Sequence[AffineForm], dimension: int, q) -> list[AffineForm]
 
 
 # ----------------------------------------------------------------------
-# Cells in Fractions: chain and piece forms, and simplex volumes
+# Cells in Fractions: chain and piece forms; elimination and simplex volumes
 # ----------------------------------------------------------------------
 
 
@@ -637,6 +668,36 @@ def piece_forms(pf: PlaneForest, q: Fraction, t: Fraction) -> list[AffineForm]:
         rows.append(forms[pf.roots[-1]])
         rows.extend(forms[a] - forms[b] for a, b in zip(pf.roots, pf.roots[1:]))
     return rows
+
+
+def eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gaussian elimination of integer rows, in place.
+
+    Column by column, a row with a nonzero entry is swapped up to become
+    pivot row k (its column is pivots[k]); every row below it takes one
+    `bareiss_step` against rows[k].  Stops at full rank.  The last
+    pivot is then sign * the determinant of the pivot minor.  The lists in
+    `rows` are replaced, never mutated.
+    """
+    pivots: list[int] = []
+    sign = 1
+    previous = 1
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        k = len(pivots)
+        if k == len(rows):
+            break
+        found = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        if found != k:
+            rows[k], rows[found] = rows[found], rows[k]
+            sign = -sign
+        top = rows[k]
+        rows[k + 1 :] = bareiss_step(rows[k + 1 :], top, col, previous)
+        pivots.append(col)
+        previous = top[col]
+    return pivots, sign
 
 
 def volume_scaled(vertices) -> int:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleypoly import BivariatePolynomial, format_rational, parse_rational
-from cayleypoly.exact import clear_denominators, eliminate, parse_integer
+from cayleypoly.exact import clear_denominators, parse_integer
 
-from oracles import count_connected_graphs, tutte_from_z, var_q, var_t, z_from_tutte
+from oracles import count_connected_graphs, eliminate, tutte_from_z, var_q, var_t, z_from_tutte
 from poly_helpers import compose_t
 
 P = BivariatePolynomial

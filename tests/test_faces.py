@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cayleypoly import FAMILIES, build_hrep, enumerate_hrep_vertices, face_lattice, tutte_f_vector, vertex_set
-from cayleypoly.exact import clear_denominators, eliminate, format_rational
+from cayleypoly.exact import clear_denominators, format_rational
 from cayleypoly.faces import FaceLattice, InconsistentGeometryError, _contact_masks, chain_vertices
 from cayleypoly.geometry import ParameterDomainError, family_parameters
 from cayleypoly.verify import vertex_keys
@@ -17,6 +17,7 @@ from oracles import (
     conjecture_check,
     contains,
     edge_count_formula,
+    eliminate,
     fraction_points,
     hrep_forms,
     hrep_from_forms,

@@ -802,6 +802,19 @@ def test_cell_jobs_build_no_fraction_simplex(monkeypatch):
         assert verify_refinement(family, 3, q, t).passed
 
 
+def test_vertex_tables_format_texts_only_when_read(monkeypatch):
+    # The cones assembly builds a vertex table per plane tree, and the cell
+    # jobs read the integer values: neither formats a text.
+    def no_text(*args):
+        raise AssertionError(f"a vertex table formatted the text of {args}")
+
+    monkeypatch.setattr(geometry, "_ratio_text", no_text)
+    assert verify_piece_constructions(4).passed
+    assert verify_triangulation("tutte", 3, Fraction(37, 101), Fraction(53, 17), samples=20).passed
+    with pytest.raises(AssertionError, match="formatted the text"):
+        VertexTable(4, Fraction(37, 101), Fraction(53, 17)).text_values()
+
+
 def _fiber_by_sweep(node_count):
     """verify_fiber by the exhaustive sweep: the reference for generation.
 

@@ -27,9 +27,11 @@ from cayleypoly import (
     z_bruteforce,
 )
 from cayleypoly.geometry import VertexTable, family_parameters
-from cayleypoly.volumes import steps_volume_scaled, subgraph_tally
+from cayleypoly.volumes import _digits, _recursion_width, steps_volume_scaled, subgraph_tally
 
 from oracles import (
+    connected_gf_powers,
+    connected_gf_reference,
     fraction_points,
     integer_volume_scaled,
     inversion_enumerator,
@@ -333,6 +335,42 @@ def test_recursion_first_steps():
 def test_recursion_matches_bruteforce():
     for n in range(1, 7):
         assert connected_gf(n, "recursion") == connected_gf(n, "bruteforce")
+
+
+def test_packed_recursion_matches_the_reference():
+    # The packed kernel against the recursion on dicts of powers of 1+t,
+    # expanded term by term.
+    for n in range(1, 31):
+        assert connected_gf(n, "recursion") == connected_gf_reference(n)
+
+
+def test_recursion_width_covers_every_digit():
+    # F_n's coefficients in powers of 1+t are the signed digits that the
+    # kernel reads.  The l1 bound behind the width covers them with two
+    # bits to spare: ||F_n||_1 < 2^(W-2), so |d| < 2^(W-2).
+    for n in range(1, 31):
+        coefficients = [abs(c) for c in connected_gf_powers(n).values()]
+        room = 1 << (_recursion_width(n) - 2)
+        assert sum(coefficients) < room
+        assert max(coefficients) < room
+
+
+def test_digits_read_back_packed_coefficients():
+    # Unsigned digits in [0, 2^w), balanced ones in [-2^(w-1), 2^(w-1)),
+    # the extremes included; a balanced expansion may be one digit longer
+    # than the unsigned one (6 is 1, -2, -2 in balanced base 4).
+    def trimmed(digits):
+        return digits[: max((e + 1 for e, d in enumerate(digits) if d), default=0)]
+
+    rng = random.Random(7)
+    for width in (2, 3, 11, 64):
+        half = 1 << (width - 1)
+        cases = [[half - 1] * 5, [-half] * 5, [-half] * 4 + [1], [-half, -half, 1]]
+        cases += [[rng.randrange(-half, half) for _ in range(rng.randrange(8))] for _ in range(200)]
+        for coefficients in cases:
+            for signed, shown in ((True, coefficients), (False, [c + half for c in coefficients])):
+                value = sum(c << width * e for e, c in enumerate(shown))
+                assert trimmed(_digits(value, width, signed)) == trimmed(shown)
 
 
 def test_connected_gf_mode_validation():
